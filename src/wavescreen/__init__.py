@@ -3,8 +3,9 @@
 Windows of dense SNP dosage data are mapped to Haar wavelet spectra per
 individual, association of each coefficient with the phenotype is scored
 by a closed-form Bayes factor under reverse regression, evidence is
-aggregated into a per-locus likelihood-ratio statistic maximized by EM,
-and p-values come from a simulated null with a Generalized Pareto tail.
+aggregated into a per-locus likelihood-ratio statistic maximized per scale
+by a safeguarded Newton method, and p-values come from a simulated null
+with a Generalized Pareto tail.
 """
 
 from wavescreen.dataio import CohortData, SnpRecord, Window, define_windows, load_cohort
@@ -12,7 +13,6 @@ from wavescreen.bayes import DesignContext, build_design, bayes_factor, lambda1
 from wavescreen.screening import (
     LocusResult,
     fisher_combine,
-    lambda_of_pi,
     maximize_lambda,
     screen_window,
 )
@@ -37,7 +37,6 @@ __all__ = [
     "lambda1",
     "LocusResult",
     "fisher_combine",
-    "lambda_of_pi",
     "maximize_lambda",
     "screen_window",
     "NullModel",

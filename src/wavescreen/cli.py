@@ -18,7 +18,7 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _cache_dir(args, default_base: str) -> str:
+def _cache_dir(default_base: str) -> str:
     return os.environ.get(CACHE_ENV) or os.path.join(default_base, "null-cache")
 
 
@@ -108,7 +108,7 @@ def cmd_screen(args) -> int:
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
     lam1 = bayes.lambda1(ctx)
     os.makedirs(args.output_dir, exist_ok=True)
-    cache = _cache_dir(args, args.output_dir)
+    cache = _cache_dir(args.output_dir)
 
     # one null model per distinct window depth; the design constant is shared
     models = {}
@@ -196,7 +196,7 @@ def cmd_screen(args) -> int:
 
 def cmd_nullsim(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
-    cache = _cache_dir(args, args.output_dir)
+    cache = _cache_dir(args.output_dir)
     model = nullsim.load_or_build_null_model(
         args.lambda1, args.depth, args.m, args.seed, cache, args.threshold_rule
     )
@@ -240,7 +240,7 @@ def _load_power_config(path: str | None, seed: int) -> simharness.PowerConfig:
 def cmd_power(args) -> int:
     cfg = _load_power_config(args.config, args.seed)
     os.makedirs(args.output_dir, exist_ok=True)
-    cache = _cache_dir(args, args.output_dir)
+    cache = _cache_dir(args.output_dir)
     rows, detail = simharness.power_experiment(cfg, cache_dir=cache)
     table_path = os.path.join(args.output_dir, "power.tsv")
     with open(table_path, "w", encoding="utf-8") as fh:

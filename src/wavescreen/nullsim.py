@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import genpareto
 
-from wavescreen.screening import maximize_lambda_batch
+from wavescreen.screening import SOLVER_VERSION, max_log_lambda
 
 SIM_CHUNK = 4096  # fixed so results are independent of threading and memory
 MIN_EXCEEDANCES = 30
@@ -61,10 +61,6 @@ class NullModel:
     def has_tail(self) -> bool:
         return self.gpd_scale is not None
 
-    @property
-    def n_coefficients_per_scale(self) -> list[int]:
-        return [1 << s for s in range(self.depth + 1)]
-
 
 def required_permutations(P: float) -> int:
     """Permutation count needed for a reliable p-value at level P: ceil(1/(4 P^2))."""
@@ -77,8 +73,9 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
     """Simulate M maximized Lambda values under the null; returns them sorted.
 
     Per replicate, each coefficient (2^s per scale s = 0..depth) draws
-    Q ~ chi2(1) and BF = exp((lambda1*Q + log(1-lambda1))/2); the per-scale
-    EM maximization then yields Lambda_hat. Chunks use independent
+    Q ~ chi2(1) and BF = exp((lambda1*Q + log(1-lambda1))/2); Lambda_hat is
+    the exponential of the summed per-scale maxima of log Lambda_s(pi_s)
+    (``screening.max_log_lambda``). Chunks use independent
     counter-based RNG streams keyed by (seed, chunk index), so the output
     is identical regardless of scheduling.
     """
@@ -97,12 +94,11 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, ci], dtype=np.uint64))
         )
-        r = hi - lo
-        bf_by_scale = []
+        log_lam = np.zeros(hi - lo)
         for s in range(depth + 1):
-            q = rng.chisquare(1, size=(r, 1 << s))
-            bf_by_scale.append(np.exp(0.5 * (lambda1 * q + log_const)))
-        out[lo:hi] = maximize_lambda_batch(bf_by_scale)
+            q = rng.chisquare(1, size=(hi - lo, 1 << s))
+            log_lam += max_log_lambda(np.exp(0.5 * (lambda1 * q + log_const)))[1]
+        out[lo:hi] = np.exp(log_lam)
     out.sort()
     return out
 
@@ -244,7 +240,7 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
 
 
 def _cache_name(lambda1: float, depth: int, M: int, seed: int) -> str:
-    return f"null_l{round(lambda1, 7):.7f}_d{depth}_M{M}_s{seed}.tsv"
+    return f"null_l{round(lambda1, 7):.7f}_d{depth}_M{M}_s{seed}_{SOLVER_VERSION}.tsv"
 
 
 def save_null_model(model: NullModel, cache_dir: str) -> str:
@@ -252,8 +248,10 @@ def save_null_model(model: NullModel, cache_dir: str) -> str:
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, _cache_name(model.lambda1, model.depth, model.M, model.seed))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lambda1\tdepth\tM\tseed\n")
-        fh.write(f"{model.lambda1:.7f}\t{model.depth}\t{model.M}\t{model.seed}\n")
+        fh.write("lambda1\tdepth\tM\tseed\tsolver\n")
+        fh.write(
+            f"{model.lambda1:.7f}\t{model.depth}\t{model.M}\t{model.seed}\t{SOLVER_VERSION}\n"
+        )
         fh.write("lambda_hat\n")
         for v in model.sample:
             fh.write(f"{v:.17g}\n")

@@ -1,13 +1,14 @@
-"""Per-locus evidence aggregation: EM over per-scale association proportions.
+"""Per-locus evidence aggregation over per-scale association proportions.
 
 Within a window, the Bayes factors of all analyzed coefficients combine into
-the likelihood ratio Lambda(pi) = prod_{s,l} [pi_s BF_sl + (1 - pi_s)],
-maximized over pi by per-scale EM (the product factorizes over scales).
+the likelihood ratio Lambda(pi) = prod_{s,l} [pi_s BF_sl + (1 - pi_s)]. The
+product factorizes over scales, so each pi_s is found separately by
+``max_log_lambda``, a bracketed Newton solver in log space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -16,8 +17,9 @@ from wavescreen import wavelet
 from wavescreen.bayes import DesignContext, log_bayes_factor
 from wavescreen.dataio import CohortData, Window
 
-EM_TOL = 1e-8
-EM_MAX_ITER = 10_000
+# names the Lambda-hat solver in null-cache keys, so samples drawn by an
+# earlier solver are rebuilt rather than reused
+SOLVER_VERSION = "newton1"
 
 
 class ScreeningError(ValueError):
@@ -49,61 +51,48 @@ def _check_bfs(bfs_by_scale: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def lambda_of_pi(bfs_by_scale: list[np.ndarray], pi: np.ndarray) -> float:
-    """Lambda(pi) = prod over scales s and locations l of (pi_s BF + 1 - pi_s)."""
-    bfs_by_scale = _check_bfs(bfs_by_scale)
-    pi = np.asarray(pi, dtype=float)
-    if len(pi) != len(bfs_by_scale):
-        raise ScreeningError("pi length must match the number of scales")
-    log_lam = 0.0
-    for bf, p in zip(bfs_by_scale, pi):
-        if bf.size:
-            log_lam += float(np.sum(np.log1p(p * (bf - 1.0))))
-    return float(np.exp(log_lam))
+def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize log Lambda(pi) = sum_l log1p(pi (BF_l - 1)) over pi in [0, 1], per row.
 
-
-def _em_batch(bf: np.ndarray, trace: list | None = None) -> np.ndarray:
-    """Maximize sum_l log(pi*BF_l + 1 - pi) over pi in [0,1] for each row of bf.
-
-    log Lambda_s is concave in pi, so the endpoint derivatives decide
-    boundary solutions exactly; interior rows run the EM fixed point
-    alpha = pi BF / (pi BF + 1 - pi), pi <- mean(alpha) from pi = 0.5.
+    ``bf`` is (R, K) with positive entries; returns (pi_hat, log_lambda_hat),
+    each of length R. The objective is concave, so the score
+    g(pi) = sum_l (BF_l - 1) / (1 + pi (BF_l - 1)) decides boundary rows
+    exactly from its sign at 0 and 1. Interior rows run Newton's method on g
+    inside a bracket [lo, hi] that always holds the root, bisecting whenever
+    a Newton step would leave it; a row stops when g is exactly zero or the
+    bracket can no longer be split. pi = 0 gives exactly 0, so a row whose
+    objective rounds below 0 returns pi = 0, and log_lambda_hat >= 0.
     """
     bf = np.atleast_2d(np.asarray(bf, dtype=float))
-    R = bf.shape[0]
-    pi = np.zeros(R)
-    grad0 = np.sum(bf - 1.0, axis=1)  # d/dpi at 0
-    grad1 = np.sum((bf - 1.0) / bf, axis=1)  # d/dpi at 1
-    pi[grad1 >= 0.0] = 1.0
-    interior = (grad0 > 0.0) & (grad1 < 0.0)
-    if np.any(interior):
-        idx = np.where(interior)[0]
-        p = np.full(len(idx), 0.5)
-        active = np.arange(len(idx))
-        for _ in range(EM_MAX_ITER):
-            b = bf[idx[active]]
-            pa = p[active]
-            a = pa[:, None] * b
-            alpha = a / (a + 1.0 - pa[:, None])
-            p_new = alpha.mean(axis=1)
-            if trace is not None:
-                trace.append(p_new.copy())
-            moved = np.abs(p_new - pa) >= EM_TOL
-            p[active] = p_new
-            active = active[moved]
-            if active.size == 0:
-                break
-        pi[idx] = p
-    return pi
-
-
-def _log_lambda_rows(bf: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    bf = np.atleast_2d(np.asarray(bf, dtype=float))
-    return np.sum(np.log1p(pi[:, None] * (bf - 1.0)), axis=1)
+    b = bf - 1.0
+    pi = np.zeros(bf.shape[0])
+    score1 = np.sum(b / bf, axis=1)
+    pi[score1 >= 0.0] = 1.0
+    rows = np.flatnonzero((np.sum(b, axis=1) > 0.0) & (score1 < 0.0))
+    x = np.full(len(rows), 0.5)
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    while rows.size:
+        br = b[rows]
+        t = br / (1.0 + x[:, None] * br)
+        g = np.sum(t, axis=1)
+        lo = np.where(g > 0.0, x, lo)
+        hi = np.where(g < 0.0, x, hi)
+        newton = x + g / np.sum(t * t, axis=1)
+        mid = 0.5 * (lo + hi)
+        done = (g == 0.0) | (mid <= lo) | (mid >= hi)
+        pi[rows[done]] = x[done]
+        keep = ~done
+        x = np.where((lo < newton) & (newton < hi), newton, mid)[keep]
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    log_lam = np.sum(np.log1p(pi[:, None] * b), axis=1)
+    below = log_lam < 0.0
+    pi[below] = 0.0
+    log_lam[below] = 0.0
+    return pi, log_lam
 
 
 def maximize_lambda(bfs_by_scale: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """EM-maximized (pi_hat, Lambda_hat) over all scales of one window.
+    """Maximized (pi_hat, Lambda_hat) over all scales of one window.
 
     Scales with no (non-degenerate) coefficients get pi_s = 0. Boundary
     solutions pi_s in {0, 1} are permitted.
@@ -112,26 +101,11 @@ def maximize_lambda(bfs_by_scale: list[np.ndarray]) -> tuple[np.ndarray, float]:
     pi_hat = np.zeros(len(bfs_by_scale))
     log_lam = 0.0
     for s, bf in enumerate(bfs_by_scale):
-        if bf.size == 0:
-            continue
-        p = _em_batch(bf[None, :])[0]
-        pi_hat[s] = p
-        log_lam += float(_log_lambda_rows(bf[None, :], np.array([p]))[0])
+        if bf.size:
+            p, ll = max_log_lambda(bf[None, :])
+            pi_hat[s] = p[0]
+            log_lam += float(ll[0])
     return pi_hat, float(np.exp(log_lam))
-
-
-def maximize_lambda_batch(bf_by_scale: list[np.ndarray]) -> np.ndarray:
-    """Vectorized Lambda_hat over replicates.
-
-    ``bf_by_scale[s]`` has shape (R, 2^s); returns the R maximized Lambda
-    values (used by the null simulator).
-    """
-    R = bf_by_scale[0].shape[0]
-    log_lam = np.zeros(R)
-    for bf in bf_by_scale:
-        pi = _em_batch(bf)
-        log_lam += _log_lambda_rows(bf, pi)
-    return np.exp(log_lam)
 
 
 def posterior_gamma(bf: np.ndarray, pi_s: float) -> np.ndarray:
@@ -204,7 +178,7 @@ def screen_window(
     coefficient_kind: str,
     sigma0_sq: float = wavelet.DEFAULT_SIGMA0_SQ,
 ) -> LocusResult:
-    """Full per-window screen: spectra -> Bayes factors -> EM over pi.
+    """Full per-window screen: spectra -> Bayes factors -> Lambda-hat over pi.
 
     Degenerate coefficients are dropped from the product (a BF = 1 factor).
     The p-value is left unset; the null model assigns it later.

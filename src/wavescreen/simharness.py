@@ -8,14 +8,14 @@ per-SNP linear-model GWAS baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from wavescreen import bayes, screening
 from wavescreen.dataio import ChromosomeBlock, CohortData, Window
-from wavescreen.nullsim import NullModel, build_null_model, p_value
+from wavescreen.nullsim import load_or_build_null_model, p_value
 
 DEFAULT_H2 = 0.02  # desk-scale default; 0.005 is typical for a top GWAS hit
 POWER_BINS = [(1, 5), (6, 10), (11, 15), (16, 20), (21, 10**9)]
@@ -285,14 +285,9 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
 
     probe = bayes.build_design(_standardized(np.arange(config.n, dtype=float)))
     lam1 = bayes.lambda1(probe)
-    if cache_dir is not None:
-        from wavescreen.nullsim import load_or_build_null_model
-
-        null_model = load_or_build_null_model(
-            lam1, window.depth, config.null_m, config.seed, cache_dir
-        )
-    else:
-        null_model = build_null_model(lam1, window.depth, config.null_m, seed=config.seed)
+    null_model = load_or_build_null_model(
+        lam1, window.depth, config.null_m, config.seed, cache_dir
+    )
 
     rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 3], dtype=np.uint64)))
     detail = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import genpareto, chi2
 
-from wavescreen import nullsim
+from wavescreen import nullsim, screening
 from wavescreen.nullsim import (
     GPDFitError,
     NullModel,
@@ -56,6 +56,12 @@ class TestSimulateNull:
             expected = chi2.sf(q, df=1)
             observed = float(np.mean(sample > x))
             assert abs(observed - expected) < 4.0 * np.sqrt(expected / 200_000) + 1e-4
+
+    def test_low_lambda1_draws_never_below_one(self):
+        # at lambda1 = 0.1 every scale has an interior maximum; a solver that
+        # stops short of it can return Lambda_hat < 1, which p_value rejects
+        sample = simulate_null(0.1, depth=6, M=20_000, seed=3)
+        assert sample[0] >= 1.0
 
     def test_validates_arguments(self):
         with pytest.raises(NullSimError):
@@ -117,7 +123,6 @@ class TestBuildAndPValue:
         assert model.has_tail
         assert model.threshold > 1.0
         assert model.n_exceedances >= nullsim.MIN_EXCEEDANCES
-        assert model.n_coefficients_per_scale == [1, 2, 4, 8]
 
     def test_fallback_without_tail(self):
         # constant sample: tail fit must fail, p-values stay empirical
@@ -170,3 +175,19 @@ class TestCache:
         second = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
         assert files[0].stat().st_mtime_ns == mtime
         np.testing.assert_array_equal(second.sample, first.sample)
+
+    def test_sample_from_older_solver_is_not_loaded(self, tmp_path):
+        # a file under the key scheme that had no solver tag
+        stale = tmp_path / "null_l0.7000000_d1_M2000_s10.tsv"
+        stale.write_text(
+            "lambda1\tdepth\tM\tseed\n0.7000000\t1\t2000\t10\nlambda_hat\n"
+            + "5.0\n" * 2000
+        )
+        model = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        np.testing.assert_array_equal(model.sample, simulate_null(0.7, 1, 2000, 10))
+        fresh = [f for f in tmp_path.glob("null_*.tsv") if f != stale]
+        assert len(fresh) == 1
+        assert screening.SOLVER_VERSION in fresh[0].name
+        header = fresh[0].read_text().splitlines()[:2]
+        assert header[0].split("\t")[-1] == "solver"
+        assert header[1].split("\t")[-1] == screening.SOLVER_VERSION

@@ -1,16 +1,16 @@
-"""EM maximization of the locus likelihood ratio and full window screens."""
+"""The Lambda-hat solver, its per-window wrapper and full window screens."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavescreen import bayes, screening, simharness
+from wavescreen import bayes, nullsim, simharness
 from wavescreen.screening import (
     ScreeningError,
-    _em_batch,
     fisher_combine,
-    lambda_of_pi,
+    max_log_lambda,
     maximize_lambda,
-    maximize_lambda_batch,
     posterior_gamma,
     screen_window,
     window_spectra,
@@ -19,38 +19,22 @@ from wavescreen.screening import (
 from _oracles import lambda_max_grid
 
 
-class TestLambdaOfPi:
-    def test_pi_zero_is_one(self):
-        bfs = [np.array([2.0, 0.5]), np.array([3.0])]
-        assert lambda_of_pi(bfs, np.zeros(2)) == 1.0
-
-    def test_pi_one_is_bf_product(self):
-        bfs = [np.array([2.0, 0.5]), np.array([3.0])]
-        assert abs(lambda_of_pi(bfs, np.ones(2)) - 3.0) < 1e-12
-
-    def test_rejects_nonpositive_bf(self):
-        with pytest.raises(ScreeningError):
-            lambda_of_pi([np.array([0.0])], np.array([0.5]))
-
-    def test_rejects_wrong_pi_length(self):
-        with pytest.raises(ScreeningError):
-            lambda_of_pi([np.array([2.0])], np.array([0.5, 0.5]))
-
-
 class TestEM:
     def test_single_large_bf_gives_pi_one(self):
-        assert _em_batch(np.array([[7.0]]))[0] == 1.0
+        pi, log_lam = max_log_lambda(np.array([[7.0]]))
+        assert pi[0] == 1.0
+        assert log_lam[0] == pytest.approx(np.log(7.0), rel=1e-15)
 
     def test_all_small_bfs_give_pi_zero(self):
-        assert _em_batch(np.array([[0.2, 0.9, 0.5]]))[0] == 0.0
+        pi, log_lam = max_log_lambda(np.array([[0.2, 0.9, 0.5]]))
+        assert pi[0] == 0.0 and log_lam[0] == 0.0
 
     def test_interior_solution_matches_gradient_root(self):
-        # d/dpi sum log(pi bf + 1 - pi) = 0 at the EM fixed point
-        bf = np.array([[6.0, 0.2, 0.2, 0.2]])
-        pi = _em_batch(bf)[0]
+        bf = np.array([6.0, 0.2, 0.2, 0.2])
+        pi = max_log_lambda(bf[None, :])[0][0]
         assert 0.0 < pi < 1.0
-        grad = float(np.sum((bf[0] - 1.0) / (pi * bf[0] + 1.0 - pi)))
-        assert abs(grad) < 1e-5
+        # d/dpi sum log(pi bf + 1 - pi) = 0 at the maximum
+        assert abs(np.sum((bf - 1.0) / (1.0 + pi * (bf - 1.0)))) < 1e-12
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(0)
@@ -62,20 +46,14 @@ class TestEM:
             assert lam >= 1.0 - 1e-12
             assert abs(lam - lam_ref) <= 1e-8 * lam_ref
 
-    def test_monotone_likelihood_trace(self):
-        rng = np.random.default_rng(1)
-        bf = np.exp(rng.normal(0.2, 1.0, size=(1, 24)))
-        trace: list = []
-        _em_batch(bf, trace=trace)
-        lls = [float(np.sum(np.log1p(p[0] * (bf[0] - 1.0)))) for p in trace]
-        assert all(b >= a - 1e-12 for a, b in zip(lls, lls[1:]))
-
     def test_batch_matches_per_window(self):
+        # the null simulator's composition: one batched solve per scale,
+        # log values summed over scales
         rng = np.random.default_rng(2)
         bf_by_scale = [
             np.exp(rng.normal(0, 1, size=(50, 1 << s))) for s in range(4)
         ]
-        batch = maximize_lambda_batch(bf_by_scale)
+        batch = np.exp(sum(max_log_lambda(bf)[1] for bf in bf_by_scale))
         for r in range(0, 50, 7):
             _, lam = maximize_lambda([bf[r] for bf in bf_by_scale])
             assert abs(batch[r] - lam) <= 1e-10 * lam
@@ -84,6 +62,59 @@ class TestEM:
         pi, lam = maximize_lambda([np.empty(0), np.array([5.0])])
         assert pi[0] == 0.0 and pi[1] == 1.0
         assert abs(lam - 5.0) < 1e-12
+
+    def test_rejects_nonpositive_bf(self):
+        with pytest.raises(ScreeningError):
+            maximize_lambda([np.array([0.0])])
+
+    def test_near_null_lambda_hat_never_below_one(self):
+        # Bayes factors scattered just around 1 once drove the maximum
+        # below its starting value Lambda(0) = 1, which p_value rejects
+        rng = np.random.default_rng(0)
+        model = nullsim.NullModel(
+            lambda1=0.1, depth=0, M=3, seed=0, sample=np.array([1.0, 1.5, 2.0])
+        )
+        lams = []
+        for _ in range(20_000):
+            bf = np.exp(rng.normal(0.0, 0.05, size=int(rng.integers(1, 64))))
+            lams.append(maximize_lambda([bf])[1])
+        assert min(lams) >= 1.0
+        for lam in lams:
+            assert 0.0 < nullsim.p_value(model, lam) <= 1.0
+
+
+# log10 BF from -300 to 300, with exact 1s mixed in
+_log10_bf = st.one_of(
+    st.floats(-300.0, 300.0, allow_nan=False), st.just(0.0), st.floats(-0.05, 0.05)
+)
+_bf_rows = st.integers(1, 16).flatmap(
+    lambda k: st.lists(st.lists(_log10_bf, min_size=k, max_size=k), min_size=1, max_size=8)
+)
+
+
+class TestSolverProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_bf_rows)
+    def test_optimal_bounded_and_row_independent(self, rows):
+        bf = 10.0 ** np.array(rows)
+        pi, log_lam = max_log_lambda(bf)
+        assert np.all((pi >= 0.0) & (pi <= 1.0))
+        assert np.all(np.isfinite(log_lam)) and np.all(log_lam >= 0.0)
+        for r in range(bf.shape[0]):
+            p1, l1 = max_log_lambda(bf[r:r + 1])
+            assert p1[0] == pi[r] and l1[0] == log_lam[r]
+            b = bf[r] - 1.0
+            if pi[r] == 0.0:
+                # score at 0 is <= 0, up to the rounding that can push a
+                # tiny positive maximum below 0 and so back to pi = 0
+                assert np.sum(b) <= 1e-12 * np.sum(np.abs(b))
+            elif pi[r] == 1.0:
+                assert np.sum(b / bf[r]) >= 0.0
+            else:
+                # zero score, to within the change one ulp of pi can make
+                t = b / (1.0 + pi[r] * b)
+                slack = 4.0 * np.spacing(pi[r]) * np.sum(t * t) + 1e-12 * np.sum(np.abs(t))
+                assert abs(np.sum(t)) <= slack
 
 
 class TestPosteriorAndFisher:
@@ -156,8 +187,10 @@ class TestScreenWindow:
         assert res.coefficient_kind == "c"
         assert len(res.bf) == window.depth + 1
         # Lambda recomputes from the stored per-scale BFs and pi_hat
-        lam = lambda_of_pi(res.bf, res.pi_hat)
-        assert abs(lam - res.lambda_hat) <= 1e-9 * res.lambda_hat
+        log_lam = sum(
+            float(np.sum(np.log1p(p * (bf - 1.0)))) for bf, p in zip(res.bf, res.pi_hat)
+        )
+        assert abs(np.exp(log_lam) - res.lambda_hat) <= 1e-9 * res.lambda_hat
         for s, g in enumerate(res.posterior_gamma):
             np.testing.assert_allclose(
                 g, posterior_gamma(res.bf[s], res.pi_hat[s]), atol=1e-12
