@@ -8,7 +8,7 @@ by a safeguarded Newton method, and p-values come from a simulated null
 with a Generalized Pareto tail.
 """
 
-from wavescreen.dataio import CohortData, SnpRecord, Window, define_windows, load_cohort
+from wavescreen.dataio import CohortData, Window, define_windows, load_cohort
 from wavescreen.bayes import DesignContext, build_design, bayes_factor, lambda1
 from wavescreen.screening import (
     LocusResult,
@@ -27,7 +27,6 @@ from wavescreen.nullsim import (
 
 __all__ = [
     "CohortData",
-    "SnpRecord",
     "Window",
     "define_windows",
     "load_cohort",

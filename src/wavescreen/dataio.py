@@ -22,17 +22,6 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-@dataclass(frozen=True)
-class SnpRecord:
-    """One SNP row: genomic position, imputation quality and per-individual dosages."""
-
-    chromosome: str
-    position: int
-    snp_id: str
-    imputation_quality: float
-    dosages: np.ndarray
-
-
 @dataclass
 class ChromosomeBlock:
     """All retained SNPs of one chromosome, sorted by position."""
@@ -46,15 +35,6 @@ class ChromosomeBlock:
     @property
     def n_snps(self) -> int:
         return len(self.positions)
-
-    def record(self, i: int) -> SnpRecord:
-        return SnpRecord(
-            chromosome=self.chromosome,
-            position=int(self.positions[i]),
-            snp_id=self.snp_ids[i],
-            imputation_quality=float(self.imputation_quality[i]),
-            dosages=self.dosages[i],
-        )
 
 
 @dataclass
@@ -91,6 +71,10 @@ class Window:
     depth: int  # deepest analyzed wavelet scale
 
 
+_GENOTYPE_HEADER = ("chrom", "chromosome", "chr", "#chrom")
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _parse_float(token: str, what: str, line_no: int) -> float:
     try:
         return float(token)
@@ -98,27 +82,159 @@ def _parse_float(token: str, what: str, line_no: int) -> float:
         raise DataError(f"line {line_no}: non-numeric {what}: {token!r}") from None
 
 
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    # comments=None: '#' is data here, so a field holding it is rejected
+    # instead of the rest of its line being dropped as a comment.
+    return np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
+
+
+def _rows_before_error(
+    texts: list[str], line_nos: list[int], what: str
+) -> tuple[np.ndarray, DataError | None]:
+    """Parse row by row up to the first row that does not parse or is ragged.
+
+    Returns the rows before it and a DataError naming its line. loadtxt's own
+    messages count rows without the skipped blank and header lines, so the
+    row is found here instead of being read from them.
+    """
+    rows: list[np.ndarray] = []
+    error = None
+    for text, line_no in zip(texts, line_nos):
+        try:
+            row = _loadtxt([text])[0]
+        except ValueError:
+            for token in text.split():
+                try:
+                    _loadtxt([token])
+                except ValueError:
+                    break
+            error = DataError(f"line {line_no}: non-numeric {what}: {token!r}")
+            break
+        if rows and len(row) != len(rows[0]):
+            error = DataError(f"line {line_no}: {len(row)} {what}s, expected {len(rows[0])}")
+            break
+        rows.append(row)
+    return np.array(rows, ndmin=2), error
+
+
+def _read_rows(
+    texts: list[str],
+    line_nos: list[int],
+    what: str,
+    lo: float = -_FLOAT_MAX,
+    hi: float = _FLOAT_MAX,
+) -> np.ndarray:
+    """Parse one row of whitespace-separated numbers per text with numpy's C reader.
+
+    Raises DataError naming the line of the first bad row in file order: a
+    field that is not a number, a row whose width differs from the first
+    row's, or a value outside [lo, hi]. NaN and infinities are always bad.
+    """
+    try:
+        values, error = _loadtxt(texts), None
+    except ValueError:
+        values, error = _rows_before_error(texts, line_nos, what)
+    bad = ~((values >= lo) & (values <= hi))
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), bad.shape[1])
+        value = values[row, col]
+        if np.isfinite(value):
+            raise DataError(f"line {line_nos[row]}: {what} {value} outside [{lo:g},{hi:g}]")
+        raise DataError(f"line {line_nos[row]}: non-finite {what} {value}")
+    if error is not None:
+        raise error
+    return values
+
+
 def _read_matrix(path: str, what: str) -> np.ndarray:
-    """Read a whitespace/tab separated numeric matrix, tolerating one header row."""
-    rows = []
+    """Read a whitespace-separated numeric matrix; an unparsable first line is a header."""
+    texts: list[str] = []
+    line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if line_no == 1:
-                try:
-                    [float(t) for t in tokens]
-                except ValueError:
-                    continue  # header row
-            rows.append([_parse_float(t, what, line_no) for t in tokens])
-    if not rows:
+            if line.strip():
+                texts.append(line)
+                line_nos.append(line_no)
+    if line_nos[:1] == [1]:
+        try:
+            _loadtxt(texts[:1])
+        except ValueError:
+            del texts[0], line_nos[0]  # header row
+    if not texts:
         raise DataError(f"{what} file {path} is empty")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{what} file {path} has ragged rows (widths {sorted(widths)})")
-    return np.asarray(rows, dtype=float)
+    return _read_rows(texts, line_nos, what)
+
+
+def _snp_fields(fields: list[str], line_no: int) -> tuple[int, float]:
+    """Validate the metadata of one genotype row; returns (position, imputation quality)."""
+    if len(fields) < 5:
+        raise DataError(f"line {line_no}: expected >= 5 columns, got {len(fields)}")
+    pos = _parse_float(fields[1], "position", line_no)
+    if not (pos.is_integer() and abs(pos) < 2.0**63):
+        raise DataError(f"line {line_no}: position {fields[1]!r} is not a 64-bit integer")
+    iq = _parse_float(fields[3], "imputation quality", line_no)
+    if not 0.0 <= iq <= 1.0:
+        raise DataError(f"line {line_no}: imputation quality {iq} outside [0,1]")
+    return int(pos), iq
+
+
+def _read_genotypes(path: str, min_iq: float) -> tuple[dict[str, ChromosomeBlock], int]:
+    """Read and validate the genotype file (format in ``load_cohort``).
+
+    Returns the blocks of SNPs passing ``min_iq`` by chromosome, in sorted
+    chromosome order, and the number of individuals.
+    """
+    positions: list[int] = []
+    snp_ids: list[str] = []
+    iqs: list[float] = []
+    rests: list[str] = []
+    line_nos: list[int] = []
+    kept: dict[str, list[int]] = {}  # chromosome -> indices of rows passing min_iq
+    row_error = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            fields = line.split(None, 4)
+            if not fields or (line_no == 1 and fields[0].lower() in _GENOTYPE_HEADER):
+                continue
+            try:
+                pos, iq = _snp_fields(fields, line_no)
+            except DataError as exc:
+                row_error = exc  # the dosages of the rows above are checked first
+                break
+            if not iq < min_iq:
+                kept.setdefault(fields[0], []).append(len(rests))
+            positions.append(pos)
+            snp_ids.append(fields[2])
+            iqs.append(iq)
+            rests.append(fields[4])
+            line_nos.append(line_no)
+    if rests:
+        dosages = _read_rows(rests, line_nos, "dosage", 0.0, 2.0)
+    if row_error is not None:
+        raise row_error
+    if not rests:
+        raise DataError(f"genotype file {path} has no SNP rows")
+
+    all_positions = np.array(positions, dtype=np.int64)
+    all_iqs = np.array(iqs, dtype=float)
+    blocks: dict[str, ChromosomeBlock] = {}
+    for chrom in sorted(kept):
+        rows = np.array(kept[chrom])
+        rows = rows[np.argsort(all_positions[rows], kind="stable")]
+        chrom_positions = all_positions[rows]
+        if np.any(np.diff(chrom_positions) == 0):
+            dup = chrom_positions[np.where(np.diff(chrom_positions) == 0)[0][0]]
+            raise DataError(f"duplicate position {dup} on chromosome {chrom}")
+        blocks[chrom] = ChromosomeBlock(
+            chromosome=chrom,
+            positions=chrom_positions,
+            snp_ids=[snp_ids[i] for i in rows],
+            imputation_quality=all_iqs[rows],
+            dosages=dosages[rows],
+        )
+    if not blocks:
+        raise DataError("no SNPs passed the imputation-quality filter")
+    return blocks, dosages.shape[1]
 
 
 def load_cohort(
@@ -127,65 +243,24 @@ def load_cohort(
     covariate_path: str | None = None,
     min_iq: float = MIN_IMPUTATION_QUALITY,
 ) -> CohortData:
-    """Load and validate a cohort from TSV files.
+    """Load and validate a cohort from whitespace-separated text files.
 
-    Genotype format: header ``chrom pos id iq s1 ... sn``, one SNP per row.
-    SNPs with imputation quality below ``min_iq`` are dropped. Rows are
-    normalized by sorting on (chromosome, position); duplicate positions
-    within a chromosome are rejected.
+    Genotype format: one SNP per row, ``chrom pos id iq`` followed by one
+    dosage per individual; a first line starting with ``chrom`` (or ``chr``,
+    ``chromosome``, ``#chrom``) is a header. Any run of whitespace separates
+    fields, blank lines are skipped and ``#`` is not a comment. Positions must
+    be integers (``100.0`` and ``1e5`` are), imputation qualities lie in
+    [0, 1] and dosages in [0, 2]; NaN and infinities are rejected, here and
+    in the phenotype and covariates. Python splits off the metadata of each
+    row and numpy's C reader parses all dosages in one call. An error in a
+    row names its line; of several, the first in the file is raised.
+
+    SNPs with imputation quality below ``min_iq`` are dropped after
+    validation. Each chromosome's rows are sorted by position (stably);
+    duplicate positions within a chromosome are rejected. The phenotype and
+    covariate files take one row per individual and an optional header row.
     """
-    raw: dict[str, list[tuple[int, str, float, np.ndarray]]] = {}
-    n_ind = None
-    with open(genotype_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if line_no == 1 and tokens[0].lower() in ("chrom", "chromosome", "chr", "#chrom"):
-                continue
-            if len(tokens) < 5:
-                raise DataError(f"line {line_no}: expected >= 5 columns, got {len(tokens)}")
-            chrom, pos_s, snp_id, iq_s = tokens[:4]
-            pos = int(_parse_float(pos_s, "position", line_no))
-            iq = _parse_float(iq_s, "imputation quality", line_no)
-            if not 0.0 <= iq <= 1.0:
-                raise DataError(f"line {line_no}: imputation quality {iq} outside [0,1]")
-            dosages = np.array(
-                [_parse_float(t, "dosage", line_no) for t in tokens[4:]], dtype=float
-            )
-            if n_ind is None:
-                n_ind = len(dosages)
-            elif len(dosages) != n_ind:
-                raise DataError(
-                    f"line {line_no}: {len(dosages)} dosages, expected {n_ind}"
-                )
-            if np.any(dosages < 0.0) or np.any(dosages > 2.0):
-                bad = dosages[(dosages < 0.0) | (dosages > 2.0)][0]
-                raise DataError(f"line {line_no}: dosage {bad} outside [0,2]")
-            if iq < min_iq:
-                continue
-            raw.setdefault(chrom, []).append((pos, snp_id, iq, dosages))
-    if n_ind is None:
-        raise DataError(f"genotype file {genotype_path} has no SNP rows")
-
-    blocks: dict[str, ChromosomeBlock] = {}
-    for chrom in sorted(raw):
-        rows = sorted(raw[chrom], key=lambda r: r[0])
-        positions = np.array([r[0] for r in rows], dtype=np.int64)
-        if np.any(np.diff(positions) == 0):
-            dup = positions[np.where(np.diff(positions) == 0)[0][0]]
-            raise DataError(f"duplicate position {dup} on chromosome {chrom}")
-        blocks[chrom] = ChromosomeBlock(
-            chromosome=chrom,
-            positions=positions,
-            snp_ids=[r[1] for r in rows],
-            imputation_quality=np.array([r[2] for r in rows], dtype=float),
-            dosages=np.vstack([r[3] for r in rows]),
-        )
-    if not blocks:
-        raise DataError("no SNPs passed the imputation-quality filter")
-
+    blocks, n_ind = _read_genotypes(genotype_path, min_iq)
     phenotype = _read_matrix(phenotype_path, "phenotype").ravel()
     if len(phenotype) != n_ind:
         raise DataError(
@@ -196,8 +271,6 @@ def load_cohort(
 
     if covariate_path is not None:
         covariates = _read_matrix(covariate_path, "covariate")
-        if covariates.ndim == 1:
-            covariates = covariates[:, None]
         if covariates.shape[0] != n_ind:
             raise DataError(
                 f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}"

@@ -4,6 +4,9 @@ These deliberately avoid the closed forms and iterative algorithms they
 check: the Bayes factor oracle integrates the marginal likelihoods
 numerically over (effect, residual variance), and the Lambda oracle scans
 pi on a grid with golden-section refinement inside the winning bracket.
+The cohort reader parses every number with Python's ``float`` one token and
+one row at a time, as the first loader did, where ``wavescreen.dataio``
+hands whole blocks to numpy's C reader.
 """
 
 import math
@@ -11,6 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.optimize import minimize_scalar
+
+from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
 
 
 def log_bf_numeric(ctx, y, epsrel=1e-11):
@@ -113,3 +118,114 @@ def lambda_max_grid(bfs_by_scale, step=1e-3):
         pis.append(best_p)
         total += -best_v
     return np.array(pis), float(np.exp(total))
+
+
+def _float(token, what, line_no):
+    try:
+        return float(token)
+    except ValueError:
+        raise DataError(f"line {line_no}: non-numeric {what}: {token!r}") from None
+
+
+def _check_values(values, what, line_no, lo=-np.inf, hi=np.inf):
+    for v in values:
+        if not math.isfinite(v):
+            raise DataError(f"line {line_no}: non-finite {what} {np.float64(v)}")
+        if not lo <= v <= hi:
+            raise DataError(f"line {line_no}: {what} {np.float64(v)} outside [{lo:g},{hi:g}]")
+
+
+def _read_matrix_reference(path, what):
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if line_no == 1:
+                try:
+                    [float(t) for t in tokens]
+                except ValueError:
+                    continue  # header row
+            row = [_float(t, what, line_no) for t in tokens]
+            if rows and len(row) != len(rows[0]):
+                raise DataError(f"line {line_no}: {len(row)} {what}s, expected {len(rows[0])}")
+            _check_values(row, what, line_no)
+            rows.append(row)
+    if not rows:
+        raise DataError(f"{what} file {path} is empty")
+    return np.asarray(rows, dtype=float)
+
+
+def read_genotypes_reference(path, min_iq):
+    """Per-token genotype reader: (blocks by chromosome, number of individuals).
+
+    Checks each row completely, in file order, before reading the next.
+    """
+    raw = {}
+    n_ind = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if line_no == 1 and tokens[0].lower() in ("chrom", "chromosome", "chr", "#chrom"):
+                continue
+            if len(tokens) < 5:
+                raise DataError(f"line {line_no}: expected >= 5 columns, got {len(tokens)}")
+            chrom, pos_s, snp_id, iq_s = tokens[:4]
+            pos = _float(pos_s, "position", line_no)
+            if not (math.isfinite(pos) and pos == math.floor(pos) and abs(pos) < 2.0**63):
+                raise DataError(f"line {line_no}: position {pos_s!r} is not a 64-bit integer")
+            iq = _float(iq_s, "imputation quality", line_no)
+            if not 0.0 <= iq <= 1.0:
+                raise DataError(f"line {line_no}: imputation quality {iq} outside [0,1]")
+            dosages = [_float(t, "dosage", line_no) for t in tokens[4:]]
+            if n_ind is None:
+                n_ind = len(dosages)
+            elif len(dosages) != n_ind:
+                raise DataError(f"line {line_no}: {len(dosages)} dosages, expected {n_ind}")
+            _check_values(dosages, "dosage", line_no, 0.0, 2.0)
+            if iq < min_iq:
+                continue
+            raw.setdefault(chrom, []).append((int(pos), snp_id, iq, np.array(dosages)))
+    if n_ind is None:
+        raise DataError(f"genotype file {path} has no SNP rows")
+
+    blocks = {}
+    for chrom in sorted(raw):
+        rows = sorted(raw[chrom], key=lambda r: r[0])
+        positions = np.array([r[0] for r in rows], dtype=np.int64)
+        for a, b in zip(positions, positions[1:]):
+            if a == b:
+                raise DataError(f"duplicate position {a} on chromosome {chrom}")
+        blocks[chrom] = ChromosomeBlock(
+            chromosome=chrom,
+            positions=positions,
+            snp_ids=[r[1] for r in rows],
+            imputation_quality=np.array([r[2] for r in rows], dtype=float),
+            dosages=np.vstack([r[3] for r in rows]),
+        )
+    if not blocks:
+        raise DataError("no SNPs passed the imputation-quality filter")
+    return blocks, n_ind
+
+
+def load_cohort_reference(genotype_path, phenotype_path, covariate_path=None, min_iq=0.7):
+    """Reference for ``dataio.load_cohort``: same checks, same messages."""
+    blocks, n_ind = read_genotypes_reference(genotype_path, min_iq)
+    phenotype = _read_matrix_reference(phenotype_path, "phenotype").ravel()
+    if len(phenotype) != n_ind:
+        raise DataError(
+            f"phenotype has {len(phenotype)} rows but genotypes have {n_ind} individuals"
+        )
+    if np.var(phenotype) == 0.0:
+        raise DataError("phenotype has zero variance")
+    covariates = np.empty((n_ind, 0))
+    if covariate_path is not None:
+        covariates = _read_matrix_reference(covariate_path, "covariate")
+        if covariates.shape[0] != n_ind:
+            raise DataError(
+                f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}"
+            )
+    return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)

@@ -78,6 +78,17 @@ class TestScreenCommand:
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_infinite_position_exits_1(self, tmp_path, capsys):
+        geno = tmp_path / "geno.tsv"
+        geno.write_text("1\t100\ta\t1.0\t1\t2\n1\tinf\tb\t1.0\t2\t0\n")
+        pheno = tmp_path / "pheno.tsv"
+        pheno.write_text("0.0\n1.0\n")
+        rc = main(_screen_args(str(geno), str(pheno), str(tmp_path / "x")))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 2: position 'inf'" in err
+        assert "Traceback" not in err
+
     def test_cache_env_is_honored(self, cohort_files, tmp_path, monkeypatch):
         geno, pheno = cohort_files
         cache = tmp_path / "cache"

@@ -1,11 +1,17 @@
 """Loader validation, window tiling and depth rules."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wavescreen import dataio
 from wavescreen.dataio import DataError
 
+from _oracles import load_cohort_reference, read_genotypes_reference
 from conftest import write_cohort_files
 
 
@@ -111,6 +117,83 @@ class TestLoadCohort:
         with pytest.raises(DataError, match="imputation-quality filter"):
             dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0]))
 
+    def test_nan_dosage_rejected(self, tmp_path):
+        geno = _write(tmp_path, [
+            "1\t100\ta\t1.0\t1\t2",
+            "1\t200\tb\t1.0\tnan\t2",
+        ])
+        with pytest.raises(DataError, match="line 2: non-finite dosage nan"):
+            dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_phenotype_rejected(self, tmp_path, bad):
+        geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2\t0"])
+        pheno = _write(tmp_path, ["y", "0.5", bad, "1.5"], name="pheno.tsv")
+        with pytest.raises(DataError, match=f"line 3: non-finite phenotype {bad}"):
+            dataio.load_cohort(geno, pheno)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("3 inf", "line 3: non-finite covariate inf"),
+        ("3", "line 3: 1 covariates, expected 2"),
+        ("3 x", "line 3: non-numeric covariate: 'x'"),
+    ])
+    def test_bad_covariate_row_names_its_line(self, tmp_path, bad_row, message):
+        geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2"])
+        cov = _write(tmp_path, ["1 2", "", bad_row], name="cov.tsv")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0]), cov)
+
+    @pytest.mark.parametrize("pos", ["inf", "-inf", "nan", "100.7", "1e30"])
+    def test_position_must_be_an_integer(self, tmp_path, pos):
+        geno = _write(tmp_path, [
+            "1\t50\ta\t1.0\t1\t2",
+            f"1\t{pos}\tb\t1.0\t1\t2",
+        ])
+        with pytest.raises(DataError, match="line 2: position .* is not a 64-bit integer"):
+            dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0]))
+
+    def test_integral_position_spellings_accepted(self, tmp_path):
+        geno = _write(tmp_path, [
+            "1\t100.0\ta\t1.0\t1\t2",
+            "1\t1e5\tb\t1.0\t1\t2",
+        ])
+        cohort = dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0]))
+        np.testing.assert_array_equal(cohort.blocks["1"].positions, [100, 100_000])
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("1\t300\tc\t1.0\t1#\t2", "line 5: non-numeric dosage: '1#'"),
+        ("1\t300\tc\t1.0\t1\t# 2", "line 5: non-numeric dosage: '#'"),
+        ("1\t300\tc\t1.0\t1\tx", "line 5: non-numeric dosage: 'x'"),
+        ("1\t300\tc\t1.0\t1\t2\t0", "line 5: 3 dosages, expected 2"),
+        ("1\t300\tc\t1.0\t1", "line 5: 1 dosages, expected 2"),
+    ])
+    def test_bad_dosage_row_names_its_line(self, tmp_path, bad_row, message):
+        # the header and the blank line make file lines differ from data rows
+        geno = _write(tmp_path, [
+            "chrom\tpos\tid\tiq\ts1\ts2",
+            "1\t100\ta\t1.0\t1\t2",
+            "",
+            "1\t200\tb\t0.1\t2\t0",
+            bad_row,
+            "1\t400\td\t1.0\t2.5\t0",
+        ])
+        pheno = _pheno(tmp_path, [0.0, 1.0])
+        for loader in (dataio.load_cohort, load_cohort_reference):
+            with pytest.raises(DataError) as exc:
+                loader(geno, pheno)
+            assert str(exc.value) == message
+
+    def test_first_bad_row_wins(self, tmp_path):
+        # a dosage error above a metadata error is reported first, as the
+        # row-by-row reference does
+        geno = _write(tmp_path, [
+            "1\t100\ta\t1.0\t1\t2",
+            "1\t200\tb\t1.0\t1\t3",
+            "1\tx\tc\t1.0\t1\t2",
+        ])
+        with pytest.raises(DataError, match="line 2: dosage 3.0 outside"):
+            dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0]))
+
 
 class TestGridAndDepth:
     def test_grid_exponent(self):
@@ -213,3 +296,111 @@ class TestDefineWindows:
             dataio.define_windows(cohort, max_gap_bp=0)
         with pytest.raises(ValueError):
             dataio.define_windows(cohort, min_snps_per_coeff=0)
+
+
+def _spell(value, style):
+    if style == 0:
+        return f"{value:.17g}"
+    if style == 1:
+        return f"{round(value * 100) / 100:g}"  # e.g. 0.37
+    if style == 2:
+        return f"{round(value * 1000)}e-3"
+    return str(round(value))  # 0, 1 or 2
+
+
+@st.composite
+def _cohort_texts(draw):
+    """Random genotype, phenotype and optional covariate file texts."""
+    n = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 10))
+    seps = st.sampled_from([" ", "\t", "  ", " \t", "\t\t"])
+    value = st.floats(0.0, 2.0)
+    lines = []
+    if draw(st.booleans()):
+        lines.append("chrom\tpos\tid\tiq\t" + "\t".join(f"s{i}" for i in range(n)))
+    positions = draw(st.lists(st.integers(0, 60), min_size=n_rows, max_size=n_rows))
+    for j in range(n_rows):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        chrom = draw(st.sampled_from(["1", "2", "X"]))
+        pos = str(positions[j]) if draw(st.booleans()) else f"{positions[j]}.0"
+        iq = f"{draw(st.floats(0.5, 1.0)):.3f}"  # about 40% fall below 0.7
+        dosages = [_spell(draw(value), draw(st.integers(0, 3))) for _ in range(n)]
+        fields = [chrom, pos, f"rs{j}", iq] + dosages
+        lines.append("".join(f + draw(seps) for f in fields[:-1]) + fields[-1])
+    pheno = [f"{draw(st.floats(-5.0, 5.0)):.17g}" for _ in range(n)]
+    if draw(st.booleans()):
+        pheno.insert(0, "y")
+    cov = None
+    n_cov = draw(st.integers(0, 2))
+    if n_cov:
+        cov = [
+            draw(seps).join(f"{draw(st.floats(-3.0, 3.0)):.17g}" for _ in range(n_cov))
+            for _ in range(n)
+        ]
+    return "\n".join(lines) + "\n", "\n".join(pheno) + "\n", cov
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except DataError as exc:
+        return exc
+
+
+def _assert_blocks_equal(got, ref):
+    assert list(got) == list(ref)
+    for chrom, block in ref.items():
+        other = got[chrom]
+        assert other.chromosome == block.chromosome
+        assert other.positions.dtype == np.int64
+        np.testing.assert_array_equal(other.positions, block.positions)
+        assert other.snp_ids == block.snp_ids
+        np.testing.assert_array_equal(other.imputation_quality.view(np.int64),
+                                      block.imputation_quality.view(np.int64))
+        assert other.dosages.shape == block.dosages.shape
+        np.testing.assert_array_equal(other.dosages.view(np.int64),
+                                      block.dosages.view(np.int64))
+
+
+class TestReferenceParser:
+    """load_cohort equals the per-token reference reader on random files."""
+
+    @given(_cohort_texts())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_reference(self, texts):
+        geno_text, pheno_text, cov_lines = texts
+        with tempfile.TemporaryDirectory() as tmp:
+            geno, pheno = Path(tmp, "geno.tsv"), Path(tmp, "pheno.tsv")
+            geno.write_text(geno_text)
+            pheno.write_text(pheno_text)
+            cov = None
+            if cov_lines is not None:
+                cov = Path(tmp, "cov.tsv")
+                cov.write_text("\n".join(cov_lines) + "\n")
+                cov = str(cov)
+            args = (str(geno), str(pheno), cov)
+            got = _outcome(dataio.load_cohort, *args)
+            ref = _outcome(load_cohort_reference, *args)
+            # the genotype part alone, so that n = 1 (zero phenotype
+            # variance) still compares parsed blocks
+            got_g = _outcome(dataio._read_genotypes, str(geno), dataio.MIN_IMPUTATION_QUALITY)
+            ref_g = _outcome(read_genotypes_reference, str(geno), dataio.MIN_IMPUTATION_QUALITY)
+        for a, b in ((got, ref), (got_g, ref_g)):
+            if isinstance(b, DataError):
+                assert isinstance(a, DataError) and str(a) == str(b)
+            else:
+                assert not isinstance(a, DataError), a
+        if isinstance(ref_g, DataError):
+            return
+        _assert_blocks_equal(got_g[0], ref_g[0])
+        assert got_g[1] == ref_g[1]
+        if isinstance(ref, DataError):
+            return
+        _assert_blocks_equal(got.blocks, ref.blocks)
+        np.testing.assert_array_equal(got.phenotype.view(np.int64),
+                                      ref.phenotype.view(np.int64))
+        assert got.covariates.shape == ref.covariates.shape
+        np.testing.assert_array_equal(got.covariates.view(np.int64),
+                                      ref.covariates.view(np.int64))
