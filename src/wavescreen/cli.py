@@ -117,26 +117,32 @@ def cmd_screen(args) -> int:
             lam1, depth, args.m, args.seed, cache, args.threshold_rule
         )
 
-    kinds = ["c", "d"] if args.coefficient_kind == "both" else [args.coefficient_kind]
-    jobs = [(w, kind) for w in windows for kind in kinds]
+    kinds = ("c", "d") if args.coefficient_kind == "both" else (args.coefficient_kind,)
 
-    def run(job):
-        w, kind = job
+    def run(w):
+        # one spectra pass serves every kind of the window; an error names the
+        # kind being screened, the first one while the spectra are built
+        kind = kinds[0]
         try:
-            res = screening.screen_window(w, cohort, ctx, kind)
+            spectra = screening.window_spectra(w, cohort.blocks[w.chromosome], kinds)
+            results = []
+            for kind in kinds:
+                res = screening.screen_spectra(w, *spectra.pop(kind), ctx, kind)
+                if not res.degenerate:
+                    res.p_value = nullsim.p_value(models[w.depth], res.lambda_hat)
+                results.append(res)
         except Exception as exc:
             raise RuntimeError(
                 f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({kind}): {exc}"
             ) from exc
-        if not res.degenerate:
-            res.p_value = nullsim.p_value(models[w.depth], res.lambda_hat)
-        return res
+        return results
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, jobs))
+            per_window = list(pool.map(run, windows))
     else:
-        results = [run(j) for j in jobs]
+        per_window = [run(w) for w in windows]
+    results = [r for rs in per_window for r in rs]
     results.sort(key=lambda r: (r.window.chromosome, r.window.start_bp, r.coefficient_kind))
 
     max_depth = max((w.depth for w in windows), default=0)

@@ -102,19 +102,3 @@ def render_pyramid_svg(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def emit_pyramid_plot(locus_result, out_path: str, title: str | None = None) -> None:
-    """Write the pyramid plot of one LocusResult to ``out_path``."""
-    w = locus_result.window
-    if title is None:
-        pv = locus_result.p_value
-        title = (
-            f"{w.chromosome}:{w.start_bp}-{w.end_bp} "
-            f"({locus_result.coefficient_kind}-coefficients"
-            + (f", p={pv:.3g})" if pv is not None else ")")
-        )
-    svg = render_pyramid_svg(
-        locus_result.bf, locus_result.locations, w.start_bp, w.end_bp, title
-    )
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

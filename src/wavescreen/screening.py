@@ -15,7 +15,7 @@ from scipy.stats import chi2
 
 from wavescreen import wavelet
 from wavescreen.bayes import DesignContext, log_bayes_factor
-from wavescreen.dataio import CohortData, Window
+from wavescreen.dataio import ChromosomeBlock, CohortData, Window
 
 # names the Lambda-hat solver in null-cache keys, so samples drawn by an
 # earlier solver are rebuilt rather than reused
@@ -127,25 +127,27 @@ def fisher_combine(p_values) -> float:
 
 def window_spectra(
     window: Window,
-    cohort: CohortData,
-    coefficient_kind: str,
+    block: ChromosomeBlock,
+    kinds: tuple[str, ...],
     sigma0_sq: float = wavelet.DEFAULT_SIGMA0_SQ,
-):
+) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Interpolate, transform, shrink and quantile-normalize one window.
 
-    Returns (scores, degenerate) as per-scale lists; scores[s] has shape
-    (2^s, n_individuals) of Blom scores, degenerate[s] flags coefficients
-    with zero cross-cohort variance.
+    ``block`` is the window's chromosome; ``kinds`` names the coefficient
+    kinds wanted, "c" and/or "d". All of them come from one interpolation
+    and one Haar pyramid of the dosages, and only "d" is shrunk, so the
+    spectra depend on the genotypes alone and serve every phenotype.
+    Returns {kind: (scores, degenerate)} with per-scale lists; scores[s] has
+    shape (2^s, n_individuals) of Blom scores, degenerate[s] flags
+    coefficients with zero cross-cohort variance.
     """
-    if coefficient_kind not in ("c", "d"):
-        raise ScreeningError(f"unknown coefficient kind {coefficient_kind!r}")
-    block = cohort.blocks[window.chromosome]
+    for kind in kinds:
+        if kind not in ("c", "d"):
+            raise ScreeningError(f"unknown coefficient kind {kind!r}")
     sl = slice(window.snp_start, window.snp_end)
     positions = wavelet.normalize_positions(
         block.positions[sl], window.start_bp, window.end_bp
     )
-    dosages = block.dosages[sl]  # (m, n)
-    sig2 = wavelet.snp_noise_variance(block.imputation_quality[sl], sigma0_sq)
     grid = wavelet.DyadicGrid(window.grid_exponent)
     W = wavelet.interpolation_matrix(positions, grid)
     # all scales <= depth derive from the 2^(depth+1) block sums, so
@@ -156,34 +158,38 @@ def window_spectra(
     # centering at 1 makes the allele flip g -> 2 - g an exact floating-point
     # negation of the input, so every linear stage below negates exactly and
     # the d-screen statistic is bitwise invariant under strand flips
-    top_sums = W @ (dosages - 1.0)
+    top_sums = W @ (block.dosages[sl] - 1.0)
     c, d = wavelet.haar_pyramid(top_sums, window.depth, n_grid=grid.n_points)
-    if coefficient_kind == "d":
-        _, var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=grid.n_points)
-        coeffs = wavelet.visushrink(d, var_d, grid.n_points)
-    else:
-        coeffs = c
-    scores, degenerate = [], []
-    for arr in coeffs:
-        sc, deg = wavelet.quantile_transform(arr, axis=-1)
-        scores.append(sc)
-        degenerate.append(np.atleast_1d(deg))
-    return scores, degenerate
+    spectra = {}
+    for kind in kinds:
+        if kind == "d":
+            sig2 = wavelet.snp_noise_variance(block.imputation_quality[sl], sigma0_sq)
+            _, var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=grid.n_points)
+            coeffs = wavelet.visushrink(d, var_d, grid.n_points)
+        else:
+            coeffs = c
+        scores, degenerate = [], []
+        for arr in coeffs:
+            sc, deg = wavelet.quantile_transform(arr, axis=-1)
+            scores.append(sc)
+            degenerate.append(np.atleast_1d(deg))
+        spectra[kind] = scores, degenerate
+    return spectra
 
 
-def screen_window(
+def screen_spectra(
     window: Window,
-    cohort: CohortData,
+    scores: list[np.ndarray],
+    degenerate: list[np.ndarray],
     ctx: DesignContext,
     coefficient_kind: str,
-    sigma0_sq: float = wavelet.DEFAULT_SIGMA0_SQ,
 ) -> LocusResult:
-    """Full per-window screen: spectra -> Bayes factors -> Lambda-hat over pi.
+    """Screen one window's spectra of one kind: Bayes factors -> Lambda-hat over pi.
 
+    ``scores`` and ``degenerate`` are one kind's entry of ``window_spectra``.
     Degenerate coefficients are dropped from the product (a BF = 1 factor).
     The p-value is left unset; the null model assigns it later.
     """
-    scores, degenerate = window_spectra(window, cohort, coefficient_kind, sigma0_sq)
     bf_by_scale: list[np.ndarray] = []
     loc_by_scale: list[np.ndarray] = []
     any_kept = False
@@ -219,3 +225,20 @@ def screen_window(
         lambda_hat=lam,
         posterior_gamma=gamma,
     )
+
+
+def screen_window(
+    window: Window,
+    cohort: CohortData,
+    ctx: DesignContext,
+    coefficient_kind: str,
+    sigma0_sq: float = wavelet.DEFAULT_SIGMA0_SQ,
+) -> LocusResult:
+    """Full per-window screen of one kind: ``window_spectra`` then ``screen_spectra``.
+
+    To screen both kinds, or one window against many phenotypes, build the
+    spectra once and call ``screen_spectra`` for each.
+    """
+    block = cohort.blocks[window.chromosome]
+    spectra = window_spectra(window, block, (coefficient_kind,), sigma0_sq)
+    return screen_spectra(window, *spectra[coefficient_kind], ctx, coefficient_kind)

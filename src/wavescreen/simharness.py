@@ -61,18 +61,21 @@ class SyntheticWindowCohort:
     def n_snps(self) -> int:
         return self.dosages.shape[0]
 
-    def as_cohort(self, phenotype: np.ndarray, covariates: np.ndarray | None = None,
-                  chromosome: str = "1") -> CohortData:
-        n = self.n
-        block = ChromosomeBlock(
+    def as_block(self, chromosome: str = "1") -> ChromosomeBlock:
+        return ChromosomeBlock(
             chromosome=chromosome,
             positions=self.positions,
             snp_ids=[f"snp{i}" for i in range(self.n_snps)],
             imputation_quality=np.ones(self.n_snps),
             dosages=self.dosages,
         )
-        cov = covariates if covariates is not None else np.empty((n, 0))
-        return CohortData(blocks={chromosome: block}, phenotype=phenotype, covariates=cov)
+
+    def as_cohort(self, phenotype: np.ndarray, covariates: np.ndarray | None = None,
+                  chromosome: str = "1") -> CohortData:
+        cov = covariates if covariates is not None else np.empty((self.n, 0))
+        return CohortData(
+            blocks={chromosome: self.as_block(chromosome)}, phenotype=phenotype, covariates=cov
+        )
 
 
 def generate_genotypes(
@@ -204,35 +207,45 @@ def gwas_lm_baseline(
 ) -> np.ndarray:
     """Per-SNP two-sided t-test p-values from OLS of phenotype on dosage.
 
-    Intercept and covariates are projected out of both sides; monomorphic
-    SNPs get p = 1.
+    ``phenotype`` is (n,) for one trait, giving (m,) p-values, or (R, n)
+    for R traits, giving (R, m). Intercept and covariates are projected out
+    of both sides; the residual dosages, their norms and the testable mask
+    are computed once for all traits. Monomorphic SNPs get p = 1.
     """
     G = np.asarray(dosages, dtype=float)
-    y = np.asarray(phenotype, dtype=float).ravel()
-    n = len(y)
-    if np.var(y) == 0.0:
-        raise SimulationError("phenotype has zero variance")
+    Y = np.asarray(phenotype, dtype=float)
+    single = Y.ndim == 1
+    Y = Y.reshape(1, -1) if single else Y
+    n = Y.shape[1]
     C = covariates if covariates is not None else np.empty((n, 0))
-    ctx = bayes.build_design(y, C)  # reuse the orthonormal nuisance basis
-    q = ctx.q
+    ctxs = []
+    for y in Y:
+        if np.var(y) == 0.0:
+            raise SimulationError("phenotype has zero variance")
+        ctxs.append(bayes.build_design(y, C))  # reuse the orthonormal nuisance basis
+    basis, q = ctxs[0].basis, ctxs[0].q  # depends on the covariates only
     if n <= q + 2:
         raise SimulationError("too few individuals for the per-SNP t-test")
-    Gt = G.T - ctx.basis @ (ctx.basis.T @ G.T)  # (n, m) residual dosages
-    yt = ctx.x_tilde
+    # (n, m) residual dosages, subtracted in place of the projection so that
+    # only one (n, m) temporary exists
+    Gt = basis @ (basis.T @ G.T)
+    np.subtract(G.T, Gt, out=Gt)
     gg = np.einsum("ij,ij->j", Gt, Gt)
-    gy = yt @ Gt
     dof = n - q - 1
-    pvals = np.ones(G.shape[0])
     # monomorphic (or covariate-collinear) dosage columns leave only
     # floating-point residue after projection; treat them as untestable
     ok = gg > 1e-10 * np.einsum("ij,ij->i", G, G)
-    beta = np.zeros_like(gy)
-    beta[ok] = gy[ok] / gg[ok]
-    rss = float(yt @ yt) - beta ** 2 * gg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = beta * np.sqrt(gg * dof / np.maximum(rss, 1e-300))
-    pvals[ok] = 2.0 * stats.t.sf(np.abs(tstat[ok]), dof)
-    return pvals
+    pvals = np.ones((len(Y), G.shape[0]))
+    for r, ctx in enumerate(ctxs):
+        yt = ctx.x_tilde
+        gy = yt @ Gt
+        beta = np.zeros_like(gy)
+        beta[ok] = gy[ok] / gg[ok]
+        rss = float(yt @ yt) - beta ** 2 * gg
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tstat = beta * np.sqrt(gg * dof / np.maximum(rss, 1e-300))
+        pvals[r, ok] = 2.0 * stats.t.sf(np.abs(tstat[ok]), dof)
+    return pvals[0] if single else pvals
 
 
 @dataclass
@@ -276,7 +289,10 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
 
     Returns (rows, detail) where rows are PowerRow bins per method and
     detail is a per-replicate record list. Phenotypes are standardized so
-    all replicates share one design constant and null model.
+    all replicates share one design constant and null model. The window's
+    genotype-only work is done once per call: one ``window_spectra`` pass
+    for both kinds before the replicate loop, and one ``gwas_lm_baseline``
+    call on all replicates' phenotypes after it.
     """
     cohort = generate_genotypes(
         config.n, config.n_snps, config.n_blocks, config.flip_prob, seed=config.seed
@@ -289,8 +305,10 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
         lam1, window.depth, config.null_m, config.seed, cache_dir
     )
 
+    # the spectra depend on the genotypes only: one pass serves every replicate
+    spectra = screening.window_spectra(window, cohort.as_block(), ("c", "d"))
     rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 3], dtype=np.uint64)))
-    detail = []
+    detail, phenotypes = [], []
     for rep in range(config.replicates):
         k = int(rng.integers(1, config.max_components + 1))
         sig = plant_signal(
@@ -300,16 +318,19 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
         phe = simulate_phenotype(cohort, sig, seed=config.seed * 1_000_003 + rep)
         phe = _standardized(phe)
         ctx = bayes.build_design(phe)
-        data = cohort.as_cohort(phe)
         rec = {"replicate": rep, "k": k}
         for kind in ("c", "d"):
-            res = screening.screen_window(window, data, ctx, kind)
+            res = screening.screen_spectra(window, *spectra[kind], ctx, kind)
             rec[f"p_ws_{kind}"] = p_value(null_model, res.lambda_hat)
+        detail.append(rec)
+        phenotypes.append(phe)
+    del spectra
+    if detail:
         # regional GWAS decision: Bonferroni over the window's SNPs, so both
         # methods are compared at the same region-level alpha
-        min_p = float(np.min(gwas_lm_baseline(cohort.dosages, phe)))
-        rec["p_gwas"] = min(1.0, cohort.n_snps * min_p)
-        detail.append(rec)
+        gwas = gwas_lm_baseline(cohort.dosages, np.stack(phenotypes))
+        for rec, pvals in zip(detail, gwas):
+            rec["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(pvals)))
 
     rows = []
     for method, key in (("WS-c", "p_ws_c"), ("WS-d", "p_ws_d"), ("GWAS-LM", "p_gwas")):

@@ -82,25 +82,6 @@ def snp_noise_variance(
     return sigma0_sq * (1.0 - np.asarray(imputation_quality, dtype=float))
 
 
-def interpolate_to_grid(
-    snp_positions: np.ndarray,
-    values: np.ndarray,
-    noise_variances: np.ndarray,
-    grid: DyadicGrid,
-) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix]:
-    """Interpolate one signal (and its noise variance) onto the grid.
-
-    ``values`` may be 1-D (one individual) or (m x k) for k individuals;
-    grid values are W @ values. Variances propagate through the squared
-    weights under independent noise, with a floor of VARIANCE_FLOOR.
-    """
-    W = interpolation_matrix(snp_positions, grid)
-    grid_values = W @ np.asarray(values, dtype=float)
-    grid_vars = W.power(2) @ np.asarray(noise_variances, dtype=float)
-    grid_vars = np.maximum(grid_vars, VARIANCE_FLOOR)
-    return grid_values, grid_vars, W
-
-
 def block_sum_matrix(n_grid: int, n_blocks: int) -> sparse.csr_matrix:
     """Sparse (n_blocks x n_grid) matrix summing consecutive grid blocks."""
     if n_blocks <= 0 or n_grid % n_blocks:
@@ -237,27 +218,20 @@ def visushrink(
     return out
 
 
-def average_ranks(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """1-based ranks along ``axis`` with ties sharing their average rank."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    n = v.shape[-1]
-    order = np.argsort(v, axis=-1)
-    sv = np.take_along_axis(v, order, axis=-1)
-    pos = np.arange(n, dtype=float)
-    # first/last sorted position of each tie run, broadcast along the run
-    is_start = np.empty(sv.shape, dtype=bool)
-    is_start[..., 0] = True
-    np.not_equal(sv[..., 1:], sv[..., :-1], out=is_start[..., 1:])
-    first = np.maximum.accumulate(np.where(is_start, pos, 0.0), axis=-1)
-    is_end = np.empty_like(is_start)
-    is_end[..., -1] = True
-    is_end[..., :-1] = is_start[..., 1:]
-    last = np.minimum.accumulate(
-        np.where(is_end, pos, n - 1.0)[..., ::-1], axis=-1
-    )[..., ::-1]
-    ranks = np.empty_like(v)
-    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
-    return np.moveaxis(ranks, -1, axis)
+def _blom_table(n: int) -> np.ndarray:
+    """Blom scores of the half-integer ranks 1, 1.5, ..., n, indexed by 2 rank - 2.
+
+    Phi^-1 is evaluated on min(u, 1-u) with the sign applied afterwards, so
+    rank r and rank n + 1 - r get scores that are exact negatives of each
+    other (one branch maps onto the other bit-for-bit).
+    """
+    ranks = 0.5 * np.arange(2 * n - 1) + 1.0
+    denom = n + 0.25
+    u_lo = (ranks - 0.375) / denom
+    u_hi = ((n - ranks) + 0.625) / denom  # = 1 - u_lo, computed exactly
+    table = ndtri(np.minimum(u_lo, u_hi))
+    np.negative(table, where=u_lo > u_hi, out=table)
+    return table
 
 
 def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -267,26 +241,35 @@ def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, 
     with average ranks for ties; rows whose values are all identical are
     returned as zeros and flagged degenerate.
 
-    Phi^-1 is evaluated on min(u, 1-u) with the sign applied afterwards, so
-    negating the values negates the scores exactly (rank reversal maps one
-    branch onto the other bit-for-bit); sign-flip robustness of downstream
-    statistics is then exact rather than approximate.
+    One argsort per row; each tie run of the sorted row, starting at sorted
+    position f with length k, shares the average rank f + (k + 1)/2, whose
+    score is looked up in a table of the 2n - 1 half-integer ranks built for
+    this call. The table's sign handling makes negating the values negate the
+    scores exactly, so sign-flip robustness of downstream statistics is exact
+    rather than approximate.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.shape[axis]
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    n = v.shape[-1]
     if n < 2:
         raise WaveletError("quantile transform needs at least 2 values")
-    ranks = average_ranks(v, axis=axis)
-    denom = n + 0.25
-    u_lo = (ranks - 0.375) / denom
-    u_hi = ((n - ranks) + 0.625) / denom  # = 1 - u_lo, computed exactly
-    scores = ndtri(np.minimum(u_lo, u_hi))
-    np.negative(scores, where=u_lo > u_hi, out=scores)
-    degenerate = np.ptp(v, axis=axis) == 0.0
-    if np.ndim(degenerate) == 0:
-        if degenerate:
-            scores = np.zeros_like(scores)
-    else:
-        mask = np.expand_dims(degenerate, axis=axis if axis >= 0 else v.ndim + axis)
-        scores = np.where(mask, 0.0, scores)
-    return scores, degenerate
+    rows = v.reshape(-1, n)
+    order = np.argsort(rows, axis=-1)
+    sv = np.take_along_axis(rows, order, axis=-1)
+    # a tie run starts at every row start and wherever the sorted value changes
+    is_start = np.empty(sv.size, dtype=bool)
+    flat = sv.ravel()
+    np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
+    is_start[::n] = True
+    starts = np.flatnonzero(is_start)
+    lengths = np.diff(starts, append=sv.size)
+    # first + last sorted position of the run = 2 (average rank) - 2, the
+    # run's index into the table
+    table_index = np.repeat(2 * (starts % n) + lengths - 1, lengths)
+    scores = np.empty_like(rows)
+    np.put_along_axis(
+        scores, order, _blom_table(n)[table_index].reshape(rows.shape), axis=-1
+    )
+    degenerate = sv[:, -1] - sv[:, 0] == 0.0
+    scores[degenerate] = 0.0
+    scores = np.moveaxis(scores.reshape(v.shape), -1, axis)
+    return scores, degenerate.reshape(v.shape[:-1])[()]

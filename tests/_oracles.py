@@ -6,7 +6,10 @@ numerically over (effect, residual variance), and the Lambda oracle scans
 pi on a grid with golden-section refinement inside the winning bracket.
 The cohort reader parses every number with Python's ``float`` one token and
 one row at a time, as the first loader did, where ``wavescreen.dataio``
-hands whole blocks to numpy's C reader.
+hands whole blocks to numpy's C reader. The rank transform is the earlier
+one that broadcast tie-run bounds with cumulative max/min scans and called
+Phi^-1 on every value, where ``wavescreen.wavelet`` looks scores up in a
+per-n table.
 """
 
 import math
@@ -14,8 +17,10 @@ import math
 import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.optimize import minimize_scalar
+from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
+from wavescreen.wavelet import WaveletError
 
 
 def log_bf_numeric(ctx, y, epsrel=1e-11):
@@ -118,6 +123,61 @@ def lambda_max_grid(bfs_by_scale, step=1e-3):
         pis.append(best_p)
         total += -best_v
     return np.array(pis), float(np.exp(total))
+
+
+def average_ranks(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """1-based ranks along ``axis`` with ties sharing their average rank."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    n = v.shape[-1]
+    order = np.argsort(v, axis=-1)
+    sv = np.take_along_axis(v, order, axis=-1)
+    pos = np.arange(n, dtype=float)
+    # first/last sorted position of each tie run, broadcast along the run
+    is_start = np.empty(sv.shape, dtype=bool)
+    is_start[..., 0] = True
+    np.not_equal(sv[..., 1:], sv[..., :-1], out=is_start[..., 1:])
+    first = np.maximum.accumulate(np.where(is_start, pos, 0.0), axis=-1)
+    is_end = np.empty_like(is_start)
+    is_end[..., -1] = True
+    is_end[..., :-1] = is_start[..., 1:]
+    last = np.minimum.accumulate(
+        np.where(is_end, pos, n - 1.0)[..., ::-1], axis=-1
+    )[..., ::-1]
+    ranks = np.empty_like(v)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
+    return np.moveaxis(ranks, -1, axis)
+
+
+def quantile_transform_reference(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-based inverse-normal (Blom) transform along ``axis``.
+
+    Returns (scores, degenerate): scores_i = Phi^-1((rank_i - 3/8)/(n + 1/4))
+    with average ranks for ties; rows whose values are all identical are
+    returned as zeros and flagged degenerate.
+
+    Phi^-1 is evaluated on min(u, 1-u) with the sign applied afterwards, so
+    negating the values negates the scores exactly (rank reversal maps one
+    branch onto the other bit-for-bit); sign-flip robustness of downstream
+    statistics is then exact rather than approximate.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.shape[axis]
+    if n < 2:
+        raise WaveletError("quantile transform needs at least 2 values")
+    ranks = average_ranks(v, axis=axis)
+    denom = n + 0.25
+    u_lo = (ranks - 0.375) / denom
+    u_hi = ((n - ranks) + 0.625) / denom  # = 1 - u_lo, computed exactly
+    scores = ndtri(np.minimum(u_lo, u_hi))
+    np.negative(scores, where=u_lo > u_hi, out=scores)
+    degenerate = np.ptp(v, axis=axis) == 0.0
+    if np.ndim(degenerate) == 0:
+        if degenerate:
+            scores = np.zeros_like(scores)
+    else:
+        mask = np.expand_dims(degenerate, axis=axis if axis >= 0 else v.ndim + axis)
+        scores = np.where(mask, 0.0, scores)
+    return scores, degenerate
 
 
 def _float(token, what, line_no):

@@ -1,11 +1,12 @@
 """CLI subcommands end to end, exit codes and determinism."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
-from wavescreen import simharness
+from wavescreen import nullsim, simharness
 from wavescreen.cli import main
 
 from conftest import write_cohort_files
@@ -71,6 +72,34 @@ class TestScreenCommand:
             assert rc == 0
             outs.append((out / "results.tsv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_single_kind_rows_match_both(self, cohort_files, tmp_path, monkeypatch):
+        geno, pheno = cohort_files
+        monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / "cache"))
+        rows = {}
+        for kind in ("both", "c", "d"):
+            out = tmp_path / kind
+            assert main(_screen_args(geno, pheno, str(out), coefficient_kind=kind)) == 0
+            rows[kind] = (out / "results.tsv").read_bytes().splitlines()
+        assert len(rows["both"]) > 3
+        for kind in ("c", "d"):
+            assert rows[kind][0] == rows["both"][0]
+            assert rows[kind][1:] == [
+                r for r in rows["both"][1:] if r.split(b"\t")[3] == kind.encode()
+            ]
+
+    def test_p_value_error_names_the_window(self, cohort_files, tmp_path, monkeypatch,
+                                            capsys):
+        geno, pheno = cohort_files
+
+        def failing_p_value(model, lambda_hat):
+            raise ValueError("tail fit unusable")
+
+        monkeypatch.setattr(nullsim, "p_value", failing_p_value)
+        rc = main(_screen_args(geno, pheno, str(tmp_path / "run"), coefficient_kind="d"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.search(r"window 1:\d+-\d+ \(d\): tail fit unusable", err), err
 
     def test_missing_genotype_file_exits_2(self, cohort_files, tmp_path, capsys):
         _, pheno = cohort_files

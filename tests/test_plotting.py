@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from wavescreen import plotting
 from wavescreen.plotting import PlotError, render_pyramid_svg
 
 
@@ -47,21 +46,3 @@ class TestRenderPyramid:
         with pytest.raises(PlotError):
             render_pyramid_svg([np.empty(0)], [np.empty(0, dtype=int)], 0, 1)
 
-
-class TestEmitPyramidPlot:
-    def test_writes_file_with_default_title(self, tmp_path):
-        from wavescreen.dataio import Window
-        from wavescreen.screening import LocusResult
-
-        window = Window("1", 0, 1000, 0, 10, 10, 4, 1)
-        bf, locs = _spectra()
-        res = LocusResult(
-            window=window, coefficient_kind="c", bf=bf, locations=locs,
-            pi_hat=np.array([1.0, 0.5]), lambda_hat=5.0,
-            posterior_gamma=[np.array([1.0]), np.array([0.2, 0.8])],
-            p_value=0.01,
-        )
-        out = tmp_path / "plot.svg"
-        plotting.emit_pyramid_plot(res, str(out))
-        text = out.read_text()
-        assert "1:0-1000" in text and "p=0.01" in text

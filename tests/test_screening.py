@@ -153,19 +153,30 @@ def screen_setup():
 
 class TestWindowSpectra:
     def test_shapes(self, screen_setup):
-        cohort, window, phenotype = screen_setup
-        data = cohort.as_cohort(phenotype)
-        for kind in ("c", "d"):
-            scores, degenerate = window_spectra(window, data, kind)
+        cohort, window, _ = screen_setup
+        spectra = window_spectra(window, cohort.as_block(), ("c", "d"))
+        assert sorted(spectra) == ["c", "d"]
+        for scores, degenerate in spectra.values():
             assert len(scores) == window.depth + 1
             for s, arr in enumerate(scores):
                 assert arr.shape == (1 << s, cohort.n)
                 assert degenerate[s].shape == (1 << s,)
 
+    def test_one_pass_matches_single_kind_passes(self, screen_setup):
+        cohort, window, _ = screen_setup
+        block = cohort.as_block()
+        both = window_spectra(window, block, ("c", "d"))
+        for kind in ("c", "d"):
+            alone = window_spectra(window, block, (kind,))
+            assert list(alone) == [kind]
+            for got, want in zip(both[kind], alone[kind]):
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
     def test_rejects_unknown_kind(self, screen_setup):
-        cohort, window, phenotype = screen_setup
+        cohort, window, _ = screen_setup
         with pytest.raises(ScreeningError):
-            window_spectra(window, cohort.as_cohort(phenotype), "x")
+            window_spectra(window, cohort.as_block(), ("c", "x"))
 
 
 class TestScreenWindow:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wavescreen import simharness
+from wavescreen import bayes, nullsim, screening, simharness, wavelet
 from wavescreen.simharness import (
     PowerConfig,
     SimulationError,
@@ -129,6 +129,23 @@ class TestGwasBaseline:
         with pytest.raises(SimulationError):
             gwas_lm_baseline(np.zeros((2, 30)), np.ones(30))
 
+    def test_stacked_phenotypes_match_single_calls(self):
+        rng = np.random.default_rng(12)
+        G = rng.integers(0, 3, size=(20, 120)).astype(float)
+        G[3] = 1.0  # monomorphic
+        C = rng.standard_normal((120, 2))
+        Y = rng.standard_normal((5, 120)) + 0.2 * G[7]
+        stacked = gwas_lm_baseline(G, Y, C)
+        assert stacked.shape == (5, 20)
+        for y, row in zip(Y, stacked):
+            assert np.array_equal(row, gwas_lm_baseline(G, y, C))
+        assert np.all(stacked[:, 3] == 1.0)
+
+    def test_any_constant_phenotype_row_rejected(self):
+        Y = np.vstack([np.arange(30.0), np.ones(30)])
+        with pytest.raises(SimulationError):
+            gwas_lm_baseline(np.zeros((2, 30)), Y)
+
 
 class TestSyntheticWindow:
     def test_spans_all_snps(self):
@@ -170,3 +187,51 @@ class TestPowerExperiment:
         assert list(tmp_path.glob("null_*.tsv"))
         _, detail2 = power_experiment(cfg, cache_dir=str(tmp_path))
         assert detail1 == detail2
+
+    def test_window_work_is_built_once(self, monkeypatch):
+        cfg = PowerConfig(
+            n=300, n_snps=64, n_blocks=4, replicates=4, heritability=0.1,
+            max_components=4, null_m=2000, seed=5, min_snps_per_coeff=8,
+        )
+        calls = {"window_spectra": 0, "interpolation_matrix": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(screening, "window_spectra")
+        counted(wavelet, "interpolation_matrix")
+        _, detail = power_experiment(cfg)
+        assert calls == {"window_spectra": 1, "interpolation_matrix": 1}
+        monkeypatch.undo()
+
+        # every replicate recomputed from scratch, as one screen per kind and
+        # one single-phenotype GWAS
+        cohort = generate_genotypes(cfg.n, cfg.n_snps, cfg.n_blocks, cfg.flip_prob,
+                                    seed=cfg.seed)
+        window = synthetic_window(cohort, cfg.min_snps_per_coeff)
+        probe = bayes.build_design(simharness._standardized(np.arange(cfg.n, dtype=float)))
+        model = nullsim.load_or_build_null_model(
+            bayes.lambda1(probe), window.depth, cfg.null_m, cfg.seed, None
+        )
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 3], dtype=np.uint64)))
+        assert len(detail) == cfg.replicates
+        for rep, rec in enumerate(detail):
+            k = int(rng.integers(1, cfg.max_components + 1))
+            seed = cfg.seed * 1_000_003 + rep
+            sig = plant_signal(cohort, k, cfg.heritability, cfg.direction_mode, seed=seed)
+            y = simharness._standardized(simulate_phenotype(cohort, sig, seed=seed))
+            ctx = bayes.build_design(y)
+            want = {"replicate": rep, "k": k}
+            for kind in ("c", "d"):
+                res = screening.screen_window(window, cohort.as_cohort(y), ctx, kind)
+                want[f"p_ws_{kind}"] = nullsim.p_value(model, res.lambda_hat)
+            want["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(gwas_lm_baseline(
+                cohort.dosages, y))))
+            # p-values lie in (0, 1], where equal floats are equal bits
+            assert rec == want

@@ -2,20 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm, rankdata
+
+from _oracles import quantile_transform_reference
 
 from wavescreen import wavelet
 from wavescreen.wavelet import (
     DyadicGrid,
     WaveletError,
-    average_ranks,
     block_sum_matrix,
     haar_full,
     haar_pyramid,
-    interpolate_to_grid,
     interpolation_matrix,
     inverse_haar,
     normalize_positions,
@@ -101,15 +101,17 @@ class TestInterpolation:
         grid = DyadicGrid(4)
         x = np.array([0.4, 0.6])
         vals = np.array([1.0, 3.0])
-        out, _, _ = interpolate_to_grid(x, vals, np.zeros(2), grid)
+        out = interpolation_matrix(x, grid) @ vals
         assert np.all(out[grid.points < 0.4] == 1.0)
         assert np.all(out[grid.points > 0.6] == 3.0)
 
     def test_variance_floor(self):
+        # perfectly imputed SNPs: every coefficient's variance sits at the floor
         grid = DyadicGrid(3)
-        x = np.array([0.2, 0.8])
-        _, var, _ = interpolate_to_grid(x, np.zeros(2), np.zeros(2), grid)
-        assert np.all(var == wavelet.VARIANCE_FLOOR)
+        W = interpolation_matrix(np.array([0.2, 0.8]), grid)
+        var_c, var_d = pyramid_variances(W, np.zeros(2), depth=2)
+        for var in var_c + var_d:
+            assert np.all(var == wavelet.VARIANCE_FLOOR)
 
     def test_normalize_positions(self):
         out = normalize_positions(np.array([100, 150, 200]), 100, 200)
@@ -183,7 +185,49 @@ class TestShrinkage:
         assert np.all(out[0] > 40.0)
 
 
+@st.composite
+def rank_inputs(draw):
+    """(values, axis): 1-D or 2-D rows with heavy ties, zero runs or constant rows."""
+    axis = draw(st.sampled_from([0, -1]))
+    n = draw(st.integers(2, 40))
+    shape = (n,) if draw(st.booleans()) else (
+        (n, draw(st.integers(1, 6))) if axis == 0 else (draw(st.integers(1, 6)), n)
+    )
+    elements = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),  # integer-valued: heavy ties
+        # soft-thresholded coefficients: runs of zeros of either sign
+        st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-5, 5, allow_nan=False, allow_subnormal=False)),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    ]))
+    values = draw(hnp.arrays(np.float64, shape, elements=elements))
+    if len(shape) == 2:
+        # constant rows along the transform axis, +-0 mixes included
+        for i in range(values.shape[1 + axis]):
+            fill = draw(st.sampled_from([None, 1.5, 0.0, "zeros"]))
+            row = values[:, i] if axis == 0 else values[i]
+            if fill == "zeros":
+                row[:] = np.where(np.arange(n) % 2, 0.0, -0.0)
+            elif fill is not None:
+                row[:] = fill
+    return values, axis
+
+
 class TestQuantileTransform:
+    @given(rank_inputs())
+    @example((np.array([3.0, 3.0]), -1))
+    @example((np.array([[1.0, -0.0], [0.0, 2.0]]), 0))
+    @example((np.array([[0.0, -0.0, 0.0, -0.0], [1.0, -1.0, 0.0, -0.0]]), -1))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_reference(self, case):
+        values, axis = case
+        scores, deg = quantile_transform(values, axis=axis)
+        ref_scores, ref_deg = quantile_transform_reference(values, axis=axis)
+        assert scores.shape == ref_scores.shape
+        assert np.array_equal(scores.view(np.int64), ref_scores.view(np.int64))
+        assert np.shape(deg) == np.shape(ref_deg)
+        assert np.array_equal(deg, ref_deg)
+
     def test_matches_blom_formula(self):
         rng = np.random.default_rng(8)
         v = rng.standard_normal((6, 101))
@@ -218,10 +262,13 @@ class TestQuantileTransform:
         )
     )
     @settings(max_examples=50, deadline=None)
-    def test_average_ranks_matches_scipy(self, arr):
-        np.testing.assert_array_equal(
-            average_ranks(arr), rankdata(arr, method="average", axis=-1)
-        )
+    def test_matches_blom_on_scipy_ranks(self, arr):
+        scores, deg = quantile_transform(arr)
+        r = rankdata(arr, method="average", axis=-1)
+        ref = norm.ppf((r - 0.375) / (arr.shape[-1] + 0.25))
+        ref[deg] = 0.0
+        np.testing.assert_allclose(scores, ref, rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(deg, np.ptp(arr, axis=-1) == 0.0)
 
     @given(
         hnp.arrays(np.float64, st.integers(2, 60),
