@@ -9,19 +9,19 @@ with a Generalized Pareto tail.
 """
 
 from wavescreen.dataio import CohortData, Window, define_windows, load_cohort
-from wavescreen.bayes import DesignContext, build_design, bayes_factor, lambda1
+from wavescreen.bayes import DesignContext, build_design, lambda1
 from wavescreen.screening import (
     LocusResult,
     fisher_combine,
     maximize_lambda,
-    screen_window,
+    screen_spectra,
+    window_spectra,
 )
 from wavescreen.nullsim import (
     NullModel,
     build_null_model,
     fit_gpd_tail,
     p_value,
-    required_permutations,
     simulate_null,
 )
 
@@ -32,17 +32,16 @@ __all__ = [
     "load_cohort",
     "DesignContext",
     "build_design",
-    "bayes_factor",
     "lambda1",
     "LocusResult",
     "fisher_combine",
     "maximize_lambda",
-    "screen_window",
+    "screen_spectra",
+    "window_spectra",
     "NullModel",
     "build_null_model",
     "fit_gpd_tail",
     "p_value",
-    "required_permutations",
     "simulate_null",
 ]
 

@@ -109,11 +109,6 @@ def log_bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray | float:
     return float(logbf[0]) if scalar else logbf
 
 
-def bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray | float:
-    """Bayes factor (see log_bayes_factor)."""
-    return np.exp(log_bayes_factor(ctx, y))
-
-
 def lambda1(ctx: DesignContext) -> float:
     """Design constant of the null Bayes-factor law.
 

@@ -26,6 +26,16 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wavescreen",
@@ -50,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int, default=nullsim.DEFAULT_M,
                    help="null-simulation count")
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=_positive_int, default=1)
     s.add_argument("--significance-threshold", type=float, default=0.05 / 6000)
     s.add_argument("--threshold-rule", choices=["quantile-99", "van-kerm"],
                    default=nullsim.DEFAULT_THRESHOLD_RULE)
@@ -137,11 +147,8 @@ def cmd_screen(args) -> int:
             ) from exc
         return results
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            per_window = list(pool.map(run, windows))
-    else:
-        per_window = [run(w) for w in windows]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        per_window = list(pool.map(run, windows))
     results = [r for rs in per_window for r in rs]
     results.sort(key=lambda r: (r.window.chromosome, r.window.start_bp, r.coefficient_kind))
 
@@ -206,12 +213,12 @@ def cmd_nullsim(args) -> int:
     model = nullsim.load_or_build_null_model(
         args.lambda1, args.depth, args.m, args.seed, cache, args.threshold_rule
     )
-    if model.has_tail:
-        d = model.diagnostics
-        print(f"threshold u = {_fmt(model.threshold)} ({d.threshold_rule}, "
-              f"{d.n_exceedances} exceedances)")
-        print(f"shape xi = {_fmt(model.gpd_shape)} (se {_fmt(d.se_shape)})")
-        print(f"scale beta = {_fmt(model.gpd_scale)} (se {_fmt(d.se_scale)})")
+    tail = model.tail
+    if tail is not None:
+        print(f"threshold u = {_fmt(tail.threshold)} ({tail.threshold_rule}, "
+              f"{tail.n_exceedances} exceedances)")
+        print(f"shape xi = {_fmt(tail.shape)} (se {_fmt(tail.se_shape)})")
+        print(f"scale beta = {_fmt(tail.scale)} (se {_fmt(tail.se_scale)})")
     else:
         print("tail fit unavailable; p-values will be empirical only", file=sys.stderr)
     return EXIT_OK

@@ -178,18 +178,18 @@ def _snp_fields(fields: list[str], line_no: int) -> tuple[int, float]:
     return int(pos), iq
 
 
-def _read_genotypes(path: str, min_iq: float) -> tuple[dict[str, ChromosomeBlock], int]:
+def _read_genotypes(path: str) -> tuple[dict[str, ChromosomeBlock], int]:
     """Read and validate the genotype file (format in ``load_cohort``).
 
-    Returns the blocks of SNPs passing ``min_iq`` by chromosome, in sorted
-    chromosome order, and the number of individuals.
+    Returns the blocks of SNPs passing ``MIN_IMPUTATION_QUALITY`` by
+    chromosome, in sorted chromosome order, and the number of individuals.
     """
     positions: list[int] = []
     snp_ids: list[str] = []
     iqs: list[float] = []
     rests: list[str] = []
     line_nos: list[int] = []
-    kept: dict[str, list[int]] = {}  # chromosome -> indices of rows passing min_iq
+    kept: dict[str, list[int]] = {}  # chromosome -> indices of rows passing the IQ filter
     row_error = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -201,7 +201,7 @@ def _read_genotypes(path: str, min_iq: float) -> tuple[dict[str, ChromosomeBlock
             except DataError as exc:
                 row_error = exc  # the dosages of the rows above are checked first
                 break
-            if not iq < min_iq:
+            if not iq < MIN_IMPUTATION_QUALITY:
                 kept.setdefault(fields[0], []).append(len(rests))
             positions.append(pos)
             snp_ids.append(fields[2])
@@ -241,7 +241,6 @@ def load_cohort(
     genotype_path: str,
     phenotype_path: str,
     covariate_path: str | None = None,
-    min_iq: float = MIN_IMPUTATION_QUALITY,
 ) -> CohortData:
     """Load and validate a cohort from whitespace-separated text files.
 
@@ -255,12 +254,13 @@ def load_cohort(
     row and numpy's C reader parses all dosages in one call. An error in a
     row names its line; of several, the first in the file is raised.
 
-    SNPs with imputation quality below ``min_iq`` are dropped after
-    validation. Each chromosome's rows are sorted by position (stably);
-    duplicate positions within a chromosome are rejected. The phenotype and
-    covariate files take one row per individual and an optional header row.
+    SNPs with imputation quality below ``MIN_IMPUTATION_QUALITY`` are
+    dropped after validation. Each chromosome's rows are sorted by position
+    (stably); duplicate positions within a chromosome are rejected. The
+    phenotype and covariate files take one row per individual and an
+    optional header row.
     """
-    blocks, n_ind = _read_genotypes(genotype_path, min_iq)
+    blocks, n_ind = _read_genotypes(genotype_path)
     phenotype = _read_matrix(phenotype_path, "phenotype").ravel()
     if len(phenotype) != n_ind:
         raise DataError(
@@ -288,17 +288,13 @@ def grid_exponent(n_snps: int) -> int:
     return (n_snps - 1).bit_length()
 
 
-def window_depth(
-    n_snps: int,
-    min_snps_per_coeff: float = DEFAULT_MIN_SNPS_PER_COEFF,
-    slack: float = DEFAULT_DEPTH_SLACK,
-) -> int:
-    """Deepest scale such that n_snps / 2^depth >= min_snps_per_coeff * slack.
+def window_depth(n_snps: int, min_snps_per_coeff: float = DEFAULT_MIN_SNPS_PER_COEFF) -> int:
+    """Deepest scale such that n_snps / 2^depth >= min_snps_per_coeff * DEFAULT_DEPTH_SLACK.
 
     Capped so that detail coefficients remain defined (block size >= 2 grid
     points, i.e. depth <= J - 1).
     """
-    effective = min_snps_per_coeff * slack
+    effective = min_snps_per_coeff * DEFAULT_DEPTH_SLACK
     if n_snps < effective:
         return -1
     depth = int(math.floor(math.log2(n_snps / effective)))
@@ -311,7 +307,6 @@ def define_windows(
     overlap_fraction: float = DEFAULT_OVERLAP,
     max_gap_bp: int = DEFAULT_MAX_GAP_BP,
     min_snps_per_coeff: float = DEFAULT_MIN_SNPS_PER_COEFF,
-    depth_slack: float = DEFAULT_DEPTH_SLACK,
     depth_cap: int | None = None,
 ) -> list[Window]:
     """Tile each chromosome into candidate windows and keep the dense ones.
@@ -319,7 +314,8 @@ def define_windows(
     Windows start at the chromosome's first SNP and advance by
     ``window_bp * (1 - overlap_fraction)``. A candidate is kept only if no
     two consecutive SNPs inside it are more than ``max_gap_bp`` apart and
-    it holds enough SNPs for at least the scale-0 coefficient.
+    it holds enough SNPs for at least the scale-0 coefficient. Its depth is
+    ``window_depth`` of its SNP count, capped at ``depth_cap``.
     """
     if window_bp <= 0:
         raise ValueError("window_bp must be positive")
@@ -345,8 +341,7 @@ def define_windows(
             lo = int(np.searchsorted(pos, start, side="left"))
             hi = int(np.searchsorted(pos, end, side="right"))
             win = _candidate(
-                block, start, end, lo, hi, max_gap_bp, min_snps_per_coeff,
-                depth_slack, depth_cap,
+                block, start, end, lo, hi, max_gap_bp, min_snps_per_coeff, depth_cap
             )
             if win is not None:
                 windows.append(win)
@@ -362,7 +357,6 @@ def _candidate(
     hi: int,
     max_gap_bp: int,
     min_snps_per_coeff: float,
-    depth_slack: float,
     depth_cap: int | None,
 ) -> Window | None:
     n_snps = hi - lo
@@ -371,7 +365,7 @@ def _candidate(
     gaps = np.diff(block.positions[lo:hi])
     if len(gaps) and int(gaps.max()) > max_gap_bp:
         return None
-    depth = window_depth(n_snps, min_snps_per_coeff, depth_slack)
+    depth = window_depth(n_snps, min_snps_per_coeff)
     if depth < 0:
         return None
     if depth_cap is not None:

@@ -33,40 +33,33 @@ class GPDFitError(RuntimeError):
     """Tail fit failed; caller may fall back to empirical-only p-values."""
 
 
-@dataclass
-class GPDDiagnostics:
-    threshold_rule: str
+@dataclass(frozen=True)
+class GPDTail:
+    """GPD(shape, scale) fitted to the sample's exceedances over ``threshold``.
+
+    ``threshold_rule`` names how the threshold was chosen; the standard
+    errors come from the observed information at the ML optimum.
+    """
+
+    threshold: float
+    shape: float
+    scale: float
     n_exceedances: int
+    threshold_rule: str
     se_shape: float
     se_scale: float
-    log_likelihood: float
 
 
 @dataclass
 class NullModel:
-    """Simulated null sample of Lambda_hat plus its fitted Pareto tail."""
+    """Simulated null sample of Lambda_hat plus its fitted Pareto tail, if any."""
 
     lambda1: float
     depth: int
     M: int
     seed: int
     sample: np.ndarray  # sorted ascending
-    threshold: float | None = None
-    gpd_shape: float | None = None
-    gpd_scale: float | None = None
-    n_exceedances: int = 0
-    diagnostics: GPDDiagnostics | None = None
-
-    @property
-    def has_tail(self) -> bool:
-        return self.gpd_scale is not None
-
-
-def required_permutations(P: float) -> int:
-    """Permutation count needed for a reliable p-value at level P: ceil(1/(4 P^2))."""
-    if not 0.0 < P < 1.0:
-        raise NullSimError("P must lie in (0, 1)")
-    return math.ceil(1.0 / (4.0 * P * P))
+    tail: GPDTail | None = None  # None: the fit failed, p-values are empirical only
 
 
 def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
@@ -125,11 +118,12 @@ def _gpd_negloglik(params: np.ndarray, exc: np.ndarray) -> float:
     return len(exc) * log_beta + (1.0 + 1.0 / xi) * float(np.sum(np.log(t)))
 
 
-def fit_gpd_exceedances(exc: np.ndarray, threshold_rule: str = "direct") -> tuple[float, float, GPDDiagnostics]:
+def fit_gpd_exceedances(exc: np.ndarray) -> tuple[float, float, float, float]:
     """ML GPD(shape, scale) fit to raw exceedances (measured from zero).
 
-    Standard errors come from the numerically observed information at the
-    optimum. Raises GPDFitError on too few points, degenerate data, or
+    Returns (shape, scale, se_shape, se_scale). Standard errors come from
+    the numerically observed information at the optimum (NaN if it cannot
+    be inverted). Raises GPDFitError on too few points, degenerate data, or
     non-convergence.
     """
     exc = np.asarray(exc, dtype=float)
@@ -165,22 +159,14 @@ def fit_gpd_exceedances(exc: np.ndarray, threshold_rule: str = "direct") -> tupl
         se_xi, se_beta = float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))
     except (np.linalg.LinAlgError, ValueError):
         se_xi = se_beta = float("nan")
-    diag = GPDDiagnostics(
-        threshold_rule=threshold_rule,
-        n_exceedances=len(exc),
-        se_shape=se_xi,
-        se_scale=se_beta,
-        log_likelihood=-float(res.fun),
-    )
-    return xi, beta, diag
+    return xi, beta, se_xi, se_beta
 
 
-def fit_gpd_tail(
-    sample: np.ndarray, threshold_rule: str = DEFAULT_THRESHOLD_RULE
-) -> tuple[float, float, float, GPDDiagnostics]:
+def fit_gpd_tail(sample: np.ndarray, threshold_rule: str = DEFAULT_THRESHOLD_RULE) -> GPDTail:
     """Choose a threshold by the configured rule and ML-fit the tail above it.
 
-    Returns (u, shape, scale, diagnostics).
+    Raises GPDFitError when fewer than ``MIN_EXCEEDANCES`` values exceed the
+    threshold or the fit fails.
     """
     sample = np.asarray(sample, dtype=float)
     u = _choose_threshold(sample, threshold_rule)
@@ -189,8 +175,8 @@ def fit_gpd_tail(
         raise GPDFitError(
             f"only {len(exc)} exceedances above u={u:.6g}; need {MIN_EXCEEDANCES}"
         )
-    xi, beta, diag = fit_gpd_exceedances(exc, threshold_rule)
-    return u, xi, beta, diag
+    xi, beta, se_xi, se_beta = fit_gpd_exceedances(exc)
+    return GPDTail(u, xi, beta, len(exc), threshold_rule, se_xi, se_beta)
 
 
 def build_null_model(
@@ -203,22 +189,17 @@ def build_null_model(
 ) -> NullModel:
     """Simulate (or adopt) a null sample and fit its tail.
 
-    A failed tail fit is not fatal: the model falls back to empirical-only
-    p-values with the failure recorded in ``diagnostics``.
+    A failed tail fit is not fatal: the model gets no ``tail`` and falls
+    back to empirical-only p-values.
     """
     if sample is None:
         sample = simulate_null(lambda1, depth, M, seed)
-    model = NullModel(lambda1=lambda1, depth=depth, M=len(sample), seed=seed, sample=sample)
     try:
-        u, xi, beta, diag = fit_gpd_tail(sample, threshold_rule)
+        tail = fit_gpd_tail(sample, threshold_rule)
     except GPDFitError:
-        return model
-    model.threshold = u
-    model.gpd_shape = xi
-    model.gpd_scale = beta
-    model.n_exceedances = diag.n_exceedances
-    model.diagnostics = diag
-    return model
+        tail = None
+    return NullModel(lambda1=lambda1, depth=depth, M=len(sample), seed=seed, sample=sample,
+                     tail=tail)
 
 
 def p_value(model: NullModel, lambda_obs: float) -> float:
@@ -230,27 +211,30 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
     if lambda_obs < 1.0:
         raise NullSimError("Lambda_hat cannot be below 1")
     M = len(model.sample)
-    if model.has_tail and lambda_obs > model.threshold:
-        sf = genpareto.sf(
-            lambda_obs - model.threshold, model.gpd_shape, scale=model.gpd_scale
-        )
-        return float(model.n_exceedances / M * sf)
+    tail = model.tail
+    if tail is not None and lambda_obs > tail.threshold:
+        sf = genpareto.sf(lambda_obs - tail.threshold, tail.shape, scale=tail.scale)
+        return float(tail.n_exceedances / M * sf)
     n_ge = M - int(np.searchsorted(model.sample, lambda_obs, side="left"))
     return (n_ge + 1.0) / (M + 1.0)
 
 
 def _cache_name(lambda1: float, depth: int, M: int, seed: int) -> str:
-    return f"null_l{round(lambda1, 7):.7f}_d{depth}_M{M}_s{seed}_{SOLVER_VERSION}.tsv"
+    # float.hex is exact: two design constants share a file only if they are equal
+    return f"null_l{float.hex(lambda1)}_d{depth}_M{M}_s{seed}_{SOLVER_VERSION}.tsv"
 
 
 def save_null_model(model: NullModel, cache_dir: str) -> str:
-    """Write the sorted sample (with its key) to the cache directory."""
+    """Write the sorted sample, under a header holding its key, to the cache directory.
+
+    The key gives lambda1 as ``float.hex``, exactly, in the file name and the header.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, _cache_name(model.lambda1, model.depth, model.M, model.seed))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lambda1\tdepth\tM\tseed\tsolver\n")
         fh.write(
-            f"{model.lambda1:.7f}\t{model.depth}\t{model.M}\t{model.seed}\t{SOLVER_VERSION}\n"
+            f"{float.hex(model.lambda1)}\t{model.depth}\t{model.M}\t{model.seed}\t{SOLVER_VERSION}\n"
         )
         fh.write("lambda_hat\n")
         for v in model.sample:

@@ -15,7 +15,7 @@ from scipy.stats import chi2
 
 from wavescreen import wavelet
 from wavescreen.bayes import DesignContext, log_bayes_factor
-from wavescreen.dataio import ChromosomeBlock, CohortData, Window
+from wavescreen.dataio import ChromosomeBlock, Window
 
 # names the Lambda-hat solver in null-cache keys, so samples drawn by an
 # earlier solver are rebuilt rather than reused
@@ -37,7 +37,7 @@ class LocusResult:
     pi_hat: np.ndarray
     lambda_hat: float
     posterior_gamma: list[np.ndarray]
-    degenerate: bool = False  # all coefficients degenerate
+    degenerate: bool  # all coefficients degenerate
     p_value: float | None = None
 
 
@@ -129,13 +129,13 @@ def window_spectra(
     window: Window,
     block: ChromosomeBlock,
     kinds: tuple[str, ...],
-    sigma0_sq: float = wavelet.DEFAULT_SIGMA0_SQ,
 ) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Interpolate, transform, shrink and quantile-normalize one window.
 
     ``block`` is the window's chromosome; ``kinds`` names the coefficient
     kinds wanted, "c" and/or "d". All of them come from one interpolation
-    and one Haar pyramid of the dosages, and only "d" is shrunk, so the
+    and one Haar pyramid of the dosages, and only "d" is shrunk, with SNP
+    noise variances 1 - IQ propagated to each detail coefficient, so the
     spectra depend on the genotypes alone and serve every phenotype.
     Returns {kind: (scores, degenerate)} with per-scale lists; scores[s] has
     shape (2^s, n_individuals) of Blom scores, degenerate[s] flags
@@ -163,8 +163,8 @@ def window_spectra(
     spectra = {}
     for kind in kinds:
         if kind == "d":
-            sig2 = wavelet.snp_noise_variance(block.imputation_quality[sl], sigma0_sq)
-            _, var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=grid.n_points)
+            sig2 = 1.0 - block.imputation_quality[sl]
+            var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=grid.n_points)
             coeffs = wavelet.visushrink(d, var_d, grid.n_points)
         else:
             coeffs = c
@@ -187,35 +187,18 @@ def screen_spectra(
     """Screen one window's spectra of one kind: Bayes factors -> Lambda-hat over pi.
 
     ``scores`` and ``degenerate`` are one kind's entry of ``window_spectra``.
-    Degenerate coefficients are dropped from the product (a BF = 1 factor).
-    The p-value is left unset; the null model assigns it later.
+    Degenerate coefficients are dropped from the product (a BF = 1 factor);
+    a window with none left is flagged ``degenerate`` and gets pi_hat = 0
+    and Lambda_hat = 1. The p-value is left unset; the null model assigns it
+    later.
     """
     bf_by_scale: list[np.ndarray] = []
     loc_by_scale: list[np.ndarray] = []
-    any_kept = False
     for sc, deg in zip(scores, degenerate):
-        keep = ~deg
-        locs = np.where(keep)[0]
-        if locs.size:
-            logbf = log_bayes_factor(ctx, sc[locs].T)
-            bf_by_scale.append(np.exp(logbf))
-            any_kept = True
-        else:
-            bf_by_scale.append(np.empty(0))
+        locs = np.where(~deg)[0]
+        bf_by_scale.append(np.exp(log_bayes_factor(ctx, sc[locs].T)) if locs.size else np.empty(0))
         loc_by_scale.append(locs)
-    if not any_kept:
-        return LocusResult(
-            window=window,
-            coefficient_kind=coefficient_kind,
-            bf=bf_by_scale,
-            locations=loc_by_scale,
-            pi_hat=np.zeros(window.depth + 1),
-            lambda_hat=1.0,
-            posterior_gamma=[np.empty(0) for _ in bf_by_scale],
-            degenerate=True,
-        )
     pi_hat, lam = maximize_lambda(bf_by_scale)
-    gamma = [posterior_gamma(bf, pi_hat[s]) for s, bf in enumerate(bf_by_scale)]
     return LocusResult(
         window=window,
         coefficient_kind=coefficient_kind,
@@ -223,22 +206,6 @@ def screen_spectra(
         locations=loc_by_scale,
         pi_hat=pi_hat,
         lambda_hat=lam,
-        posterior_gamma=gamma,
+        posterior_gamma=[posterior_gamma(bf, p) for bf, p in zip(bf_by_scale, pi_hat)],
+        degenerate=not any(bf.size for bf in bf_by_scale),
     )
-
-
-def screen_window(
-    window: Window,
-    cohort: CohortData,
-    ctx: DesignContext,
-    coefficient_kind: str,
-    sigma0_sq: float = wavelet.DEFAULT_SIGMA0_SQ,
-) -> LocusResult:
-    """Full per-window screen of one kind: ``window_spectra`` then ``screen_spectra``.
-
-    To screen both kinds, or one window against many phenotypes, build the
-    spectra once and call ``screen_spectra`` for each.
-    """
-    block = cohort.blocks[window.chromosome]
-    spectra = window_spectra(window, block, (coefficient_kind,), sigma0_sq)
-    return screen_spectra(window, *spectra[coefficient_kind], ctx, coefficient_kind)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from wavescreen import bayes, screening
-from wavescreen.dataio import ChromosomeBlock, CohortData, Window
+from wavescreen.dataio import ChromosomeBlock, Window, grid_exponent, window_depth
 from wavescreen.nullsim import load_or_build_null_model, p_value
 
 DEFAULT_H2 = 0.02  # desk-scale default; 0.005 is typical for a top GWAS hit
@@ -61,20 +61,14 @@ class SyntheticWindowCohort:
     def n_snps(self) -> int:
         return self.dosages.shape[0]
 
-    def as_block(self, chromosome: str = "1") -> ChromosomeBlock:
+    def as_block(self) -> ChromosomeBlock:
+        """The window's SNPs as chromosome "1", the chromosome of ``synthetic_window``."""
         return ChromosomeBlock(
-            chromosome=chromosome,
+            chromosome="1",
             positions=self.positions,
             snp_ids=[f"snp{i}" for i in range(self.n_snps)],
             imputation_quality=np.ones(self.n_snps),
             dosages=self.dosages,
-        )
-
-    def as_cohort(self, phenotype: np.ndarray, covariates: np.ndarray | None = None,
-                  chromosome: str = "1") -> CohortData:
-        cov = covariates if covariates is not None else np.empty((self.n, 0))
-        return CohortData(
-            blocks={chromosome: self.as_block(chromosome)}, phenotype=phenotype, covariates=cov
         )
 
 
@@ -137,8 +131,6 @@ def synthetic_window(
     cohort: SyntheticWindowCohort, min_snps_per_coeff: float = 10.0
 ) -> Window:
     """One Window spanning every SNP of a synthetic cohort."""
-    from wavescreen.dataio import grid_exponent, window_depth
-
     n_snps = cohort.n_snps
     depth = window_depth(n_snps, min_snps_per_coeff)
     if depth < 0:

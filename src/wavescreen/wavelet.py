@@ -18,7 +18,6 @@ from scipy.special import ndtri
 
 # noise floor so thresholds stay defined for perfectly imputed SNPs
 VARIANCE_FLOOR = 1e-8
-DEFAULT_SIGMA0_SQ = 1.0
 
 
 class WaveletError(ValueError):
@@ -75,13 +74,6 @@ def interpolation_matrix(snp_positions: np.ndarray, grid: DyadicGrid) -> sparse.
     return W
 
 
-def snp_noise_variance(
-    imputation_quality: np.ndarray, sigma0_sq: float = DEFAULT_SIGMA0_SQ
-) -> np.ndarray:
-    """Heteroscedastic per-SNP noise variance sigma0^2 * (1 - IQ)."""
-    return sigma0_sq * (1.0 - np.asarray(imputation_quality, dtype=float))
-
-
 def block_sum_matrix(n_grid: int, n_blocks: int) -> sparse.csr_matrix:
     """Sparse (n_blocks x n_grid) matrix summing consecutive grid blocks."""
     if n_blocks <= 0 or n_grid % n_blocks:
@@ -133,40 +125,17 @@ def haar_pyramid(
     return c, d
 
 
-def haar_full(grid_values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Complete decomposition: scale-0 c coefficient plus d for all scales."""
-    N = np.asarray(grid_values).shape[0]
-    J = N.bit_length() - 1
-    c, d = haar_pyramid(grid_values, J - 1 if J > 0 else 0)
-    return c[0], d
-
-
-def inverse_haar(c0: np.ndarray, d: list[np.ndarray]) -> np.ndarray:
-    """Reconstruct grid values from the complete (c0, all-d) decomposition."""
-    J = len(d)
-    N = 1 << J
-    rec = np.asarray(c0, dtype=float) / np.sqrt(N)  # per-point block mean
-    for s in range(J):
-        block = N >> s
-        # d = (sum_left - sum_right)/sqrt(block); per-point offset is d/sqrt(block)
-        offset = np.asarray(d[s], dtype=float) / np.sqrt(block)
-        new = np.empty([rec.shape[0] * 2] + list(rec.shape)[1:], dtype=float)
-        new[0::2] = rec + offset
-        new[1::2] = rec - offset
-        rec = new
-    return rec
-
-
 def pyramid_variances(
     W: sparse.csr_matrix, snp_variances: np.ndarray, depth: int,
     n_grid: int | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Noise variances of the Haar coefficients, propagated exactly through W.
+) -> list[np.ndarray]:
+    """Noise variances of the Haar detail coefficients, propagated exactly through W.
 
-    Each coefficient is a fixed linear combination a of the SNP observations
-    (Haar row times W); its variance is sum_j a_j^2 sigma_j^2 under
-    independent heteroscedastic noise. Uses the same block-sum recursion as
-    the transform, on the sparse weight rows. ``W`` may already hold
+    Each d coefficient is a fixed linear combination a of the SNP
+    observations (Haar row times W); its variance is sum_j a_j^2 sigma_j^2
+    under independent heteroscedastic noise, floored at ``VARIANCE_FLOOR``.
+    Returns one array per scale 0..depth. Uses the same block-sum recursion
+    as the transform, on the sparse weight rows. ``W`` may already hold
     block-summed rows of a finer grid of ``n_grid`` points.
     """
     M = W.shape[0]
@@ -177,18 +146,14 @@ def pyramid_variances(
     sig2 = np.asarray(snp_variances, dtype=float)
     sums = [None] * (J + 1)
     sums[J] = W.tocsr()
-    for s in range(J - 1, -1, -1):
+    for s in range(J - 1, 0, -1):  # the details of scale s need the sums of s + 1
         sums[s] = sums[s + 1][0::2] + sums[s + 1][1::2]
-    var_c: list[np.ndarray] = []
     var_d: list[np.ndarray] = []
     for s in range(depth + 1):
-        block = N >> s
-        vc = sums[s].power(2) @ sig2 / block
         diff = sums[s + 1][0::2] - sums[s + 1][1::2]
-        vd = diff.power(2) @ sig2 / block
-        var_c.append(np.maximum(vc, VARIANCE_FLOOR))
+        vd = diff.power(2) @ sig2 / (N >> s)
         var_d.append(np.maximum(vd, VARIANCE_FLOOR))
-    return var_c, var_d
+    return var_d
 
 
 def soft_threshold(values: np.ndarray, tau: np.ndarray) -> np.ndarray:

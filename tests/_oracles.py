@@ -9,7 +9,9 @@ one row at a time, as the first loader did, where ``wavescreen.dataio``
 hands whole blocks to numpy's C reader. The rank transform is the earlier
 one that broadcast tie-run bounds with cumulative max/min scans and called
 Phi^-1 on every value, where ``wavescreen.wavelet`` looks scores up in a
-per-n table.
+per-n table. The complete Haar decomposition and its inverse check the
+package's ``haar_pyramid`` (Parseval, round trip), and ``screen_window``
+composes the two screening stages for tests that screen one kind at a time.
 """
 
 import math
@@ -20,7 +22,37 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
-from wavescreen.wavelet import WaveletError
+from wavescreen.screening import screen_spectra, window_spectra
+from wavescreen.wavelet import WaveletError, haar_pyramid
+
+
+def screen_window(window, block, ctx, kind):
+    """Screen one window for one coefficient kind: its spectra, then the screen."""
+    return screen_spectra(window, *window_spectra(window, block, (kind,))[kind], ctx, kind)
+
+
+def haar_full(grid_values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Complete decomposition: scale-0 c coefficient plus d for all scales."""
+    N = np.asarray(grid_values).shape[0]
+    J = N.bit_length() - 1
+    c, d = haar_pyramid(grid_values, J - 1 if J > 0 else 0)
+    return c[0], d
+
+
+def inverse_haar(c0: np.ndarray, d: list[np.ndarray]) -> np.ndarray:
+    """Reconstruct grid values from the complete (c0, all-d) decomposition."""
+    J = len(d)
+    N = 1 << J
+    rec = np.asarray(c0, dtype=float) / np.sqrt(N)  # per-point block mean
+    for s in range(J):
+        block = N >> s
+        # d = (sum_left - sum_right)/sqrt(block); per-point offset is d/sqrt(block)
+        offset = np.asarray(d[s], dtype=float) / np.sqrt(block)
+        new = np.empty([rec.shape[0] * 2] + list(rec.shape)[1:], dtype=float)
+        new[0::2] = rec + offset
+        new[1::2] = rec - offset
+        rec = new
+    return rec
 
 
 def log_bf_numeric(ctx, y, epsrel=1e-11):

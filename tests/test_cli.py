@@ -1,9 +1,7 @@
 """CLI subcommands end to end, exit codes and determinism."""
 
-import os
 import re
 
-import numpy as np
 import pytest
 
 from wavescreen import nullsim, simharness
@@ -100,6 +98,17 @@ class TestScreenCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert re.search(r"window 1:\d+-\d+ \(d\): tail fit unusable", err), err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        # argparse rejects it, before any input file is looked at
+        with pytest.raises(SystemExit) as exit_info:
+            main(["screen", "--genotype-path", "g.tsv", "--phenotype-path", "p.tsv",
+                  "--seed", "1", "--threads", threads, "--output-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: must be at least 1, got {threads}" in err
+        assert "Traceback" not in err
 
     def test_missing_genotype_file_exits_2(self, cohort_files, tmp_path, capsys):
         _, pheno = cohort_files

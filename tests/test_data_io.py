@@ -385,7 +385,7 @@ class TestReferenceParser:
             ref = _outcome(load_cohort_reference, *args)
             # the genotype part alone, so that n = 1 (zero phenotype
             # variance) still compares parsed blocks
-            got_g = _outcome(dataio._read_genotypes, str(geno), dataio.MIN_IMPUTATION_QUALITY)
+            got_g = _outcome(dataio._read_genotypes, str(geno))
             ref_g = _outcome(read_genotypes_reference, str(geno), dataio.MIN_IMPUTATION_QUALITY)
         for a, b in ((got, ref), (got_g, ref_g)):
             if isinstance(b, DataError):

@@ -14,23 +14,9 @@ from wavescreen.nullsim import (
     fit_gpd_tail,
     load_or_build_null_model,
     p_value,
-    required_permutations,
     save_null_model,
     simulate_null,
 )
-
-
-class TestRequiredPermutations:
-    def test_formula(self):
-        assert required_permutations(0.5) == 1
-        assert required_permutations(0.01) == 2500
-        # 1/(4 * (8e-6)^2) = 3.90625e9
-        assert required_permutations(8e-6) == 3_906_250_000
-
-    def test_rejects_bad_levels(self):
-        for bad in (0.0, 1.0, -0.1):
-            with pytest.raises(NullSimError):
-                required_permutations(bad)
 
 
 class TestSimulateNull:
@@ -76,15 +62,14 @@ class TestGPDFit:
     def test_recovers_parameters(self):
         exc = genpareto.rvs(0.2, scale=0.05, size=30_000,
                             random_state=np.random.default_rng(0))
-        xi, beta, diag = fit_gpd_exceedances(exc)
+        xi, beta, se_xi, _ = fit_gpd_exceedances(exc)
         assert abs(xi - 0.2) < 0.02
         assert abs(beta - 0.05) < 0.002
-        assert diag.n_exceedances == 30_000
-        assert np.isfinite(diag.se_shape) and diag.se_shape < 0.02
+        assert np.isfinite(se_xi) and se_xi < 0.02
 
     def test_exponential_control(self):
         rng = np.random.default_rng(1)
-        xi, beta, _ = fit_gpd_exceedances(rng.exponential(0.3, size=30_000))
+        xi, beta, _, _ = fit_gpd_exceedances(rng.exponential(0.3, size=30_000))
         assert abs(xi) < 0.05
         assert abs(beta - 0.3) < 0.01
 
@@ -101,16 +86,17 @@ class TestThresholdRules:
     def test_quantile_99(self):
         rng = np.random.default_rng(12)
         sample = rng.exponential(1.0, size=20_000) + 1.0
-        u, _, _, diag = fit_gpd_tail(sample, "quantile-99")
-        assert abs(u - np.quantile(sample, 0.99)) < 1e-9
-        assert diag.threshold_rule == "quantile-99"
+        tail = fit_gpd_tail(sample, "quantile-99")
+        assert abs(tail.threshold - np.quantile(sample, 0.99)) < 1e-9
+        assert tail.threshold_rule == "quantile-99"
+        assert tail.n_exceedances == np.count_nonzero(sample > tail.threshold)
 
     def test_van_kerm_is_min_rule(self):
         rng = np.random.default_rng(2)
         sample = rng.exponential(1.0, size=20_000) + 1.0
-        u, _, _, _ = fit_gpd_tail(sample, "van-kerm")
+        tail = fit_gpd_tail(sample, "van-kerm")
         expected = min(10.0 * np.median(sample), np.quantile(sample, 0.975))
-        assert abs(u - expected) < 1e-9
+        assert abs(tail.threshold - expected) < 1e-9
 
     def test_unknown_rule(self):
         with pytest.raises(NullSimError):
@@ -120,15 +106,15 @@ class TestThresholdRules:
 class TestBuildAndPValue:
     def test_build_has_tail(self):
         model = build_null_model(0.9, depth=3, M=20_000, seed=3)
-        assert model.has_tail
-        assert model.threshold > 1.0
-        assert model.n_exceedances >= nullsim.MIN_EXCEEDANCES
+        assert model.tail is not None
+        assert model.tail.threshold > 1.0
+        assert model.tail.n_exceedances >= nullsim.MIN_EXCEEDANCES
 
     def test_fallback_without_tail(self):
         # constant sample: tail fit must fail, p-values stay empirical
         sample = np.ones(1000)
         model = build_null_model(0.5, depth=0, M=1000, seed=0, sample=sample)
-        assert not model.has_tail
+        assert model.tail is None
         assert p_value(model, 2.0) == pytest.approx(1.0 / 1001.0)
 
     def test_empirical_p_value_convention(self):
@@ -140,15 +126,16 @@ class TestBuildAndPValue:
 
     def test_tail_p_value_uses_gpd(self):
         model = build_null_model(0.9, depth=2, M=50_000, seed=4)
-        x = model.threshold * 1.5
-        expected = model.n_exceedances / len(model.sample) * genpareto.sf(
-            x - model.threshold, model.gpd_shape, scale=model.gpd_scale
+        tail = model.tail
+        x = tail.threshold * 1.5
+        expected = tail.n_exceedances / len(model.sample) * genpareto.sf(
+            x - tail.threshold, tail.shape, scale=tail.scale
         )
         assert p_value(model, x) == pytest.approx(expected, rel=1e-12)
 
     def test_p_value_monotone(self):
         model = build_null_model(0.9, depth=2, M=20_000, seed=5)
-        xs = np.linspace(1.0, model.threshold * 3, 50)
+        xs = np.linspace(1.0, model.tail.threshold * 3, 50)
         ps = [p_value(model, x) for x in xs]
         assert all(b <= a + 1e-15 for a, b in zip(ps, ps[1:]))
 
@@ -164,7 +151,7 @@ class TestCache:
         save_null_model(model, str(tmp_path))
         again = load_or_build_null_model(0.7, 2, 3000, 9, str(tmp_path))
         np.testing.assert_array_equal(again.sample, model.sample)
-        assert again.gpd_shape == model.gpd_shape
+        assert again.tail == model.tail
 
     def test_build_populates_cache(self, tmp_path):
         first = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
@@ -191,3 +178,14 @@ class TestCache:
         header = fresh[0].read_text().splitlines()[:2]
         assert header[0].split("\t")[-1] == "solver"
         assert header[1].split("\t")[-1] == screening.SOLVER_VERSION
+
+    def test_key_holds_the_exact_lambda1(self, tmp_path):
+        # equal to 7 digits, so a key that rounds lambda1 would serve the
+        # first sample to the second call
+        first = load_or_build_null_model(0.9836066, 3, 5000, 1, str(tmp_path))
+        second = load_or_build_null_model(0.98360661, 3, 5000, 1, str(tmp_path))
+        assert len(list(tmp_path.glob("null_*.tsv"))) == 2
+        np.testing.assert_array_equal(first.sample, simulate_null(0.9836066, 3, 5000, 1))
+        np.testing.assert_array_equal(second.sample, simulate_null(0.98360661, 3, 5000, 1))
+        path = tmp_path / nullsim._cache_name(0.98360661, 3, 5000, 1)
+        assert path.read_text().splitlines()[1].split("\t")[0] == float.hex(0.98360661)

@@ -12,11 +12,10 @@ from wavescreen.screening import (
     max_log_lambda,
     maximize_lambda,
     posterior_gamma,
-    screen_window,
     window_spectra,
 )
 
-from _oracles import lambda_max_grid
+from _oracles import lambda_max_grid, screen_window
 
 
 class TestEM:
@@ -183,18 +182,18 @@ class TestScreenWindow:
     def test_signal_beats_permuted_null(self, screen_setup):
         cohort, window, phenotype = screen_setup
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
-        hit = screen_window(window, cohort.as_cohort(phenotype), ctx, "c")
+        hit = screen_window(window, cohort.as_block(), ctx, "c")
         assert hit.lambda_hat > 100.0
 
         permuted = np.random.default_rng(6).permutation(phenotype)
         ctx0 = bayes.build_design(permuted, sigma_b=0.2)
-        null = screen_window(window, cohort.as_cohort(permuted), ctx0, "c")
+        null = screen_window(window, cohort.as_block(), ctx0, "c")
         assert null.lambda_hat < hit.lambda_hat
 
     def test_result_is_consistent(self, screen_setup):
         cohort, window, phenotype = screen_setup
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
-        res = screen_window(window, cohort.as_cohort(phenotype), ctx, "c")
+        res = screen_window(window, cohort.as_block(), ctx, "c")
         assert res.coefficient_kind == "c"
         assert len(res.bf) == window.depth + 1
         # Lambda recomputes from the stored per-scale BFs and pi_hat
@@ -212,15 +211,19 @@ class TestScreenWindow:
         cohort.dosages[:] = 1.0
         window = simharness.synthetic_window(cohort, min_snps_per_coeff=8)
         y = np.random.default_rng(9).standard_normal(50)
-        res = screen_window(window, cohort.as_cohort(y), bayes.build_design(y), "d")
+        res = screen_window(window, cohort.as_block(), bayes.build_design(y), "d")
         assert res.degenerate
+        np.testing.assert_array_equal(res.pi_hat, np.zeros(window.depth + 1), strict=True)
+        for per_scale in (res.bf, res.locations, res.posterior_gamma):
+            assert len(per_scale) == window.depth + 1
+            assert all(arr.size == 0 for arr in per_scale)
         assert res.lambda_hat == 1.0
         assert res.p_value is None
 
     def test_dosage_flip_leaves_d_screen_unchanged(self, screen_setup):
         cohort, window, phenotype = screen_setup
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
-        res = screen_window(window, cohort.as_cohort(phenotype), ctx, "d")
+        res = screen_window(window, cohort.as_block(), ctx, "d")
         flipped = simharness.SyntheticWindowCohort(
             positions=cohort.positions,
             dosages=2.0 - cohort.dosages,
@@ -228,5 +231,5 @@ class TestScreenWindow:
             block_center_indices=cohort.block_center_indices,
             allele_frequencies=cohort.allele_frequencies,
         )
-        res_f = screen_window(window, flipped.as_cohort(phenotype), ctx, "d")
+        res_f = screen_window(window, flipped.as_block(), ctx, "d")
         assert res_f.lambda_hat == res.lambda_hat

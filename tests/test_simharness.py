@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from _oracles import screen_window
 from wavescreen import bayes, nullsim, screening, simharness, wavelet
 from wavescreen.simharness import (
     PowerConfig,
@@ -229,7 +230,7 @@ class TestPowerExperiment:
             ctx = bayes.build_design(y)
             want = {"replicate": rep, "k": k}
             for kind in ("c", "d"):
-                res = screening.screen_window(window, cohort.as_cohort(y), ctx, kind)
+                res = screen_window(window, cohort.as_block(), ctx, kind)
                 want[f"p_ws_{kind}"] = nullsim.p_value(model, res.lambda_hat)
             want["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(gwas_lm_baseline(
                 cohort.dosages, y))))

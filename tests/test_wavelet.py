@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm, rankdata
 
-from _oracles import quantile_transform_reference
+from _oracles import haar_full, inverse_haar, quantile_transform_reference
 
 from wavescreen import wavelet
 from wavescreen.wavelet import (
     DyadicGrid,
     WaveletError,
     block_sum_matrix,
-    haar_full,
     haar_pyramid,
     interpolation_matrix,
-    inverse_haar,
     normalize_positions,
     pyramid_variances,
     quantile_transform,
@@ -106,11 +104,10 @@ class TestInterpolation:
         assert np.all(out[grid.points > 0.6] == 3.0)
 
     def test_variance_floor(self):
-        # perfectly imputed SNPs: every coefficient's variance sits at the floor
+        # perfectly imputed SNPs: every detail coefficient's variance sits at the floor
         grid = DyadicGrid(3)
         W = interpolation_matrix(np.array([0.2, 0.8]), grid)
-        var_c, var_d = pyramid_variances(W, np.zeros(2), depth=2)
-        for var in var_c + var_d:
+        for var in pyramid_variances(W, np.zeros(2), depth=2):
             assert np.all(var == wavelet.VARIANCE_FLOOR)
 
     def test_normalize_positions(self):
@@ -131,21 +128,18 @@ class TestPyramidVariances:
         x = np.sort(rng.uniform(0, 1, size=12))
         sig2 = rng.uniform(0.0, 0.3, size=12)
         W = interpolation_matrix(x, grid)
-        var_c, var_d = pyramid_variances(W, sig2, depth=2)
+        var_d = pyramid_variances(W, sig2, depth=2)
+        assert len(var_d) == 3
         Wd = W.toarray()
         N = grid.n_points
         for s in range(3):
             block = N >> s
+            assert var_d[s].shape == (1 << s,)
             for l in range(1 << s):
                 rows = Wd[l * block: (l + 1) * block]
-                a_c = rows.sum(axis=0) / np.sqrt(block)
                 left = rows[: block // 2].sum(axis=0)
                 right = rows[block // 2:].sum(axis=0)
                 a_d = (left - right) / np.sqrt(block)
-                np.testing.assert_allclose(
-                    var_c[s][l], max(float(a_c ** 2 @ sig2), wavelet.VARIANCE_FLOOR),
-                    rtol=1e-10,
-                )
                 np.testing.assert_allclose(
                     var_d[s][l], max(float(a_d ** 2 @ sig2), wavelet.VARIANCE_FLOOR),
                     rtol=1e-10,
@@ -157,11 +151,10 @@ class TestPyramidVariances:
         x = np.sort(rng.uniform(0, 1, size=40))
         sig2 = rng.uniform(0.0, 0.5, size=40)
         W = interpolation_matrix(x, grid)
-        vc0, vd0 = pyramid_variances(W, sig2, depth=3)
+        vd0 = pyramid_variances(W, sig2, depth=3)
         Wt = block_sum_matrix(grid.n_points, 16) @ W
-        vc1, vd1 = pyramid_variances(Wt, sig2, depth=3, n_grid=grid.n_points)
+        vd1 = pyramid_variances(Wt, sig2, depth=3, n_grid=grid.n_points)
         for s in range(4):
-            np.testing.assert_allclose(vc1[s], vc0[s], rtol=1e-10)
             np.testing.assert_allclose(vd1[s], vd0[s], rtol=1e-10)
 
 
