@@ -19,8 +19,8 @@ from wavescreen.screening import (
 )
 from wavescreen.nullsim import (
     NullModel,
-    build_null_model,
     fit_gpd_tail,
+    load_or_build_null_model,
     p_value,
     simulate_null,
 )
@@ -39,8 +39,8 @@ __all__ = [
     "screen_spectra",
     "window_spectra",
     "NullModel",
-    "build_null_model",
     "fit_gpd_tail",
+    "load_or_build_null_model",
     "p_value",
     "simulate_null",
 ]

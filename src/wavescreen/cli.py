@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--threads", type=_positive_int, default=1)
     s.add_argument("--significance-threshold", type=float, default=0.05 / 6000)
-    s.add_argument("--threshold-rule", choices=["quantile-99", "van-kerm"],
-                   default=nullsim.DEFAULT_THRESHOLD_RULE)
     s.add_argument("--output-dir", required=True)
     s.add_argument("--emit-details", action="store_true",
                    help="write per-locus BF detail TSVs (scale location bf posterior_gamma)")
@@ -73,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth", type=int, required=True)
     s.add_argument("--m", type=int, default=nullsim.DEFAULT_M)
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--threshold-rule", choices=["quantile-99", "van-kerm"],
-                   default=nullsim.DEFAULT_THRESHOLD_RULE)
     s.add_argument("--output-dir", required=True)
 
     s = sub.add_parser("power", help="planted-signal power experiment")
@@ -123,9 +119,7 @@ def cmd_screen(args) -> int:
     # one null model per distinct window depth; the design constant is shared
     models = {}
     for depth in sorted({w.depth for w in windows}):
-        models[depth] = nullsim.load_or_build_null_model(
-            lam1, depth, args.m, args.seed, cache, args.threshold_rule
-        )
+        models[depth] = nullsim.load_or_build_null_model(lam1, depth, args.m, args.seed, cache)
 
     kinds = ("c", "d") if args.coefficient_kind == "both" else (args.coefficient_kind,)
 
@@ -210,12 +204,10 @@ def cmd_screen(args) -> int:
 def cmd_nullsim(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     cache = _cache_dir(args.output_dir)
-    model = nullsim.load_or_build_null_model(
-        args.lambda1, args.depth, args.m, args.seed, cache, args.threshold_rule
-    )
+    model = nullsim.load_or_build_null_model(args.lambda1, args.depth, args.m, args.seed, cache)
     tail = model.tail
     if tail is not None:
-        print(f"threshold u = {_fmt(tail.threshold)} ({tail.threshold_rule}, "
+        print(f"threshold u = {_fmt(tail.threshold)} (99% quantile, "
               f"{tail.n_exceedances} exceedances)")
         print(f"shape xi = {_fmt(tail.shape)} (se {_fmt(tail.se_shape)})")
         print(f"scale beta = {_fmt(tail.scale)} (se {_fmt(tail.se_scale)})")

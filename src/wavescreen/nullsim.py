@@ -3,14 +3,17 @@
 Under the null, 2 log BF = lambda1 * Q + log(1 - lambda1) with Q ~ chi2(1),
 so the locus statistic can be simulated directly from the design constant
 lambda1 without touching genotypes. The simulated sample covers the bulk of
-the distribution; a Generalized Pareto fit to exceedances over a high
-threshold extrapolates the extreme tail.
+the distribution; a Generalized Pareto fit to the exceedances over its 99%
+quantile extrapolates the extreme tail. ``load_or_build_null_model`` is the
+one way to get a model: it reuses a cached sample whose header and draws
+match the key, and simulates and caches one otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,6 @@ from wavescreen.screening import SOLVER_VERSION, max_log_lambda
 SIM_CHUNK = 4096  # fixed so results are independent of threading and memory
 MIN_EXCEEDANCES = 30
 DEFAULT_M = 100_000
-DEFAULT_THRESHOLD_RULE = "quantile-99"
 
 
 class NullSimError(ValueError):
@@ -37,15 +39,13 @@ class GPDFitError(RuntimeError):
 class GPDTail:
     """GPD(shape, scale) fitted to the sample's exceedances over ``threshold``.
 
-    ``threshold_rule`` names how the threshold was chosen; the standard
-    errors come from the observed information at the ML optimum.
+    The standard errors come from the observed information at the ML optimum.
     """
 
     threshold: float
     shape: float
     scale: float
     n_exceedances: int
-    threshold_rule: str
     se_shape: float
     se_scale: float
 
@@ -54,10 +54,6 @@ class GPDTail:
 class NullModel:
     """Simulated null sample of Lambda_hat plus its fitted Pareto tail, if any."""
 
-    lambda1: float
-    depth: int
-    M: int
-    seed: int
     sample: np.ndarray  # sorted ascending
     tail: GPDTail | None = None  # None: the fit failed, p-values are empirical only
 
@@ -94,16 +90,6 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
         out[lo:hi] = np.exp(log_lam)
     out.sort()
     return out
-
-
-def _choose_threshold(sample: np.ndarray, rule: str) -> float:
-    if rule == "quantile-99":
-        return float(np.quantile(sample, 0.99))
-    if rule == "van-kerm":
-        return float(
-            min(10.0 * np.median(sample), np.quantile(sample, 0.975))
-        )
-    raise NullSimError(f"unknown threshold rule {rule!r}")
 
 
 def _gpd_negloglik(params: np.ndarray, exc: np.ndarray) -> float:
@@ -162,44 +148,21 @@ def fit_gpd_exceedances(exc: np.ndarray) -> tuple[float, float, float, float]:
     return xi, beta, se_xi, se_beta
 
 
-def fit_gpd_tail(sample: np.ndarray, threshold_rule: str = DEFAULT_THRESHOLD_RULE) -> GPDTail:
-    """Choose a threshold by the configured rule and ML-fit the tail above it.
+def fit_gpd_tail(sample: np.ndarray) -> GPDTail:
+    """ML-fit the tail above the sample's 99% quantile.
 
     Raises GPDFitError when fewer than ``MIN_EXCEEDANCES`` values exceed the
     threshold or the fit fails.
     """
     sample = np.asarray(sample, dtype=float)
-    u = _choose_threshold(sample, threshold_rule)
+    u = float(np.quantile(sample, 0.99))
     exc = sample[sample > u] - u
     if len(exc) < MIN_EXCEEDANCES:
         raise GPDFitError(
             f"only {len(exc)} exceedances above u={u:.6g}; need {MIN_EXCEEDANCES}"
         )
     xi, beta, se_xi, se_beta = fit_gpd_exceedances(exc)
-    return GPDTail(u, xi, beta, len(exc), threshold_rule, se_xi, se_beta)
-
-
-def build_null_model(
-    lambda1: float,
-    depth: int,
-    M: int = DEFAULT_M,
-    seed: int = 0,
-    threshold_rule: str = DEFAULT_THRESHOLD_RULE,
-    sample: np.ndarray | None = None,
-) -> NullModel:
-    """Simulate (or adopt) a null sample and fit its tail.
-
-    A failed tail fit is not fatal: the model gets no ``tail`` and falls
-    back to empirical-only p-values.
-    """
-    if sample is None:
-        sample = simulate_null(lambda1, depth, M, seed)
-    try:
-        tail = fit_gpd_tail(sample, threshold_rule)
-    except GPDFitError:
-        tail = None
-    return NullModel(lambda1=lambda1, depth=depth, M=len(sample), seed=seed, sample=sample,
-                     tail=tail)
+    return GPDTail(u, xi, beta, len(exc), se_xi, se_beta)
 
 
 def p_value(model: NullModel, lambda_obs: float) -> float:
@@ -208,8 +171,8 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
     Empirical below the tail threshold; GPD tail survival above it. Uses
     the (count >= obs + 1)/(M + 1) convention for the empirical part.
     """
-    if lambda_obs < 1.0:
-        raise NullSimError("Lambda_hat cannot be below 1")
+    if not lambda_obs >= 1.0:  # NaN fails this too
+        raise NullSimError(f"Lambda_hat must be at least 1, got {lambda_obs!r}")
     M = len(model.sample)
     tail = model.tail
     if tail is not None and lambda_obs > tail.threshold:
@@ -224,39 +187,78 @@ def _cache_name(lambda1: float, depth: int, M: int, seed: int) -> str:
     return f"null_l{float.hex(lambda1)}_d{depth}_M{M}_s{seed}_{SOLVER_VERSION}.tsv"
 
 
-def save_null_model(model: NullModel, cache_dir: str) -> str:
+def _cache_header(lambda1: float, depth: int, M: int, seed: int) -> str:
+    return (
+        "lambda1\tdepth\tM\tseed\tsolver\n"
+        f"{float.hex(lambda1)}\t{depth}\t{M}\t{seed}\t{SOLVER_VERSION}\n"
+        "lambda_hat\n"
+    )
+
+
+def save_null_model(
+    sample: np.ndarray, lambda1: float, depth: int, seed: int, cache_dir: str
+) -> str:
     """Write the sorted sample, under a header holding its key, to the cache directory.
 
-    The key gives lambda1 as ``float.hex``, exactly, in the file name and the header.
+    The key gives lambda1 as ``float.hex``, exactly, in the file name and the
+    header. The file is written under a temporary name and renamed into place,
+    so a reader never sees a partial file.
     """
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_name(model.lambda1, model.depth, model.M, model.seed))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lambda1\tdepth\tM\tseed\tsolver\n")
-        fh.write(
-            f"{float.hex(model.lambda1)}\t{model.depth}\t{model.M}\t{model.seed}\t{SOLVER_VERSION}\n"
-        )
-        fh.write("lambda_hat\n")
-        for v in model.sample:
-            fh.write(f"{v:.17g}\n")
+    M = len(sample)
+    path = os.path.join(cache_dir, _cache_name(lambda1, depth, M, seed))
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(_cache_header(lambda1, depth, M, seed))
+            for v in sample:
+                fh.write(f"{v:.17g}\n")
+        os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
+def _load_sample(path: str, header: str, M: int) -> np.ndarray | None:
+    """The cached draws, or None when the file is missing or does not hold
+    exactly M finite, sorted draws under ``header``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (FileNotFoundError, UnicodeDecodeError):
+        return None
+    lines = text[len(header):].splitlines()
+    if not text.startswith(header) or len(lines) != M:
+        return None
+    try:
+        sample = np.loadtxt(lines, ndmin=1)
+    except ValueError:
+        return None
+    ok = sample.shape == (M,) and np.all(np.isfinite(sample)) and np.all(np.diff(sample) >= 0)
+    return sample if ok else None
+
+
 def load_or_build_null_model(
-    lambda1: float,
-    depth: int,
-    M: int,
-    seed: int,
-    cache_dir: str | None = None,
-    threshold_rule: str = DEFAULT_THRESHOLD_RULE,
+    lambda1: float, depth: int, M: int, seed: int, cache_dir: str | None = None
 ) -> NullModel:
-    """Reuse a cached simulation when one exists for this exact key."""
+    """The null model for this exact key: simulated, or reused from the cache.
+
+    A cache file whose header or draws do not match the key is simulated again
+    and overwritten. A failed tail fit is not fatal: the model gets no
+    ``tail`` and falls back to empirical-only p-values.
+    """
     sample = None
     if cache_dir is not None:
         path = os.path.join(cache_dir, _cache_name(lambda1, depth, M, seed))
-        if os.path.exists(path):
-            sample = np.loadtxt(path, skiprows=3)
-    model = build_null_model(lambda1, depth, M, seed, threshold_rule, sample=sample)
-    if cache_dir is not None and sample is None:
-        save_null_model(model, cache_dir)
-    return model
+        sample = _load_sample(path, _cache_header(lambda1, depth, M, seed), M)
+    if sample is None:
+        sample = simulate_null(lambda1, depth, M, seed)
+        if cache_dir is not None:
+            save_null_model(sample, lambda1, depth, seed, cache_dir)
+    try:
+        tail = fit_gpd_tail(sample)
+    except GPDFitError:
+        tail = None
+    return NullModel(sample, tail)

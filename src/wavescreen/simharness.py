@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from wavescreen import bayes, screening
+from wavescreen import bayes, nullsim, screening
 from wavescreen.dataio import ChromosomeBlock, Window, grid_exponent, window_depth
-from wavescreen.nullsim import load_or_build_null_model, p_value
+from wavescreen.nullsim import p_value
 
 DEFAULT_H2 = 0.02  # desk-scale default; 0.005 is typical for a top GWAS hit
 POWER_BINS = [(1, 5), (6, 10), (11, 15), (16, 20), (21, 10**9)]
+FLIP_CHUNK_ROWS = 64  # SNP rows of flip draws held at once by generate_genotypes
 
 
 class SimulationError(ValueError):
@@ -100,13 +101,17 @@ def generate_genotypes(
     dosages = np.zeros((n_snps, n))
     for _hap in range(2):
         latent = rng.random((n_blocks, n)) < freqs[:, None]  # (blocks, n)
-        alleles = latent[block_of_snp]  # (n_snps, n)
-        flips = rng.random((n_snps, n)) < flip_prob
-        dosages += np.where(flips, ~alleles, alleles)
+        # the generator fills arrays in order, so row chunks draw the same
+        # stream as one (n_snps, n) array without holding it
+        for lo in range(0, n_snps, FLIP_CHUNK_ROWS):
+            hi = min(lo + FLIP_CHUNK_ROWS, n_snps)
+            dosages[lo:hi] += latent[block_of_snp[lo:hi]] ^ (rng.random((hi - lo, n)) < flip_prob)
     spacing = span_bp / (n_snps + 1)
     jitter = rng.uniform(-0.3, 0.3, size=n_snps) * spacing
     positions = np.sort((np.arange(1, n_snps + 1) * spacing + jitter).astype(np.int64))
-    positions = _deduplicate(positions)
+    # strictly increasing: each position at least one past its predecessor
+    idx = np.arange(n_snps)
+    positions = np.maximum.accumulate(positions - idx) + idx
     centers = np.array(
         [int(np.mean(np.where(block_of_snp == b)[0])) for b in range(n_blocks)]
     )
@@ -117,14 +122,6 @@ def generate_genotypes(
         block_center_indices=centers,
         allele_frequencies=freqs,
     )
-
-
-def _deduplicate(positions: np.ndarray) -> np.ndarray:
-    pos = positions.copy()
-    for i in range(1, len(pos)):
-        if pos[i] <= pos[i - 1]:
-            pos[i] = pos[i - 1] + 1
-    return pos
 
 
 def synthetic_window(
@@ -293,7 +290,8 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
 
     probe = bayes.build_design(_standardized(np.arange(config.n, dtype=float)))
     lam1 = bayes.lambda1(probe)
-    null_model = load_or_build_null_model(
+    # looked up on the module, where tracing wraps it to count cache misses
+    null_model = nullsim.load_or_build_null_model(
         lam1, window.depth, config.null_m, config.seed, cache_dir
     )
 

@@ -12,6 +12,9 @@ Phi^-1 on every value, where ``wavescreen.wavelet`` looks scores up in a
 per-n table. The complete Haar decomposition and its inverse check the
 package's ``haar_pyramid`` (Parseval, round trip), and ``screen_window``
 composes the two screening stages for tests that screen one kind at a time.
+``generate_genotypes_reference`` is the first genotype simulator, which drew
+each haplotype's flips as one (n_snps, n) array and made positions strictly
+increasing one at a time.
 """
 
 import math
@@ -155,6 +158,27 @@ def lambda_max_grid(bfs_by_scale, step=1e-3):
         pis.append(best_p)
         total += -best_v
     return np.array(pis), float(np.exp(total))
+
+
+def generate_genotypes_reference(n, n_snps, n_blocks=28, flip_prob=0.1,
+                                 span_bp=1_000_000, seed=0):
+    """(dosages, positions) of ``simharness.generate_genotypes`` for valid arguments."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    freqs = rng.uniform(0.05, 0.5, size=n_blocks)
+    block_of_snp = np.minimum((np.arange(n_snps) * n_blocks) // n_snps, n_blocks - 1)
+    dosages = np.zeros((n_snps, n))
+    for _hap in range(2):
+        latent = rng.random((n_blocks, n)) < freqs[:, None]
+        alleles = latent[block_of_snp]
+        flips = rng.random((n_snps, n)) < flip_prob
+        dosages += np.where(flips, ~alleles, alleles)
+    spacing = span_bp / (n_snps + 1)
+    jitter = rng.uniform(-0.3, 0.3, size=n_snps) * spacing
+    pos = np.sort((np.arange(1, n_snps + 1) * spacing + jitter).astype(np.int64))
+    for i in range(1, len(pos)):
+        if pos[i] <= pos[i - 1]:
+            pos[i] = pos[i - 1] + 1
+    return dosages, pos
 
 
 def average_ranks(values: np.ndarray, axis: int = -1) -> np.ndarray:

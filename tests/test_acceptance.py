@@ -191,7 +191,8 @@ def test_criterion_07_tail_extrapolation_holdout():
     lam1, depth = 0.9997, 9
     full = nullsim.simulate_null(lam1, depth, 100_000, seed=0)
     perm = np.random.default_rng(1000).permutation(full)
-    model = nullsim.build_null_model(lam1, depth, sample=np.sort(perm[:90_000]))
+    sample = np.sort(perm[:90_000])
+    model = nullsim.NullModel(sample, nullsim.fit_gpd_tail(sample))
     held = np.sort(perm[90_000:])
     ratios = []
     for p_emp, idx in ((1e-3, -10), (1e-4, -1)):
@@ -250,8 +251,8 @@ def test_criterion_09_dosage_flip_invariance():
         window = simharness.synthetic_window(cohort, min_snps_per_coeff=10)
         y = np.random.default_rng(100 + seed).standard_normal(400)
         ctx = bayes.build_design(y, sigma_b=0.2)
-        model = nullsim.build_null_model(
-            bayes.lambda1(ctx), window.depth, 20_000, seed=seed
+        model = nullsim.load_or_build_null_model(
+            bayes.lambda1(ctx), window.depth, 20_000, seed
         )
         res = screen_window(window, cohort.as_block(), ctx, "d")
         res_f = screen_window(window, _flipped(cohort).as_block(), ctx, "d")

@@ -9,7 +9,6 @@ from wavescreen.nullsim import (
     GPDFitError,
     NullModel,
     NullSimError,
-    build_null_model,
     fit_gpd_exceedances,
     fit_gpd_tail,
     load_or_build_null_model,
@@ -86,46 +85,34 @@ class TestThresholdRules:
     def test_quantile_99(self):
         rng = np.random.default_rng(12)
         sample = rng.exponential(1.0, size=20_000) + 1.0
-        tail = fit_gpd_tail(sample, "quantile-99")
+        tail = fit_gpd_tail(sample)
         assert abs(tail.threshold - np.quantile(sample, 0.99)) < 1e-9
-        assert tail.threshold_rule == "quantile-99"
         assert tail.n_exceedances == np.count_nonzero(sample > tail.threshold)
-
-    def test_van_kerm_is_min_rule(self):
-        rng = np.random.default_rng(2)
-        sample = rng.exponential(1.0, size=20_000) + 1.0
-        tail = fit_gpd_tail(sample, "van-kerm")
-        expected = min(10.0 * np.median(sample), np.quantile(sample, 0.975))
-        assert abs(tail.threshold - expected) < 1e-9
-
-    def test_unknown_rule(self):
-        with pytest.raises(NullSimError):
-            fit_gpd_tail(np.arange(100.0), "bogus")
 
 
 class TestBuildAndPValue:
     def test_build_has_tail(self):
-        model = build_null_model(0.9, depth=3, M=20_000, seed=3)
+        model = load_or_build_null_model(0.9, depth=3, M=20_000, seed=3)
         assert model.tail is not None
         assert model.tail.threshold > 1.0
         assert model.tail.n_exceedances >= nullsim.MIN_EXCEEDANCES
 
     def test_fallback_without_tail(self):
-        # constant sample: tail fit must fail, p-values stay empirical
-        sample = np.ones(1000)
-        model = build_null_model(0.5, depth=0, M=1000, seed=0, sample=sample)
+        # 20 draws leave no 30 exceedances above the 99% quantile: the tail
+        # fit fails and p-values stay empirical
+        model = load_or_build_null_model(0.5, 0, 20, 0)
         assert model.tail is None
-        assert p_value(model, 2.0) == pytest.approx(1.0 / 1001.0)
+        assert p_value(model, model.sample[-1] + 1.0) == pytest.approx(1.0 / 21.0)
 
     def test_empirical_p_value_convention(self):
         sample = np.arange(1.0, 101.0)  # 100 values
-        model = NullModel(lambda1=0.5, depth=0, M=100, seed=0, sample=sample)
+        model = NullModel(sample)
         # 50.5: 50 values >= it -> (50+1)/101
         assert p_value(model, 50.5) == pytest.approx(51.0 / 101.0)
         assert p_value(model, 1000.0) == pytest.approx(1.0 / 101.0)
 
     def test_tail_p_value_uses_gpd(self):
-        model = build_null_model(0.9, depth=2, M=50_000, seed=4)
+        model = load_or_build_null_model(0.9, depth=2, M=50_000, seed=4)
         tail = model.tail
         x = tail.threshold * 1.5
         expected = tail.n_exceedances / len(model.sample) * genpareto.sf(
@@ -134,21 +121,33 @@ class TestBuildAndPValue:
         assert p_value(model, x) == pytest.approx(expected, rel=1e-12)
 
     def test_p_value_monotone(self):
-        model = build_null_model(0.9, depth=2, M=20_000, seed=5)
+        model = load_or_build_null_model(0.9, depth=2, M=20_000, seed=5)
         xs = np.linspace(1.0, model.tail.threshold * 3, 50)
         ps = [p_value(model, x) for x in xs]
         assert all(b <= a + 1e-15 for a, b in zip(ps, ps[1:]))
 
     def test_rejects_lambda_below_one(self):
-        model = build_null_model(0.5, depth=0, M=1000, seed=6)
+        model = load_or_build_null_model(0.5, depth=0, M=1000, seed=6)
         with pytest.raises(NullSimError):
             p_value(model, 0.5)
+
+    def test_rejects_nan(self):
+        # a NaN Lambda_hat fails every comparison, so a "< 1" check let it
+        # through to the empirical floor 1/(M+1)
+        model = load_or_build_null_model(0.9, depth=2, M=20_000, seed=5)
+        assert model.tail is not None
+        with pytest.raises(NullSimError):
+            p_value(model, float("nan"))
+
+
+def _cache_files(cache_dir):
+    return sorted(p.name for p in cache_dir.iterdir())
 
 
 class TestCache:
     def test_save_and_reload_identical(self, tmp_path):
-        model = build_null_model(0.7, depth=2, M=3000, seed=9)
-        save_null_model(model, str(tmp_path))
+        model = load_or_build_null_model(0.7, depth=2, M=3000, seed=9)
+        save_null_model(model.sample, 0.7, 2, 9, str(tmp_path))
         again = load_or_build_null_model(0.7, 2, 3000, 9, str(tmp_path))
         np.testing.assert_array_equal(again.sample, model.sample)
         assert again.tail == model.tail
@@ -157,11 +156,59 @@ class TestCache:
         first = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
         files = list(tmp_path.glob("null_*.tsv"))
         assert len(files) == 1
+        # the write leaves no temporary file behind
+        assert _cache_files(tmp_path) == [files[0].name]
         # cached file is reused, not rewritten
         mtime = files[0].stat().st_mtime_ns
         second = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
         assert files[0].stat().st_mtime_ns == mtime
         np.testing.assert_array_equal(second.sample, first.sample)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_null_model(np.array([1.0, "x"], dtype=object), 0.7, 1, 10, str(tmp_path))
+        assert _cache_files(tmp_path) == []
+
+    def test_steps_are_looked_up_on_the_module(self, tmp_path, monkeypatch):
+        # tracing wraps these module attributes; a cache miss is a load with a
+        # simulate_null call inside it
+        calls = []
+        for name in ("simulate_null", "save_null_model", "fit_gpd_tail"):
+            fn = getattr(nullsim, name)
+            monkeypatch.setattr(nullsim, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        assert calls == ["simulate_null", "save_null_model", "fit_gpd_tail"]
+        calls.clear()
+        load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        assert calls == ["fit_gpd_tail"]
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "header_row", "extra_draw", "unsorted", "non_finite", "not_a_number",
+    ])
+    def test_damaged_file_is_rebuilt(self, tmp_path, damage):
+        load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        path = tmp_path / nullsim._cache_name(0.7, 1, 2000, 10)
+        good = path.read_text()
+        lines = good.splitlines(keepends=True)
+        if damage == "truncated":  # a reader that caught a write half-way
+            bad = good[: len(good) // 2]
+        elif damage == "header_row":  # same file name, another seed in the key
+            bad = good.replace("\t2000\t10\t", "\t2000\t11\t", 1)
+        elif damage == "extra_draw":
+            bad = good + lines[-1]
+        elif damage == "unsorted":
+            bad = "".join(lines[:3] + lines[3:][::-1])
+        elif damage == "non_finite":
+            bad = "".join(lines[:-1]) + "inf\n"
+        else:
+            bad = "".join(lines[:-1]) + "x\n"
+        assert bad != good
+        path.write_text(bad)
+        model = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        np.testing.assert_array_equal(model.sample, simulate_null(0.7, 1, 2000, 10))
+        assert path.read_text() == good
+        assert _cache_files(tmp_path) == [path.name]
 
     def test_sample_from_older_solver_is_not_loaded(self, tmp_path):
         # a file under the key scheme that had no solver tag

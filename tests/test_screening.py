@@ -70,9 +70,7 @@ class TestEM:
         # Bayes factors scattered just around 1 once drove the maximum
         # below its starting value Lambda(0) = 1, which p_value rejects
         rng = np.random.default_rng(0)
-        model = nullsim.NullModel(
-            lambda1=0.1, depth=0, M=3, seed=0, sample=np.array([1.0, 1.5, 2.0])
-        )
+        model = nullsim.NullModel(np.array([1.0, 1.5, 2.0]))
         lams = []
         for _ in range(20_000):
             bf = np.exp(rng.normal(0.0, 0.05, size=int(rng.integers(1, 64))))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import screen_window
+from _oracles import generate_genotypes_reference, screen_window
 from wavescreen import bayes, nullsim, screening, simharness, wavelet
 from wavescreen.simharness import (
     PowerConfig,
@@ -43,6 +43,23 @@ class TestGenerateGenotypes:
         assert mean_block_corr(0.0) > 0.999
         assert mean_block_corr(0.05) > mean_block_corr(0.4)
         assert mean_block_corr(0.4) < 0.2
+
+    @pytest.mark.parametrize("n, n_snps, n_blocks, flip_prob, span_bp", [
+        (3000, 896, 28, 0.1, 1_000_000),  # the power workload's window
+        (70, 200, 7, 0.1, 1_000_000),  # n_snps not a multiple of the chunk rows
+        (40, 130, 5, 0.0, 1_000_000),
+        (40, 130, 5, 0.5, 1_000_000),
+        (30, 150, 150, 0.1, 1_000_000),  # one SNP per block
+        (20, 300, 3, 0.1, 200),  # more SNPs than base pairs: positions collide
+    ])
+    def test_matches_reference_bitwise(self, n, n_snps, n_blocks, flip_prob, span_bp):
+        c = generate_genotypes(n, n_snps, n_blocks, flip_prob, span_bp, seed=11)
+        dosages, positions = generate_genotypes_reference(
+            n, n_snps, n_blocks, flip_prob, span_bp, seed=11
+        )
+        assert c.dosages.dtype == dosages.dtype and c.positions.dtype == positions.dtype
+        np.testing.assert_array_equal(c.dosages.view(np.int64), dosages.view(np.int64))
+        np.testing.assert_array_equal(c.positions, positions)
 
     def test_validates_arguments(self):
         with pytest.raises(SimulationError):
@@ -194,7 +211,7 @@ class TestPowerExperiment:
             n=300, n_snps=64, n_blocks=4, replicates=4, heritability=0.1,
             max_components=4, null_m=2000, seed=5, min_snps_per_coeff=8,
         )
-        calls = {"window_spectra": 0, "interpolation_matrix": 0}
+        calls = {"window_spectra": 0, "interpolation_matrix": 0, "load_or_build_null_model": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -207,8 +224,10 @@ class TestPowerExperiment:
 
         counted(screening, "window_spectra")
         counted(wavelet, "interpolation_matrix")
+        counted(nullsim, "load_or_build_null_model")
         _, detail = power_experiment(cfg)
-        assert calls == {"window_spectra": 1, "interpolation_matrix": 1}
+        assert calls == {"window_spectra": 1, "interpolation_matrix": 1,
+                         "load_or_build_null_model": 1}
         monkeypatch.undo()
 
         # every replicate recomputed from scratch, as one screen per kind and
