@@ -119,7 +119,17 @@ def cmd_screen(args) -> int:
     # one null model per distinct window depth; the design constant is shared
     models = {}
     for depth in sorted({w.depth for w in windows}):
-        models[depth] = nullsim.load_or_build_null_model(lam1, depth, args.m, args.seed, cache)
+        model = nullsim.load_or_build_null_model(lam1, depth, args.m, args.seed, cache)
+        if model.tail is None:
+            floor = 1.0 / (args.m + 1)
+            unreachable = (
+                f", above --significance-threshold {args.significance_threshold:g}, "
+                "so no window of this depth can pass it"
+                if floor > args.significance_threshold else ""
+            )
+            print(f"warning: GPD tail fit failed at depth {depth}: its p-values are "
+                  f"empirical, at least 1/(M+1) = {floor:g}{unreachable}", file=sys.stderr)
+        models[depth] = model
 
     kinds = ("c", "d") if args.coefficient_kind == "both" else (args.coefficient_kind,)
 
@@ -169,9 +179,8 @@ def cmd_screen(args) -> int:
             name = f"detail_{w.chromosome}_{w.start_bp}_{w.end_bp}_{r.coefficient_kind}.tsv"
             with open(os.path.join(args.output_dir, name), "w", encoding="utf-8") as fh:
                 fh.write("scale\tlocation\tbf\tposterior_gamma\n")
-                for s, (bfs, locs, gam) in enumerate(
-                    zip(r.bf, r.locations, r.posterior_gamma)
-                ):
+                for s, (bfs, locs) in enumerate(zip(r.bf, r.locations)):
+                    gam = screening.posterior_gamma(bfs, r.pi_hat[s])
                     for bf, l, g in zip(bfs, locs, gam):
                         fh.write(f"{s}\t{l}\t{_fmt(bf)}\t{_fmt(g)}\n")
 

@@ -28,7 +28,6 @@ class ChromosomeBlock:
 
     chromosome: str
     positions: np.ndarray  # int64, strictly increasing
-    snp_ids: list[str]
     imputation_quality: np.ndarray
     dosages: np.ndarray  # (n_snps, n_individuals)
 
@@ -48,13 +47,6 @@ class CohortData:
     @property
     def n(self) -> int:
         return len(self.phenotype)
-
-    @property
-    def n_snps(self) -> int:
-        return sum(b.n_snps for b in self.blocks.values())
-
-    def chromosomes(self) -> list[str]:
-        return list(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,6 @@ def _read_genotypes(path: str) -> tuple[dict[str, ChromosomeBlock], int]:
     chromosome, in sorted chromosome order, and the number of individuals.
     """
     positions: list[int] = []
-    snp_ids: list[str] = []
     iqs: list[float] = []
     rests: list[str] = []
     line_nos: list[int] = []
@@ -204,7 +195,6 @@ def _read_genotypes(path: str) -> tuple[dict[str, ChromosomeBlock], int]:
             if not iq < MIN_IMPUTATION_QUALITY:
                 kept.setdefault(fields[0], []).append(len(rests))
             positions.append(pos)
-            snp_ids.append(fields[2])
             iqs.append(iq)
             rests.append(fields[4])
             line_nos.append(line_no)
@@ -228,7 +218,6 @@ def _read_genotypes(path: str) -> tuple[dict[str, ChromosomeBlock], int]:
         blocks[chrom] = ChromosomeBlock(
             chromosome=chrom,
             positions=chrom_positions,
-            snp_ids=[snp_ids[i] for i in rows],
             imputation_quality=all_iqs[rows],
             dosages=dosages[rows],
         )
@@ -245,8 +234,9 @@ def load_cohort(
     """Load and validate a cohort from whitespace-separated text files.
 
     Genotype format: one SNP per row, ``chrom pos id iq`` followed by one
-    dosage per individual; a first line starting with ``chrom`` (or ``chr``,
-    ``chromosome``, ``#chrom``) is a header. Any run of whitespace separates
+    dosage per individual (the id column is required but not kept); a
+    first line starting with ``chrom`` (or ``chr``, ``chromosome``,
+    ``#chrom``) is a header. Any run of whitespace separates
     fields, blank lines are skipped and ``#`` is not a comment. Positions must
     be integers (``100.0`` and ``1e5`` are), imputation qualities lie in
     [0, 1] and dosages in [0, 2]; NaN and infinities are rejected, here and
@@ -329,8 +319,7 @@ def define_windows(
     stride = int(round(window_bp * (1.0 - overlap_fraction)))
     stride = max(stride, 1)
     windows: list[Window] = []
-    for chrom in cohort.chromosomes():
-        block = cohort.blocks[chrom]
+    for block in cohort.blocks.values():
         pos = block.positions
         if len(pos) == 0:
             continue

@@ -183,14 +183,15 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
 
 
 def _cache_name(lambda1: float, depth: int, M: int, seed: int) -> str:
-    # float.hex is exact: two design constants share a file only if they are equal
-    return f"null_l{float.hex(lambda1)}_d{depth}_M{M}_s{seed}_{SOLVER_VERSION}.tsv"
+    # float.hex is exact: two design constants share a file only if they are
+    # equal; the chunk size sets which RNG stream draws which replicate
+    return f"null_l{float.hex(lambda1)}_d{depth}_M{M}_s{seed}_c{SIM_CHUNK}_{SOLVER_VERSION}.tsv"
 
 
 def _cache_header(lambda1: float, depth: int, M: int, seed: int) -> str:
     return (
-        "lambda1\tdepth\tM\tseed\tsolver\n"
-        f"{float.hex(lambda1)}\t{depth}\t{M}\t{seed}\t{SOLVER_VERSION}\n"
+        "lambda1\tdepth\tM\tseed\tchunk\tsolver\n"
+        f"{float.hex(lambda1)}\t{depth}\t{M}\t{seed}\t{SIM_CHUNK}\t{SOLVER_VERSION}\n"
         "lambda_hat\n"
     )
 

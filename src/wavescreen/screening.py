@@ -36,7 +36,6 @@ class LocusResult:
     locations: list[np.ndarray]  # per scale, locations matching ``bf``
     pi_hat: np.ndarray
     lambda_hat: float
-    posterior_gamma: list[np.ndarray]
     degenerate: bool  # all coefficients degenerate
     p_value: float | None = None
 
@@ -119,7 +118,7 @@ def fisher_combine(p_values) -> float:
     p = np.asarray(list(p_values), dtype=float)
     if p.size == 0:
         raise ScreeningError("need at least one p-value")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if not np.all((p > 0.0) & (p <= 1.0)):  # NaN fails this too
         raise ScreeningError("p-values must lie in (0, 1]")
     stat = -2.0 * np.sum(np.log(p))
     return float(chi2.sf(stat, df=2 * len(p)))
@@ -206,6 +205,5 @@ def screen_spectra(
         locations=loc_by_scale,
         pi_hat=pi_hat,
         lambda_hat=lam,
-        posterior_gamma=[posterior_gamma(bf, p) for bf, p in zip(bf_by_scale, pi_hat)],
         degenerate=not any(bf.size for bf in bf_by_scale),
     )

@@ -33,26 +33,19 @@ class PlantedSignal:
     causal_snp_indices: np.ndarray
     signs: np.ndarray
     heritability: float
-    direction_mode: str  # "mono" | "random"
 
     def __post_init__(self):
         if not 0.0 < self.heritability < 1.0:
             raise SimulationError("heritability must lie in (0, 1)")
-        if len(set(self.causal_snp_indices.tolist())) != len(self.causal_snp_indices):
-            raise SimulationError("causal SNP indices must be distinct")
-        if self.direction_mode == "mono" and np.any(self.signs != 1):
-            raise SimulationError("mono mode requires all signs +1")
 
 
 @dataclass
 class SyntheticWindowCohort:
-    """One synthetic window: dosages, positions and block bookkeeping."""
+    """One synthetic window: dosages, positions and the SNP at each block's center."""
 
     positions: np.ndarray  # int bp
     dosages: np.ndarray  # (n_snps, n)
-    block_of_snp: np.ndarray
     block_center_indices: np.ndarray
-    allele_frequencies: np.ndarray  # per block
 
     @property
     def n(self) -> int:
@@ -67,7 +60,6 @@ class SyntheticWindowCohort:
         return ChromosomeBlock(
             chromosome="1",
             positions=self.positions,
-            snp_ids=[f"snp{i}" for i in range(self.n_snps)],
             imputation_quality=np.ones(self.n_snps),
             dosages=self.dosages,
         )
@@ -118,9 +110,7 @@ def generate_genotypes(
     return SyntheticWindowCohort(
         positions=positions,
         dosages=dosages,
-        block_of_snp=block_of_snp,
         block_center_indices=centers,
-        allele_frequencies=freqs,
     )
 
 
@@ -167,7 +157,6 @@ def plant_signal(
         causal_snp_indices=idx,
         signs=signs,
         heritability=heritability,
-        direction_mode=direction_mode,
     )
 
 

@@ -90,7 +90,9 @@ def haar_pyramid(
     """Orthonormal Haar coefficients for scales 0..depth.
 
     ``grid_values`` has shape (M,) or (M, k) with M a power of two; axis 0 is
-    the grid axis. Returns (c, d): per scale s, arrays of shape (2^s, ...).
+    the grid axis. It may be a dense array or a sparse matrix, such as the
+    interpolation weights, whose coefficient rows come out sparse.
+    Returns (c, d): per scale s, arrays of shape (2^s, ...).
     At scale s, location l covers grid indices [l*N/2^s, (l+1)*N/2^s);
     c = block sum / sqrt(block size), d = (left half - right half) / sqrt(block size).
 
@@ -98,8 +100,7 @@ def haar_pyramid(
     finer grid of N = n_grid points (so M = 2^(depth'+1) rows suffice for a
     depth-depth' decomposition) and block sizes use the true N.
     """
-    v = np.asarray(grid_values, dtype=float)
-    M = v.shape[0]
+    M = grid_values.shape[0]
     if M & (M - 1) or M == 0:
         raise WaveletError(f"grid length {M} is not a power of two")
     N = M if n_grid is None else n_grid
@@ -110,7 +111,7 @@ def haar_pyramid(
         raise WaveletError(f"depth {depth} outside [0, {J - 1}] for {M} block sums")
 
     sums = [None] * (J + 1)
-    sums[J] = v
+    sums[J] = grid_values
     for s in range(J - 1, -1, -1):
         sums[s] = sums[s + 1][0::2] + sums[s + 1][1::2]
     c: list[np.ndarray] = []
@@ -132,28 +133,14 @@ def pyramid_variances(
     """Noise variances of the Haar detail coefficients, propagated exactly through W.
 
     Each d coefficient is a fixed linear combination a of the SNP
-    observations (Haar row times W); its variance is sum_j a_j^2 sigma_j^2
-    under independent heteroscedastic noise, floored at ``VARIANCE_FLOOR``.
-    Returns one array per scale 0..depth. Uses the same block-sum recursion
-    as the transform, on the sparse weight rows. ``W`` may already hold
-    block-summed rows of a finer grid of ``n_grid`` points.
+    observations, its row of ``haar_pyramid`` applied to W; its variance is
+    sum_j a_j^2 sigma_j^2 under independent heteroscedastic noise, floored
+    at ``VARIANCE_FLOOR``. Returns one array per scale 0..depth. ``W`` may
+    already hold block-summed rows of a finer grid of ``n_grid`` points.
     """
-    M = W.shape[0]
-    N = M if n_grid is None else n_grid
-    J = M.bit_length() - 1
-    if depth > J - 1:
-        raise WaveletError(f"depth {depth} too deep for {M} block-sum rows")
     sig2 = np.asarray(snp_variances, dtype=float)
-    sums = [None] * (J + 1)
-    sums[J] = W.tocsr()
-    for s in range(J - 1, 0, -1):  # the details of scale s need the sums of s + 1
-        sums[s] = sums[s + 1][0::2] + sums[s + 1][1::2]
-    var_d: list[np.ndarray] = []
-    for s in range(depth + 1):
-        diff = sums[s + 1][0::2] - sums[s + 1][1::2]
-        vd = diff.power(2) @ sig2 / (N >> s)
-        var_d.append(np.maximum(vd, VARIANCE_FLOOR))
-    return var_d
+    _, d = haar_pyramid(W, depth, n_grid)
+    return [np.maximum(a.power(2) @ sig2, VARIANCE_FLOOR) for a in d]
 
 
 def soft_threshold(values: np.ndarray, tau: np.ndarray) -> np.ndarray:

@@ -10,7 +10,10 @@ hands whole blocks to numpy's C reader. The rank transform is the earlier
 one that broadcast tie-run bounds with cumulative max/min scans and called
 Phi^-1 on every value, where ``wavescreen.wavelet`` looks scores up in a
 per-n table. The complete Haar decomposition and its inverse check the
-package's ``haar_pyramid`` (Parseval, round trip), and ``screen_window``
+package's ``haar_pyramid`` (Parseval, round trip).
+``pyramid_variances_reference`` is the first detail-variance propagation,
+which ran its own block-sum recursion on the sparse weight rows where
+``wavescreen.wavelet`` takes them from ``haar_pyramid``. ``screen_window``
 composes the two screening stages for tests that screen one kind at a time.
 ``generate_genotypes_reference`` is the first genotype simulator, which drew
 each haplotype's flips as one (n_snps, n) array and made positions strictly
@@ -20,13 +23,14 @@ increasing one at a time.
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import dblquad, quad
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
 from wavescreen.screening import screen_spectra, window_spectra
-from wavescreen.wavelet import WaveletError, haar_pyramid
+from wavescreen.wavelet import VARIANCE_FLOOR, WaveletError, haar_pyramid
 
 
 def screen_window(window, block, ctx, kind):
@@ -56,6 +60,37 @@ def inverse_haar(c0: np.ndarray, d: list[np.ndarray]) -> np.ndarray:
         new[1::2] = rec - offset
         rec = new
     return rec
+
+
+def pyramid_variances_reference(
+    W: sparse.csr_matrix, snp_variances: np.ndarray, depth: int,
+    n_grid: int | None = None,
+) -> list[np.ndarray]:
+    """Noise variances of the Haar detail coefficients, propagated exactly through W.
+
+    Each d coefficient is a fixed linear combination a of the SNP
+    observations (Haar row times W); its variance is sum_j a_j^2 sigma_j^2
+    under independent heteroscedastic noise, floored at ``VARIANCE_FLOOR``.
+    Returns one array per scale 0..depth. Uses the same block-sum recursion
+    as the transform, on the sparse weight rows. ``W`` may already hold
+    block-summed rows of a finer grid of ``n_grid`` points.
+    """
+    M = W.shape[0]
+    N = M if n_grid is None else n_grid
+    J = M.bit_length() - 1
+    if depth > J - 1:
+        raise WaveletError(f"depth {depth} too deep for {M} block-sum rows")
+    sig2 = np.asarray(snp_variances, dtype=float)
+    sums = [None] * (J + 1)
+    sums[J] = W.tocsr()
+    for s in range(J - 1, 0, -1):  # the details of scale s need the sums of s + 1
+        sums[s] = sums[s + 1][0::2] + sums[s + 1][1::2]
+    var_d: list[np.ndarray] = []
+    for s in range(depth + 1):
+        diff = sums[s + 1][0::2] - sums[s + 1][1::2]
+        vd = diff.power(2) @ sig2 / (N >> s)
+        var_d.append(np.maximum(vd, VARIANCE_FLOOR))
+    return var_d
 
 
 def log_bf_numeric(ctx, y, epsrel=1e-11):
@@ -289,7 +324,7 @@ def read_genotypes_reference(path, min_iq):
                 continue
             if len(tokens) < 5:
                 raise DataError(f"line {line_no}: expected >= 5 columns, got {len(tokens)}")
-            chrom, pos_s, snp_id, iq_s = tokens[:4]
+            chrom, pos_s, _, iq_s = tokens[:4]
             pos = _float(pos_s, "position", line_no)
             if not (math.isfinite(pos) and pos == math.floor(pos) and abs(pos) < 2.0**63):
                 raise DataError(f"line {line_no}: position {pos_s!r} is not a 64-bit integer")
@@ -304,7 +339,7 @@ def read_genotypes_reference(path, min_iq):
             _check_values(dosages, "dosage", line_no, 0.0, 2.0)
             if iq < min_iq:
                 continue
-            raw.setdefault(chrom, []).append((int(pos), snp_id, iq, np.array(dosages)))
+            raw.setdefault(chrom, []).append((int(pos), iq, np.array(dosages)))
     if n_ind is None:
         raise DataError(f"genotype file {path} has no SNP rows")
 
@@ -318,9 +353,8 @@ def read_genotypes_reference(path, min_iq):
         blocks[chrom] = ChromosomeBlock(
             chromosome=chrom,
             positions=positions,
-            snp_ids=[r[1] for r in rows],
-            imputation_quality=np.array([r[2] for r in rows], dtype=float),
-            dosages=np.vstack([r[3] for r in rows]),
+            imputation_quality=np.array([r[1] for r in rows], dtype=float),
+            dosages=np.vstack([r[2] for r in rows]),
         )
     if not blocks:
         raise DataError("no SNPs passed the imputation-quality filter")

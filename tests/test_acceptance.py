@@ -28,9 +28,7 @@ def _flipped(cohort: simharness.SyntheticWindowCohort):
     return simharness.SyntheticWindowCohort(
         positions=cohort.positions,
         dosages=2.0 - cohort.dosages,
-        block_of_snp=cohort.block_of_snp,
         block_center_indices=cohort.block_center_indices,
-        allele_frequencies=cohort.allele_frequencies,
     )
 
 

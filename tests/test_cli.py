@@ -59,7 +59,18 @@ class TestScreenCommand:
             assert float(fields[6]) >= 1.0
         summary = (out / "summary.txt").read_text()
         assert "lambda1" in summary and "significant" in summary
-        assert list(out.glob("detail_*.tsv"))
+        details = sorted(out.glob("detail_*.tsv"))
+        assert details
+        # each detail row's posterior_gamma is pi BF / (pi BF + 1 - pi) with
+        # the pi of its window, kind and scale in results.tsv
+        pi_hat = {tuple(f[:4]): f[7:-1] for f in map(str.split, results[1:])}
+        for path in details:
+            key = tuple(path.stem.split("_")[1:])
+            rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+            assert rows
+            for s, _, bf, gamma in rows:
+                pi, bf = float(pi_hat[key][int(s)]), float(bf)
+                assert float(gamma) == pytest.approx(pi * bf / (pi * bf + 1 - pi), rel=1e-8)
 
     def test_thread_count_does_not_change_output(self, cohort_files, tmp_path):
         geno, pheno = cohort_files
@@ -98,6 +109,35 @@ class TestScreenCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert re.search(r"window 1:\d+-\d+ \(d\): tail fit unusable", err), err
+
+    def test_failed_tail_fit_is_reported(self, cohort_files, tmp_path, monkeypatch, capsys):
+        geno, pheno = cohort_files
+
+        def failing_fit(sample):
+            raise nullsim.GPDFitError("no tail")
+
+        monkeypatch.setattr(nullsim, "fit_gpd_tail", failing_fit)
+        out = tmp_path / "run"
+        assert main(_screen_args(geno, pheno, str(out))) == 0
+        depths = {line.split("\t")[5]
+                  for line in (out / "results.tsv").read_text().splitlines()[1:]}
+        warnings = capsys.readouterr().err.splitlines()
+        # M = 3000: the floor 1/3001 is above the default threshold
+        assert sorted(warnings) == [
+            f"warning: GPD tail fit failed at depth {d}: its p-values are empirical, "
+            "at least 1/(M+1) = 0.000333222, above --significance-threshold 8.33333e-06, "
+            "so no window of this depth can pass it"
+            for d in sorted(depths)
+        ]
+        assert main(_screen_args(geno, pheno, str(out), significance_threshold=0.01)) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == len(depths)
+        assert all(w.endswith("at least 1/(M+1) = 0.000333222") for w in warnings)
+
+    def test_fitted_tail_prints_no_warning(self, cohort_files, tmp_path, capsys):
+        geno, pheno = cohort_files
+        assert main(_screen_args(geno, pheno, str(tmp_path / "run"))) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
@@ -217,4 +257,8 @@ class TestFisherCommand:
     def test_invalid_p_exits_1(self, capsys):
         rc = main(["fisher", "0.0"])
         assert rc == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_nan_p_exits_1(self, capsys):
+        assert main(["fisher", "nan", "0.5"]) == 1
         assert "error" in capsys.readouterr().err

@@ -226,6 +226,19 @@ class TestCache:
         assert header[0].split("\t")[-1] == "solver"
         assert header[1].split("\t")[-1] == screening.SOLVER_VERSION
 
+    def test_key_holds_the_chunk_size(self, tmp_path, monkeypatch):
+        # the chunk size decides which RNG stream draws which replicate, so a
+        # sample cached at another chunk size is another sample
+        default = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        monkeypatch.setattr(nullsim, "SIM_CHUNK", 1024)
+        rechunked = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        assert not np.array_equal(rechunked.sample, default.sample)
+        np.testing.assert_array_equal(rechunked.sample, simulate_null(0.7, 1, 2000, 10))
+        assert len(_cache_files(tmp_path)) == 2
+        path = tmp_path / nullsim._cache_name(0.7, 1, 2000, 10)
+        names, values = path.read_text().splitlines()[:2]
+        assert dict(zip(names.split("\t"), values.split("\t")))["chunk"] == "1024"
+
     def test_key_holds_the_exact_lambda1(self, tmp_path):
         # equal to 7 digits, so a key that rounds lambda1 would serve the
         # first sample to the second call

@@ -25,7 +25,6 @@ class TestGenerateGenotypes:
         assert set(np.unique(c.dosages)) <= {0.0, 1.0, 2.0}
         assert np.all(np.diff(c.positions) > 0)
         assert len(c.block_center_indices) == 5
-        assert len(c.allele_frequencies) == 5
 
     def test_deterministic(self):
         a = generate_genotypes(50, 64, seed=3)
@@ -36,7 +35,7 @@ class TestGenerateGenotypes:
     def test_ld_strength_tracks_flip_prob(self):
         def mean_block_corr(flip):
             c = generate_genotypes(800, 60, n_blocks=2, flip_prob=flip, seed=4)
-            block = c.dosages[c.block_of_snp == 0]
+            block = c.dosages[:30]  # of two blocks, the first holds the first half
             r = np.corrcoef(block)
             return float(np.mean(r[np.triu_indices_from(r, 1)]))
 

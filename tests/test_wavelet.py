@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import norm, rankdata
 
-from _oracles import haar_full, inverse_haar, quantile_transform_reference
+from _oracles import (
+    haar_full,
+    inverse_haar,
+    pyramid_variances_reference,
+    quantile_transform_reference,
+)
 
 from wavescreen import wavelet
 from wavescreen.wavelet import (
@@ -121,6 +126,24 @@ class TestInterpolation:
             interpolation_matrix(np.array([0.5, 0.5]), DyadicGrid(3))
 
 
+@st.composite
+def variance_inputs(draw):
+    """(W, sigma^2, depth, n_grid) as ``window_spectra`` builds them, or without block sums."""
+    J = draw(st.integers(1, 9))
+    depth = draw(st.integers(0, J - 1))
+    m = draw(st.integers(2, 60))
+    bp = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m, unique=True))
+    grid = DyadicGrid(J)
+    W = interpolation_matrix(np.sort(bp) / 10**6, grid)
+    n_grid = draw(st.sampled_from([None, grid.n_points]))
+    n_top = 1 << (depth + 1)
+    if n_top < grid.n_points and draw(st.booleans()):
+        W = block_sum_matrix(grid.n_points, n_top) @ W
+        n_grid = grid.n_points
+    sig2 = draw(hnp.arrays(np.float64, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 0.3))))
+    return W, sig2, depth, n_grid
+
+
 class TestPyramidVariances:
     def test_matches_bruteforce_linear_combination(self):
         rng = np.random.default_rng(5)
@@ -144,6 +167,19 @@ class TestPyramidVariances:
                     var_d[s][l], max(float(a_d ** 2 @ sig2), wavelet.VARIANCE_FLOOR),
                     rtol=1e-10,
                 )
+
+    @given(variance_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        W, sig2, depth, n_grid = case
+        got = pyramid_variances(W, sig2, depth, n_grid=n_grid)
+        ref = pyramid_variances_reference(W, sig2, depth, n_grid=n_grid)
+        assert len(got) == len(ref) == depth + 1
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=1e-14, atol=0.0)
+            floor = (g == wavelet.VARIANCE_FLOOR) | (r == wavelet.VARIANCE_FLOOR)
+            np.testing.assert_array_equal(g[floor], r[floor])
 
     def test_aggregated_rows_match(self):
         rng = np.random.default_rng(6)
