@@ -103,8 +103,8 @@ def log_bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray | float:
     rss1 = rss0 - xty ** 2 / shrink
     if np.any(rss1 <= 0.0):
         raise DesignError("nonpositive residual sum of squares (degenerate response)")
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(rss0 > 0.0, np.log(rss0) - np.log(rss1), 0.0)
+    # rss0 >= rss1 > 0, so both logs are finite
+    log_ratio = np.log(rss0) - np.log(rss1)
     logbf = -0.5 * np.log1p(ctx.sigma_b ** 2 * ctx.xtx) + 0.5 * (ctx.n - ctx.q) * log_ratio
     return float(logbf[0]) if scalar else logbf
 

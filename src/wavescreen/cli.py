@@ -232,22 +232,24 @@ def _load_power_config(path: str | None, seed: int) -> simharness.PowerConfig:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown power config key {key!r}")
-            current = getattr(cfg, key)
-            if isinstance(current, int):
-                setattr(cfg, key, int(value))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
+            if not eq:
+                raise ValueError(f"line {line_no}: expected 'key = value', got {line!r}")
+            if key not in vars(cfg):
+                raise ValueError(f"line {line_no}: unknown power config key {key!r}")
+            field_type = type(getattr(cfg, key))
+            try:
+                setattr(cfg, key, field_type(value))
+            except ValueError:
+                raise ValueError(
+                    f"line {line_no}: {key} = {value!r} is not a valid {field_type.__name__}"
+                ) from None
     return cfg
 
 
@@ -282,11 +284,21 @@ def cmd_plot(args) -> int:
         header = fh.readline()
         if not header.startswith("scale"):
             raise ValueError("detail file must start with a 'scale ...' header")
-        for line in fh:
+        for line_no, line in enumerate(fh, 2):
             if not line.strip():
                 continue
-            s, l, bf = line.split("\t")[:3]
-            by_scale.setdefault(int(s), []).append((int(l), float(bf)))
+            try:
+                s, l, bf = line.split("\t")[:3]
+                s, l, bf = int(s), int(l), float(bf)
+                drawable = s >= 0 and 0 <= l < 1 << s and 0.0 < bf < np.inf
+            except ValueError:
+                drawable = False
+            if not drawable:
+                raise ValueError(
+                    f"line {line_no}: cannot draw {line.strip()!r}: need scale >= 0, "
+                    "0 <= location < 2^scale and a finite bf > 0"
+                )
+            by_scale.setdefault(s, []).append((l, bf))
     if not by_scale:
         raise ValueError("detail file holds no coefficients")
     depth = max(by_scale)

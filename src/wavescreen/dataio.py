@@ -315,6 +315,8 @@ def define_windows(
         raise ValueError("max_gap_bp must be positive")
     if min_snps_per_coeff <= 0:
         raise ValueError("min_snps_per_coeff must be positive")
+    if depth_cap is not None and depth_cap < 0:
+        raise ValueError("depth_cap must be >= 0")
 
     stride = int(round(window_bp * (1.0 - overlap_fraction)))
     stride = max(stride, 1)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from wavescreen import bayes, nullsim, screening
-from wavescreen.dataio import ChromosomeBlock, Window, grid_exponent, window_depth
+from wavescreen import bayes, dataio, nullsim, screening
 from wavescreen.nullsim import p_value
 
 DEFAULT_H2 = 0.02  # desk-scale default; 0.005 is typical for a top GWAS hit
@@ -40,29 +39,14 @@ class PlantedSignal:
 
 
 @dataclass
-class SyntheticWindowCohort:
-    """One synthetic window: dosages, positions and the SNP at each block's center."""
+class SyntheticWindowCohort(dataio.ChromosomeBlock):
+    """One synthetic window: its SNPs as chromosome "1", and the SNP at each LD block's center."""
 
-    positions: np.ndarray  # int bp
-    dosages: np.ndarray  # (n_snps, n)
     block_center_indices: np.ndarray
 
     @property
     def n(self) -> int:
         return self.dosages.shape[1]
-
-    @property
-    def n_snps(self) -> int:
-        return self.dosages.shape[0]
-
-    def as_block(self) -> ChromosomeBlock:
-        """The window's SNPs as chromosome "1", the chromosome of ``synthetic_window``."""
-        return ChromosomeBlock(
-            chromosome="1",
-            positions=self.positions,
-            imputation_quality=np.ones(self.n_snps),
-            dosages=self.dosages,
-        )
 
 
 def generate_genotypes(
@@ -108,28 +92,31 @@ def generate_genotypes(
         [int(np.mean(np.where(block_of_snp == b)[0])) for b in range(n_blocks)]
     )
     return SyntheticWindowCohort(
+        chromosome="1",
         positions=positions,
+        imputation_quality=np.ones(n_snps),
         dosages=dosages,
         block_center_indices=centers,
     )
 
 
 def synthetic_window(
-    cohort: SyntheticWindowCohort, min_snps_per_coeff: float = 10.0
-) -> Window:
+    cohort: SyntheticWindowCohort,
+    min_snps_per_coeff: float = dataio.DEFAULT_MIN_SNPS_PER_COEFF,
+) -> dataio.Window:
     """One Window spanning every SNP of a synthetic cohort."""
     n_snps = cohort.n_snps
-    depth = window_depth(n_snps, min_snps_per_coeff)
+    depth = dataio.window_depth(n_snps, min_snps_per_coeff)
     if depth < 0:
         raise SimulationError("too few SNPs for the requested coefficient density")
-    return Window(
-        chromosome="1",
+    return dataio.Window(
+        chromosome=cohort.chromosome,
         start_bp=int(cohort.positions[0]),
         end_bp=int(cohort.positions[-1]) + 1,
         snp_start=0,
         snp_end=n_snps,
         n_snps=n_snps,
-        grid_exponent=grid_exponent(n_snps),
+        grid_exponent=dataio.grid_exponent(n_snps),
         depth=depth,
     )
 
@@ -241,7 +228,7 @@ class PowerConfig:
     max_components: int = 28
     null_m: int = 100_000
     seed: int = 0
-    min_snps_per_coeff: float = 10.0
+    min_snps_per_coeff: float = dataio.DEFAULT_MIN_SNPS_PER_COEFF
 
 
 @dataclass
@@ -285,7 +272,7 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
     )
 
     # the spectra depend on the genotypes only: one pass serves every replicate
-    spectra = screening.window_spectra(window, cohort.as_block(), ("c", "d"))
+    spectra = screening.window_spectra(window, cohort, ("c", "d"))
     rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 3], dtype=np.uint64)))
     detail, phenotypes = [], []
     for rep in range(config.replicates):

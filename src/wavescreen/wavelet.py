@@ -69,9 +69,7 @@ def interpolation_matrix(snp_positions: np.ndarray, grid: DyadicGrid) -> sparse.
     rows = np.repeat(np.arange(N), 2)
     cols = np.column_stack([j, j + 1]).ravel()
     vals = np.column_stack([1.0 - w, w]).ravel()
-    W = sparse.csr_matrix((vals, (rows, cols)), shape=(N, m))
-    W.sum_duplicates()
-    return W
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(N, m))
 
 
 def block_sum_matrix(n_grid: int, n_blocks: int) -> sparse.csr_matrix:

@@ -6,6 +6,7 @@ integration, grid search, closed-form distributions, held-out data) or a
 property that the statistics must satisfy by construction.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -25,11 +26,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _flipped(cohort: simharness.SyntheticWindowCohort):
-    return simharness.SyntheticWindowCohort(
-        positions=cohort.positions,
-        dosages=2.0 - cohort.dosages,
-        block_center_indices=cohort.block_center_indices,
-    )
+    return dataclasses.replace(cohort, dosages=2.0 - cohort.dosages)
 
 
 def test_criterion_01_bayes_factor_closed_form():
@@ -151,7 +148,7 @@ def test_criterion_05_end_to_end_null_calibration(tmp_path):
         lam1, depth, 100_000, seed, str(tmp_path / "cache")
     )
     # the spectra depend on the genotypes only, so one pass serves every permutation
-    spectra = screening.window_spectra(window, cohort.as_block(), ("d",))["d"]
+    spectra = screening.window_spectra(window, cohort, ("d",))["d"]
     pvals = np.empty(n_screens)
     for i in range(n_screens):
         y = rng.permutation(base)
@@ -252,8 +249,8 @@ def test_criterion_09_dosage_flip_invariance():
         model = nullsim.load_or_build_null_model(
             bayes.lambda1(ctx), window.depth, 20_000, seed
         )
-        res = screen_window(window, cohort.as_block(), ctx, "d")
-        res_f = screen_window(window, _flipped(cohort).as_block(), ctx, "d")
+        res = screen_window(window, cohort, ctx, "d")
+        res_f = screen_window(window, _flipped(cohort), ctx, "d")
         n_exact += (
             res.lambda_hat == res_f.lambda_hat
             and nullsim.p_value(model, res.lambda_hat)
@@ -288,10 +285,9 @@ def test_criterion_10_determinism_and_performance(tmp_path):
     assert window.depth == 9
     y = np.random.default_rng(2).standard_normal(3000)
     ctx = bayes.build_design(y)
-    block = big.as_block()
     # min over repeats estimates the cost without scheduler noise
     screen_s = min(
-        _timed(lambda: screen_window(window, block, ctx, "d"))
+        _timed(lambda: screen_window(window, big, ctx, "d"))
         for _ in range(7)
     )
     # simulation cost is linear in M (fixed-size chunks), so estimate the

@@ -220,6 +220,22 @@ class TestPowerCommand:
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_line_without_equals_names_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = 300\nreplicates\n")
+        rc = main(["power", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: expected 'key = value', got 'replicates'\n"
+        )
+
+    def test_unconvertible_value_names_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# null sample\n\nnull_m = 1e5\n")
+        rc = main(["power", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 3: null_m = '1e5' is not a valid int\n"
+
 
 class TestPlotCommand:
     def test_renders_from_detail_file(self, tmp_path):
@@ -233,6 +249,28 @@ class TestPlotCommand:
                    "--end-bp", "1000", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("row", [
+        "1\t0\t0\t0.0",  # BF = 0
+        "1\t0\t-2.5\t0.0",  # BF below 0
+        "1\t0\tnan\t0.0",
+        "1\t0\tinf\t1.0",
+        "1\t2\t2.0\t0.7",  # location 2^scale
+        "2\t9\t2.0\t0.7",
+        "1\t-1\t2.0\t0.7",
+        "-1\t0\t2.0\t0.7",  # negative scale
+        "1\tx\t2.0\t0.7",
+        "1\t0",
+    ])
+    def test_undrawable_row_names_its_line(self, tmp_path, capsys, row):
+        detail = tmp_path / "detail.tsv"
+        detail.write_text(f"scale\tlocation\tbf\tposterior_gamma\n0\t0\t5.0\t1.0\n\n{row}\n")
+        out = tmp_path / "plot.svg"
+        rc = main(["plot", "--details", str(detail), "--start-bp", "0",
+                   "--end-bp", "1000", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: line 4: cannot draw {row!r}: ")
+        assert not out.exists()
 
     def test_missing_detail_file_exits_2(self, tmp_path):
         rc = main(["plot", "--details", str(tmp_path / "nope.tsv"),

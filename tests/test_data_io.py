@@ -295,6 +295,8 @@ class TestDefineWindows:
             dataio.define_windows(cohort, max_gap_bp=0)
         with pytest.raises(ValueError):
             dataio.define_windows(cohort, min_snps_per_coeff=0)
+        with pytest.raises(ValueError, match="depth_cap"):
+            dataio.define_windows(cohort, depth_cap=-1)
 
 
 def _spell(value, style):

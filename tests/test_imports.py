@@ -6,11 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# the package's __init__ imports names only to re-export them
-MODULES = sorted(
-    p for p in [*(ROOT / "src" / "wavescreen").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+MODULES = sorted([*(ROOT / "src" / "wavescreen").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

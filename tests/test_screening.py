@@ -1,5 +1,7 @@
 """The Lambda-hat solver, its per-window wrapper and full window screens."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,7 +159,7 @@ def screen_setup():
 class TestWindowSpectra:
     def test_shapes(self, screen_setup):
         cohort, window, _ = screen_setup
-        spectra = window_spectra(window, cohort.as_block(), ("c", "d"))
+        spectra = window_spectra(window, cohort, ("c", "d"))
         assert sorted(spectra) == ["c", "d"]
         for scores, degenerate in spectra.values():
             assert len(scores) == window.depth + 1
@@ -167,10 +169,9 @@ class TestWindowSpectra:
 
     def test_one_pass_matches_single_kind_passes(self, screen_setup):
         cohort, window, _ = screen_setup
-        block = cohort.as_block()
-        both = window_spectra(window, block, ("c", "d"))
+        both = window_spectra(window, cohort, ("c", "d"))
         for kind in ("c", "d"):
-            alone = window_spectra(window, block, (kind,))
+            alone = window_spectra(window, cohort, (kind,))
             assert list(alone) == [kind]
             for got, want in zip(both[kind], alone[kind]):
                 for g, w in zip(got, want):
@@ -179,25 +180,25 @@ class TestWindowSpectra:
     def test_rejects_unknown_kind(self, screen_setup):
         cohort, window, _ = screen_setup
         with pytest.raises(ScreeningError):
-            window_spectra(window, cohort.as_block(), ("c", "x"))
+            window_spectra(window, cohort, ("c", "x"))
 
 
 class TestScreenWindow:
     def test_signal_beats_permuted_null(self, screen_setup):
         cohort, window, phenotype = screen_setup
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
-        hit = screen_window(window, cohort.as_block(), ctx, "c")
+        hit = screen_window(window, cohort, ctx, "c")
         assert hit.lambda_hat > 100.0
 
         permuted = np.random.default_rng(6).permutation(phenotype)
         ctx0 = bayes.build_design(permuted, sigma_b=0.2)
-        null = screen_window(window, cohort.as_block(), ctx0, "c")
+        null = screen_window(window, cohort, ctx0, "c")
         assert null.lambda_hat < hit.lambda_hat
 
     def test_result_is_consistent(self, screen_setup):
         cohort, window, phenotype = screen_setup
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
-        res = screen_window(window, cohort.as_block(), ctx, "c")
+        res = screen_window(window, cohort, ctx, "c")
         assert res.coefficient_kind == "c"
         assert len(res.bf) == window.depth + 1
         # Lambda recomputes from the stored per-scale BFs and pi_hat
@@ -211,7 +212,7 @@ class TestScreenWindow:
         cohort.dosages[:] = 1.0
         window = simharness.synthetic_window(cohort, min_snps_per_coeff=8)
         y = np.random.default_rng(9).standard_normal(50)
-        res = screen_window(window, cohort.as_block(), bayes.build_design(y), "d")
+        res = screen_window(window, cohort, bayes.build_design(y), "d")
         assert res.degenerate
         np.testing.assert_array_equal(res.pi_hat, np.zeros(window.depth + 1), strict=True)
         for per_scale in (res.bf, res.locations):
@@ -223,11 +224,7 @@ class TestScreenWindow:
     def test_dosage_flip_leaves_d_screen_unchanged(self, screen_setup):
         cohort, window, phenotype = screen_setup
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
-        res = screen_window(window, cohort.as_block(), ctx, "d")
-        flipped = simharness.SyntheticWindowCohort(
-            positions=cohort.positions,
-            dosages=2.0 - cohort.dosages,
-            block_center_indices=cohort.block_center_indices,
-        )
-        res_f = screen_window(window, flipped.as_block(), ctx, "d")
+        res = screen_window(window, cohort, ctx, "d")
+        flipped = dataclasses.replace(cohort, dosages=2.0 - cohort.dosages)
+        res_f = screen_window(window, flipped, ctx, "d")
         assert res_f.lambda_hat == res.lambda_hat

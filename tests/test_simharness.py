@@ -248,7 +248,7 @@ class TestPowerExperiment:
             ctx = bayes.build_design(y)
             want = {"replicate": rep, "k": k}
             for kind in ("c", "d"):
-                res = screen_window(window, cohort.as_block(), ctx, kind)
+                res = screen_window(window, cohort, ctx, kind)
                 want[f"p_ws_{kind}"] = nullsim.p_value(model, res.lambda_hat)
             want["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(gwas_lm_baseline(
                 cohort.dosages, y))))
