@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,13 +27,25 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A seed keys a 64-bit counter-based generator."""
+    value = _int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
     return value
 
 
@@ -59,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth-cap", type=int, default=None)
     s.add_argument("--m", type=int, default=nullsim.DEFAULT_M,
                    help="null-simulation count")
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--threads", type=_positive_int, default=1)
     s.add_argument("--significance-threshold", type=float, default=0.05 / 6000)
     s.add_argument("--output-dir", required=True)
@@ -70,13 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda1", type=float, required=True)
     s.add_argument("--depth", type=int, required=True)
     s.add_argument("--m", type=int, default=nullsim.DEFAULT_M)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--output-dir", required=True)
 
     s = sub.add_parser("power", help="planted-signal power experiment")
     s.add_argument("--config", default=None,
                    help="key = value file overriding the defaults")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--output-dir", required=True)
 
     s = sub.add_parser("plot", help="render a pyramid plot from a BF detail TSV")
@@ -94,10 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_inputs(args) -> None:
+    """Report a missing input before the genotype file, the slow one, is parsed."""
     for attr in ("genotype_path", "phenotype_path", "covariate_path"):
         path = getattr(args, attr, None)
         if path is not None and not os.path.exists(path):
-            raise FileNotFoundError(path)
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def cmd_screen(args) -> int:
@@ -229,8 +243,6 @@ def _load_power_config(path: str | None, seed: int) -> simharness.PowerConfig:
     cfg = simharness.PowerConfig(seed=seed)
     if path is None:
         return cfg
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -277,8 +289,6 @@ def cmd_power(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if not os.path.exists(args.details):
-        raise FileNotFoundError(args.details)
     by_scale: dict[int, list[tuple[int, float]]] = {}
     with open(args.details, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -319,8 +329,6 @@ def cmd_plot(args) -> int:
 def cmd_fisher(args) -> int:
     pvals = list(args.p_values)
     if args.file is not None:
-        if not os.path.exists(args.file):
-            raise FileNotFoundError(args.file)
         with open(args.file, "r", encoding="utf-8") as fh:
             pvals.extend(float(t) for t in fh.read().split())
     combined = screening.fisher_combine(pvals)
@@ -339,8 +347,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.args[0]}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.strerror.lower()}: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

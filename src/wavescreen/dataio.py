@@ -51,16 +51,23 @@ class CohortData:
 
 @dataclass(frozen=True)
 class Window:
-    """A contiguous genomic region selected for screening."""
+    """A genomic region [start_bp, end_bp) selected for screening."""
 
     chromosome: str
     start_bp: int
     end_bp: int
     snp_start: int  # half-open index range into the chromosome's SNP list
     snp_end: int
-    n_snps: int
-    grid_exponent: int  # J: smallest J with 2^J >= n_snps
     depth: int  # deepest analyzed wavelet scale
+
+    @property
+    def n_snps(self) -> int:
+        return self.snp_end - self.snp_start
+
+    @property
+    def n_grid(self) -> int:
+        """Points of the window's dyadic grid: the smallest power of two >= n_snps."""
+        return 1 << grid_exponent(self.n_snps)
 
 
 _GENOTYPE_HEADER = ("chrom", "chromosome", "chr", "#chrom")
@@ -301,11 +308,13 @@ def define_windows(
 ) -> list[Window]:
     """Tile each chromosome into candidate windows and keep the dense ones.
 
-    Windows start at the chromosome's first SNP and advance by
-    ``window_bp * (1 - overlap_fraction)``. A candidate is kept only if no
-    two consecutive SNPs inside it are more than ``max_gap_bp`` apart and
-    it holds enough SNPs for at least the scale-0 coefficient. Its depth is
-    ``window_depth`` of its SNP count, capped at ``depth_cap``.
+    Windows [start_bp, start_bp + window_bp) start at the chromosome's first
+    SNP, advance by ``window_bp * (1 - overlap_fraction)`` and end at or
+    before its last SNP, so a SNP on a window's end belongs to the next
+    window only. A candidate is kept only if no two consecutive SNPs inside
+    it are more than ``max_gap_bp`` apart and it holds enough SNPs for at
+    least the scale-0 coefficient. Its depth is ``window_depth`` of its SNP
+    count, capped at ``depth_cap``.
     """
     if window_bp <= 0:
         raise ValueError("window_bp must be positive")
@@ -323,51 +332,15 @@ def define_windows(
     windows: list[Window] = []
     for block in cohort.blocks.values():
         pos = block.positions
-        if len(pos) == 0:
-            continue
-        first, last = int(pos[0]), int(pos[-1])
-        start = first
+        start, last = int(pos[0]), int(pos[-1])
         while start + window_bp <= last:
             end = start + window_bp
             lo = int(np.searchsorted(pos, start, side="left"))
-            hi = int(np.searchsorted(pos, end, side="right"))
-            win = _candidate(
-                block, start, end, lo, hi, max_gap_bp, min_snps_per_coeff, depth_cap
-            )
-            if win is not None:
-                windows.append(win)
+            hi = int(np.searchsorted(pos, end, side="left"))
+            if hi - lo >= max(min_snps_per_coeff, 2) and np.diff(pos[lo:hi]).max() <= max_gap_bp:
+                depth = window_depth(hi - lo, min_snps_per_coeff)
+                if depth_cap is not None:
+                    depth = min(depth, depth_cap)
+                windows.append(Window(block.chromosome, start, end, lo, hi, depth))
             start += stride
     return windows
-
-
-def _candidate(
-    block: ChromosomeBlock,
-    start: int,
-    end: int,
-    lo: int,
-    hi: int,
-    max_gap_bp: int,
-    min_snps_per_coeff: float,
-    depth_cap: int | None,
-) -> Window | None:
-    n_snps = hi - lo
-    if n_snps < max(min_snps_per_coeff, 2):
-        return None
-    gaps = np.diff(block.positions[lo:hi])
-    if len(gaps) and int(gaps.max()) > max_gap_bp:
-        return None
-    depth = window_depth(n_snps, min_snps_per_coeff)
-    if depth < 0:
-        return None
-    if depth_cap is not None:
-        depth = min(depth, depth_cap)
-    return Window(
-        chromosome=block.chromosome,
-        start_bp=start,
-        end_bp=end,
-        snp_start=lo,
-        snp_end=hi,
-        n_snps=n_snps,
-        grid_exponent=grid_exponent(n_snps),
-        depth=depth,
-    )

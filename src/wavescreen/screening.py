@@ -147,24 +147,24 @@ def window_spectra(
     positions = wavelet.normalize_positions(
         block.positions[sl], window.start_bp, window.end_bp
     )
-    grid = wavelet.DyadicGrid(window.grid_exponent)
-    W = wavelet.interpolation_matrix(positions, grid)
+    n_grid = window.n_grid
+    W = wavelet.interpolation_matrix(positions, n_grid)
     # all scales <= depth derive from the 2^(depth+1) block sums, so
     # aggregate the interpolation weights before touching the dense dosages
     n_top = 1 << (window.depth + 1)
-    if n_top < grid.n_points:
-        W = wavelet.block_sum_matrix(grid.n_points, n_top) @ W
+    if n_top < n_grid:
+        W = wavelet.block_sum_matrix(n_grid, n_top) @ W
     # centering at 1 makes the allele flip g -> 2 - g an exact floating-point
     # negation of the input, so every linear stage below negates exactly and
     # the d-screen statistic is bitwise invariant under strand flips
     top_sums = W @ (block.dosages[sl] - 1.0)
-    c, d = wavelet.haar_pyramid(top_sums, window.depth, n_grid=grid.n_points)
+    c, d = wavelet.haar_pyramid(top_sums, window.depth, n_grid=n_grid)
     spectra = {}
     for kind in kinds:
         if kind == "d":
             sig2 = 1.0 - block.imputation_quality[sl]
-            var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=grid.n_points)
-            coeffs = wavelet.visushrink(d, var_d, grid.n_points)
+            var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=n_grid)
+            coeffs = wavelet.visushrink(d, var_d, n_grid)
         else:
             coeffs = c
         scores, degenerate = [], []

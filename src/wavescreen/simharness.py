@@ -19,6 +19,7 @@ from wavescreen.nullsim import p_value
 DEFAULT_H2 = 0.02  # desk-scale default; 0.005 is typical for a top GWAS hit
 POWER_BINS = [(1, 5), (6, 10), (11, 15), (16, 20), (21, 10**9)]
 FLIP_CHUNK_ROWS = 64  # SNP rows of flip draws held at once by generate_genotypes
+REPLICATE_SEED_STRIDE = 1_000_003  # replicate r of seed s draws with seed s * stride + r
 
 
 class SimulationError(ValueError):
@@ -105,19 +106,12 @@ def synthetic_window(
     min_snps_per_coeff: float = dataio.DEFAULT_MIN_SNPS_PER_COEFF,
 ) -> dataio.Window:
     """One Window spanning every SNP of a synthetic cohort."""
-    n_snps = cohort.n_snps
-    depth = dataio.window_depth(n_snps, min_snps_per_coeff)
+    depth = dataio.window_depth(cohort.n_snps, min_snps_per_coeff)
     if depth < 0:
         raise SimulationError("too few SNPs for the requested coefficient density")
     return dataio.Window(
-        chromosome=cohort.chromosome,
-        start_bp=int(cohort.positions[0]),
-        end_bp=int(cohort.positions[-1]) + 1,
-        snp_start=0,
-        snp_end=n_snps,
-        n_snps=n_snps,
-        grid_exponent=dataio.grid_exponent(n_snps),
-        depth=depth,
+        cohort.chromosome, int(cohort.positions[0]), int(cohort.positions[-1]) + 1,
+        0, cohort.n_snps, depth,
     )
 
 
@@ -240,13 +234,31 @@ class PowerRow:
 
     @property
     def power(self) -> float:
-        return self.detections / self.trials if self.trials else float("nan")
+        return self.detections / self.trials
 
 
 def _standardized(phenotype: np.ndarray) -> np.ndarray:
     # fixed x'x across replicates -> one shared lambda1 and null model
     y = phenotype - phenotype.mean()
     return y / y.std(ddof=0)
+
+
+def _check_config(config: PowerConfig) -> None:
+    """Raise SimulationError naming the first key whose value a run cannot use."""
+    # replicate seeds are seed * stride + rep and must fit a 64-bit Philox key
+    max_seed = (2**64 - config.replicates) // REPLICATE_SEED_STRIDE
+    for key, ok, allowed in (
+        ("replicates", config.replicates >= 1, "at least 1"),
+        ("direction_mode", config.direction_mode in ("mono", "random"), "'mono' or 'random'"),
+        ("heritability", 0.0 < config.heritability < 1.0, "in (0, 1)"),
+        ("max_components", 1 <= config.max_components <= config.n_blocks,
+         f"in [1, n_blocks = {config.n_blocks}]"),
+        ("seed", 0 <= config.seed <= max_seed, f"in [0, {max_seed}]"),
+    ):
+        if not ok:
+            raise SimulationError(
+                f"power config {key} = {getattr(config, key)!r}: must be {allowed}"
+            )
 
 
 def power_experiment(config: PowerConfig, cache_dir: str | None = None):
@@ -257,8 +269,10 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
     all replicates share one design constant and null model. The window's
     genotype-only work is done once per call: one ``window_spectra`` pass
     for both kinds before the replicate loop, and one ``gwas_lm_baseline``
-    call on all replicates' phenotypes after it.
+    call on all replicates' phenotypes after it. The configuration is
+    checked before any of that work; an error names the bad key.
     """
+    _check_config(config)
     cohort = generate_genotypes(
         config.n, config.n_snps, config.n_blocks, config.flip_prob, seed=config.seed
     )
@@ -277,11 +291,9 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
     detail, phenotypes = [], []
     for rep in range(config.replicates):
         k = int(rng.integers(1, config.max_components + 1))
-        sig = plant_signal(
-            cohort, k, config.heritability, config.direction_mode,
-            seed=config.seed * 1_000_003 + rep,
-        )
-        phe = simulate_phenotype(cohort, sig, seed=config.seed * 1_000_003 + rep)
+        seed = config.seed * REPLICATE_SEED_STRIDE + rep
+        sig = plant_signal(cohort, k, config.heritability, config.direction_mode, seed=seed)
+        phe = simulate_phenotype(cohort, sig, seed=seed)
         phe = _standardized(phe)
         ctx = bayes.build_design(phe)
         rec = {"replicate": rep, "k": k}
@@ -291,12 +303,11 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
         detail.append(rec)
         phenotypes.append(phe)
     del spectra
-    if detail:
-        # regional GWAS decision: Bonferroni over the window's SNPs, so both
-        # methods are compared at the same region-level alpha
-        gwas = gwas_lm_baseline(cohort.dosages, np.stack(phenotypes))
-        for rec, pvals in zip(detail, gwas):
-            rec["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(pvals)))
+    # regional GWAS decision: Bonferroni over the window's SNPs, so both
+    # methods are compared at the same region-level alpha
+    gwas = gwas_lm_baseline(cohort.dosages, np.stack(phenotypes))
+    for rec, pvals in zip(detail, gwas):
+        rec["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(pvals)))
 
     rows = []
     for method, key in (("WS-c", "p_ws_c"), ("WS-d", "p_ws_d"), ("GWAS-LM", "p_gwas")):

@@ -10,8 +10,6 @@ the cohort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 from scipy.special import ndtri
@@ -24,22 +22,6 @@ class WaveletError(ValueError):
     """Invalid input to a wavelet-stage operation."""
 
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Regular grid t_k = (k + 1/2) * 2^-J on window-normalized [0, 1]."""
-
-    J: int
-
-    @property
-    def n_points(self) -> int:
-        return 1 << self.J
-
-    @property
-    def points(self) -> np.ndarray:
-        N = self.n_points
-        return (np.arange(N) + 0.5) / N
-
-
 def normalize_positions(positions: np.ndarray, start_bp: int, end_bp: int) -> np.ndarray:
     """Affine map of bp positions onto [0, 1]."""
     if end_bp <= start_bp:
@@ -47,11 +29,12 @@ def normalize_positions(positions: np.ndarray, start_bp: int, end_bp: int) -> np
     return (np.asarray(positions, dtype=float) - start_bp) / (end_bp - start_bp)
 
 
-def interpolation_matrix(snp_positions: np.ndarray, grid: DyadicGrid) -> sparse.csr_matrix:
+def interpolation_matrix(snp_positions: np.ndarray, n_grid: int) -> sparse.csr_matrix:
     """Linear-interpolation weights from observed positions to grid points.
 
-    Returns a sparse (N x m) matrix W with at most two nonzeros per row;
-    grid points beyond the outermost observation copy that observation
+    The grid is t_k = (k + 1/2) / N, k < N = ``n_grid``, on window-normalized
+    [0, 1]. Returns a sparse (N x m) matrix W with at most two nonzeros per
+    row; grid points beyond the outermost observation copy that observation
     (constant extrapolation).
     """
     x = np.asarray(snp_positions, dtype=float)
@@ -60,8 +43,8 @@ def interpolation_matrix(snp_positions: np.ndarray, grid: DyadicGrid) -> sparse.
         raise WaveletError("need at least 2 observations to interpolate")
     if np.any(np.diff(x) <= 0):
         raise WaveletError("positions must be strictly increasing")
-    t = grid.points
-    N = grid.n_points
+    N = n_grid
+    t = (np.arange(N) + 0.5) / N
     # index of the left neighbor, clipped so t outside [x0, x_{m-1}] extrapolates
     j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, m - 2)
     w = (t - x[j]) / (x[j + 1] - x[j])

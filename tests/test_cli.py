@@ -156,6 +156,20 @@ class TestScreenCommand:
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_genotype_directory_exits_2(self, cohort_files, tmp_path, capsys):
+        _, pheno = cohort_files
+        rc = main(_screen_args(str(tmp_path), pheno, str(tmp_path / "x")))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+
+    def test_output_dir_under_a_file_exits_2(self, cohort_files, tmp_path, capsys):
+        geno, pheno = cohort_files
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        rc = main(_screen_args(geno, pheno, str(out)))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: not a directory: {out}\n"
+
     def test_infinite_position_exits_1(self, tmp_path, capsys):
         geno = tmp_path / "geno.tsv"
         geno.write_text("1\t100\ta\t1.0\t1\t2\n1\tinf\tb\t1.0\t2\t0\n")
@@ -174,6 +188,22 @@ class TestScreenCommand:
         rc = main(_screen_args(geno, pheno, str(tmp_path / "run")))
         assert rc == 0
         assert list(cache.glob("null_*.tsv"))
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", [
+    ["screen", "--genotype-path", "g.tsv", "--phenotype-path", "p.tsv"],
+    ["nullsim", "--lambda1", "0.9", "--depth", "2"],
+    ["power"],
+], ids=["screen", "nullsim", "power"])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, command, seed):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--seed", seed, "--output-dir", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must lie in [0, 2^64), got {seed}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestNullsimCommand:
@@ -211,6 +241,28 @@ class TestPowerCommand:
         assert table[0] == "method\tbin\tdetections\ttrials\tpower"
         detail = (out / "power_detail.tsv").read_text().splitlines()
         assert len(detail) == 4  # header + 3 replicates
+
+    @pytest.mark.parametrize("line, key", [
+        ("replicates = 0", "replicates"),
+        ("direction_mode = sideways", "direction_mode"),
+        ("heritability = 1.5", "heritability"),
+        ("max_components = 5", "max_components"),
+        ("seed = 18446744073709551", "seed"),  # replicate seeds pass 2^64
+    ])
+    def test_bad_config_value_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    line, key):
+        monkeypatch.delenv("WAVESCREEN_CACHE_DIR", raising=False)
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text(
+            "n = 300\nn_snps = 64\nn_blocks = 4\nreplicates = 3\n"
+            "heritability = 0.1\nmax_components = 4\nnull_m = 2000\n"
+            f"min_snps_per_coeff = 8\n{line}\n"
+        )
+        out = tmp_path / "power"
+        rc = main(["power", "--config", str(cfg), "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: power config {key} = ")
+        assert not (out / "null-cache").exists()
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -277,6 +329,15 @@ class TestPlotCommand:
                    "--start-bp", "0", "--end-bp", "1", "--out",
                    str(tmp_path / "x.svg")])
         assert rc == 2
+
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys):
+        detail = tmp_path / "detail.tsv"
+        detail.write_text("scale\tlocation\tbf\tposterior_gamma\n0\t0\t5.0\t1.0\n")
+        out = tmp_path / "missing_dir" / "x.svg"
+        rc = main(["plot", "--details", str(detail), "--start-bp", "0",
+                   "--end-bp", "1000", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: no such file or directory: {out}\n"
 
 
 class TestFisherCommand:

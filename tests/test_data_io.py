@@ -252,6 +252,24 @@ class TestDefineWindows:
             assert w.end_bp - w.start_bp == 20_000
             assert w.n_snps == w.snp_end - w.snp_start
 
+    def test_windows_are_half_open(self):
+        # a SNP every 100 bp puts one on every window end; it belongs to the
+        # next window only
+        positions = np.arange(0, 100_000, 100)
+        wins = dataio.define_windows(
+            _tiled_cohort(positions), window_bp=20_000, overlap_fraction=0.0,
+            max_gap_bp=1_000, min_snps_per_coeff=10,
+        )
+        assert len(wins) == 4
+        covered = np.zeros(len(positions), dtype=int)
+        for w in wins:
+            inside = positions[w.snp_start:w.snp_end]
+            assert inside[0] == w.start_bp and inside[-1] < w.end_bp
+            assert np.array_equal(inside, positions[(positions >= w.start_bp)
+                                                   & (positions < w.end_bp)])
+            covered[w.snp_start:w.snp_end] += 1
+        assert covered.max() == 1
+
     def test_gap_excludes_window(self):
         positions = np.concatenate([
             np.arange(0, 10_000, 100),

@@ -16,7 +16,6 @@ from _oracles import (
 
 from wavescreen import wavelet
 from wavescreen.wavelet import (
-    DyadicGrid,
     WaveletError,
     block_sum_matrix,
     haar_pyramid,
@@ -83,35 +82,36 @@ class TestHaarPyramid:
         assert d[0][0] > 0
 
 
+def _grid_points(n_grid):
+    """The grid ``interpolation_matrix`` maps onto: t_k = (k + 1/2) / N."""
+    return (np.arange(n_grid) + 0.5) / n_grid
+
+
 class TestInterpolation:
     def test_on_grid_exactness(self):
-        grid = DyadicGrid(5)
-        x = grid.points[[3, 7, 12, 20, 29]]
-        W = interpolation_matrix(x, grid)
+        x = _grid_points(32)[[3, 7, 12, 20, 29]]
+        W = interpolation_matrix(x, 32)
         vals = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
         out = W @ vals
         np.testing.assert_allclose(out[[3, 7, 12, 20, 29]], vals, atol=1e-12)
 
     def test_rows_are_convex_combinations(self):
-        grid = DyadicGrid(6)
         x = np.sort(np.random.default_rng(4).uniform(0, 1, size=17))
-        W = interpolation_matrix(x, grid)
+        W = interpolation_matrix(x, 64)
         np.testing.assert_allclose(np.asarray(W.sum(axis=1)).ravel(), 1.0, atol=1e-12)
         assert W.min() >= 0.0
         assert (W != 0).sum(axis=1).max() <= 2
 
     def test_constant_extrapolation(self):
-        grid = DyadicGrid(4)
         x = np.array([0.4, 0.6])
         vals = np.array([1.0, 3.0])
-        out = interpolation_matrix(x, grid) @ vals
-        assert np.all(out[grid.points < 0.4] == 1.0)
-        assert np.all(out[grid.points > 0.6] == 3.0)
+        out = interpolation_matrix(x, 16) @ vals
+        assert np.all(out[_grid_points(16) < 0.4] == 1.0)
+        assert np.all(out[_grid_points(16) > 0.6] == 3.0)
 
     def test_variance_floor(self):
         # perfectly imputed SNPs: every detail coefficient's variance sits at the floor
-        grid = DyadicGrid(3)
-        W = interpolation_matrix(np.array([0.2, 0.8]), grid)
+        W = interpolation_matrix(np.array([0.2, 0.8]), 8)
         for var in pyramid_variances(W, np.zeros(2), depth=2):
             assert np.all(var == wavelet.VARIANCE_FLOOR)
 
@@ -123,7 +123,7 @@ class TestInterpolation:
 
     def test_needs_increasing_positions(self):
         with pytest.raises(WaveletError):
-            interpolation_matrix(np.array([0.5, 0.5]), DyadicGrid(3))
+            interpolation_matrix(np.array([0.5, 0.5]), 8)
 
 
 @st.composite
@@ -133,13 +133,13 @@ def variance_inputs(draw):
     depth = draw(st.integers(0, J - 1))
     m = draw(st.integers(2, 60))
     bp = draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m, unique=True))
-    grid = DyadicGrid(J)
-    W = interpolation_matrix(np.sort(bp) / 10**6, grid)
-    n_grid = draw(st.sampled_from([None, grid.n_points]))
+    N = 1 << J
+    W = interpolation_matrix(np.sort(bp) / 10**6, N)
+    n_grid = draw(st.sampled_from([None, N]))
     n_top = 1 << (depth + 1)
-    if n_top < grid.n_points and draw(st.booleans()):
-        W = block_sum_matrix(grid.n_points, n_top) @ W
-        n_grid = grid.n_points
+    if n_top < N and draw(st.booleans()):
+        W = block_sum_matrix(N, n_top) @ W
+        n_grid = N
     sig2 = draw(hnp.arrays(np.float64, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 0.3))))
     return W, sig2, depth, n_grid
 
@@ -147,14 +147,13 @@ def variance_inputs(draw):
 class TestPyramidVariances:
     def test_matches_bruteforce_linear_combination(self):
         rng = np.random.default_rng(5)
-        grid = DyadicGrid(5)
+        N = 32
         x = np.sort(rng.uniform(0, 1, size=12))
         sig2 = rng.uniform(0.0, 0.3, size=12)
-        W = interpolation_matrix(x, grid)
+        W = interpolation_matrix(x, N)
         var_d = pyramid_variances(W, sig2, depth=2)
         assert len(var_d) == 3
         Wd = W.toarray()
-        N = grid.n_points
         for s in range(3):
             block = N >> s
             assert var_d[s].shape == (1 << s,)
@@ -183,13 +182,12 @@ class TestPyramidVariances:
 
     def test_aggregated_rows_match(self):
         rng = np.random.default_rng(6)
-        grid = DyadicGrid(7)
         x = np.sort(rng.uniform(0, 1, size=40))
         sig2 = rng.uniform(0.0, 0.5, size=40)
-        W = interpolation_matrix(x, grid)
+        W = interpolation_matrix(x, 128)
         vd0 = pyramid_variances(W, sig2, depth=3)
-        Wt = block_sum_matrix(grid.n_points, 16) @ W
-        vd1 = pyramid_variances(Wt, sig2, depth=3, n_grid=grid.n_points)
+        Wt = block_sum_matrix(128, 16) @ W
+        vd1 = pyramid_variances(Wt, sig2, depth=3, n_grid=128)
         for s in range(4):
             np.testing.assert_allclose(vd1[s], vd0[s], rtol=1e-10)
 
