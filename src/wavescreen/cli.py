@@ -116,6 +116,7 @@ def _check_inputs(args) -> None:
 
 def cmd_screen(args) -> int:
     _check_inputs(args)
+    os.makedirs(args.output_dir, exist_ok=True)  # fails fast, before the slow load
     cohort = dataio.load_cohort(args.genotype_path, args.phenotype_path, args.covariate_path)
     windows = dataio.define_windows(
         cohort,
@@ -127,7 +128,6 @@ def cmd_screen(args) -> int:
     )
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
     lam1 = bayes.lambda1(ctx)
-    os.makedirs(args.output_dir, exist_ok=True)
     cache = _cache_dir(args.output_dir)
 
     # one null model per distinct window depth; the design constant is shared

@@ -1,12 +1,13 @@
 """Null distribution of the locus statistic: simulation, GPD tail, p-values.
 
 Under the null, 2 log BF = lambda1 * Q + log(1 - lambda1) with Q ~ chi2(1),
-so the locus statistic can be simulated directly from the design constant
-lambda1 without touching genotypes. The simulated sample covers the bulk of
-the distribution; a Generalized Pareto fit to the exceedances over its 99%
-quantile extrapolates the extreme tail. ``load_or_build_null_model`` is the
-one way to get a model: it reuses a cached sample whose header and draws
-match the key, and simulates and caches one otherwise.
+the square of a standard normal, so the locus statistic can be simulated
+directly from the design constant lambda1 without touching genotypes. The
+simulated sample covers the bulk of the distribution; a Generalized Pareto
+fit to the exceedances over its 99% quantile extrapolates the extreme tail.
+``load_or_build_null_model`` is the one way to get a model: it reuses a
+cached sample whose header and draws match the key, and simulates and
+caches one otherwise.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import genpareto
+from scipy.special import inv_boxcox
 
 from wavescreen.screening import SOLVER_VERSION, max_log_lambda
 
 SIM_CHUNK = 4096  # fixed so results are independent of threading and memory
+SIM_DRAWS = "z2"  # names the draw scheme in cache keys: Q = z^2, z standard normal
 MIN_EXCEEDANCES = 30
 DEFAULT_M = 100_000
 
@@ -62,11 +64,12 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
     """Simulate M maximized Lambda values under the null; returns them sorted.
 
     Per replicate, each coefficient (2^s per scale s = 0..depth) draws
-    Q ~ chi2(1) and BF = exp((lambda1*Q + log(1-lambda1))/2); Lambda_hat is
-    the exponential of the summed per-scale maxima of log Lambda_s(pi_s)
-    (``screening.max_log_lambda``). Chunks use independent
-    counter-based RNG streams keyed by (seed, chunk index), so the output
-    is identical regardless of scheduling.
+    Q = z^2 ~ chi2(1), z standard normal, and
+    BF = exp((lambda1*Q + log(1-lambda1))/2); Lambda_hat is the exponential
+    of the summed per-scale maxima of log Lambda_s(pi_s)
+    (``screening.max_log_lambda``). Chunks use independent counter-based RNG
+    streams keyed by (seed, chunk index), so the output is identical
+    regardless of scheduling.
     """
     if not 0.0 < lambda1 < 1.0:
         raise NullSimError("lambda1 must lie in (0, 1)")
@@ -85,8 +88,14 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
         )
         log_lam = np.zeros(hi - lo)
         for s in range(depth + 1):
-            q = rng.chisquare(1, size=(hi - lo, 1 << s))
-            log_lam += max_log_lambda(np.exp(0.5 * (lambda1 * q + log_const)))[1]
+            # BF = exp(0.5 * (lambda1 * z^2 + log_const)), computed in place
+            bf = rng.standard_normal(size=(hi - lo, 1 << s))
+            np.square(bf, out=bf)
+            bf *= lambda1
+            bf += log_const
+            bf *= 0.5
+            np.exp(bf, out=bf)
+            log_lam += max_log_lambda(bf)[1]
         out[lo:hi] = np.exp(log_lam)
     out.sort()
     return out
@@ -176,7 +185,9 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
     M = len(model.sample)
     tail = model.tail
     if tail is not None and lambda_obs > tail.threshold:
-        sf = genpareto.sf(lambda_obs - tail.threshold, tail.shape, scale=tail.scale)
+        # GPD survival (1 + xi z)^(-1/xi), zero from the endpoint -1/xi of a xi < 0 tail on
+        xi, z = tail.shape, (lambda_obs - tail.threshold) / tail.scale
+        sf = 0.0 if xi < 0.0 and z >= -1.0 / xi else float(inv_boxcox(-z, -xi))
         return float(tail.n_exceedances / M * sf)
     n_ge = M - int(np.searchsorted(model.sample, lambda_obs, side="left"))
     return (n_ge + 1.0) / (M + 1.0)
@@ -184,14 +195,16 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
 
 def _cache_name(lambda1: float, depth: int, M: int, seed: int) -> str:
     # float.hex is exact: two design constants share a file only if they are
-    # equal; the chunk size sets which RNG stream draws which replicate
-    return f"null_l{float.hex(lambda1)}_d{depth}_M{M}_s{seed}_c{SIM_CHUNK}_{SOLVER_VERSION}.tsv"
+    # equal; the chunk size sets which RNG stream draws which replicate, and the
+    # draw scheme what a stream's numbers become
+    return (f"null_l{float.hex(lambda1)}_d{depth}_M{M}_s{seed}_c{SIM_CHUNK}_{SIM_DRAWS}"
+            f"_{SOLVER_VERSION}.tsv")
 
 
 def _cache_header(lambda1: float, depth: int, M: int, seed: int) -> str:
     return (
-        "lambda1\tdepth\tM\tseed\tchunk\tsolver\n"
-        f"{float.hex(lambda1)}\t{depth}\t{M}\t{seed}\t{SIM_CHUNK}\t{SOLVER_VERSION}\n"
+        "lambda1\tdepth\tM\tseed\tchunk\tdraws\tsolver\n"
+        f"{float.hex(lambda1)}\t{depth}\t{M}\t{seed}\t{SIM_CHUNK}\t{SIM_DRAWS}\t{SOLVER_VERSION}\n"
         "lambda_hat\n"
     )
 
@@ -212,7 +225,7 @@ def save_null_model(
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_cache_header(lambda1, depth, M, seed))
-            for v in sample:
+            for v in sample.tolist():  # Python floats format faster than numpy scalars
                 fh.write(f"{v:.17g}\n")
         os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
         os.replace(tmp, path)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from wavescreen import wavelet
 from wavescreen.bayes import DesignContext, log_bayes_factor
@@ -83,7 +83,11 @@ def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = ~done
         x = np.where((lo < newton) & (newton < hi), newton, mid)[keep]
         rows, lo, hi = rows[keep], lo[keep], hi[keep]
-    log_lam = np.sum(np.log1p(pi[:, None] * b), axis=1)
+    # a pi = 0 row sums log1p(0) = 0; only a row with a non-finite BF (NaN
+    # score) or pi > 0 needs the sum
+    log_lam = np.zeros(len(pi))
+    rows = np.flatnonzero((pi > 0.0) | np.isnan(score1))
+    log_lam[rows] = np.sum(np.log1p(pi[rows, None] * b[rows]), axis=1)
     below = log_lam < 0.0
     pi[below] = 0.0
     log_lam[below] = 0.0
@@ -121,7 +125,7 @@ def fisher_combine(p_values) -> float:
     if not np.all((p > 0.0) & (p <= 1.0)):  # NaN fails this too
         raise ScreeningError("p-values must lie in (0, 1]")
     stat = -2.0 * np.sum(np.log(p))
-    return float(chi2.sf(stat, df=2 * len(p)))
+    return float(chdtrc(2 * len(p), stat))
 
 
 def window_spectra(

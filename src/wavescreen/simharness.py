@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from wavescreen import bayes, dataio, nullsim, screening
 from wavescreen.nullsim import p_value
@@ -203,7 +203,7 @@ def gwas_lm_baseline(
         rss = float(yt @ yt) - beta ** 2 * gg
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = beta * np.sqrt(gg * dof / np.maximum(rss, 1e-300))
-        pvals[r, ok] = 2.0 * stats.t.sf(np.abs(tstat[ok]), dof)
+        pvals[r, ok] = 2.0 * stdtr(dof, -np.abs(tstat[ok]))
     return pvals[0] if single else pvals
 
 
@@ -248,11 +248,14 @@ def _check_config(config: PowerConfig) -> None:
     # replicate seeds are seed * stride + rep and must fit a 64-bit Philox key
     max_seed = (2**64 - config.replicates) // REPLICATE_SEED_STRIDE
     for key, ok, allowed in (
+        ("flip_prob", 0.0 <= config.flip_prob <= 1.0, "in [0, 1]"),
         ("replicates", config.replicates >= 1, "at least 1"),
         ("direction_mode", config.direction_mode in ("mono", "random"), "'mono' or 'random'"),
         ("heritability", 0.0 < config.heritability < 1.0, "in (0, 1)"),
+        ("alpha", 0.0 < config.alpha <= 1.0, "in (0, 1]"),
         ("max_components", 1 <= config.max_components <= config.n_blocks,
          f"in [1, n_blocks = {config.n_blocks}]"),
+        ("null_m", config.null_m >= 1, "at least 1"),
         ("seed", 0 <= config.seed <= max_seed, f"in [0, {max_seed}]"),
     ):
         if not ok:

@@ -17,7 +17,8 @@ which ran its own block-sum recursion on the sparse weight rows where
 composes the two screening stages for tests that screen one kind at a time.
 ``generate_genotypes_reference`` is the first genotype simulator, which drew
 each haplotype's flips as one (n_snps, n) array and made positions strictly
-increasing one at a time.
+increasing one at a time. ``max_log_lambda_reference`` is the Lambda-hat
+solver as it was before it skipped the log1p sum on pi = 0 rows.
 """
 
 import math
@@ -193,6 +194,36 @@ def lambda_max_grid(bfs_by_scale, step=1e-3):
         pis.append(best_p)
         total += -best_v
     return np.array(pis), float(np.exp(total))
+
+
+def max_log_lambda_reference(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``screening.max_log_lambda`` summing log1p over every row, pi = 0 rows too."""
+    bf = np.atleast_2d(np.asarray(bf, dtype=float))
+    b = bf - 1.0
+    pi = np.zeros(bf.shape[0])
+    score1 = np.sum(b / bf, axis=1)
+    pi[score1 >= 0.0] = 1.0
+    rows = np.flatnonzero((np.sum(b, axis=1) > 0.0) & (score1 < 0.0))
+    x = np.full(len(rows), 0.5)
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    while rows.size:
+        br = b[rows]
+        t = br / (1.0 + x[:, None] * br)
+        g = np.sum(t, axis=1)
+        lo = np.where(g > 0.0, x, lo)
+        hi = np.where(g < 0.0, x, hi)
+        newton = x + g / np.sum(t * t, axis=1)
+        mid = 0.5 * (lo + hi)
+        done = (g == 0.0) | (mid <= lo) | (mid >= hi)
+        pi[rows[done]] = x[done]
+        keep = ~done
+        x = np.where((lo < newton) & (newton < hi), newton, mid)[keep]
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    log_lam = np.sum(np.log1p(pi[:, None] * b), axis=1)
+    below = log_lam < 0.0
+    pi[below] = 0.0
+    log_lam[below] = 0.0
+    return pi, log_lam
 
 
 def generate_genotypes_reference(n, n_snps, n_blocks=28, flip_prob=0.1,

@@ -170,6 +170,19 @@ class TestScreenCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: not a directory: {out}\n"
 
+    def test_output_dir_is_made_before_the_genotypes_are_read(self, cohort_files, tmp_path,
+                                                              capsys):
+        # a malformed genotype file would fail the load; the output directory
+        # is checked first
+        _, pheno = cohort_files
+        geno = tmp_path / "geno.tsv"
+        geno.write_text("1\t100\ta\t1.0\t1\t2\n1\tinf\tb\t1.0\t2\t0\n")
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        rc = main(_screen_args(str(geno), pheno, str(out)))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: not a directory: {out}\n"
+
     def test_infinite_position_exits_1(self, tmp_path, capsys):
         geno = tmp_path / "geno.tsv"
         geno.write_text("1\t100\ta\t1.0\t1\t2\n1\tinf\tb\t1.0\t2\t0\n")
@@ -248,6 +261,11 @@ class TestPowerCommand:
         ("heritability = 1.5", "heritability"),
         ("max_components = 5", "max_components"),
         ("seed = 18446744073709551", "seed"),  # replicate seeds pass 2^64
+        ("flip_prob = 1.5", "flip_prob"),
+        ("flip_prob = -0.1", "flip_prob"),
+        ("alpha = 2", "alpha"),
+        ("alpha = 0", "alpha"),
+        ("null_m = 0", "null_m"),
     ])
     def test_bad_config_value_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     line, key):

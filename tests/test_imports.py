@@ -1,6 +1,10 @@
-"""Every module-level import of the package and of the tests is used."""
+"""Every module-level import of the package and of the tests is used, and
+the command line starts without ``scipy.stats``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,13 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes about 0.6 s to import; scipy.special has every
+    # distribution function the package evaluates
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, wavescreen.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out == "False\n"

@@ -7,6 +7,7 @@ from scipy.stats import genpareto, chi2
 from wavescreen import nullsim, screening
 from wavescreen.nullsim import (
     GPDFitError,
+    GPDTail,
     NullModel,
     NullSimError,
     fit_gpd_exceedances,
@@ -41,6 +42,18 @@ class TestSimulateNull:
             expected = chi2.sf(q, df=1)
             observed = float(np.mean(sample > x))
             assert abs(observed - expected) < 4.0 * np.sqrt(expected / 200_000) + 1e-4
+
+    def test_depth_zero_draws_squared_normals(self):
+        # the draw scheme the cache key names: chunk 0 of seed s is
+        # Philox([s, 0]), and Q is a squared standard normal
+        lam, M, seed = 0.9, 4000, 11
+        assert nullsim.SIM_DRAWS == "z2" and M <= nullsim.SIM_CHUNK
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        q = rng.standard_normal((M, 1)) ** 2
+        bf = np.exp(0.5 * (lam * q[:, 0] + np.log1p(-lam)))
+        np.testing.assert_allclose(
+            simulate_null(lam, 0, M, seed), np.sort(np.maximum(bf, 1.0)), rtol=1e-12
+        )
 
     def test_low_lambda1_draws_never_below_one(self):
         # at lambda1 = 0.1 every scale has an interior maximum; a solver that
@@ -125,6 +138,22 @@ class TestBuildAndPValue:
         xs = np.linspace(1.0, model.tail.threshold * 3, 50)
         ps = [p_value(model, x) for x in xs]
         assert all(b <= a + 1e-15 for a, b in zip(ps, ps[1:]))
+
+    def test_tail_p_value_equals_scipy_stats_bitwise(self):
+        # scipy.special's inv_boxcox is the GPD survival scipy.stats evaluates;
+        # a xi < 0 tail ends at -1/xi, and its survival is 0 from there on
+        M, n_exc, u, beta = 100_000, 1000, 3.0, 0.37
+        for xi in np.linspace(-0.5, 2.0, 126):
+            z = np.geomspace(1e-8, 1e4, 160)
+            if xi < 0:
+                end = -1.0 / xi
+                z = np.concatenate([z, [np.nextafter(end, 0.0), end, np.nextafter(end, 2 * end)]])
+            lam = u + z * beta
+            exc = lam - u
+            model = NullModel(np.linspace(1.0, u, M), GPDTail(u, xi, beta, n_exc, 0.0, 0.0))
+            expected = n_exc / M * genpareto.sf(exc, xi, scale=beta)
+            got = np.array([p_value(model, x) for x in lam])
+            assert got.tobytes() == expected.tobytes(), xi
 
     def test_rejects_lambda_below_one(self):
         model = load_or_build_null_model(0.5, depth=0, M=1000, seed=6)
@@ -225,6 +254,26 @@ class TestCache:
         header = fresh[0].read_text().splitlines()[:2]
         assert header[0].split("\t")[-1] == "solver"
         assert header[1].split("\t")[-1] == screening.SOLVER_VERSION
+
+    def test_sample_from_chisquare_draws_is_not_loaded(self, tmp_path):
+        # the key before it named the draw scheme, when Q came from
+        # rng.chisquare: neither that file nor its header under today's name
+        # is read
+        lam = float.hex(0.7)
+        tags = f"{nullsim.SIM_CHUNK}\t{screening.SOLVER_VERSION}"
+        stale = (f"lambda1\tdepth\tM\tseed\tchunk\tsolver\n{lam}\t1\t2000\t10\t{tags}\n"
+                 "lambda_hat\n" + "5.0\n" * 2000)
+        old_name = f"null_l{lam}_d1_M2000_s10_c{nullsim.SIM_CHUNK}_{screening.SOLVER_VERSION}.tsv"
+        (tmp_path / old_name).write_text(stale)
+        path = tmp_path / nullsim._cache_name(0.7, 1, 2000, 10)
+        path.write_text(stale)
+        model = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        np.testing.assert_array_equal(model.sample, simulate_null(0.7, 1, 2000, 10))
+        assert path.name != old_name and nullsim.SIM_DRAWS in path.name
+        names, values = path.read_text().splitlines()[:2]
+        assert names.split("\t")[-2:] == ["draws", "solver"]
+        assert values.split("\t")[-2:] == [nullsim.SIM_DRAWS, screening.SOLVER_VERSION]
+        assert (tmp_path / old_name).read_text() == stale
 
     def test_key_holds_the_chunk_size(self, tmp_path, monkeypatch):
         # the chunk size decides which RNG stream draws which replicate, so a

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from wavescreen import bayes, nullsim, simharness
 from wavescreen.screening import (
@@ -17,7 +18,7 @@ from wavescreen.screening import (
     window_spectra,
 )
 
-from _oracles import lambda_max_grid, screen_window
+from _oracles import lambda_max_grid, max_log_lambda_reference, screen_window
 
 
 class TestEM:
@@ -91,11 +92,20 @@ _bf_rows = st.integers(1, 16).flatmap(
 )
 
 
+def _assert_matches_reference(bf):
+    pi, log_lam = max_log_lambda(bf)
+    pi_ref, log_lam_ref = max_log_lambda_reference(bf)
+    assert pi.tobytes() == pi_ref.tobytes()
+    # ==, not bytes: the reference sums log1p(-0.0) on a pi = 0 row to -0.0
+    assert np.all(log_lam == log_lam_ref)
+
+
 class TestSolverProperties:
     @settings(max_examples=300, deadline=None)
     @given(_bf_rows)
     def test_optimal_bounded_and_row_independent(self, rows):
         bf = 10.0 ** np.array(rows)
+        _assert_matches_reference(bf)
         pi, log_lam = max_log_lambda(bf)
         assert np.all((pi >= 0.0) & (pi <= 1.0))
         assert np.all(np.isfinite(log_lam)) and np.all(log_lam >= 0.0)
@@ -116,6 +126,28 @@ class TestSolverProperties:
                 assert abs(np.sum(t)) <= slack
 
 
+class TestSolverMatchesReference:
+    """Skipping the log1p sum on pi = 0 rows changes no bit of pi_hat or log Lambda_hat
+    (arbitrary rows are checked in ``TestSolverProperties``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.01, 0.9999), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_null_draws(self, lambda1, scale, seed):
+        # the null simulator's input: near lambda1 = 1 most rows have pi = 0
+        z = np.random.default_rng(seed).standard_normal((64, 1 << scale))
+        _assert_matches_reference(np.exp(0.5 * (lambda1 * z * z + np.log1p(-lambda1))))
+
+    def test_overflowed_bf_is_not_hidden(self):
+        # a BF that overflowed to inf leaves pi = 0 with a NaN score: the row
+        # keeps its NaN rather than reading as Lambda_hat = 1
+        bf = np.array([[np.inf, 3.0], [0.5, 0.9]])
+        with np.errstate(invalid="ignore"):  # inf / inf and 0 * inf
+            _, log_lam = max_log_lambda(bf)
+            _, log_lam_ref = max_log_lambda_reference(bf)
+        assert np.isnan(log_lam[0]) and np.isnan(log_lam_ref[0])
+        assert log_lam[1] == log_lam_ref[1] == 0.0
+
+
 class TestPosteriorAndFisher:
     def test_posterior_gamma_values(self):
         np.testing.assert_allclose(posterior_gamma(np.array([1.0]), 0.3), [0.3])
@@ -129,6 +161,13 @@ class TestPosteriorAndFisher:
     def test_fisher_known_value(self):
         # -2(ln .1 + ln .1) = 9.2103; chi2.sf(9.2103, 4) = exp(-x/2)(1 + x/2) = 0.0560517
         assert abs(fisher_combine([0.1, 0.1]) - 0.0560517) < 1e-6
+
+    def test_fisher_equals_scipy_stats_bitwise(self):
+        rng = np.random.default_rng(4)
+        for k in range(1, 101):
+            p = rng.uniform(1e-12, 1.0, size=k) ** rng.uniform(0.1, 4.0)
+            stat = -2.0 * np.sum(np.log(p))
+            assert fisher_combine(p) == float(chi2.sf(stat, df=2 * k))
 
     def test_fisher_rejects_bad_input(self):
         with pytest.raises(ScreeningError):

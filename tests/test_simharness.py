@@ -136,6 +136,27 @@ class TestGwasBaseline:
             ref = 2.0 * stats.t.sf(abs(t), dof)
             assert abs(pvals[j] - ref) < 1e-10
 
+    def test_p_values_equal_scipy_stats_bitwise(self, monkeypatch):
+        # the package evaluates the t survival through scipy.special; record
+        # each (dof, -|t|) it asks for and check the p-values against scipy.stats
+        calls, stdtr = [], simharness.stdtr
+
+        def recording_stdtr(dof, x):
+            calls.append((dof, np.array(x)))
+            return stdtr(dof, x)
+
+        monkeypatch.setattr(simharness, "stdtr", recording_stdtr)
+        rng = np.random.default_rng(13)
+        for n in (12, 40, 300, 3000):
+            G = rng.integers(0, 3, size=(30, n)).astype(float)
+            Y = rng.standard_normal((3, n)) + 0.4 * G[:3]
+            calls.clear()
+            pvals = gwas_lm_baseline(G, Y)
+            assert len(calls) == 3
+            for (dof, x), row in zip(calls, pvals):
+                assert dof == n - 2
+                assert np.array_equal(row, 2.0 * stats.t.sf(-x, dof))
+
     def test_monomorphic_snp_gets_p_one(self):
         rng = np.random.default_rng(11)
         G = np.vstack([np.ones(50), rng.integers(0, 3, 50)]).astype(float)
