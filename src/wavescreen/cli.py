@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int, default=nullsim.DEFAULT_M,
                    help="null-simulation count")
     s.add_argument("--seed", type=_seed, required=True)
-    s.add_argument("--threads", type=_positive_int, default=1)
+    s.add_argument("--threads", type=_positive_int, default=1,
+                   help="screen windows on this many threads and parse the genotype "
+                        "dosages in this many processes (at most one per usable CPU)")
     s.add_argument("--significance-threshold", type=float, default=0.05 / 6000)
     s.add_argument("--output-dir", required=True)
     s.add_argument("--emit-details", action="store_true",
@@ -117,7 +119,8 @@ def _check_inputs(args) -> None:
 def cmd_screen(args) -> int:
     _check_inputs(args)
     os.makedirs(args.output_dir, exist_ok=True)  # fails fast, before the slow load
-    cohort = dataio.load_cohort(args.genotype_path, args.phenotype_path, args.covariate_path)
+    cohort = dataio.load_cohort(args.genotype_path, args.phenotype_path, args.covariate_path,
+                                workers=args.threads)
     windows = dataio.define_windows(
         cohort,
         window_bp=args.window_bp,
@@ -126,6 +129,16 @@ def cmd_screen(args) -> int:
         min_snps_per_coeff=args.min_snps_per_coeff,
         depth_cap=args.depth_cap,
     )
+    last = {w.chromosome: w for w in windows}  # windows come in position order
+    for chrom, block in cohort.blocks.items():
+        if chrom not in last:
+            print(f"warning: chromosome {chrom} has no window: none of its "
+                  f"{block.n_snps} kept SNPs is screened", file=sys.stderr)
+        elif block.n_snps > last[chrom].snp_end:
+            print(f"warning: chromosome {chrom}: SNPs past its last window end "
+                  f"{last[chrom].end_bp} are not screened: "
+                  f"{block.n_snps - last[chrom].snp_end} of {block.n_snps} kept",
+                  file=sys.stderr)
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
     lam1 = bayes.lambda1(ctx)
     cache = _cache_dir(args.output_dir)

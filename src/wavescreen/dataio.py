@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +180,131 @@ def _snp_fields(fields: list[str], line_no: int) -> tuple[int, float]:
     return int(pos), iq
 
 
-def _read_genotypes(path: str) -> tuple[dict[str, ChromosomeBlock], int]:
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _parse_range(texts: list[str], line_nos: list[int], lo: int, hi: int,
+                 out: np.ndarray) -> None:
+    """Parse dosage rows [lo, hi) into ``out[lo:hi]``.
+
+    The rows are parsed behind the file's first row, so that their widths
+    are checked against that row's and the range's first error is the one a
+    single pass over the file meets first in it.
+    """
+    values = _read_rows(texts[:1] + texts[lo:hi], line_nos[:1] + line_nos[lo:hi],
+                        "dosage", 0.0, 2.0)
+    out[lo:hi] = values[1:]
+
+
+# Each process parses about this many chunks, taken from a shared queue, so
+# a process slowed by other load leaves its remaining chunks to the others
+# instead of holding up the whole parse.
+_CHUNKS_PER_WORKER = 8
+_MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
+
+
+def _parse_chunks(texts: list[str], line_nos: list[int], bounds: list[int],
+                  out: np.ndarray, queue_fd: int) -> dict[int, DataError]:
+    """Parse chunks ``[bounds[c], bounds[c + 1])`` taken from the queue pipe
+    until it is empty; returns the DataError of each chunk that has one."""
+    errors = {}
+    while chunk := os.read(queue_fd, 4):
+        c = int.from_bytes(chunk, "little")
+        try:
+            _parse_range(texts, line_nos, bounds[c], bounds[c + 1], out)
+        except DataError as exc:
+            errors[c] = exc
+    return errors
+
+
+def _parse_in_child(texts, line_nos, bounds, out, queue_fd: int, write_fd: int) -> None:
+    """Forked child: parse chunks from the queue and pickle their DataErrors
+    into the pipe. It never returns: it leaves through ``os._exit``, nonzero
+    on any other exception."""
+    status = 1
+    try:
+        errors = _parse_chunks(texts, line_nos, bounds, out, queue_fd)
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(errors, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_child(pid: int, read_fd: int) -> dict[int, DataError]:
+    """Read a child's chunk errors and reap it; raises RuntimeError when it
+    died or exited nonzero, as its chunks may be unparsed."""
+    with os.fdopen(read_fd, "rb") as fh:
+        data = fh.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"a dosage parser process failed (exit code {code})")
+    return pickle.loads(data)
+
+
+def _read_dosages(texts: list[str], line_nos: list[int], workers: int) -> np.ndarray:
+    """Parse the dosage rows in up to ``workers`` processes at once.
+
+    The rows are cut into contiguous chunks, queued in a pipe. The parent
+    and ``k - 1`` forked children take chunks from it until it is empty,
+    writing into a shared anonymous map. The parent reaps every child and
+    raises the error of the lowest chunk that has one, which is the first
+    error in file order, as in one pass. With one process, or no
+    ``os.fork``, the rows are parsed in-process. The width probe loads
+    numpy's reader before any fork, so a child imports nothing.
+    """
+    k = min(workers, _usable_cpus(), len(texts)) if hasattr(os, "fork") else 1
+    if k > 1:
+        try:
+            width = _loadtxt(texts[:1]).shape[1]
+        except ValueError:
+            k = 1  # the first row is bad, so its error is the file's first
+    if k <= 1:
+        return _read_rows(texts, line_nos, "dosage", 0.0, 2.0)
+    n_chunks = min(len(texts), k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
+    bounds = [len(texts) * i // n_chunks for i in range(n_chunks + 1)]
+    out = np.frombuffer(mmap.mmap(-1, len(texts) * width * 8), dtype=float)
+    out = out.reshape(len(texts), width)
+    queue_fd, fill_fd = os.pipe()
+    os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
+    os.close(fill_fd)
+    children: list[tuple[int, int]] = []
+    errors: dict[int, DataError] = {}
+    try:
+        for _ in range(k - 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _parse_in_child(texts, line_nos, bounds, out, queue_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        errors.update(_parse_chunks(texts, line_nos, bounds, out, queue_fd))
+    finally:
+        os.close(queue_fd)
+        failure = None
+        for child in children:
+            try:
+                errors.update(_join_child(*child))
+            except RuntimeError as exc:
+                failure = failure or exc
+    if failure is not None:
+        raise failure
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBlock], int]:
     """Read and validate the genotype file (format in ``load_cohort``).
 
     Returns the blocks of SNPs passing ``MIN_IMPUTATION_QUALITY`` by
@@ -206,7 +333,7 @@ def _read_genotypes(path: str) -> tuple[dict[str, ChromosomeBlock], int]:
             rests.append(fields[4])
             line_nos.append(line_no)
     if rests:
-        dosages = _read_rows(rests, line_nos, "dosage", 0.0, 2.0)
+        dosages = _read_dosages(rests, line_nos, workers)
     if row_error is not None:
         raise row_error
     if not rests:
@@ -237,6 +364,7 @@ def load_cohort(
     genotype_path: str,
     phenotype_path: str,
     covariate_path: str | None = None,
+    workers: int = 1,
 ) -> CohortData:
     """Load and validate a cohort from whitespace-separated text files.
 
@@ -248,8 +376,10 @@ def load_cohort(
     be integers (``100.0`` and ``1e5`` are), imputation qualities lie in
     [0, 1] and dosages in [0, 2]; NaN and infinities are rejected, here and
     in the phenotype and covariates. Python splits off the metadata of each
-    row and numpy's C reader parses all dosages in one call. An error in a
-    row names its line; of several, the first in the file is raised.
+    row, and numpy's C reader parses the dosages in up to ``workers``
+    processes, all but one forked, that share out contiguous row chunks. An
+    error in a row names its line; of several, the first in the file is
+    raised, at any ``workers``.
 
     SNPs with imputation quality below ``MIN_IMPUTATION_QUALITY`` are
     dropped after validation. Each chromosome's rows are sorted by position
@@ -257,7 +387,7 @@ def load_cohort(
     phenotype and covariate files take one row per individual and an
     optional header row.
     """
-    blocks, n_ind = _read_genotypes(genotype_path)
+    blocks, n_ind = _read_genotypes(genotype_path, workers)
     phenotype = _read_matrix(phenotype_path, "phenotype").ravel()
     if len(phenotype) != n_ind:
         raise DataError(

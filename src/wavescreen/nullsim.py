@@ -6,8 +6,8 @@ directly from the design constant lambda1 without touching genotypes. The
 simulated sample covers the bulk of the distribution; a Generalized Pareto
 fit to the exceedances over its 99% quantile extrapolates the extreme tail.
 ``load_or_build_null_model`` is the one way to get a model: it reuses a
-cached sample whose header and draws match the key, and simulates and
-caches one otherwise.
+cached sample and tail whose header and draws match the key, and simulates,
+fits and caches one otherwise.
 """
 
 from __future__ import annotations
@@ -205,27 +205,49 @@ def _cache_header(lambda1: float, depth: int, M: int, seed: int) -> str:
     return (
         "lambda1\tdepth\tM\tseed\tchunk\tdraws\tsolver\n"
         f"{float.hex(lambda1)}\t{depth}\t{M}\t{seed}\t{SIM_CHUNK}\t{SIM_DRAWS}\t{SOLVER_VERSION}\n"
-        "lambda_hat\n"
     )
 
 
+def _tail_line(tail: GPDTail | None) -> str:
+    """The fitted tail as one line: u, xi, beta and their standard errors as
+    ``float.hex``, then the exceedance count; ``none`` when the fit failed."""
+    if tail is None:
+        return "tail\tnone\n"
+    values = (tail.threshold, tail.shape, tail.scale, tail.se_shape, tail.se_scale)
+    return "tail\t" + "\t".join(map(float.hex, values)) + f"\t{tail.n_exceedances}\n"
+
+
+def _parse_tail(line: str) -> GPDTail | None:
+    """Inverse of ``_tail_line``; raises ValueError on any other line."""
+    fields = line.split("\t")
+    if fields == ["tail", "none"]:
+        return None
+    if len(fields) != 7 or fields[0] != "tail":
+        raise ValueError(f"not a tail line: {line!r}")
+    u, xi, beta, se_xi, se_beta = map(float.fromhex, fields[1:6])
+    return GPDTail(u, xi, beta, int(fields[6]), se_xi, se_beta)
+
+
 def save_null_model(
-    sample: np.ndarray, lambda1: float, depth: int, seed: int, cache_dir: str
+    model: NullModel, lambda1: float, depth: int, seed: int, cache_dir: str
 ) -> str:
-    """Write the sorted sample, under a header holding its key, to the cache directory.
+    """Write the sorted sample and its fitted tail, under a header holding
+    their key, to the cache directory.
 
     The key gives lambda1 as ``float.hex``, exactly, in the file name and the
     header. The file is written under a temporary name and renamed into place,
     so a reader never sees a partial file.
     """
     os.makedirs(cache_dir, exist_ok=True)
-    M = len(sample)
+    M = len(model.sample)
     path = os.path.join(cache_dir, _cache_name(lambda1, depth, M, seed))
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_cache_header(lambda1, depth, M, seed))
-            for v in sample.tolist():  # Python floats format faster than numpy scalars
+            fh.write(_tail_line(model.tail))
+            fh.write("lambda_hat\n")
+            for v in model.sample.tolist():  # Python floats format faster than numpy scalars
                 fh.write(f"{v:.17g}\n")
         os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
         os.replace(tmp, path)
@@ -235,23 +257,25 @@ def save_null_model(
     return path
 
 
-def _load_sample(path: str, header: str, M: int) -> np.ndarray | None:
-    """The cached draws, or None when the file is missing or does not hold
-    exactly M finite, sorted draws under ``header``."""
+def _load_model(path: str, header: str, M: int) -> NullModel | None:
+    """The cached model, or None when the file is missing, its tail line does
+    not parse, or it does not hold exactly M finite, sorted draws under
+    ``header``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (FileNotFoundError, UnicodeDecodeError):
         return None
     lines = text[len(header):].splitlines()
-    if not text.startswith(header) or len(lines) != M:
+    if not text.startswith(header) or len(lines) != M + 2 or lines[1] != "lambda_hat":
         return None
     try:
-        sample = np.loadtxt(lines, ndmin=1)
+        tail = _parse_tail(lines[0])
+        sample = np.loadtxt(lines[2:], ndmin=1)
     except ValueError:
         return None
     ok = sample.shape == (M,) and np.all(np.isfinite(sample)) and np.all(np.diff(sample) >= 0)
-    return sample if ok else None
+    return NullModel(sample, tail) if ok else None
 
 
 def load_or_build_null_model(
@@ -259,20 +283,22 @@ def load_or_build_null_model(
 ) -> NullModel:
     """The null model for this exact key: simulated, or reused from the cache.
 
-    A cache file whose header or draws do not match the key is simulated again
-    and overwritten. A failed tail fit is not fatal: the model gets no
-    ``tail`` and falls back to empirical-only p-values.
+    A cached file holds the sample and its fitted tail, so a reuse fits
+    nothing. A cache file whose header, tail line or draws do not match the
+    key is simulated again and overwritten. A failed tail fit is not fatal:
+    the model gets no ``tail`` and falls back to empirical-only p-values.
     """
-    sample = None
     if cache_dir is not None:
         path = os.path.join(cache_dir, _cache_name(lambda1, depth, M, seed))
-        sample = _load_sample(path, _cache_header(lambda1, depth, M, seed), M)
-    if sample is None:
-        sample = simulate_null(lambda1, depth, M, seed)
-        if cache_dir is not None:
-            save_null_model(sample, lambda1, depth, seed, cache_dir)
+        model = _load_model(path, _cache_header(lambda1, depth, M, seed), M)
+        if model is not None:
+            return model
+    sample = simulate_null(lambda1, depth, M, seed)
     try:
         tail = fit_gpd_tail(sample)
     except GPDFitError:
         tail = None
-    return NullModel(sample, tail)
+    model = NullModel(sample, tail)
+    if cache_dir is not None:
+        save_null_model(model, lambda1, depth, seed, cache_dir)
+    return model

@@ -1,5 +1,7 @@
 """Shared fixtures: small synthetic cohorts written as TSV files."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,14 @@ def small_cohort():
 def small_phenotype(small_cohort):
     rng = np.random.default_rng(11)
     return rng.standard_normal(small_cohort.n)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_child_processes():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left an unreaped child process (waitpid gave pid {pid})")

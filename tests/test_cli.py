@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from wavescreen import nullsim, simharness
@@ -20,6 +21,30 @@ def cohort_files(tmp_path_factory):
     phenotype = simharness.simulate_phenotype(cohort, signal, seed=23)
     geno, pheno, _ = write_cohort_files(tmp_path, cohort, phenotype)
     return geno, pheno
+
+
+# the fixture's 20 kb windows at 50% overlap end 49 SNPs short of its last one
+UNSCREENED = ("warning: chromosome 1: SNPs past its last window end 50147 are not screened: "
+              "49 of 300 kept")
+
+
+@pytest.fixture(scope="module")
+def genome_files(tmp_path_factory):
+    """Three chromosomes at the default 1 Mb windows: chromosome 1 spans 900 kb,
+    so it gets no window; 2 and 3 span 1.2 Mb, so 41 SNPs lie past their one
+    window's end."""
+    tmp_path = tmp_path_factory.mktemp("genome")
+    rng = np.random.default_rng(5)
+    n = 60
+    geno = tmp_path / "geno.tsv"
+    with open(geno, "w", encoding="utf-8") as fh:
+        for chrom, span in (("1", 900_000), ("2", 1_200_000), ("3", 1_200_000)):
+            for pos in range(0, span + 1, 5000):
+                row = "\t".join(map(str, rng.binomial(2, rng.uniform(0.1, 0.9), n)))
+                fh.write(f"{chrom}\t{pos}\t{chrom}_{pos}\t1.0\t{row}\n")
+    pheno = tmp_path / "pheno.tsv"
+    np.savetxt(pheno, rng.standard_normal(n))
+    return str(geno), str(pheno)
 
 
 def _screen_args(geno, pheno, out_dir, **extra):
@@ -82,6 +107,33 @@ class TestScreenCommand:
             outs.append((out / "results.tsv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_thread_count_does_not_change_genome_outputs(self, genome_files, tmp_path):
+        # the dosages of three chromosomes are parsed in one range or several
+        geno, pheno = genome_files
+        outs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}"
+            assert main(["screen", "--genotype-path", geno, "--phenotype-path", pheno,
+                         "--m", "4000", "--seed", "3", "--threads", str(threads),
+                         "--emit-details", "--output-dir", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.glob("*.*")})
+        assert len(outs[0]) == 2 + 2 * 2  # results, summary, two windows' details
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_unscreened_snps_are_reported(self, genome_files, tmp_path, capsys):
+        geno, pheno = genome_files
+        assert main(["screen", "--genotype-path", geno, "--phenotype-path", pheno,
+                     "--m", "4000", "--seed", "3", "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: chromosome 1 has no window: none of its 181 kept SNPs is screened",
+            "warning: chromosome 2: SNPs past its last window end 1000000 are not screened: "
+            "41 of 241 kept",
+            "warning: chromosome 3: SNPs past its last window end 1000000 are not screened: "
+            "41 of 241 kept",
+        ]
+        rows = (tmp_path / "results.tsv").read_text().splitlines()[1:]
+        assert sorted({r.split("\t")[0] for r in rows}) == ["2", "3"]
+
     def test_single_kind_rows_match_both(self, cohort_files, tmp_path, monkeypatch):
         geno, pheno = cohort_files
         monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / "cache"))
@@ -122,6 +174,8 @@ class TestScreenCommand:
         depths = {line.split("\t")[5]
                   for line in (out / "results.tsv").read_text().splitlines()[1:]}
         warnings = capsys.readouterr().err.splitlines()
+        assert warnings[0] == UNSCREENED
+        warnings = warnings[1:]
         # M = 3000: the floor 1/3001 is above the default threshold
         assert sorted(warnings) == [
             f"warning: GPD tail fit failed at depth {d}: its p-values are empirical, "
@@ -130,14 +184,15 @@ class TestScreenCommand:
             for d in sorted(depths)
         ]
         assert main(_screen_args(geno, pheno, str(out), significance_threshold=0.01)) == 0
-        warnings = capsys.readouterr().err.splitlines()
+        warnings = capsys.readouterr().err.splitlines()[1:]
         assert len(warnings) == len(depths)
         assert all(w.endswith("at least 1/(M+1) = 0.000333222") for w in warnings)
 
     def test_fitted_tail_prints_no_warning(self, cohort_files, tmp_path, capsys):
+        # no tail warning: the one stderr line is about the unscreened SNPs
         geno, pheno = cohort_files
         assert main(_screen_args(geno, pheno, str(tmp_path / "run"))) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == UNSCREENED + "\n"
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):

@@ -1,7 +1,9 @@
 """Loader validation, window tiling and depth rules."""
 
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,6 +347,14 @@ def _cohort_texts(draw):
         pos = str(positions[j]) if draw(st.booleans()) else f"{positions[j]}.0"
         iq = f"{draw(st.floats(0.5, 1.0)):.3f}"  # about 40% fall below 0.7
         dosages = [_spell(draw(value), draw(st.integers(0, 3))) for _ in range(n)]
+        flaw = draw(st.integers(0, 15))  # about one row in five is bad
+        if flaw == 0:
+            dosages.append("1")
+        elif flaw == 1 and n > 1:
+            dosages.pop()
+        elif flaw == 2:
+            dosages[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from(["3", "-0.5", "nan", "inf", "x", "1#"]))
         fields = [chrom, pos, f"rs{j}", iq] + dosages
         lines.append("".join(f + draw(seps) for f in fields[:-1]) + fields[-1])
     pheno = [f"{draw(st.floats(-5.0, 5.0)):.17g}" for _ in range(n)]
@@ -384,10 +394,10 @@ def _assert_blocks_equal(got, ref):
 class TestReferenceParser:
     """load_cohort equals the per-token reference reader on random files."""
 
-    @given(_cohort_texts())
+    @given(_cohort_texts(), st.sampled_from([2, 3]))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_reference(self, texts):
+    def test_matches_reference(self, texts, workers):
         geno_text, pheno_text, cov_lines = texts
         with tempfile.TemporaryDirectory() as tmp:
             geno, pheno = Path(tmp, "geno.tsv"), Path(tmp, "pheno.tsv")
@@ -405,15 +415,19 @@ class TestReferenceParser:
             # variance) still compares parsed blocks
             got_g = _outcome(dataio._read_genotypes, str(geno))
             ref_g = _outcome(read_genotypes_reference, str(geno), dataio.MIN_IMPUTATION_QUALITY)
-        for a, b in ((got, ref), (got_g, ref_g)):
+            # as many processes as workers, up to one per row, on any host
+            with mock.patch.object(dataio, "_usable_cpus", return_value=workers):
+                par_g = _outcome(dataio._read_genotypes, str(geno), workers)
+        for a, b in ((got, ref), (got_g, ref_g), (par_g, ref_g)):
             if isinstance(b, DataError):
                 assert isinstance(a, DataError) and str(a) == str(b)
             else:
                 assert not isinstance(a, DataError), a
         if isinstance(ref_g, DataError):
             return
-        _assert_blocks_equal(got_g[0], ref_g[0])
-        assert got_g[1] == ref_g[1]
+        for g in (got_g, par_g):
+            _assert_blocks_equal(g[0], ref_g[0])
+            assert g[1] == ref_g[1]
         if isinstance(ref, DataError):
             return
         _assert_blocks_equal(got.blocks, ref.blocks)
@@ -422,3 +436,119 @@ class TestReferenceParser:
         assert got.covariates.shape == ref.covariates.shape
         np.testing.assert_array_equal(got.covariates.view(np.int64),
                                       ref.covariates.view(np.int64))
+
+
+def _rows(dosages):
+    """Genotype lines, one SNP per dosage list, 100 bp apart on chromosome 1."""
+    return ["chrom\tpos\tid\tiq\ts1\ts2\ts3"] + [
+        f"1\t{100 * (i + 1)}\tsnp{i}\t1.0\t" + "\t".join(d) for i, d in enumerate(dosages)
+    ]
+
+
+class TestParallelParse:
+    """Dosages parsed in shared-out chunks give the one-pass blocks and errors."""
+
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, monkeypatch):
+        # as many processes as workers, up to one per row, on any host
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
+
+    @staticmethod
+    def _error(path, workers):
+        with pytest.raises(DataError) as serial:
+            dataio._read_genotypes(path)
+        with pytest.raises(DataError) as parallel:
+            dataio._read_genotypes(path, workers)
+        assert str(parallel.value) == str(serial.value)
+        return str(parallel.value)
+
+    @staticmethod
+    def _good_rows(workers):
+        """Rows enough that ``workers`` processes cut them into chunks of two."""
+        return [["0", "1", "2"]] * (2 * workers * dataio._CHUNKS_PER_WORKER)
+
+    def test_blocks_match_one_pass(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [[f"{x:.6g}" for x in rng.uniform(0, 2, 3)] for _ in range(101)]
+        path = _write(tmp_path, _rows(rows))
+        serial, n = dataio._read_genotypes(path)
+        for workers in (2, 3, 5):
+            blocks, m = dataio._read_genotypes(path, workers)
+            assert m == n
+            _assert_blocks_equal(blocks, serial)
+
+    def test_uniformly_narrower_second_range(self, tmp_path):
+        # both rows of chunk 3 parse and agree with each other; only the
+        # first row of the file shows that they are too narrow
+        rows = self._good_rows(2)
+        rows[6:8] = [["1", "1"]] * 2
+        path = _write(tmp_path, _rows(rows))
+        assert self._error(path, 2) == "line 8: 2 dosages, expected 3"
+
+    def test_narrower_range_with_an_out_of_range_value(self, tmp_path):
+        # the width error of a row comes before its values are checked
+        rows = self._good_rows(2)
+        rows[6:8] = [["3", "1"]] * 2
+        path = _write(tmp_path, _rows(rows))
+        assert self._error(path, 2) == "line 8: 2 dosages, expected 3"
+
+    def test_earlier_range_error_wins(self, tmp_path):
+        # an out-of-range value in chunk 1 comes before a non-numeric field in
+        # chunk 2, whichever process parses either
+        rows = self._good_rows(3)
+        rows[3] = ["0", "2.5", "1"]
+        rows[4] = ["0", "x", "1"]
+        path = _write(tmp_path, _rows(rows))
+        assert self._error(path, 3) == "line 5: dosage 2.5 outside [0,2]"
+
+    def test_dosage_error_before_a_metadata_error(self, tmp_path):
+        # the metadata error ends the rows read; the bad dosage above it, in
+        # the last chunk, is raised
+        rows = self._good_rows(3)
+        rows[-1] = ["0", "1", "nan"]
+        lines = _rows(rows) + [f"1\tx\tsnp{len(rows)}\t1.0\t0\t1\t2"]
+        path = _write(tmp_path, lines)
+        assert self._error(path, 3) == f"line {len(rows) + 1}: non-finite dosage nan"
+
+    def test_more_workers_than_rows(self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        path = _write(tmp_path, _rows([["0", "1", "2"], ["2", "1", "0"]]))
+        blocks, _ = dataio._read_genotypes(path, 64)
+        _assert_blocks_equal(blocks, dataio._read_genotypes(path)[0])
+        assert len(forks) == 1
+
+    def test_without_fork_one_range_runs_in_process(self, tmp_path, monkeypatch):
+        good = _write(tmp_path, _rows([["0", "1", "2"]] * 2), "good.tsv")
+        bad = _write(tmp_path, _rows([["0", "1", "2"], ["2", "1", "0"], ["1", "x", "0"]]))
+        serial = dataio._read_genotypes(good)[0]
+        monkeypatch.delattr(os, "fork")
+        _assert_blocks_equal(dataio._read_genotypes(good, 4)[0], serial)
+        assert self._error(bad, 4) == "line 4: non-numeric dosage: 'x'"
+
+    def test_child_that_fails_otherwise_raises_in_the_parent(self, tmp_path, monkeypatch):
+        # the child fails before it takes a chunk; the parent parses them all
+        # and still raises, since a child's chunks may be unparsed
+        parent = os.getpid()
+        parse_chunks = dataio._parse_chunks
+
+        def crash_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("no room")
+            return parse_chunks(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "_parse_chunks", crash_in_child)
+        path = _write(tmp_path, _rows([["0", "1", "2"]] * 4))
+        with pytest.raises(RuntimeError, match=r"dosage parser process failed \(exit code 1\)"):
+            dataio._read_genotypes(path, 2)
+
+
+def test_workers_start_at_most_one_child_per_other_cpu(tmp_path, monkeypatch):
+    # at most min(CPUs, rows) - 1 children, and with 3 rows never more than 2
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    path = _write(tmp_path, _rows([["0", "1", "2"], ["2", "1", "0"], ["1", "1", "1"]]))
+    dataio.load_cohort(path, _pheno(tmp_path, [0.0, 1.0, 2.0]), workers=64)
+    assert len(forks) == min(dataio._usable_cpus(), 3) - 1

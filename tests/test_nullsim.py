@@ -176,7 +176,7 @@ def _cache_files(cache_dir):
 class TestCache:
     def test_save_and_reload_identical(self, tmp_path):
         model = load_or_build_null_model(0.7, depth=2, M=3000, seed=9)
-        save_null_model(model.sample, 0.7, 2, 9, str(tmp_path))
+        save_null_model(model, 0.7, 2, 9, str(tmp_path))
         again = load_or_build_null_model(0.7, 2, 3000, 9, str(tmp_path))
         np.testing.assert_array_equal(again.sample, model.sample)
         assert again.tail == model.tail
@@ -195,25 +195,28 @@ class TestCache:
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         with pytest.raises(ValueError):
-            save_null_model(np.array([1.0, "x"], dtype=object), 0.7, 1, 10, str(tmp_path))
+            save_null_model(NullModel(np.array([1.0, "x"], dtype=object)), 0.7, 1, 10,
+                            str(tmp_path))
         assert _cache_files(tmp_path) == []
 
     def test_steps_are_looked_up_on_the_module(self, tmp_path, monkeypatch):
         # tracing wraps these module attributes; a cache miss is a load with a
-        # simulate_null call inside it
+        # simulate_null call inside it, and a hit reads the stored tail, so it
+        # calls none of them
         calls = []
         for name in ("simulate_null", "save_null_model", "fit_gpd_tail"):
             fn = getattr(nullsim, name)
             monkeypatch.setattr(nullsim, name,
                                 lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
         load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
-        assert calls == ["simulate_null", "save_null_model", "fit_gpd_tail"]
+        assert calls == ["simulate_null", "fit_gpd_tail", "save_null_model"]
         calls.clear()
         load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
-        assert calls == ["fit_gpd_tail"]
+        assert calls == []
 
     @pytest.mark.parametrize("damage", [
         "truncated", "header_row", "extra_draw", "unsorted", "non_finite", "not_a_number",
+        "no_tail", "bad_tail",
     ])
     def test_damaged_file_is_rebuilt(self, tmp_path, damage):
         load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
@@ -227,7 +230,11 @@ class TestCache:
         elif damage == "extra_draw":
             bad = good + lines[-1]
         elif damage == "unsorted":
-            bad = "".join(lines[:3] + lines[3:][::-1])
+            bad = "".join(lines[:4] + lines[4:][::-1])
+        elif damage == "no_tail":  # written before the tail was stored
+            bad = "".join(lines[:2] + lines[3:])
+        elif damage == "bad_tail":
+            bad = "".join(lines[:2] + ["tail\t0x1p+0\n"] + lines[3:])
         elif damage == "non_finite":
             bad = "".join(lines[:-1]) + "inf\n"
         else:
@@ -238,6 +245,18 @@ class TestCache:
         np.testing.assert_array_equal(model.sample, simulate_null(0.7, 1, 2000, 10))
         assert path.read_text() == good
         assert _cache_files(tmp_path) == [path.name]
+
+    def test_stored_tail_is_the_fitted_one(self, tmp_path, monkeypatch):
+        # 5000 draws leave 50 exceedances, so the tail is fitted and stored
+        # exactly; 2000 leave 20, and the failed fit is stored as "none"
+        fitted = load_or_build_null_model(0.7, 1, 5000, 10, str(tmp_path))
+        failed = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        assert fitted.tail == fit_gpd_tail(fitted.sample) and failed.tail is None
+        assert (tmp_path / nullsim._cache_name(0.7, 1, 2000, 10)).read_text().splitlines()[2] \
+            == "tail\tnone"
+        monkeypatch.setattr(nullsim, "fit_gpd_tail", None)  # a hit fits nothing
+        assert load_or_build_null_model(0.7, 1, 5000, 10, str(tmp_path)).tail == fitted.tail
+        assert load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path)).tail is None
 
     def test_sample_from_older_solver_is_not_loaded(self, tmp_path):
         # a file under the key scheme that had no solver tag
