@@ -26,15 +26,22 @@ class DesignContext:
     """Immutable phenotype design shared by all coefficient regressions.
 
     ``basis`` is an orthonormal basis of span([1, C]); ``x_tilde`` is the
-    phenotype projected orthogonal to it.
+    phenotype projected orthogonal to it. A batch of P phenotypes shares
+    the basis: ``x_tilde`` is then (n, P) with contiguous columns and
+    ``xtx`` holds one value per column.
     """
 
     n: int
     q: int  # rank of [1, C]
     sigma_b: float
     basis: np.ndarray  # (n, q)
-    x_tilde: np.ndarray  # (n,)
-    xtx: float
+    x_tilde: np.ndarray  # (n,), or (n, P) for a batch
+    xtx: float | np.ndarray  # x_tilde'x_tilde, per column for a batch
+
+    @property
+    def n_phenotypes(self) -> int:
+        """P for a batch design, 1 for a single phenotype."""
+        return 1 if self.x_tilde.ndim == 1 else self.x_tilde.shape[1]
 
     def residualize(self, y: np.ndarray) -> np.ndarray:
         """Project y (shape (n,) or (n, k)) orthogonal to [1, C]."""
@@ -49,11 +56,16 @@ def build_design(
 ) -> DesignContext:
     """Residualize the phenotype against intercept + covariates.
 
-    Raises DesignError for rank-deficient covariates, zero-variance
-    phenotype, or a phenotype collinear with the covariates.
+    ``phenotype`` is (n,), or (n, P) for P phenotypes screened together.
+    Each column is projected on its own, so a batch column equals the
+    design of that column alone bit for bit. Raises DesignError for
+    rank-deficient covariates, or a zero-variance phenotype or one collinear
+    with the covariates; for a batch the error names the column.
     """
-    phi = np.asarray(phenotype, dtype=float).ravel()
-    n = len(phi)
+    phi = np.asarray(phenotype, dtype=float)
+    batch = phi.ndim == 2
+    columns = phi.T if batch else phi.ravel()[None, :]
+    n = columns.shape[1]
     if covariates is None:
         covariates = np.empty((n, 0))
     C = np.asarray(covariates, dtype=float)
@@ -68,14 +80,22 @@ def build_design(
     q = Z.shape[1]
     if np.any(np.abs(np.diag(R)) < 1e-10 * max(1.0, np.abs(R).max())):
         raise DesignError("covariate matrix is rank-deficient after adding intercept")
-    if np.var(phi) == 0.0:
-        raise DesignError("phenotype has zero variance")
-    x_tilde = phi - Q @ (Q.T @ phi)
-    xtx = float(x_tilde @ x_tilde)
-    if xtx <= 1e-12 * float(phi @ phi):
-        raise DesignError("phenotype is collinear with the covariates")
+    x_rows, xtx = [], []
+    for j, col in enumerate(columns):
+        name = f"phenotype column {j}" if batch else "phenotype"
+        col = np.array(col)  # a fresh contiguous vector, as for a single phenotype
+        if np.var(col) == 0.0:
+            raise DesignError(f"{name} has zero variance")
+        x_rows.append(col - Q @ (Q.T @ col))
+        xtx.append(float(x_rows[-1] @ x_rows[-1]))
+        if xtx[-1] <= 1e-12 * float(col @ col):
+            raise DesignError(f"{name} is collinear with the covariates")
     if n <= q + 1:
         raise DesignError(f"need n > q + 1 (n={n}, q={q})")
+    if batch:  # rows of a (P, n) array are the columns of its (n, P) transpose
+        x_tilde, xtx = np.array(x_rows).T, np.array(xtx)
+    else:
+        x_tilde, xtx = x_rows[0], xtx[0]
     return DesignContext(n=n, q=q, sigma_b=float(sigma_b), basis=Q, x_tilde=x_tilde, xtx=xtx)
 
 
@@ -87,30 +107,34 @@ def log_bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray | float:
 
         BF = (1 + sigma_b^2 xtx)^(-1/2) * (RSS0/RSS1)^((n - q)/2)
 
-    Accumulated in log space.
+    Accumulated in log space. y is residualized and RSS0 formed once for
+    all phenotypes of a batch design, whose result gains a leading axis of
+    length P: (P, k) or (P,). Each x'y row is its own vector product, so a
+    batch row is bitwise the single phenotype's.
     """
     y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 1
-    Y = y[:, None] if scalar else y
+    Y = y[:, None] if y.ndim == 1 else y
     if Y.shape[0] != ctx.n:
         raise DesignError(f"y has {Y.shape[0]} rows, design has {ctx.n}")
     if not np.all(np.isfinite(Y)):
         raise DesignError("y contains non-finite values")
     Yt = ctx.residualize(Y)
     rss0 = np.einsum("ij,ij->j", Yt, Yt)
-    xty = ctx.x_tilde @ Yt
-    shrink = ctx.xtx + ctx.sigma_b ** -2
-    rss1 = rss0 - xty ** 2 / shrink
+    X = ctx.x_tilde.reshape(ctx.n, ctx.n_phenotypes)
+    xty = np.array([X[:, p] @ Yt for p in range(ctx.n_phenotypes)])
+    xtx = np.reshape(ctx.xtx, (-1, 1))
+    rss1 = rss0 - xty ** 2 / (xtx + ctx.sigma_b ** -2)
     if np.any(rss1 <= 0.0):
         raise DesignError("nonpositive residual sum of squares (degenerate response)")
     # rss0 >= rss1 > 0, so both logs are finite
     log_ratio = np.log(rss0) - np.log(rss1)
-    logbf = -0.5 * np.log1p(ctx.sigma_b ** 2 * ctx.xtx) + 0.5 * (ctx.n - ctx.q) * log_ratio
-    return float(logbf[0]) if scalar else logbf
+    logbf = -0.5 * np.log1p(ctx.sigma_b ** 2 * xtx) + 0.5 * (ctx.n - ctx.q) * log_ratio
+    logbf = logbf.reshape(ctx.x_tilde.shape[1:] + y.shape[1:])
+    return float(logbf) if logbf.ndim == 0 else logbf
 
 
-def lambda1(ctx: DesignContext) -> float:
-    """Design constant of the null Bayes-factor law.
+def lambda1(ctx: DesignContext) -> float | np.ndarray:
+    """Design constant of the null Bayes-factor law, per column for a batch.
 
     lambda1 = sigma_b^2 xtx / (1 + sigma_b^2 xtx); under the null,
     2 log BF -> lambda1 * chi2(1) + log(1 - lambda1) asymptotically.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _positive_float(text: str) -> float:
+    value = _float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _overlap(text: str) -> float:
+    value = _float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    value = _float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def _seed(text: str) -> int:
     """A seed keys a 64-bit counter-based generator."""
     value = _int(text)
@@ -62,21 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--phenotype-path", required=True,
                    help="TSV: one phenotype value per row")
     s.add_argument("--covariate-path", default=None, help="TSV: n rows x c columns")
-    s.add_argument("--window-bp", type=int, default=dataio.DEFAULT_WINDOW_BP)
-    s.add_argument("--overlap", type=float, default=dataio.DEFAULT_OVERLAP)
-    s.add_argument("--max-gap-bp", type=int, default=dataio.DEFAULT_MAX_GAP_BP)
-    s.add_argument("--min-snps-per-coeff", type=float,
+    # numeric options are checked here, so a bad value is a usage error
+    # before the genotype file, the slow input, is read
+    s.add_argument("--window-bp", type=_positive_int, default=dataio.DEFAULT_WINDOW_BP)
+    s.add_argument("--overlap", type=_overlap, default=dataio.DEFAULT_OVERLAP)
+    s.add_argument("--max-gap-bp", type=_positive_int, default=dataio.DEFAULT_MAX_GAP_BP)
+    s.add_argument("--min-snps-per-coeff", type=_positive_float,
                    default=dataio.DEFAULT_MIN_SNPS_PER_COEFF)
-    s.add_argument("--sigma-b", type=float, default=bayes.DEFAULT_SIGMA_B)
+    s.add_argument("--sigma-b", type=_positive_float, default=bayes.DEFAULT_SIGMA_B)
     s.add_argument("--coefficient-kind", choices=["c", "d", "both"], default="both")
-    s.add_argument("--depth-cap", type=int, default=None)
-    s.add_argument("--m", type=int, default=nullsim.DEFAULT_M,
+    s.add_argument("--depth-cap", type=_nonnegative_int, default=None)
+    s.add_argument("--m", type=_positive_int, default=nullsim.DEFAULT_M,
                    help="null-simulation count")
     s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--threads", type=_positive_int, default=1,
                    help="screen windows on this many threads and parse the genotype "
                         "dosages in this many processes (at most one per usable CPU)")
-    s.add_argument("--significance-threshold", type=float, default=0.05 / 6000)
+    s.add_argument("--significance-threshold", type=_threshold, default=0.05 / 6000)
     s.add_argument("--output-dir", required=True)
     s.add_argument("--emit-details", action="store_true",
                    help="write per-locus BF detail TSVs (scale location bf posterior_gamma)")
@@ -84,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("nullsim", help="simulate the null statistic and fit its tail")
     s.add_argument("--lambda1", type=float, required=True)
     s.add_argument("--depth", type=int, required=True)
-    s.add_argument("--m", type=int, default=nullsim.DEFAULT_M)
+    s.add_argument("--m", type=_positive_int, default=nullsim.DEFAULT_M)
     s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--output-dir", required=True)
 
@@ -168,7 +206,7 @@ def cmd_screen(args) -> int:
             spectra = screening.window_spectra(w, cohort.blocks[w.chromosome], kinds)
             results = []
             for kind in kinds:
-                res = screening.screen_spectra(w, *spectra.pop(kind), ctx, kind)
+                [res] = screening.screen_spectra(w, *spectra.pop(kind), ctx, kind)
                 if not res.degenerate:
                     res.p_value = nullsim.p_value(models[w.depth], res.lambda_hat)
                 results.append(res)

@@ -187,17 +187,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parse_range(texts: list[str], line_nos: list[int], lo: int, hi: int,
+def _parse_range(texts: list[str], line_nos: list[int], dest: np.ndarray, lo: int, hi: int,
                  out: np.ndarray) -> None:
-    """Parse dosage rows [lo, hi) into ``out[lo:hi]``.
+    """Parse dosage rows [lo, hi) and write each kept row to ``out[dest[row]]``.
 
     The rows are parsed behind the file's first row, so that their widths
     are checked against that row's and the range's first error is the one a
-    single pass over the file meets first in it.
+    single pass over the file meets first in it. Rows with ``dest`` -1 are
+    checked and dropped.
     """
     values = _read_rows(texts[:1] + texts[lo:hi], line_nos[:1] + line_nos[lo:hi],
-                        "dosage", 0.0, 2.0)
-    out[lo:hi] = values[1:]
+                        "dosage", 0.0, 2.0)[1:]
+    rows = dest[lo:hi]
+    keep = rows >= 0
+    out[rows[keep]] = values[keep]
 
 
 # Each process parses about this many chunks, taken from a shared queue, so
@@ -207,7 +210,7 @@ _CHUNKS_PER_WORKER = 8
 _MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
 
 
-def _parse_chunks(texts: list[str], line_nos: list[int], bounds: list[int],
+def _parse_chunks(texts: list[str], line_nos: list[int], dest: np.ndarray, bounds: list[int],
                   out: np.ndarray, queue_fd: int) -> dict[int, DataError]:
     """Parse chunks ``[bounds[c], bounds[c + 1])`` taken from the queue pipe
     until it is empty; returns the DataError of each chunk that has one."""
@@ -215,19 +218,19 @@ def _parse_chunks(texts: list[str], line_nos: list[int], bounds: list[int],
     while chunk := os.read(queue_fd, 4):
         c = int.from_bytes(chunk, "little")
         try:
-            _parse_range(texts, line_nos, bounds[c], bounds[c + 1], out)
+            _parse_range(texts, line_nos, dest, bounds[c], bounds[c + 1], out)
         except DataError as exc:
             errors[c] = exc
     return errors
 
 
-def _parse_in_child(texts, line_nos, bounds, out, queue_fd: int, write_fd: int) -> None:
+def _parse_in_child(texts, line_nos, dest, bounds, out, queue_fd: int, write_fd: int) -> None:
     """Forked child: parse chunks from the queue and pickle their DataErrors
     into the pipe. It never returns: it leaves through ``os._exit``, nonzero
     on any other exception."""
     status = 1
     try:
-        errors = _parse_chunks(texts, line_nos, bounds, out, queue_fd)
+        errors = _parse_chunks(texts, line_nos, dest, bounds, out, queue_fd)
         with os.fdopen(write_fd, "wb") as fh:
             pickle.dump(errors, fh)
         status = 0
@@ -246,29 +249,32 @@ def _join_child(pid: int, read_fd: int) -> dict[int, DataError]:
     return pickle.loads(data)
 
 
-def _read_dosages(texts: list[str], line_nos: list[int], workers: int) -> np.ndarray:
+def _read_dosages(texts: list[str], line_nos: list[int], dest: np.ndarray, n_kept: int,
+                  workers: int) -> np.ndarray:
     """Parse the dosage rows in up to ``workers`` processes at once.
 
+    Every row is checked, and row i lands in row ``dest[i]`` of the
+    returned (n_kept, width) array, or is dropped where ``dest[i]`` is -1.
     The rows are cut into contiguous chunks, queued in a pipe. The parent
     and ``k - 1`` forked children take chunks from it until it is empty,
-    writing into a shared anonymous map. The parent reaps every child and
-    raises the error of the lowest chunk that has one, which is the first
-    error in file order, as in one pass. With one process, or no
-    ``os.fork``, the rows are parsed in-process. The width probe loads
-    numpy's reader before any fork, so a child imports nothing.
+    writing their kept rows into place in a shared anonymous map, so the
+    file's dosages are held once. The parent reaps every child and raises
+    the error of the lowest chunk that has one, which is the first error in
+    file order, as in one pass. With one process, or no ``os.fork``, the
+    parent parses every chunk. The width probe loads numpy's reader before
+    any fork, so a child imports nothing; a first row that fails it raises
+    its own error.
     """
+    try:
+        width = _loadtxt(texts[:1]).shape[1]
+    except ValueError:  # the first row is bad, so its error is the file's first
+        raise _rows_before_error(texts[:1], line_nos[:1], "dosage")[1] from None
     k = min(workers, _usable_cpus(), len(texts)) if hasattr(os, "fork") else 1
-    if k > 1:
-        try:
-            width = _loadtxt(texts[:1]).shape[1]
-        except ValueError:
-            k = 1  # the first row is bad, so its error is the file's first
-    if k <= 1:
-        return _read_rows(texts, line_nos, "dosage", 0.0, 2.0)
     n_chunks = min(len(texts), k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
     bounds = [len(texts) * i // n_chunks for i in range(n_chunks + 1)]
-    out = np.frombuffer(mmap.mmap(-1, len(texts) * width * 8), dtype=float)
-    out = out.reshape(len(texts), width)
+    # an anonymous map cannot be empty, so it gets a byte to spare
+    out = np.frombuffer(mmap.mmap(-1, n_kept * width * 8 + 1), dtype=float,
+                        count=n_kept * width).reshape(n_kept, width)
     queue_fd, fill_fd = os.pipe()
     os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
     os.close(fill_fd)
@@ -285,10 +291,10 @@ def _read_dosages(texts: list[str], line_nos: list[int], workers: int) -> np.nda
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _parse_in_child(texts, line_nos, bounds, out, queue_fd, write_fd)
+                _parse_in_child(texts, line_nos, dest, bounds, out, queue_fd, write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
-        errors.update(_parse_chunks(texts, line_nos, bounds, out, queue_fd))
+        errors.update(_parse_chunks(texts, line_nos, dest, bounds, out, queue_fd))
     finally:
         os.close(queue_fd)
         failure = None
@@ -332,19 +338,28 @@ def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBl
             iqs.append(iq)
             rests.append(fields[4])
             line_nos.append(line_no)
+    # each kept row's place in the dosage map: chromosomes in sorted order,
+    # each one's rows stably sorted by position
+    all_positions = np.array(positions, dtype=np.int64)
+    dest = np.full(len(rests), -1, dtype=np.intp)
+    order: dict[str, np.ndarray] = {}
+    n_kept = 0
+    for chrom in sorted(kept):
+        rows = np.array(kept[chrom])
+        order[chrom] = rows = rows[np.argsort(all_positions[rows], kind="stable")]
+        dest[rows] = np.arange(n_kept, n_kept + len(rows))
+        n_kept += len(rows)
     if rests:
-        dosages = _read_dosages(rests, line_nos, workers)
+        dosages = _read_dosages(rests, line_nos, dest, n_kept, workers)
     if row_error is not None:
         raise row_error
     if not rests:
         raise DataError(f"genotype file {path} has no SNP rows")
 
-    all_positions = np.array(positions, dtype=np.int64)
     all_iqs = np.array(iqs, dtype=float)
     blocks: dict[str, ChromosomeBlock] = {}
-    for chrom in sorted(kept):
-        rows = np.array(kept[chrom])
-        rows = rows[np.argsort(all_positions[rows], kind="stable")]
+    start = 0
+    for chrom, rows in order.items():
         chrom_positions = all_positions[rows]
         if np.any(np.diff(chrom_positions) == 0):
             dup = chrom_positions[np.where(np.diff(chrom_positions) == 0)[0][0]]
@@ -353,8 +368,9 @@ def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBl
             chromosome=chrom,
             positions=chrom_positions,
             imputation_quality=all_iqs[rows],
-            dosages=dosages[rows],
+            dosages=dosages[start:start + len(rows)],
         )
+        start += len(rows)
     if not blocks:
         raise DataError("no SNPs passed the imputation-quality filter")
     return blocks, dosages.shape[1]

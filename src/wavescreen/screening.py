@@ -28,7 +28,7 @@ class ScreeningError(ValueError):
 
 @dataclass
 class LocusResult:
-    """Everything screened for one window and one coefficient kind."""
+    """Everything screened for one window, one coefficient kind and one phenotype."""
 
     window: Window
     coefficient_kind: str  # "c" or "d"
@@ -94,21 +94,28 @@ def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pi, log_lam
 
 
-def maximize_lambda(bfs_by_scale: list[np.ndarray]) -> tuple[np.ndarray, float]:
+def maximize_lambda(
+    bfs_by_scale: list[np.ndarray],
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Maximized (pi_hat, Lambda_hat) over all scales of one window.
 
-    Scales with no (non-degenerate) coefficients get pi_s = 0. Boundary
-    solutions pi_s in {0, 1} are permitted.
+    Each entry holds one scale's BFs: (k_s,) for one phenotype, giving
+    pi_hat (S,) and a float Lambda_hat, or (P, k_s) for P phenotypes, giving
+    pi_hat (P, S) and Lambda_hat (P,). Each scale's P rows are solved in one
+    ``max_log_lambda`` call. Scales with no (non-degenerate) coefficients
+    get pi_s = 0. Boundary solutions pi_s in {0, 1} are permitted.
     """
     bfs_by_scale = _check_bfs(bfs_by_scale)
-    pi_hat = np.zeros(len(bfs_by_scale))
-    log_lam = 0.0
-    for s, bf in enumerate(bfs_by_scale):
+    batch = any(bf.ndim == 2 for bf in bfs_by_scale)
+    bfs = [np.atleast_2d(bf) for bf in bfs_by_scale]
+    pi_hat = np.zeros((max((bf.shape[0] for bf in bfs), default=1), len(bfs)))
+    log_lam = np.zeros(len(pi_hat))
+    for s, bf in enumerate(bfs):
         if bf.size:
-            p, ll = max_log_lambda(bf[None, :])
-            pi_hat[s] = p[0]
-            log_lam += float(ll[0])
-    return pi_hat, float(np.exp(log_lam))
+            pi_hat[:, s], ll = max_log_lambda(bf)
+            log_lam += ll
+    lam = np.exp(log_lam)
+    return (pi_hat, lam) if batch else (pi_hat[0], float(lam[0]))
 
 
 def posterior_gamma(bf: np.ndarray, pi_s: float) -> np.ndarray:
@@ -186,28 +193,35 @@ def screen_spectra(
     degenerate: list[np.ndarray],
     ctx: DesignContext,
     coefficient_kind: str,
-) -> LocusResult:
+) -> list[LocusResult]:
     """Screen one window's spectra of one kind: Bayes factors -> Lambda-hat over pi.
 
     ``scores`` and ``degenerate`` are one kind's entry of ``window_spectra``.
-    Degenerate coefficients are dropped from the product (a BF = 1 factor);
-    a window with none left is flagged ``degenerate`` and gets pi_hat = 0
-    and Lambda_hat = 1. The p-value is left unset; the null model assigns it
-    later.
+    Returns one result per phenotype of ``ctx``: a list of one for a single
+    phenotype, of P for a batch design. Each scale's coefficients are
+    residualized once for the whole batch. Degenerate coefficients are
+    dropped from the product (a BF = 1 factor); a window with none left is
+    flagged ``degenerate`` and gets pi_hat = 0 and Lambda_hat = 1. The
+    p-value is left unset; the null model assigns it later.
     """
+    n_pheno = ctx.n_phenotypes
     bf_by_scale: list[np.ndarray] = []
     loc_by_scale: list[np.ndarray] = []
     for sc, deg in zip(scores, degenerate):
         locs = np.where(~deg)[0]
-        bf_by_scale.append(np.exp(log_bayes_factor(ctx, sc[locs].T)) if locs.size else np.empty(0))
+        log_bf = log_bayes_factor(ctx, sc[locs].T) if locs.size else np.empty(0)
+        bf_by_scale.append(np.exp(log_bf).reshape(n_pheno, locs.size))
         loc_by_scale.append(locs)
     pi_hat, lam = maximize_lambda(bf_by_scale)
-    return LocusResult(
-        window=window,
-        coefficient_kind=coefficient_kind,
-        bf=bf_by_scale,
-        locations=loc_by_scale,
-        pi_hat=pi_hat,
-        lambda_hat=lam,
-        degenerate=not any(bf.size for bf in bf_by_scale),
-    )
+    return [
+        LocusResult(
+            window=window,
+            coefficient_kind=coefficient_kind,
+            bf=[bf[p] for bf in bf_by_scale],
+            locations=loc_by_scale,
+            pi_hat=pi_hat[p],
+            lambda_hat=float(lam[p]),
+            degenerate=not any(locs.size for locs in loc_by_scale),
+        )
+        for p in range(n_pheno)
+    ]

@@ -177,12 +177,10 @@ def gwas_lm_baseline(
     Y = Y.reshape(1, -1) if single else Y
     n = Y.shape[1]
     C = covariates if covariates is not None else np.empty((n, 0))
-    ctxs = []
-    for y in Y:
-        if np.var(y) == 0.0:
-            raise SimulationError("phenotype has zero variance")
-        ctxs.append(bayes.build_design(y, C))  # reuse the orthonormal nuisance basis
-    basis, q = ctxs[0].basis, ctxs[0].q  # depends on the covariates only
+    if any(np.var(y) == 0.0 for y in Y):
+        raise SimulationError("phenotype has zero variance")
+    ctx = bayes.build_design(Y.T, C)  # one orthonormal nuisance basis for every trait
+    basis, q = ctx.basis, ctx.q
     if n <= q + 2:
         raise SimulationError("too few individuals for the per-SNP t-test")
     # (n, m) residual dosages, subtracted in place of the projection so that
@@ -195,12 +193,11 @@ def gwas_lm_baseline(
     # floating-point residue after projection; treat them as untestable
     ok = gg > 1e-10 * np.einsum("ij,ij->i", G, G)
     pvals = np.ones((len(Y), G.shape[0]))
-    for r, ctx in enumerate(ctxs):
-        yt = ctx.x_tilde
-        gy = yt @ Gt
+    for r in range(len(Y)):
+        gy = ctx.x_tilde[:, r] @ Gt
         beta = np.zeros_like(gy)
         beta[ok] = gy[ok] / gg[ok]
-        rss = float(yt @ yt) - beta ** 2 * gg
+        rss = ctx.xtx[r] - beta ** 2 * gg
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = beta * np.sqrt(gg * dof / np.maximum(rss, 1e-300))
         pvals[r, ok] = 2.0 * stdtr(dof, -np.abs(tstat[ok]))
@@ -269,11 +266,12 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
 
     Returns (rows, detail) where rows are PowerRow bins per method and
     detail is a per-replicate record list. Phenotypes are standardized so
-    all replicates share one design constant and null model. The window's
-    genotype-only work is done once per call: one ``window_spectra`` pass
-    for both kinds before the replicate loop, and one ``gwas_lm_baseline``
-    call on all replicates' phenotypes after it. The configuration is
-    checked before any of that work; an error names the bad key.
+    all replicates share one design constant and null model. Every
+    replicate's phenotype is drawn first, and the window's work is then
+    done once per call: one ``window_spectra`` pass for both kinds, one
+    ``screen_spectra`` call per kind on the design of all replicates, and
+    one ``gwas_lm_baseline`` call. The configuration is checked before any
+    of that work; an error names the bad key.
     """
     _check_config(config)
     cohort = generate_genotypes(
@@ -288,27 +286,26 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
         lam1, window.depth, config.null_m, config.seed, cache_dir
     )
 
-    # the spectra depend on the genotypes only: one pass serves every replicate
-    spectra = screening.window_spectra(window, cohort, ("c", "d"))
     rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 3], dtype=np.uint64)))
     detail, phenotypes = [], []
     for rep in range(config.replicates):
         k = int(rng.integers(1, config.max_components + 1))
         seed = config.seed * REPLICATE_SEED_STRIDE + rep
         sig = plant_signal(cohort, k, config.heritability, config.direction_mode, seed=seed)
-        phe = simulate_phenotype(cohort, sig, seed=seed)
-        phe = _standardized(phe)
-        ctx = bayes.build_design(phe)
-        rec = {"replicate": rep, "k": k}
-        for kind in ("c", "d"):
-            res = screening.screen_spectra(window, *spectra[kind], ctx, kind)
+        phenotypes.append(_standardized(simulate_phenotype(cohort, sig, seed=seed)))
+        detail.append({"replicate": rep, "k": k})
+    phenotypes = np.stack(phenotypes)
+    ctx = bayes.build_design(phenotypes.T)
+    # the spectra depend on the genotypes only: one pass, and one screen of
+    # the replicate batch per kind, serve every replicate
+    spectra = screening.window_spectra(window, cohort, ("c", "d"))
+    for kind in ("c", "d"):
+        results = screening.screen_spectra(window, *spectra.pop(kind), ctx, kind)
+        for rec, res in zip(detail, results):
             rec[f"p_ws_{kind}"] = p_value(null_model, res.lambda_hat)
-        detail.append(rec)
-        phenotypes.append(phe)
-    del spectra
     # regional GWAS decision: Bonferroni over the window's SNPs, so both
     # methods are compared at the same region-level alpha
-    gwas = gwas_lm_baseline(cohort.dosages, np.stack(phenotypes))
+    gwas = gwas_lm_baseline(cohort.dosages, phenotypes)
     for rec, pvals in zip(detail, gwas):
         rec["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(pvals)))
 

@@ -35,8 +35,10 @@ from wavescreen.wavelet import VARIANCE_FLOOR, WaveletError, haar_pyramid
 
 
 def screen_window(window, block, ctx, kind):
-    """Screen one window for one coefficient kind: its spectra, then the screen."""
-    return screen_spectra(window, *window_spectra(window, block, (kind,))[kind], ctx, kind)
+    """Screen one window for one coefficient kind and one phenotype: its
+    spectra, then the screen's one result."""
+    [result] = screen_spectra(window, *window_spectra(window, block, (kind,))[kind], ctx, kind)
+    return result
 
 
 def haar_full(grid_values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -43,6 +43,31 @@ class TestBuildDesign:
         with pytest.raises(DesignError, match="collinear"):
             build_design(2.0 * c + 1.0, c[:, None])
 
+    def test_batch_columns_match_single_designs(self):
+        rng = np.random.default_rng(12)
+        Y, C = rng.standard_normal((40, 4)), rng.standard_normal((40, 2))
+        ctx = build_design(Y, C, sigma_b=0.3)
+        assert ctx.x_tilde.shape == (40, 4) and ctx.xtx.shape == (4,)
+        for j in range(4):
+            one = build_design(Y[:, j], C, sigma_b=0.3)
+            assert ctx.x_tilde[:, j].tobytes() == one.x_tilde.tobytes()
+            assert ctx.xtx[j] == one.xtx
+            assert lambda1(ctx)[j] == lambda1(one)
+
+    def test_batch_column_with_zero_variance_is_named(self):
+        Y = np.random.default_rng(13).standard_normal((20, 4))
+        Y[:, 2] = 3.0
+        with pytest.raises(DesignError, match="phenotype column 2 has zero variance"):
+            build_design(Y)
+
+    def test_batch_column_collinear_with_covariates_is_named(self):
+        rng = np.random.default_rng(14)
+        c = rng.standard_normal(20)
+        Y = rng.standard_normal((20, 3))
+        Y[:, 1] = 2.0 * c + 1.0
+        with pytest.raises(DesignError, match="phenotype column 1 is collinear"):
+            build_design(Y, c[:, None])
+
     def test_bad_sigma_b(self):
         with pytest.raises(DesignError, match="sigma_b"):
             build_design(np.arange(10.0), sigma_b=0.0)
@@ -82,6 +107,18 @@ class TestLogBayesFactor:
         batch = log_bayes_factor(ctx, Y)
         singles = [log_bayes_factor(ctx, Y[:, j]) for j in range(7)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
+
+    def test_batch_rows_equal_single_phenotypes_bitwise(self):
+        rng = np.random.default_rng(15)
+        X, C = rng.standard_normal((300, 3)), rng.standard_normal((300, 1))
+        Y = rng.standard_normal((300, 64))
+        ctx = build_design(X, C, sigma_b=0.2)
+        batch = log_bayes_factor(ctx, Y)
+        assert batch.shape == (3, 64)
+        assert log_bayes_factor(ctx, Y[:, 0]).shape == (3,)
+        for p in range(3):
+            one = log_bayes_factor(build_design(X[:, p], C, sigma_b=0.2), Y)
+            assert batch[p].tobytes() == one.tobytes()
 
     def test_shape_and_finiteness_checks(self):
         ctx = build_design(np.random.default_rng(6).standard_normal(30))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavescreen import nullsim, simharness
-from wavescreen.cli import main
+from wavescreen.cli import build_parser, main
 
 from conftest import write_cohort_files
 
@@ -272,6 +272,44 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, command, seed):
     assert f"argument --seed: must lie in [0, 2^64), got {seed}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("screen", "--m", "0", "must be at least 1, got 0"),
+    ("screen", "--window-bp", "0", "must be at least 1, got 0"),
+    ("screen", "--overlap", "1", "must lie in [0, 1), got 1"),
+    ("screen", "--max-gap-bp", "0", "must be at least 1, got 0"),
+    ("screen", "--min-snps-per-coeff", "0", "must be positive and finite, got 0"),
+    ("screen", "--sigma-b", "0", "must be positive and finite, got 0"),
+    ("screen", "--depth-cap", "-1", "must be at least 0, got -1"),
+    ("screen", "--significance-threshold", "-1", "must lie in (0, 1], got -1"),
+    ("screen", "--significance-threshold", "1.5", "must lie in (0, 1], got 1.5"),
+    ("nullsim", "--m", "0", "must be at least 1, got 0"),
+], ids=lambda v: v if isinstance(v, str) and v.startswith("-") and len(v) > 2 else None)
+def test_bad_numeric_option_is_a_usage_error(tmp_path, capsys, command, option, value, message):
+    # argparse rejects it: no input file is looked at and no output is made
+    required = {
+        "screen": ["--genotype-path", "g.tsv", "--phenotype-path", "p.tsv"],
+        "nullsim": ["--lambda1", "0.9", "--depth", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *required, option, value, "--seed", "1",
+              "--output-dir", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_numeric_options_accept_their_bounds():
+    args = build_parser().parse_args([
+        "screen", "--genotype-path", "g.tsv", "--phenotype-path", "p.tsv", "--seed", "1",
+        "--output-dir", "o", "--overlap", "0", "--depth-cap", "0",
+        "--significance-threshold", "1", "--window-bp", "1", "--sigma-b", "1e-3",
+    ])
+    assert (args.overlap, args.depth_cap, args.significance_threshold) == (0.0, 0, 1.0)
+    assert (args.window_bp, args.sigma_b) == (1, 1e-3)
 
 
 class TestNullsimCommand:

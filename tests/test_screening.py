@@ -1,6 +1,7 @@
 """The Lambda-hat solver, its per-window wrapper and full window screens."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wavescreen.screening import (
     max_log_lambda,
     maximize_lambda,
     posterior_gamma,
+    screen_spectra,
     window_spectra,
 )
 
@@ -59,6 +61,19 @@ class TestEM:
         for r in range(0, 50, 7):
             _, lam = maximize_lambda([bf[r] for bf in bf_by_scale])
             assert abs(batch[r] - lam) <= 1e-10 * lam
+
+    def test_phenotype_rows_match_single_rows(self):
+        # a (P, k_s) entry per scale is P windows solved together
+        rng = np.random.default_rng(3)
+        bf_by_scale = [np.exp(rng.normal(0, 1.5, size=(6, 1 << s))) for s in range(4)]
+        bf_by_scale[2] = np.empty((6, 0))
+        pi, lam = maximize_lambda(bf_by_scale)
+        assert pi.shape == (6, 4) and lam.shape == (6,)
+        for r in range(6):
+            pi_r, lam_r = maximize_lambda([bf[r] for bf in bf_by_scale])
+            assert pi[r].tobytes() == pi_r.tobytes()
+            assert lam[r] == lam_r
+        assert np.all(pi[:, 2] == 0.0)
 
     def test_empty_scale_gets_pi_zero(self):
         pi, lam = maximize_lambda([np.empty(0), np.array([5.0])])
@@ -267,3 +282,61 @@ class TestScreenWindow:
         flipped = dataclasses.replace(cohort, dosages=2.0 - cohort.dosages)
         res_f = screen_window(window, flipped, ctx, "d")
         assert res_f.lambda_hat == res.lambda_hat
+
+
+@functools.cache
+def _batch_window():
+    """A small window with its c and d spectra, and the dosages of its SNPs."""
+    cohort = simharness.generate_genotypes(n=160, n_snps=128, n_blocks=6, seed=12)
+    window = simharness.synthetic_window(cohort, min_snps_per_coeff=8)
+    return window, window_spectra(window, cohort, ("c", "d")), cohort.dosages
+
+
+class TestBatchScreen:
+    """One screen of P phenotypes equals P single-phenotype screens, bit for bit."""
+
+    @given(
+        n_pheno=st.integers(1, 5),
+        n_cov=st.sampled_from([0, 2]),
+        kind=st.sampled_from(["c", "d"]),
+        sigma_b=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_single_screens(self, n_pheno, n_cov, kind, sigma_b, seed):
+        window, spectra, dosages = _batch_window()
+        n = dosages.shape[1]
+        rng = np.random.default_rng(seed)
+        # a random SNP's dosage at a random strength, so that some screens
+        # find a signal and others do not
+        snps = rng.integers(0, len(dosages), size=n_pheno)
+        Y = dosages[snps].T * rng.uniform(0.0, 1.0, n_pheno) + rng.standard_normal((n, n_pheno))
+        C = rng.standard_normal((n, n_cov)) if n_cov else None
+        batch = screen_spectra(window, *spectra[kind], bayes.build_design(Y, C, sigma_b), kind)
+        assert len(batch) == n_pheno
+        for p, got in enumerate(batch):
+            ctx = bayes.build_design(Y[:, p], C, sigma_b)
+            [want] = screen_spectra(window, *spectra[kind], ctx, kind)
+            assert (got.window, got.coefficient_kind) == (want.window, kind)
+            for g, w in zip(got.bf, want.bf, strict=True):
+                assert g.shape == w.shape
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+            for g, w in zip(got.locations, want.locations, strict=True):
+                assert np.array_equal(g, w)
+            assert got.pi_hat.shape == want.pi_hat.shape
+            assert np.all(got.pi_hat == want.pi_hat)
+            assert got.lambda_hat == want.lambda_hat
+            assert got.degenerate == want.degenerate
+
+    def test_degenerate_window_gives_one_result_per_phenotype(self):
+        cohort = simharness.generate_genotypes(50, 64, n_blocks=2, seed=8)
+        cohort.dosages[:] = 1.0
+        window = simharness.synthetic_window(cohort, min_snps_per_coeff=8)
+        Y = np.random.default_rng(9).standard_normal((50, 3))
+        spectra = window_spectra(window, cohort, ("d",))["d"]
+        results = screen_spectra(window, *spectra, bayes.build_design(Y), "d")
+        assert len(results) == 3
+        for res in results:
+            assert res.degenerate and res.lambda_hat == 1.0
+            np.testing.assert_array_equal(res.pi_hat, np.zeros(window.depth + 1), strict=True)
+            assert all(bf.shape == (0,) for bf in res.bf)

@@ -275,3 +275,36 @@ class TestPowerExperiment:
                 cohort.dosages, y))))
             # p-values lie in (0, 1], where equal floats are equal bits
             assert rec == want
+
+    def test_replicates_are_screened_as_one_batch(self, monkeypatch):
+        # each kind's coefficients are residualized once for all replicates,
+        # and each kind's scales are solved in one maximize_lambda call
+        cfg = PowerConfig(
+            n=300, n_snps=64, n_blocks=4, replicates=3, heritability=0.1,
+            max_components=4, null_m=2000, seed=5, min_snps_per_coeff=8,
+        )
+        calls = {"log_bayes_factor": [], "maximize_lambda": 0}
+        log_bayes_factor, maximize_lambda = screening.log_bayes_factor, screening.maximize_lambda
+
+        def counted_log_bf(ctx, y):
+            calls["log_bayes_factor"].append(ctx.x_tilde.shape)
+            return log_bayes_factor(ctx, y)
+
+        def counted_maximize(bfs_by_scale):
+            calls["maximize_lambda"] += 1
+            return maximize_lambda(bfs_by_scale)
+
+        monkeypatch.setattr(screening, "log_bayes_factor", counted_log_bf)
+        monkeypatch.setattr(screening, "maximize_lambda", counted_maximize)
+        power_experiment(cfg)
+        monkeypatch.undo()
+
+        cohort = generate_genotypes(cfg.n, cfg.n_snps, cfg.n_blocks, cfg.flip_prob,
+                                    seed=cfg.seed)
+        window = synthetic_window(cohort, cfg.min_snps_per_coeff)
+        spectra = screening.window_spectra(window, cohort, ("c", "d"))
+        live_scales = sum(
+            int(not deg.all()) for _, degenerate in spectra.values() for deg in degenerate
+        )
+        assert calls["log_bayes_factor"] == [(cfg.n, cfg.replicates)] * live_scales
+        assert calls["maximize_lambda"] == 2
