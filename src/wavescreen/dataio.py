@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import errno
+import functools
 import math
 import mmap
 import os
 import pickle
+import stat
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,20 +192,64 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parse_range(texts: list[str], line_nos: list[int], dest: np.ndarray, lo: int, hi: int,
-                 out: np.ndarray) -> None:
+def _open_regular(path: str) -> int:
+    """Open ``path`` for reading and return its descriptor; raise OSError
+    naming it unless it is a regular file. O_NONBLOCK keeps the open of a
+    FIFO from waiting for a writer; it changes nothing for a regular file."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    mode = os.fstat(fd).st_mode
+    if stat.S_ISREG(mode):
+        return fd
+    os.close(fd)
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    raise OSError(errno.EINVAL, "Not a regular file", path)
+
+
+def _lines(fh) -> Iterator[tuple[int, bytes, int]]:
+    """Yield (line number, line, byte offset of its end) of a binary file,
+    split where text mode splits it: after '\\n', '\\r\\n' and a lone '\\r'."""
+    line_no = end = 0
+    for raw in fh:
+        for line in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
+            line_no += 1
+            end += len(line)
+            yield line_no, line, end
+
+
+def _row_texts(fd: int, spans: np.ndarray, lo: int, hi: int) -> list[str]:
+    """The dosage texts of rows [lo, hi), read from the file in one pread."""
+    base, stop = int(spans[lo, 0]), int(spans[hi - 1, 1])
+    data = memoryview(os.pread(fd, stop - base, base))
+    if len(data) != stop - base:
+        raise DataError("genotype file shrank while it was read")
+    return [str(data[a - base:b - base], "utf-8") for a, b in spans[lo:hi].tolist()]
+
+
+# A process reads at most about this much of the file at once (always at
+# least one row), so the dosage text it holds is bounded at any file size.
+_MAX_TEXT_BYTES = 16 << 20
+
+
+def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, dest: np.ndarray,
+                 out: np.ndarray, lo: int, hi: int) -> None:
     """Parse dosage rows [lo, hi) and write each kept row to ``out[dest[row]]``.
 
-    The rows are parsed behind the file's first row, so that their widths
-    are checked against that row's and the range's first error is the one a
-    single pass over the file meets first in it. Rows with ``dest`` -1 are
-    checked and dropped.
+    The rows are read from the file in pieces of at most ``_MAX_TEXT_BYTES``
+    and parsed in order behind the file's first row, ``first``, so that
+    their widths are checked against that row's and the range's first error
+    is the one a single pass over the file meets first in it. Rows with
+    ``dest`` -1 are checked and dropped.
     """
-    values = _read_rows(texts[:1] + texts[lo:hi], line_nos[:1] + line_nos[lo:hi],
-                        "dosage", 0.0, 2.0)[1:]
-    rows = dest[lo:hi]
-    keep = rows >= 0
-    out[rows[keep]] = values[keep]
+    while lo < hi:
+        stop = lo + max(1, int(np.searchsorted(spans[lo:hi, 1], spans[lo, 0] + _MAX_TEXT_BYTES,
+                                               "right")))
+        values = _read_rows(first + _row_texts(fd, spans, lo, stop),
+                            line_nos[:1] + line_nos[lo:stop], "dosage", 0.0, 2.0)[1:]
+        rows = dest[lo:stop]
+        keep = rows >= 0
+        out[rows[keep]] = values[keep]
+        lo = stop
 
 
 # Each process parses about this many chunks, taken from a shared queue, so
@@ -210,27 +259,26 @@ _CHUNKS_PER_WORKER = 8
 _MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
 
 
-def _parse_chunks(texts: list[str], line_nos: list[int], dest: np.ndarray, bounds: list[int],
-                  out: np.ndarray, queue_fd: int) -> dict[int, DataError]:
+def _parse_chunks(parse_range, bounds: list[int], queue_fd: int) -> dict[int, DataError]:
     """Parse chunks ``[bounds[c], bounds[c + 1])`` taken from the queue pipe
     until it is empty; returns the DataError of each chunk that has one."""
     errors = {}
     while chunk := os.read(queue_fd, 4):
         c = int.from_bytes(chunk, "little")
         try:
-            _parse_range(texts, line_nos, dest, bounds[c], bounds[c + 1], out)
+            parse_range(bounds[c], bounds[c + 1])
         except DataError as exc:
             errors[c] = exc
     return errors
 
 
-def _parse_in_child(texts, line_nos, dest, bounds, out, queue_fd: int, write_fd: int) -> None:
+def _parse_in_child(parse_range, bounds: list[int], queue_fd: int, write_fd: int) -> None:
     """Forked child: parse chunks from the queue and pickle their DataErrors
     into the pipe. It never returns: it leaves through ``os._exit``, nonzero
     on any other exception."""
     status = 1
     try:
-        errors = _parse_chunks(texts, line_nos, dest, bounds, out, queue_fd)
+        errors = _parse_chunks(parse_range, bounds, queue_fd)
         with os.fdopen(write_fd, "wb") as fh:
             pickle.dump(errors, fh)
         status = 0
@@ -249,32 +297,37 @@ def _join_child(pid: int, read_fd: int) -> dict[int, DataError]:
     return pickle.loads(data)
 
 
-def _read_dosages(texts: list[str], line_nos: list[int], dest: np.ndarray, n_kept: int,
+def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray, n_kept: int,
                   workers: int) -> np.ndarray:
     """Parse the dosage rows in up to ``workers`` processes at once.
 
-    Every row is checked, and row i lands in row ``dest[i]`` of the
-    returned (n_kept, width) array, or is dropped where ``dest[i]`` is -1.
-    The rows are cut into contiguous chunks, queued in a pipe. The parent
-    and ``k - 1`` forked children take chunks from it until it is empty,
-    writing their kept rows into place in a shared anonymous map, so the
-    file's dosages are held once. The parent reaps every child and raises
-    the error of the lowest chunk that has one, which is the first error in
-    file order, as in one pass. With one process, or no ``os.fork``, the
-    parent parses every chunk. The width probe loads numpy's reader before
-    any fork, so a child imports nothing; a first row that fails it raises
-    its own error.
+    Row i's dosage text is bytes ``spans[i]`` of the open file ``fd``. Every
+    row is checked, and row i lands in row ``dest[i]`` of the returned
+    (n_kept, width) array, or is dropped where ``dest[i]`` is -1. The rows
+    are cut into contiguous chunks, queued in a pipe. The parent and
+    ``k - 1`` forked children take chunks from it until it is empty; each
+    reads its chunks' text from the file itself and writes their kept rows
+    into place in a shared anonymous map, so the dosages are held once and
+    no process holds more than a piece of the text. The parent reaps every
+    child and raises the error of the lowest chunk that has one, which is
+    the first error in file order, as in one pass. With one process, or no
+    ``os.fork``, the parent parses every chunk. The width probe loads
+    numpy's reader before any fork, so a child imports nothing; a first row
+    that fails it raises its own error.
     """
+    first = _row_texts(fd, spans, 0, 1)
     try:
-        width = _loadtxt(texts[:1]).shape[1]
+        width = _loadtxt(first).shape[1]
     except ValueError:  # the first row is bad, so its error is the file's first
-        raise _rows_before_error(texts[:1], line_nos[:1], "dosage")[1] from None
-    k = min(workers, _usable_cpus(), len(texts)) if hasattr(os, "fork") else 1
-    n_chunks = min(len(texts), k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
-    bounds = [len(texts) * i // n_chunks for i in range(n_chunks + 1)]
+        raise _rows_before_error(first, line_nos[:1], "dosage")[1] from None
+    n_rows = len(line_nos)
+    k = min(workers, _usable_cpus(), n_rows) if hasattr(os, "fork") else 1
+    n_chunks = min(n_rows, k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
+    bounds = [n_rows * i // n_chunks for i in range(n_chunks + 1)]
     # an anonymous map cannot be empty, so it gets a byte to spare
     out = np.frombuffer(mmap.mmap(-1, n_kept * width * 8 + 1), dtype=float,
                         count=n_kept * width).reshape(n_kept, width)
+    parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest, out)
     queue_fd, fill_fd = os.pipe()
     os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
     os.close(fill_fd)
@@ -291,10 +344,10 @@ def _read_dosages(texts: list[str], line_nos: list[int], dest: np.ndarray, n_kep
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _parse_in_child(texts, line_nos, dest, bounds, out, queue_fd, write_fd)
+                _parse_in_child(parse_range, bounds, queue_fd, write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
-        errors.update(_parse_chunks(texts, line_nos, dest, bounds, out, queue_fd))
+        errors.update(_parse_chunks(parse_range, bounds, queue_fd))
     finally:
         os.close(queue_fd)
         failure = None
@@ -315,48 +368,61 @@ def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBl
 
     Returns the blocks of SNPs passing ``MIN_IMPUTATION_QUALITY`` by
     chromosome, in sorted chromosome order, and the number of individuals.
+    One pass over the file keeps each row's metadata and the byte span of
+    its dosage field, not its text; ``_read_dosages`` reads the spans back.
     """
-    positions: list[int] = []
-    iqs: list[float] = []
-    rests: list[str] = []
-    line_nos: list[int] = []
+    positions = array("q")
+    iqs = array("d")
+    spans = array("q")  # start and end byte offset of each row's dosage field
+    line_nos = array("q")
     kept: dict[str, list[int]] = {}  # chromosome -> indices of rows passing the IQ filter
     row_error = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            fields = line.split(None, 4)
-            if not fields or (line_no == 1 and fields[0].lower() in _GENOTYPE_HEADER):
-                continue
-            try:
-                pos, iq = _snp_fields(fields, line_no)
-            except DataError as exc:
-                row_error = exc  # the dosages of the rows above are checked first
-                break
-            if not iq < MIN_IMPUTATION_QUALITY:
-                kept.setdefault(fields[0], []).append(len(rests))
-            positions.append(pos)
-            iqs.append(iq)
-            rests.append(fields[4])
-            line_nos.append(line_no)
-    # each kept row's place in the dosage map: chromosomes in sorted order,
-    # each one's rows stably sorted by position
-    all_positions = np.array(positions, dtype=np.int64)
-    dest = np.full(len(rests), -1, dtype=np.intp)
-    order: dict[str, np.ndarray] = {}
-    n_kept = 0
-    for chrom in sorted(kept):
-        rows = np.array(kept[chrom])
-        order[chrom] = rows = rows[np.argsort(all_positions[rows], kind="stable")]
-        dest[rows] = np.arange(n_kept, n_kept + len(rows))
-        n_kept += len(rows)
-    if rests:
-        dosages = _read_dosages(rests, line_nos, dest, n_kept, workers)
+    fd = _open_regular(path)
+    try:
+        # a buffer above the longest lines lets the reader split them without
+        # refilling it for each line
+        with open(fd, "rb", buffering=1 << 20, closefd=False) as fh:
+            for line_no, line, end in _lines(fh):
+                text = line.decode("utf-8")
+                fields = text.split(None, 4)
+                if not fields or (line_no == 1 and fields[0].lower() in _GENOTYPE_HEADER):
+                    continue
+                try:
+                    pos, iq = _snp_fields(fields, line_no)
+                except DataError as exc:
+                    row_error = exc  # the dosages of the rows above are checked first
+                    break
+                if not iq < MIN_IMPUTATION_QUALITY:
+                    kept.setdefault(fields[0], []).append(len(line_nos))
+                positions.append(pos)
+                iqs.append(iq)
+                # the dosage field runs to the line's end; its length in bytes
+                # equals its length in characters unless the line is not ASCII
+                rest = fields[4] if len(text) == len(line) else fields[4].encode("utf-8")
+                spans.extend((end - len(rest), end))
+                line_nos.append(line_no)
+        # each kept row's place in the dosage map: chromosomes in sorted order,
+        # each one's rows stably sorted by position
+        all_positions = np.frombuffer(positions, dtype=np.int64)
+        dest = np.full(len(line_nos), -1, dtype=np.intp)
+        order: dict[str, np.ndarray] = {}
+        n_kept = 0
+        for chrom in sorted(kept):
+            rows = np.array(kept[chrom])
+            order[chrom] = rows = rows[np.argsort(all_positions[rows], kind="stable")]
+            dest[rows] = np.arange(n_kept, n_kept + len(rows))
+            n_kept += len(rows)
+        if line_nos:
+            dosages = _read_dosages(fd, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2),
+                                    line_nos, dest, n_kept, workers)
+    finally:
+        os.close(fd)
     if row_error is not None:
         raise row_error
-    if not rests:
+    if not line_nos:
         raise DataError(f"genotype file {path} has no SNP rows")
 
-    all_iqs = np.array(iqs, dtype=float)
+    all_iqs = np.frombuffer(iqs, dtype=float)
     blocks: dict[str, ChromosomeBlock] = {}
     start = 0
     for chrom, rows in order.items():
@@ -391,11 +457,15 @@ def load_cohort(
     fields, blank lines are skipped and ``#`` is not a comment. Positions must
     be integers (``100.0`` and ``1e5`` are), imputation qualities lie in
     [0, 1] and dosages in [0, 2]; NaN and infinities are rejected, here and
-    in the phenotype and covariates. Python splits off the metadata of each
-    row, and numpy's C reader parses the dosages in up to ``workers``
-    processes, all but one forked, that share out contiguous row chunks. An
-    error in a row names its line; of several, the first in the file is
-    raised, at any ``workers``.
+    in the phenotype and covariates. One pass over the genotype file keeps
+    each row's metadata and the byte span of its dosage field; numpy's C
+    reader then parses the dosages in up to ``workers`` processes, all but
+    one forked, that share out contiguous row chunks and each read their
+    own chunks' spans from the file. The genotype path must be a regular
+    file. An error in a row names its line; of several, the first in the
+    file is raised, at any ``workers``. The phenotype and covariate files
+    are parsed before the genotype file, so an error in them is raised
+    first; their row counts are checked against it after.
 
     SNPs with imputation quality below ``MIN_IMPUTATION_QUALITY`` are
     dropped after validation. Each chromosome's rows are sorted by position
@@ -403,24 +473,19 @@ def load_cohort(
     phenotype and covariate files take one row per individual and an
     optional header row.
     """
-    blocks, n_ind = _read_genotypes(genotype_path, workers)
     phenotype = _read_matrix(phenotype_path, "phenotype").ravel()
+    covariates = None if covariate_path is None else _read_matrix(covariate_path, "covariate")
+    blocks, n_ind = _read_genotypes(genotype_path, workers)
     if len(phenotype) != n_ind:
         raise DataError(
             f"phenotype has {len(phenotype)} rows but genotypes have {n_ind} individuals"
         )
     if np.var(phenotype) == 0.0:
         raise DataError("phenotype has zero variance")
-
-    if covariate_path is not None:
-        covariates = _read_matrix(covariate_path, "covariate")
-        if covariates.shape[0] != n_ind:
-            raise DataError(
-                f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}"
-            )
-    else:
+    if covariates is None:
         covariates = np.empty((n_ind, 0))
-
+    elif covariates.shape[0] != n_ind:
+        raise DataError(f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}")
     return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)
 
 

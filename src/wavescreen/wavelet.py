@@ -186,23 +186,24 @@ def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, 
     if n < 2:
         raise WaveletError("quantile transform needs at least 2 values")
     rows = v.reshape(-1, n)
+    # the argsort as flat indices, so one 1-D gather sorts every row and one
+    # 1-D scatter puts the scores back
     order = np.argsort(rows, axis=-1)
-    sv = np.take_along_axis(rows, order, axis=-1)
+    order += np.arange(0, rows.size, n)[:, None]
+    order = order.ravel()
+    sv = rows.ravel()[order]
     # a tie run starts at every row start and wherever the sorted value changes
     is_start = np.empty(sv.size, dtype=bool)
-    flat = sv.ravel()
-    np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
+    np.not_equal(sv[1:], sv[:-1], out=is_start[1:])
     is_start[::n] = True
     starts = np.flatnonzero(is_start)
     lengths = np.diff(starts, append=sv.size)
     # first + last sorted position of the run = 2 (average rank) - 2, the
     # run's index into the table
     table_index = np.repeat(2 * (starts % n) + lengths - 1, lengths)
-    scores = np.empty_like(rows)
-    np.put_along_axis(
-        scores, order, _blom_table(n)[table_index].reshape(rows.shape), axis=-1
-    )
-    degenerate = sv[:, -1] - sv[:, 0] == 0.0
+    scores = np.empty(rows.shape)
+    scores.ravel()[order] = _blom_table(n)[table_index]
+    degenerate = sv[n - 1::n] - sv[::n] == 0.0
     scores[degenerate] = 0.0
     scores = np.moveaxis(scores.reshape(v.shape), -1, axis)
     return scores, degenerate.reshape(v.shape[:-1])[()]

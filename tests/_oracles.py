@@ -395,20 +395,23 @@ def read_genotypes_reference(path, min_iq):
 
 
 def load_cohort_reference(genotype_path, phenotype_path, covariate_path=None, min_iq=0.7):
-    """Reference for ``dataio.load_cohort``: same checks, same messages."""
-    blocks, n_ind = read_genotypes_reference(genotype_path, min_iq)
+    """Reference for ``dataio.load_cohort``: same checks, same messages, same
+    order (the phenotype and covariate files are parsed before the genotypes)."""
     phenotype = _read_matrix_reference(phenotype_path, "phenotype").ravel()
+    covariates = None
+    if covariate_path is not None:
+        covariates = _read_matrix_reference(covariate_path, "covariate")
+    blocks, n_ind = read_genotypes_reference(genotype_path, min_iq)
     if len(phenotype) != n_ind:
         raise DataError(
             f"phenotype has {len(phenotype)} rows but genotypes have {n_ind} individuals"
         )
     if np.var(phenotype) == 0.0:
         raise DataError("phenotype has zero variance")
-    covariates = np.empty((n_ind, 0))
-    if covariate_path is not None:
-        covariates = _read_matrix_reference(covariate_path, "covariate")
-        if covariates.shape[0] != n_ind:
-            raise DataError(
-                f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}"
-            )
+    if covariates is None:
+        covariates = np.empty((n_ind, 0))
+    elif covariates.shape[0] != n_ind:
+        raise DataError(
+            f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}"
+        )
     return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)

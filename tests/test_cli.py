@@ -1,6 +1,8 @@
 """CLI subcommands end to end, exit codes and determinism."""
 
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ def cohort_files(tmp_path_factory):
     cohort = simharness.generate_genotypes(
         n=150, n_snps=300, n_blocks=6, flip_prob=0.1, span_bp=60_000, seed=21
     )
-    signal = simharness.plant_signal(cohort, 4, 0.15, "mono", seed=22)
-    phenotype = simharness.simulate_phenotype(cohort, signal, seed=23)
+    planted = simharness.plant_signal(cohort, 4, 0.15, "mono", seed=22)
+    phenotype = simharness.simulate_phenotype(cohort, planted, seed=23)
     geno, pheno, _ = write_cohort_files(tmp_path, cohort, phenotype)
     return geno, pheno
 
@@ -216,6 +218,26 @@ class TestScreenCommand:
         rc = main(_screen_args(str(tmp_path), pheno, str(tmp_path / "x")))
         assert rc == 2
         assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
+
+    def test_genotype_fifo_exits_2_at_once(self, cohort_files, tmp_path, capsys):
+        # opening a FIFO to read it waits for a writer; the loader neither
+        # waits nor reads, and names the path
+        _, pheno = cohort_files
+        fifo = tmp_path / "geno.fifo"
+        os.mkfifo(fifo)
+
+        def blocked(*_):
+            raise AssertionError("the loader blocked on the FIFO")
+
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(10)
+        try:
+            rc = main(_screen_args(str(fifo), pheno, str(tmp_path / "x")))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: not a regular file: {fifo}\n"
 
     def test_output_dir_under_a_file_exits_2(self, cohort_files, tmp_path, capsys):
         geno, pheno = cohort_files

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -196,6 +197,37 @@ class TestLoadCohort:
         with pytest.raises(DataError, match="line 2: dosage 3.0 outside"):
             dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0]))
 
+    @pytest.mark.parametrize("pheno_lines, cov_lines, message", [
+        (["0.5", "abc"], None, "line 2: non-numeric phenotype: 'abc'"),
+        (["0.5", "abc"], ["1", "x"], "line 2: non-numeric phenotype: 'abc'"),
+        (["0.5", "1.5"], ["1", "x"], "line 2: non-numeric covariate: 'x'"),
+    ])
+    def test_phenotype_and_covariate_errors_come_before_the_dosages(self, tmp_path, pheno_lines,
+                                                                    cov_lines, message):
+        geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2"])
+        pheno = _write(tmp_path, pheno_lines, name="pheno.tsv")
+        cov = cov_lines and _write(tmp_path, cov_lines, name="cov.tsv")
+        with mock.patch.object(dataio, "_read_dosages") as read_dosages:
+            with pytest.raises(DataError, match=f"^{message}$"):
+                dataio.load_cohort(geno, pheno, cov)
+        read_dosages.assert_not_called()
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    def test_line_endings(self, tmp_path, eol):
+        # text mode splits lines at each of them, and so does the loader; a
+        # no-break space, whitespace to both splits, gives a dosage field
+        # more bytes than characters
+        lines = ["chrom\tpos\tid\tiq\ts1\ts2", "1\t200\tb\t1.0\t2\u00a00", "",
+                 "1\t100\ta\t1.0\t1\t2"]
+        geno = tmp_path / "geno.tsv"
+        geno.write_bytes(eol.join(lines + ["1\t300\tc\t1.0\tx\t2"]).encode())
+        with pytest.raises(DataError, match="^line 5: non-numeric dosage: 'x'$"):
+            dataio._read_genotypes(str(geno))
+        geno.write_bytes(eol.join(lines).encode())
+        blocks, n = dataio._read_genotypes(str(geno))
+        assert n == 2
+        np.testing.assert_array_equal(blocks["1"].dosages, [[1, 2], [2, 0]])
+
 
 class TestGridAndDepth:
     def test_grid_exponent(self):
@@ -331,7 +363,9 @@ def _spell(value, style):
 
 @st.composite
 def _cohort_texts(draw):
-    """Random genotype, phenotype and optional covariate file texts."""
+    """Random genotype, phenotype and optional covariate file texts, each with
+    its own line ending, "\\n" or "\\r\\n"."""
+    eol = st.sampled_from(["\n", "\r\n"])
     n = draw(st.integers(1, 4))
     n_rows = draw(st.integers(1, 10))
     seps = st.sampled_from([" ", "\t", "  ", " \t", "\t\t"])
@@ -367,7 +401,10 @@ def _cohort_texts(draw):
             draw(seps).join(f"{draw(st.floats(-3.0, 3.0)):.17g}" for _ in range(n_cov))
             for _ in range(n)
         ]
-    return "\n".join(lines) + "\n", "\n".join(pheno) + "\n", cov
+        cov_eol = draw(eol)
+        cov = cov_eol.join(cov) + cov_eol
+    geno_eol, pheno_eol = draw(eol), draw(eol)
+    return geno_eol.join(lines) + geno_eol, pheno_eol.join(pheno) + pheno_eol, cov
 
 
 def _outcome(load, *args):
@@ -398,15 +435,15 @@ class TestReferenceParser:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_reference(self, texts, workers):
-        geno_text, pheno_text, cov_lines = texts
+        geno_text, pheno_text, cov_text = texts
         with tempfile.TemporaryDirectory() as tmp:
             geno, pheno = Path(tmp, "geno.tsv"), Path(tmp, "pheno.tsv")
-            geno.write_text(geno_text)
-            pheno.write_text(pheno_text)
+            geno.write_text(geno_text, newline="")
+            pheno.write_text(pheno_text, newline="")
             cov = None
-            if cov_lines is not None:
+            if cov_text is not None:
                 cov = Path(tmp, "cov.tsv")
-                cov.write_text("\n".join(cov_lines) + "\n")
+                cov.write_text(cov_text, newline="")
                 cov = str(cov)
             args = (str(geno), str(pheno), cov)
             got = _outcome(dataio.load_cohort, *args)
@@ -552,3 +589,38 @@ def test_workers_start_at_most_one_child_per_other_cpu(tmp_path, monkeypatch):
     path = _write(tmp_path, _rows([["0", "1", "2"], ["2", "1", "0"], ["1", "1", "1"]]))
     dataio.load_cohort(path, _pheno(tmp_path, [0.0, 1.0, 2.0]), workers=64)
     assert len(forks) == min(dataio._usable_cpus(), 3) - 1
+
+
+def test_parse_holds_a_piece_of_the_dosage_text(tmp_path):
+    # the metadata pass keeps no dosage text, and the parse reads one chunk
+    # of it at a time, so the traced peak stays well below the file's size
+    rng = np.random.default_rng(5)
+    dosages = rng.integers(0, 2001, size=(400, 2000)) / 1000
+    path = tmp_path / "geno.tsv"
+    with open(path, "w") as fh:
+        for i, row in enumerate(dosages):
+            fh.write(f"1\t{i + 1}\tsnp{i}\t1.0\t" + "\t".join(f"{d:.3f}" for d in row) + "\n")
+    tracemalloc.start()
+    try:
+        blocks, _ = dataio._read_genotypes(str(path), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(blocks["1"].dosages, dosages)
+    assert peak < path.stat().st_size / 2
+
+
+@pytest.mark.parametrize("cap", [1, 40])
+def test_a_chunk_read_in_pieces_matches_one_read(tmp_path, monkeypatch, cap):
+    # below one row's text each piece is one row, at 40 bytes it is a few;
+    # rows 15 and 16 share a chunk, and the first bad one in it wins
+    rng = np.random.default_rng(4)
+    rows = [[f"{x:.6g}" for x in rng.uniform(0, 2, 3)] for _ in range(30)]
+    good = _write(tmp_path, _rows(rows), "good.tsv")
+    rows[15:17] = [["0", "2.5", "1"], ["x", "1", "1"]]
+    bad = _write(tmp_path, _rows(rows))
+    whole = dataio._read_genotypes(good)[0]
+    monkeypatch.setattr(dataio, "_MAX_TEXT_BYTES", cap)
+    _assert_blocks_equal(dataio._read_genotypes(good)[0], whole)
+    with pytest.raises(DataError, match=r"^line 17: dosage 2.5 outside \[0,2\]$"):
+        dataio._read_genotypes(bad)
