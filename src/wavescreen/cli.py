@@ -28,61 +28,26 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _checked(kind, ok, must: str):
+    """An argparse type: parse with ``kind`` ("invalid int value: 'x'"), then
+    require ``ok(value)`` ("must {must}, got x"). ``kind`` may be another
+    checked parser, whose own check then comes first."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {must}, got {text}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-
-
-def _positive_float(text: str) -> float:
-    value = _float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _overlap(text: str) -> float:
-    value = _float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
-    return value
-
-
-def _threshold(text: str) -> float:
-    value = _float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """A seed keys a 64-bit counter-based generator."""
-    value = _int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "be at least 1")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "be positive and finite")
+# a seed keys a 64-bit counter-based generator
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "lie in [0, 2^64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,20 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
     # numeric options are checked here, so a bad value is a usage error
     # before the genotype file, the slow input, is read
     s.add_argument("--window-bp", type=_positive_int, default=dataio.DEFAULT_WINDOW_BP)
-    s.add_argument("--overlap", type=_overlap, default=dataio.DEFAULT_OVERLAP)
+    s.add_argument("--overlap", type=_checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+                   default=dataio.DEFAULT_OVERLAP)
     s.add_argument("--max-gap-bp", type=_positive_int, default=dataio.DEFAULT_MAX_GAP_BP)
     s.add_argument("--min-snps-per-coeff", type=_positive_float,
                    default=dataio.DEFAULT_MIN_SNPS_PER_COEFF)
-    s.add_argument("--sigma-b", type=_positive_float, default=bayes.DEFAULT_SIGMA_B)
+    s.add_argument("--sigma-b", default=bayes.DEFAULT_SIGMA_B, type=_checked(
+        _positive_float, bayes.valid_sigma_b, "have a finite, nonzero square and inverse square"))
     s.add_argument("--coefficient-kind", choices=["c", "d", "both"], default="both")
-    s.add_argument("--depth-cap", type=_nonnegative_int, default=None)
+    s.add_argument("--depth-cap", type=_checked(int, lambda v: v >= 0, "be at least 0"))
     s.add_argument("--m", type=_positive_int, default=nullsim.DEFAULT_M,
                    help="null-simulation count")
     s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--threads", type=_positive_int, default=1,
                    help="screen windows on this many threads and parse the genotype "
                         "dosages in this many processes (at most one per usable CPU)")
-    s.add_argument("--significance-threshold", type=_threshold, default=0.05 / 6000)
+    s.add_argument("--significance-threshold", default=0.05 / 6000,
+                   type=_checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"))
     s.add_argument("--output-dir", required=True)
     s.add_argument("--emit-details", action="store_true",
                    help="write per-locus BF detail TSVs (scale location bf posterior_gamma)")
@@ -178,7 +146,7 @@ def cmd_screen(args) -> int:
                   f"{block.n_snps - last[chrom].snp_end} of {block.n_snps} kept",
                   file=sys.stderr)
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
-    lam1 = bayes.lambda1(ctx)
+    [lam1] = bayes.lambda1(ctx)
     cache = _cache_dir(args.output_dir)
 
     # one null model per distinct window depth; the design constant is shared

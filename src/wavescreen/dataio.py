@@ -471,9 +471,13 @@ def load_cohort(
     dropped after validation. Each chromosome's rows are sorted by position
     (stably); duplicate positions within a chromosome are rejected. The
     phenotype and covariate files take one row per individual and an
-    optional header row.
+    optional header row; the phenotype file holds one column.
     """
-    phenotype = _read_matrix(phenotype_path, "phenotype").ravel()
+    phenotype = _read_matrix(phenotype_path, "phenotype")
+    if phenotype.shape[1] != 1:
+        raise DataError(f"phenotype file {phenotype_path} has {phenotype.shape[1]} columns, "
+                        "expected 1")
+    phenotype = phenotype.ravel()
     covariates = None if covariate_path is None else _read_matrix(covariate_path, "covariate")
     blocks, n_ind = _read_genotypes(genotype_path, workers)
     if len(phenotype) != n_ind:

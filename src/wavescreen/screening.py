@@ -40,16 +40,6 @@ class LocusResult:
     p_value: float | None = None
 
 
-def _check_bfs(bfs_by_scale: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    for bf in bfs_by_scale:
-        bf = np.asarray(bf, dtype=float)
-        if bf.size and np.any(bf <= 0.0):
-            raise ScreeningError("Bayes factors must be positive")
-        out.append(bf)
-    return out
-
-
 def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize log Lambda(pi) = sum_l log1p(pi (BF_l - 1)) over pi in [0, 1], per row.
 
@@ -94,28 +84,25 @@ def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pi, log_lam
 
 
-def maximize_lambda(
-    bfs_by_scale: list[np.ndarray],
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Maximized (pi_hat, Lambda_hat) over all scales of one window.
+def maximize_lambda(bfs_by_scale: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Maximized (pi_hat, Lambda_hat) over all scales of one window, per phenotype.
 
-    Each entry holds one scale's BFs: (k_s,) for one phenotype, giving
-    pi_hat (S,) and a float Lambda_hat, or (P, k_s) for P phenotypes, giving
-    pi_hat (P, S) and Lambda_hat (P,). Each scale's P rows are solved in one
-    ``max_log_lambda`` call. Scales with no (non-degenerate) coefficients
-    get pi_s = 0. Boundary solutions pi_s in {0, 1} are permitted.
+    Each entry holds one scale's BFs as (P, k_s), a row per phenotype (a
+    (k_s,) entry is one row). Returns pi_hat (P, S) and Lambda_hat (P,);
+    each scale's P rows are solved in one ``max_log_lambda`` call. Scales
+    with no (non-degenerate) coefficients get pi_s = 0. Boundary solutions
+    pi_s in {0, 1} are permitted.
     """
-    bfs_by_scale = _check_bfs(bfs_by_scale)
-    batch = any(bf.ndim == 2 for bf in bfs_by_scale)
-    bfs = [np.atleast_2d(bf) for bf in bfs_by_scale]
+    bfs = [np.atleast_2d(np.asarray(bf, dtype=float)) for bf in bfs_by_scale]
+    if any(np.any(bf <= 0.0) for bf in bfs):
+        raise ScreeningError("Bayes factors must be positive")
     pi_hat = np.zeros((max((bf.shape[0] for bf in bfs), default=1), len(bfs)))
     log_lam = np.zeros(len(pi_hat))
     for s, bf in enumerate(bfs):
         if bf.size:
             pi_hat[:, s], ll = max_log_lambda(bf)
             log_lam += ll
-    lam = np.exp(log_lam)
-    return (pi_hat, lam) if batch else (pi_hat[0], float(lam[0]))
+    return pi_hat, np.exp(log_lam)
 
 
 def posterior_gamma(bf: np.ndarray, pi_s: float) -> np.ndarray:
@@ -197,20 +184,19 @@ def screen_spectra(
     """Screen one window's spectra of one kind: Bayes factors -> Lambda-hat over pi.
 
     ``scores`` and ``degenerate`` are one kind's entry of ``window_spectra``.
-    Returns one result per phenotype of ``ctx``: a list of one for a single
-    phenotype, of P for a batch design. Each scale's coefficients are
-    residualized once for the whole batch. Degenerate coefficients are
+    Returns one result per phenotype of ``ctx``. Each scale's coefficients
+    are residualized once for all phenotypes. Degenerate coefficients are
     dropped from the product (a BF = 1 factor); a window with none left is
     flagged ``degenerate`` and gets pi_hat = 0 and Lambda_hat = 1. The
     p-value is left unset; the null model assigns it later.
     """
-    n_pheno = ctx.n_phenotypes
+    n_pheno = len(ctx.xtx)
     bf_by_scale: list[np.ndarray] = []
     loc_by_scale: list[np.ndarray] = []
     for sc, deg in zip(scores, degenerate):
         locs = np.where(~deg)[0]
-        log_bf = log_bayes_factor(ctx, sc[locs].T) if locs.size else np.empty(0)
-        bf_by_scale.append(np.exp(log_bf).reshape(n_pheno, locs.size))
+        log_bf = log_bayes_factor(ctx, sc[locs].T) if locs.size else np.empty((n_pheno, 0))
+        bf_by_scale.append(np.exp(log_bf))
         loc_by_scale.append(locs)
     pi_hat, lam = maximize_lambda(bf_by_scale)
     return [

@@ -166,15 +166,13 @@ def gwas_lm_baseline(
 ) -> np.ndarray:
     """Per-SNP two-sided t-test p-values from OLS of phenotype on dosage.
 
-    ``phenotype`` is (n,) for one trait, giving (m,) p-values, or (R, n)
-    for R traits, giving (R, m). Intercept and covariates are projected out
-    of both sides; the residual dosages, their norms and the testable mask
-    are computed once for all traits. Monomorphic SNPs get p = 1.
+    ``phenotype`` is (R, n) for R traits (an (n,) phenotype is one row), and
+    the p-values are (R, m). Intercept and covariates are projected out of
+    both sides; the residual dosages, their norms and the testable mask are
+    computed once for all traits. Monomorphic SNPs get p = 1.
     """
     G = np.asarray(dosages, dtype=float)
-    Y = np.asarray(phenotype, dtype=float)
-    single = Y.ndim == 1
-    Y = Y.reshape(1, -1) if single else Y
+    Y = np.atleast_2d(np.asarray(phenotype, dtype=float))
     n = Y.shape[1]
     C = covariates if covariates is not None else np.empty((n, 0))
     if any(np.var(y) == 0.0 for y in Y):
@@ -201,7 +199,7 @@ def gwas_lm_baseline(
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = beta * np.sqrt(gg * dof / np.maximum(rss, 1e-300))
         pvals[r, ok] = 2.0 * stdtr(dof, -np.abs(tstat[ok]))
-    return pvals[0] if single else pvals
+    return pvals
 
 
 @dataclass
@@ -280,7 +278,7 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
     window = synthetic_window(cohort, config.min_snps_per_coeff)
 
     probe = bayes.build_design(_standardized(np.arange(config.n, dtype=float)))
-    lam1 = bayes.lambda1(probe)
+    [lam1] = bayes.lambda1(probe)
     # looked up on the module, where tracing wraps it to count cache misses
     null_model = nullsim.load_or_build_null_model(
         lam1, window.depth, config.null_m, config.seed, cache_dir

@@ -111,11 +111,11 @@ def log_bf_numeric(ctx, y, epsrel=1e-11):
     O(1) values; the log of the scale factor is added back.
     """
     yt = ctx.residualize(np.asarray(y, dtype=float))
-    xt = ctx.x_tilde
+    xt = ctx.x_tilde[:, 0]
     a = 0.5 * (ctx.n - ctx.q)
     rss0 = float(yt @ yt)
     xty = float(xt @ yt)
-    xtx = ctx.xtx
+    xtx = float(ctx.xtx[0])
     sb2 = ctx.sigma_b ** 2
 
     def log_f1(b, v):
@@ -397,7 +397,11 @@ def read_genotypes_reference(path, min_iq):
 def load_cohort_reference(genotype_path, phenotype_path, covariate_path=None, min_iq=0.7):
     """Reference for ``dataio.load_cohort``: same checks, same messages, same
     order (the phenotype and covariate files are parsed before the genotypes)."""
-    phenotype = _read_matrix_reference(phenotype_path, "phenotype").ravel()
+    phenotype = _read_matrix_reference(phenotype_path, "phenotype")
+    if phenotype.shape[1] != 1:
+        raise DataError(f"phenotype file {phenotype_path} has {phenotype.shape[1]} columns, "
+                        "expected 1")
+    phenotype = phenotype.ravel()
     covariates = None
     if covariate_path is not None:
         covariates = _read_matrix_reference(covariate_path, "covariate")

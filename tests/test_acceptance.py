@@ -39,7 +39,7 @@ def test_criterion_01_bayes_factor_closed_form():
         y = rng.standard_normal(n)
         ctx = bayes.build_design(y, covariates=cov, sigma_b=0.2)
         z = rng.standard_normal(n) + (0.1 * y if i % 3 == 0 else 0.0)
-        log_bf = bayes.log_bayes_factor(ctx, z)
+        [log_bf] = bayes.log_bayes_factor(ctx, z)
         oracle = log_bf_numeric(ctx, z)
         worst = max(worst, abs(np.expm1(log_bf - oracle)))
     _report(1, worst <= 1e-6, f"max BF relative error {worst:.2e} (limit 1e-6)")
@@ -51,16 +51,17 @@ def test_criterion_02_null_law_of_two_log_bf():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(n)
     ctx = bayes.build_design(y, sigma_b=0.2)
-    lam1 = bayes.lambda1(ctx)
+    [lam1] = bayes.lambda1(ctx)
     Z = rng.standard_normal((n, m))  # independent responses = permuted-null
-    emp = 2.0 * np.asarray(bayes.log_bayes_factor(ctx, Z))
+    emp = 2.0 * bayes.log_bayes_factor(ctx, Z)[0]
     theo = lam1 * rng.chisquare(1, size=m) + np.log1p(-lam1)
     ks = stats.ks_2samp(emp, theo)
     # each regression's own squared t statistic is its matched chi2_1 draw
     Zt = ctx.residualize(Z)
     rss0 = np.einsum("ij,ij->j", Zt, Zt)
-    xty = ctx.x_tilde @ Zt
-    q = xty**2 / (ctx.xtx * (rss0 - xty**2 / ctx.xtx) / (ctx.n - ctx.q - 1))
+    xty = ctx.x_tilde[:, 0] @ Zt
+    [xtx] = ctx.xtx
+    q = xty**2 / (xtx * (rss0 - xty**2 / xtx) / (ctx.n - ctx.q - 1))
     slope = np.polyfit(q, emp, 1)[0]
     rel = abs(slope - lam1) / lam1
     ok = ks.pvalue > 0.01 and rel < 0.01
@@ -76,7 +77,7 @@ def test_criterion_03_em_matches_grid_search():
     for _ in range(1000):
         size = int(rng.integers(1, 65))
         bf = np.exp(rng.normal(scale=1.5, size=size))
-        pi, lam = maximize_lambda([bf])
+        [pi], [lam] = maximize_lambda([bf])
         _, lam_ref = lambda_max_grid([bf], step=1e-3)
         worst = max(worst, abs(lam - lam_ref) / lam_ref)
         all_ge_one &= lam >= 1.0
@@ -143,7 +144,7 @@ def test_criterion_05_end_to_end_null_calibration(tmp_path):
     # sigma_b giving lambda1 = 0.1: small enough that Lambda-hat has no
     # atom at 1 and the p-value distribution is continuous
     sigma_b = np.sqrt(0.1 / (0.9 * float(base @ base)))
-    lam1 = bayes.lambda1(bayes.build_design(base, sigma_b=sigma_b))
+    [lam1] = bayes.lambda1(bayes.build_design(base, sigma_b=sigma_b))
     model = nullsim.load_or_build_null_model(
         lam1, depth, 100_000, seed, str(tmp_path / "cache")
     )
@@ -246,7 +247,7 @@ def test_criterion_09_dosage_flip_invariance():
         y = np.random.default_rng(100 + seed).standard_normal(400)
         ctx = bayes.build_design(y, sigma_b=0.2)
         model = nullsim.load_or_build_null_model(
-            bayes.lambda1(ctx), window.depth, 20_000, seed
+            bayes.lambda1(ctx)[0], window.depth, 20_000, seed
         )
         res = screen_window(window, cohort, ctx, "d")
         res_f = screen_window(window, _flipped(cohort), ctx, "d")

@@ -14,10 +14,10 @@ class TestBuildDesign:
         y = rng.standard_normal(50)
         C = rng.standard_normal((50, 2))
         ctx = build_design(y, C, sigma_b=0.3)
-        assert ctx.n == 50 and ctx.q == 3
+        assert ctx.n == 50 and ctx.q == 3 and ctx.x_tilde.shape == (50, 1)
         # x_tilde is orthogonal to the nuisance span
         np.testing.assert_allclose(ctx.basis.T @ ctx.x_tilde, 0.0, atol=1e-10)
-        np.testing.assert_allclose(ctx.xtx, ctx.x_tilde @ ctx.x_tilde)
+        np.testing.assert_allclose(ctx.xtx, [ctx.x_tilde[:, 0] @ ctx.x_tilde[:, 0]])
 
     def test_residualize_idempotent(self):
         rng = np.random.default_rng(1)
@@ -53,6 +53,13 @@ class TestBuildDesign:
             assert ctx.x_tilde[:, j].tobytes() == one.x_tilde.tobytes()
             assert ctx.xtx[j] == one.xtx
             assert lambda1(ctx)[j] == lambda1(one)
+        # an (n,) phenotype is the one column of an (n, 1) design
+        vec, col = build_design(Y[:, 0], C, sigma_b=0.3), build_design(Y[:, :1], C, sigma_b=0.3)
+        assert vec.x_tilde.shape == (40, 1) and vec.xtx.shape == (1,)
+        assert vec.x_tilde.tobytes() == col.x_tilde.tobytes()
+        assert vec.xtx.tobytes() == col.xtx.tobytes()
+        Z = rng.standard_normal((40, 6))
+        assert log_bayes_factor(vec, Z).tobytes() == log_bayes_factor(col, Z).tobytes()
 
     def test_batch_column_with_zero_variance_is_named(self):
         Y = np.random.default_rng(13).standard_normal((20, 4))
@@ -71,6 +78,12 @@ class TestBuildDesign:
     def test_bad_sigma_b(self):
         with pytest.raises(DesignError, match="sigma_b"):
             build_design(np.arange(10.0), sigma_b=0.0)
+
+    @pytest.mark.parametrize("sigma_b", [1e155, 1e200, 1e-160, 1e-200, np.inf, np.nan])
+    def test_sigma_b_with_an_unusable_square(self, sigma_b):
+        # sigma_b^2 or sigma_b^-2 overflows, or sigma_b^2 underflows to 0
+        with pytest.raises(DesignError, match="sigma_b must be positive with a finite"):
+            build_design(np.arange(10.0), sigma_b=sigma_b)
 
     def test_too_few_rows(self):
         with pytest.raises(DesignError, match="n > q"):
@@ -96,7 +109,7 @@ class TestLogBayesFactor:
             C = rng.standard_normal((50, 2)) if with_cov else None
             ctx = build_design(x, C, sigma_b=0.2)
             y = rng.standard_normal(50)
-            closed = log_bayes_factor(ctx, y)
+            [closed] = log_bayes_factor(ctx, y)
             oracle = log_bf_numeric(ctx, y)
             assert abs(closed - oracle) < 1e-8 * max(1.0, abs(oracle))
 
@@ -104,8 +117,8 @@ class TestLogBayesFactor:
         rng = np.random.default_rng(5)
         ctx = build_design(rng.standard_normal(40), rng.standard_normal((40, 1)))
         Y = rng.standard_normal((40, 7))
-        batch = log_bayes_factor(ctx, Y)
-        singles = [log_bayes_factor(ctx, Y[:, j]) for j in range(7)]
+        [batch] = log_bayes_factor(ctx, Y)
+        singles = [log_bayes_factor(ctx, Y[:, j])[0] for j in range(7)]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
     def test_batch_rows_equal_single_phenotypes_bitwise(self):

@@ -196,6 +196,19 @@ class TestScreenCommand:
         assert main(_screen_args(geno, pheno, str(tmp_path / "run"))) == 0
         assert capsys.readouterr().err == UNSCREENED + "\n"
 
+    def test_two_column_phenotype_exits_1(self, cohort_files, tmp_path, capsys):
+        # the fixture's 150 phenotype values as 75 rows of 2 columns were once
+        # screened as one phenotype in the wrong order
+        geno, pheno = cohort_files
+        two = tmp_path / "pheno_2col.tsv"
+        np.savetxt(two, np.loadtxt(pheno).reshape(75, 2))
+        out = tmp_path / "run"
+        assert main(_screen_args(geno, str(two), str(out))) == 1
+        assert capsys.readouterr().err == (
+            f"error: phenotype file {two} has 2 columns, expected 1\n"
+        )
+        assert not (out / "results.tsv").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
         # argparse rejects it, before any input file is looked at
@@ -303,6 +316,10 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, command, seed):
     ("screen", "--max-gap-bp", "0", "must be at least 1, got 0"),
     ("screen", "--min-snps-per-coeff", "0", "must be positive and finite, got 0"),
     ("screen", "--sigma-b", "0", "must be positive and finite, got 0"),
+    # sigma_b^2 overflows, or sigma_b^-2 does, or sigma_b^2 underflows to 0
+    *[("screen", "--sigma-b", value,
+       f"must have a finite, nonzero square and inverse square, got {value}")
+      for value in ("1e155", "1e200", "1e-160", "1e-200")],
     ("screen", "--depth-cap", "-1", "must be at least 0, got -1"),
     ("screen", "--significance-threshold", "-1", "must lie in (0, 1], got -1"),
     ("screen", "--significance-threshold", "1.5", "must lie in (0, 1], got 1.5"),
@@ -332,6 +349,11 @@ def test_numeric_options_accept_their_bounds():
     ])
     assert (args.overlap, args.depth_cap, args.significance_threshold) == (0.0, 0, 1.0)
     assert (args.window_bp, args.sigma_b) == (1, 1e-3)
+    args = build_parser().parse_args([
+        "screen", "--genotype-path", "g.tsv", "--phenotype-path", "p.tsv", "--seed", "1",
+        "--output-dir", "o", "--sigma-b", "1e3",
+    ])
+    assert args.sigma_b == 1e3
 
 
 class TestNullsimCommand:

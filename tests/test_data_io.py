@@ -201,6 +201,8 @@ class TestLoadCohort:
         (["0.5", "abc"], None, "line 2: non-numeric phenotype: 'abc'"),
         (["0.5", "abc"], ["1", "x"], "line 2: non-numeric phenotype: 'abc'"),
         (["0.5", "1.5"], ["1", "x"], "line 2: non-numeric covariate: 'x'"),
+        # two values per row were once read as one phenotype of twice the rows
+        (["0.5\t1.5"], None, "phenotype file .*/pheno\\.tsv has 2 columns, expected 1"),
     ])
     def test_phenotype_and_covariate_errors_come_before_the_dosages(self, tmp_path, pheno_lines,
                                                                     cov_lines, message):

@@ -76,7 +76,7 @@ class TestEM:
         assert np.all(pi[:, 2] == 0.0)
 
     def test_empty_scale_gets_pi_zero(self):
-        pi, lam = maximize_lambda([np.empty(0), np.array([5.0])])
+        [pi], [lam] = maximize_lambda([np.empty(0), np.array([5.0])])
         assert pi[0] == 0.0 and pi[1] == 1.0
         assert abs(lam - 5.0) < 1e-12
 
@@ -92,7 +92,7 @@ class TestEM:
         lams = []
         for _ in range(20_000):
             bf = np.exp(rng.normal(0.0, 0.05, size=int(rng.integers(1, 64))))
-            lams.append(maximize_lambda([bf])[1])
+            lams.append(maximize_lambda([bf])[1][0])
         assert min(lams) >= 1.0
         for lam in lams:
             assert 0.0 < nullsim.p_value(model, lam) <= 1.0

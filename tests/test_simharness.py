@@ -112,7 +112,7 @@ class TestGwasBaseline:
         rng = np.random.default_rng(9)
         G = rng.integers(0, 3, size=(12, 150)).astype(float)
         y = rng.standard_normal(150) + 0.3 * G[4]
-        pvals = gwas_lm_baseline(G, y)
+        [pvals] = gwas_lm_baseline(G, y)
         for j in range(12):
             ref = stats.linregress(G[j], y).pvalue
             assert abs(pvals[j] - ref) < 1e-10
@@ -122,7 +122,7 @@ class TestGwasBaseline:
         G = rng.integers(0, 3, size=(3, 200)).astype(float)
         C = rng.standard_normal((200, 2))
         y = C @ np.array([0.5, -0.2]) + rng.standard_normal(200)
-        pvals = gwas_lm_baseline(G, y, C)
+        [pvals] = gwas_lm_baseline(G, y, C)
         # reference: residualize both sides against [1, C], then simple regression
         Z = np.column_stack([np.ones(200), C])
         H = Z @ np.linalg.lstsq(Z, np.eye(200), rcond=None)[0]
@@ -160,7 +160,7 @@ class TestGwasBaseline:
     def test_monomorphic_snp_gets_p_one(self):
         rng = np.random.default_rng(11)
         G = np.vstack([np.ones(50), rng.integers(0, 3, 50)]).astype(float)
-        pvals = gwas_lm_baseline(G, rng.standard_normal(50))
+        [pvals] = gwas_lm_baseline(G, rng.standard_normal(50))
         assert pvals[0] == 1.0 and pvals[1] < 1.0
 
     def test_constant_phenotype_rejected(self):
@@ -176,7 +176,7 @@ class TestGwasBaseline:
         stacked = gwas_lm_baseline(G, Y, C)
         assert stacked.shape == (5, 20)
         for y, row in zip(Y, stacked):
-            assert np.array_equal(row, gwas_lm_baseline(G, y, C))
+            assert np.array_equal(row, gwas_lm_baseline(G, y, C)[0])
         assert np.all(stacked[:, 3] == 1.0)
 
     def test_any_constant_phenotype_row_rejected(self):
@@ -257,7 +257,7 @@ class TestPowerExperiment:
         window = synthetic_window(cohort, cfg.min_snps_per_coeff)
         probe = bayes.build_design(simharness._standardized(np.arange(cfg.n, dtype=float)))
         model = nullsim.load_or_build_null_model(
-            bayes.lambda1(probe), window.depth, cfg.null_m, cfg.seed, None
+            bayes.lambda1(probe)[0], window.depth, cfg.null_m, cfg.seed, None
         )
         rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 3], dtype=np.uint64)))
         assert len(detail) == cfg.replicates
