@@ -64,8 +64,9 @@ def build_design(
     phenotype is the one column of an (n, 1) design. Each column is
     projected on its own, so a column equals the design of that column
     alone bit for bit. Raises DesignError for rank-deficient covariates, a
-    sigma_b that ``valid_sigma_b`` rejects, or a zero-variance phenotype or
-    one collinear with the covariates; with P > 1 the error names the column.
+    sigma_b that ``valid_sigma_b`` rejects, a zero-variance phenotype, one
+    collinear with the covariates, or one whose lambda1 rounds to 0 or 1 at
+    this sigma_b; with P > 1 the error names the column.
     """
     phi = np.asarray(phenotype, dtype=float)
     n = len(phi)
@@ -95,6 +96,12 @@ def build_design(
         xtx.append(float(x_rows[-1] @ x_rows[-1]))
         if xtx[-1] <= 1e-12 * float(col @ col):
             raise DesignError(f"{name} is collinear with the covariates")
+        s2x = float(sigma_b) ** 2 * xtx[-1]  # as lambda1 forms it
+        if not 0.0 < s2x / (1.0 + s2x) < 1.0:
+            raise DesignError(
+                f"sigma_b = {sigma_b:g} gives {name} sigma_b^2 x'x = {s2x:g}, so lambda1 = "
+                f"sigma_b^2 x'x / (1 + sigma_b^2 x'x) rounds to {s2x / (1.0 + s2x):g}; "
+                "it must lie strictly between 0 and 1")
     if n <= q + 1:
         raise DesignError(f"need n > q + 1 (n={n}, q={q})")
     # rows of a (P, n) array are the contiguous columns of its (n, P) transpose

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import errno
 import functools
+import hashlib
 import math
 import mmap
 import os
 import pickle
 import stat
+import sys
+import tempfile
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -16,6 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_IMPUTATION_QUALITY = 0.7
+# Names what a dosage cache entry holds and how: bump the number whenever the
+# genotype parse changes what it keeps; the IQ cut and byte order are part of
+# the name as they are, so an entry made under other ones is not read.
+_DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-1-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
+                       f"-{sys.byteorder}")
 
 DEFAULT_WINDOW_BP = 1_000_000
 DEFAULT_OVERLAP = 0.5
@@ -206,11 +214,14 @@ def _open_regular(path: str) -> int:
     raise OSError(errno.EINVAL, "Not a regular file", path)
 
 
-def _lines(fh) -> Iterator[tuple[int, bytes, int]]:
+def _lines(fh, sha=None) -> Iterator[tuple[int, bytes, int]]:
     """Yield (line number, line, byte offset of its end) of a binary file,
-    split where text mode splits it: after '\\n', '\\r\\n' and a lone '\\r'."""
+    split where text mode splits it: after '\\n', '\\r\\n' and a lone '\\r'.
+    Every byte read is also fed to the hash ``sha``, if one is given."""
     line_no = end = 0
     for raw in fh:
+        if sha is not None:
+            sha.update(raw)
         for line in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
             line_no += 1
             end += len(line)
@@ -247,8 +258,11 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
         values = _read_rows(first + _row_texts(fd, spans, lo, stop),
                             line_nos[:1] + line_nos[lo:stop], "dosage", 0.0, 2.0)[1:]
         rows = dest[lo:stop]
-        keep = rows >= 0
-        out[rows[keep]] = values[keep]
+        if rows[0] >= 0 and np.all(np.diff(rows) == 1):  # every row kept, in one run
+            out[rows[0]:rows[0] + len(rows)] = values
+        else:
+            keep = rows >= 0
+            out[rows[keep]] = values[keep]
         lo = stop
 
 
@@ -363,13 +377,16 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     return out
 
 
-def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBlock], int]:
+def _read_genotypes(path: str, workers: int = 1,
+                    sha=None) -> tuple[dict[str, ChromosomeBlock], int]:
     """Read and validate the genotype file (format in ``load_cohort``).
 
     Returns the blocks of SNPs passing ``MIN_IMPUTATION_QUALITY`` by
     chromosome, in sorted chromosome order, and the number of individuals.
     One pass over the file keeps each row's metadata and the byte span of
     its dosage field, not its text; ``_read_dosages`` reads the spans back.
+    That pass also feeds every byte of the file to the hash ``sha``, if
+    one is given.
     """
     positions = array("q")
     iqs = array("d")
@@ -382,7 +399,7 @@ def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBl
         # a buffer above the longest lines lets the reader split them without
         # refilling it for each line
         with open(fd, "rb", buffering=1 << 20, closefd=False) as fh:
-            for line_no, line, end in _lines(fh):
+            for line_no, line, end in _lines(fh, sha):
                 text = line.decode("utf-8")
                 fields = text.split(None, 4)
                 if not fields or (line_no == 1 and fields[0].lower() in _GENOTYPE_HEADER):
@@ -442,11 +459,99 @@ def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBl
     return blocks, dosages.shape[1]
 
 
+_MAX_HEADER_LINE = 1 << 16  # a longer header line is not one _save_entry wrote
+
+
+def _entry_path(cache_dir: str, genotype_path: str) -> str:
+    """The dosage cache entry of a genotype file, named by a hash of its real
+    path, so a file that changes replaces its own entry."""
+    key = hashlib.sha256(os.fsencode(os.path.realpath(genotype_path))).hexdigest()[:32]
+    return os.path.join(cache_dir, f"dosages_{key}.bin")
+
+
+def _load_entry(entry: str, genotype_path: str) -> tuple[dict[str, ChromosomeBlock], int] | None:
+    """The blocks and number of individuals held by a dosage cache entry.
+
+    None when the entry is missing, its header is not one ``_save_entry``
+    writes, its size is not what the header implies, or the sha256 in the
+    header is not that of the genotype file's bytes. The blocks' arrays are
+    read-only views of a map of the entry. The genotype file is opened as
+    the parse opens it, so a path that is not a regular file raises here.
+    """
+    fd = _open_regular(genotype_path)
+    try:
+        with open(entry, "rb") as fh:
+            form, digest, n, n_chroms = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
+            if form != _DOSAGE_CACHE_FORMAT:
+                return None
+            table = []
+            for _ in range(int(n_chroms)):
+                chrom, count = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
+                table.append((chrom, int(count)))
+            n, n_kept, offset = int(n), sum(c for _, c in table), -(-fh.tell() // 8) * 8
+            if (n < 1 or min((c for _, c in table), default=0) < 1
+                    or os.fstat(fh.fileno()).st_size != offset + 8 * n_kept * (n + 2)):
+                return None
+            with open(fd, "rb", closefd=False) as geno:
+                if hashlib.file_digest(geno, "sha256").hexdigest() != digest:
+                    return None
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # no readable entry, or a header that does not parse
+        return None
+    finally:
+        os.close(fd)
+    positions = np.frombuffer(data, np.int64, n_kept, offset)
+    iqs = np.frombuffer(data, float, n_kept, offset + 8 * n_kept)
+    dosages = np.frombuffer(data, float, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n)
+    blocks = {}
+    start = 0
+    for chrom, count in table:
+        rows = slice(start, start + count)
+        blocks[chrom] = ChromosomeBlock(chrom, positions[rows], iqs[rows], dosages[rows])
+        start += count
+    return blocks, n
+
+
+def _save_entry(entry: str, blocks: dict[str, ChromosomeBlock], n: int, digest: str) -> None:
+    """Write parsed blocks to the dosage cache entry ``entry``.
+
+    One header line holds the format, the genotype file's sha256, n and
+    the number of chromosomes, and one line per chromosome its name and
+    kept SNP count; the header is padded to a multiple of 8 bytes. Every
+    kept position (int64), imputation quality and dosage row (float64)
+    follow, in block order, written from the blocks' own arrays. The entry
+    is written under a temporary name and renamed into place, so a reader
+    never sees part of one. One that cannot be written costs a warning,
+    not the run.
+    """
+    cache_dir = os.path.dirname(entry)
+    header = f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{n}\t{len(blocks)}\n" + "".join(
+        f"{chrom}\t{block.n_snps}\n" for chrom, block in blocks.items())
+    header = header.encode("utf-8")
+    tmp = None
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header + b" " * (-len(header) % 8))
+            for field in ("positions", "imputation_quality", "dosages"):
+                for block in blocks.values():
+                    fh.write(getattr(block, field))
+        os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
+        os.replace(tmp, entry)
+    except OSError as exc:
+        print(f"warning: parsed dosages not cached: {exc}", file=sys.stderr)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def load_cohort(
     genotype_path: str,
     phenotype_path: str,
     covariate_path: str | None = None,
     workers: int = 1,
+    cache_dir: str | None = None,
 ) -> CohortData:
     """Load and validate a cohort from whitespace-separated text files.
 
@@ -472,6 +577,13 @@ def load_cohort(
     (stably); duplicate positions within a chromosome are rejected. The
     phenotype and covariate files take one row per individual and an
     optional header row; the phenotype file holds one column.
+
+    With a ``cache_dir``, a load that passes every check writes the parsed
+    blocks to an entry there, named by the genotype file's real path and
+    holding the sha256 of its bytes. A later load of a file with those
+    bytes maps the entry read-only instead of parsing the file again; an
+    entry that is missing, malformed, truncated or of other bytes is
+    parsed past and rewritten.
     """
     phenotype = _read_matrix(phenotype_path, "phenotype")
     if phenotype.shape[1] != 1:
@@ -479,7 +591,14 @@ def load_cohort(
                         "expected 1")
     phenotype = phenotype.ravel()
     covariates = None if covariate_path is None else _read_matrix(covariate_path, "covariate")
-    blocks, n_ind = _read_genotypes(genotype_path, workers)
+    entry = sha = loaded = None
+    if cache_dir is not None:
+        entry = _entry_path(cache_dir, genotype_path)
+        loaded = _load_entry(entry, genotype_path)
+    if loaded is None:
+        sha = None if entry is None else hashlib.sha256()
+        loaded = _read_genotypes(genotype_path, workers, sha)
+    blocks, n_ind = loaded
     if len(phenotype) != n_ind:
         raise DataError(
             f"phenotype has {len(phenotype)} rows but genotypes have {n_ind} individuals"
@@ -490,6 +609,8 @@ def load_cohort(
         covariates = np.empty((n_ind, 0))
     elif covariates.shape[0] != n_ind:
         raise DataError(f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}")
+    if sha is not None:
+        _save_entry(entry, blocks, n_ind, sha.hexdigest())
     return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)
 
 

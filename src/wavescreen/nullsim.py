@@ -18,7 +18,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import inv_boxcox
 
 from wavescreen.screening import SOLVER_VERSION, max_log_lambda
@@ -126,6 +125,10 @@ def fit_gpd_exceedances(exc: np.ndarray) -> tuple[float, float, float, float]:
         raise GPDFitError(f"only {len(exc)} exceedances; need {MIN_EXCEEDANCES}")
     if np.ptp(exc) == 0.0:
         raise GPDFitError("exceedances are constant; GPD likelihood is degenerate")
+    # imported here, as only a cache miss fits a tail: scipy.optimize
+    # takes about a third of the command line's start-up
+    from scipy.optimize import minimize
+
     x0 = np.array([0.1, math.log(float(np.mean(exc)))])
     res = minimize(_gpd_negloglik, x0, args=(exc,), method="Nelder-Mead",
                    options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 20000})

@@ -1,5 +1,7 @@
 """Design construction and closed-form Bayes factors."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ class TestBuildDesign:
         # sigma_b^2 or sigma_b^-2 overflows, or sigma_b^2 underflows to 0
         with pytest.raises(DesignError, match="sigma_b must be positive with a finite"):
             build_design(np.arange(10.0), sigma_b=sigma_b)
+
+    @pytest.mark.parametrize("scale, sigma_b, rounded", [(1.0, 1e8, 1), (1e-10, 1e-154, 0)])
+    def test_lambda1_that_rounds_to_0_or_1(self, scale, sigma_b, rounded):
+        # sigma_b^2 x'x = 8.25e17 is past 2^53, or 8.25e-328 underflows to 0
+        with pytest.raises(DesignError, match=(
+                rf"^sigma_b = {re.escape(f'{sigma_b:g}')} gives phenotype sigma_b\^2 x'x = .*, so lambda1 = "
+                rf".* rounds to {rounded}; it must lie strictly between 0 and 1$")):
+            build_design(scale * np.arange(10.0), sigma_b=sigma_b)
 
     def test_too_few_rows(self):
         with pytest.raises(DesignError, match="n > q"):

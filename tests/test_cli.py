@@ -7,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 
-from wavescreen import nullsim, simharness
+from wavescreen import dataio, nullsim, simharness
 from wavescreen.cli import build_parser, main
 
 from conftest import write_cohort_files
@@ -291,6 +291,39 @@ class TestScreenCommand:
         rc = main(_screen_args(geno, pheno, str(tmp_path / "run")))
         assert rc == 0
         assert list(cache.glob("null_*.tsv"))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_warm_screen_repeats_the_cold_one(self, genome_files, tmp_path, monkeypatch,
+                                              capsys, threads):
+        # the second screen maps the first one's parsed dosages: same files,
+        # same stderr, and no dosage parse
+        geno, pheno = genome_files
+        monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / "cache"))
+        runs = []
+        for name in ("cold", "warm"):
+            out = tmp_path / name
+            assert main(["screen", "--genotype-path", geno, "--phenotype-path", pheno,
+                         "--m", "4000", "--seed", "3", "--threads", str(threads),
+                         "--emit-details", "--output-dir", str(out)]) == 0
+            captured = capsys.readouterr()
+            runs.append(({p.name: p.read_bytes() for p in out.glob("*.*")}, captured.err,
+                         captured.out.replace(str(out), "<out>")))
+            monkeypatch.setattr(dataio, "_read_dosages", None)  # a warm run cannot call it
+        assert len(runs[0][0]) == 2 + 2 * 2  # results, summary, two windows' details
+        assert runs[0] == runs[1]
+        assert len(list((tmp_path / "cache").glob("dosages_*"))) == 1
+
+    def test_sigma_b_that_rounds_lambda1_to_1_exits_1(self, cohort_files, tmp_path, capsys):
+        # sigma_b^2 x'x passes 2^53, so lambda1 = s / (1 + s) is exactly 1
+        geno, pheno = cohort_files
+        out = tmp_path / "run"
+        assert main(_screen_args(geno, pheno, str(out), sigma_b="1e8")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"error: sigma_b = 1e\+08 gives phenotype sigma_b\^2 x'x = [0-9.]+e\+1[6-9], so "
+            r"lambda1 = sigma_b\^2 x'x / \(1 \+ sigma_b\^2 x'x\) rounds to 1; it must lie "
+            r"strictly between 0 and 1", err[-1])
+        assert not (out / "results.tsv").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -626,3 +626,124 @@ def test_a_chunk_read_in_pieces_matches_one_read(tmp_path, monkeypatch, cap):
     _assert_blocks_equal(dataio._read_genotypes(good)[0], whole)
     with pytest.raises(DataError, match=r"^line 17: dosage 2.5 outside \[0,2\]$"):
         dataio._read_genotypes(bad)
+
+
+def _genome_lines(rng, n=5):
+    """Rows on three chromosomes, out of position order and interleaved, with
+    low-IQ rows among them, so the parse gathers, sorts and drops rows."""
+    lines = ["chrom\tpos\tid\tiq\t" + "\t".join(f"s{i}" for i in range(n))]
+    for i in range(60):
+        chrom = ("2", "1", "X")[i % 3]
+        iq = "0.5" if i % 7 == 3 else "0.9"
+        dosages = "\t".join(f"{x:.2f}" for x in rng.uniform(0, 2, n))
+        lines.append(f"{chrom}\t{(i * 37) % 61 + 1}\tsnp{i}\t{iq}\t{dosages}")
+    return lines
+
+
+def _entries(cache):
+    return sorted(p.name for p in cache.glob("dosages_*"))
+
+
+class TestDosageCache:
+    """A load with a cache directory maps the parse of the same bytes back."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        geno = _write(tmp_path, _genome_lines(np.random.default_rng(8)))
+        return geno, _pheno(tmp_path, [0.1, 0.4, -0.2, 1.3, 0.7]), tmp_path / "cache"
+
+    @staticmethod
+    def _no_parse(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the genotype file was parsed")
+        monkeypatch.setattr(dataio, "_read_dosages", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_hit_gives_the_parsed_blocks(self, files, monkeypatch, workers):
+        geno, pheno, cache = files
+        parsed = dataio.load_cohort(geno, pheno, workers=workers)
+        cold = dataio.load_cohort(geno, pheno, workers=workers, cache_dir=str(cache))
+        assert len(_entries(cache)) == 1
+        self._no_parse(monkeypatch)
+        warm = dataio.load_cohort(geno, pheno, workers=workers, cache_dir=str(cache))
+        for cohort in (cold, warm):
+            _assert_blocks_equal(cohort.blocks, parsed.blocks)
+            assert cohort.n == parsed.n == 5
+        assert list(warm.blocks) == ["1", "2", "X"]
+        for block in warm.blocks.values():
+            for values in (block.positions, block.imputation_quality, block.dosages):
+                assert not values.flags.writeable
+
+    def test_edit_of_the_same_size_and_mtime_is_a_miss(self, files, monkeypatch):
+        geno, pheno, cache = files
+        dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        stat = os.stat(geno)
+        lines = Path(geno).read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[4] = "1.99" if fields[4] != "1.99" else "0.01"
+        lines[1] = "\t".join(fields)
+        _write(Path(geno).parent, lines)
+        os.utime(geno, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(geno).st_size == stat.st_size
+        assert os.stat(geno).st_mtime_ns == stat.st_mtime_ns
+        edited = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        reference = dataio.load_cohort(geno, pheno)
+        _assert_blocks_equal(edited.blocks, reference.blocks)
+        assert float(fields[4]) in edited.blocks["2"].dosages[:, 0]
+        # the edit replaced the entry, which the next load maps
+        assert len(_entries(cache)) == 1
+        self._no_parse(monkeypatch)
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
+                             reference.blocks)
+
+    @pytest.mark.parametrize("damage", ["truncated", "extra_byte", "header", "digest", "count",
+                                        "empty"])
+    def test_damaged_entry_is_a_miss_and_rewritten(self, files, monkeypatch, damage):
+        geno, pheno, cache = files
+        reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        [name] = _entries(cache)
+        entry = cache / name
+        good = entry.read_bytes()
+        head, table, rest = good.split(b"\n", 2)
+        form, digest, n, n_chroms = head.split(b"\t")
+        chrom, count = table.split(b"\t")
+        entry.write_bytes({
+            "truncated": good[:-8],
+            "extra_byte": good + b"\0",
+            "header": b"wavescreen-dosages-0" + good[len(form):],
+            "digest": b"\t".join([form, digest[::-1], n, n_chroms]) + b"\n" + good[len(head) + 1:],
+            "count": b"\n".join([head, chrom + b"\t" + str(int(count) + 1).encode(), rest]),
+            "empty": b"",
+        }[damage])
+        loaded = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        _assert_blocks_equal(loaded.blocks, reference.blocks)
+        assert entry.read_bytes() == good
+        self._no_parse(monkeypatch)
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
+                             reference.blocks)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines + ["1\t500\tbad\t0.9\t0\t1\tx\t1\t1"],
+         "line 62: non-numeric dosage: 'x'"),
+        (lambda lines: lines + ["1\t38\tdup\t0.9\t0\t1\t1\t1\t1"],
+         "duplicate position 38 on chromosome 1"),
+        (lambda lines: [line.rsplit("\t", 1)[0] for line in lines],
+         "phenotype has 5 rows but genotypes have 4 individuals"),
+    ], ids=["bad_row", "duplicate", "row_count"])
+    def test_failed_load_leaves_no_entry(self, files, edit, message):
+        geno, pheno, cache = files
+        geno = _write(Path(geno).parent, edit(Path(geno).read_text().splitlines()))
+        with pytest.raises(DataError, match=f"^{message}$"):
+            dataio.load_cohort(geno, pheno)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        assert not cache.exists() or os.listdir(cache) == []
+
+    def test_unwritable_cache_costs_a_warning(self, files, capsys):
+        # a regular file where the cache directory should be
+        geno, pheno, cache = files
+        cache.write_text("")
+        loaded = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        _assert_blocks_equal(loaded.blocks, dataio.load_cohort(geno, pheno).blocks)
+        assert capsys.readouterr().err.startswith("warning: parsed dosages not cached: ")
