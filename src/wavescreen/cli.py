@@ -125,9 +125,10 @@ def _check_inputs(args) -> None:
 def cmd_screen(args) -> int:
     _check_inputs(args)
     os.makedirs(args.output_dir, exist_ok=True)  # fails fast, before the slow load
-    cache = _cache_dir(args.output_dir)
+    # parsed dosages are cached only in a shared cache, where a later screen
+    # of the file can find them, not copied into every output directory
     cohort = dataio.load_cohort(args.genotype_path, args.phenotype_path, args.covariate_path,
-                                workers=args.threads, cache_dir=cache)
+                                workers=args.threads, cache_dir=os.environ.get(CACHE_ENV) or None)
     windows = dataio.define_windows(
         cohort,
         window_bp=args.window_bp,
@@ -148,6 +149,7 @@ def cmd_screen(args) -> int:
                   file=sys.stderr)
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
     [lam1] = bayes.lambda1(ctx)
+    cache = _cache_dir(args.output_dir)
 
     # one null model per distinct window depth; the design constant is shared
     models = {}

@@ -258,11 +258,8 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
         values = _read_rows(first + _row_texts(fd, spans, lo, stop),
                             line_nos[:1] + line_nos[lo:stop], "dosage", 0.0, 2.0)[1:]
         rows = dest[lo:stop]
-        if rows[0] >= 0 and np.all(np.diff(rows) == 1):  # every row kept, in one run
-            out[rows[0]:rows[0] + len(rows)] = values
-        else:
-            keep = rows >= 0
-            out[rows[keep]] = values[keep]
+        keep = rows >= 0
+        out[rows[keep]] = values[keep]
         lo = stop
 
 
@@ -473,8 +470,9 @@ def _load_entry(entry: str, genotype_path: str) -> tuple[dict[str, ChromosomeBlo
     """The blocks and number of individuals held by a dosage cache entry.
 
     None when the entry is missing, its header is not one ``_save_entry``
-    writes, its size is not what the header implies, or the sha256 in the
-    header is not that of the genotype file's bytes. The blocks' arrays are
+    writes (its chromosome names must be distinct and sorted), its size is
+    not what the header implies, or the sha256 in the header is not that
+    of the genotype file's bytes. The blocks' arrays are
     read-only views of a map of the entry. The genotype file is opened as
     the parse opens it, so a path that is not a regular file raises here.
     """
@@ -489,12 +487,17 @@ def _load_entry(entry: str, genotype_path: str) -> tuple[dict[str, ChromosomeBlo
                 chrom, count = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
                 table.append((chrom, int(count)))
             n, n_kept, offset = int(n), sum(c for _, c in table), -(-fh.tell() // 8) * 8
+            names = [chrom for chrom, _ in table]
             if (n < 1 or min((c for _, c in table), default=0) < 1
+                    or names != sorted(set(names))  # as the parse orders them
                     or os.fstat(fh.fileno()).st_size != offset + 8 * n_kept * (n + 2)):
                 return None
+            sha = hashlib.sha256()
             with open(fd, "rb", closefd=False) as geno:
-                if hashlib.file_digest(geno, "sha256").hexdigest() != digest:
-                    return None
+                for chunk in iter(lambda: geno.read(1 << 20), b""):
+                    sha.update(chunk)
+            if sha.hexdigest() != digest:
+                return None
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):  # no readable entry, or a header that does not parse
         return None
@@ -520,9 +523,9 @@ def _save_entry(entry: str, blocks: dict[str, ChromosomeBlock], n: int, digest: 
     kept SNP count; the header is padded to a multiple of 8 bytes. Every
     kept position (int64), imputation quality and dosage row (float64)
     follow, in block order, written from the blocks' own arrays. The entry
-    is written under a temporary name and renamed into place, so a reader
-    never sees part of one. One that cannot be written costs a warning,
-    not the run.
+    is written under a temporary name, synced to disk and renamed into
+    place, so a reader never sees part of one, not even after a crash. One
+    that cannot be written costs a warning, not the run.
     """
     cache_dir = os.path.dirname(entry)
     header = f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{n}\t{len(blocks)}\n" + "".join(
@@ -537,6 +540,8 @@ def _save_entry(entry: str, blocks: dict[str, ChromosomeBlock], n: int, digest: 
             for field in ("positions", "imputation_quality", "dosages"):
                 for block in blocks.values():
                     fh.write(getattr(block, field))
+            fh.flush()
+            os.fsync(fh.fileno())  # the data is on disk before the name is
         os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
         os.replace(tmp, entry)
     except OSError as exc:

@@ -313,6 +313,17 @@ class TestScreenCommand:
         assert runs[0] == runs[1]
         assert len(list((tmp_path / "cache").glob("dosages_*"))) == 1
 
+    def test_no_shared_cache_writes_no_dosage_entry(self, cohort_files, tmp_path, monkeypatch):
+        # without WAVESCREEN_CACHE_DIR each run has its own cache, which no
+        # later screen of another output directory finds: no entry is written
+        geno, pheno = cohort_files
+        monkeypatch.delenv("WAVESCREEN_CACHE_DIR", raising=False)
+        monkeypatch.setattr(dataio, "_save_entry", None)  # calling it fails the run
+        out = tmp_path / "run"
+        assert main(_screen_args(geno, pheno, str(out))) == 0
+        assert list((out / "null-cache").glob("null_*.tsv"))
+        assert not list(tmp_path.rglob("dosages_*"))
+
     def test_sigma_b_that_rounds_lambda1_to_1_exits_1(self, cohort_files, tmp_path, capsys):
         # sigma_b^2 x'x passes 2^53, so lambda1 = s / (1 + s) is exactly 1
         geno, pheno = cohort_files

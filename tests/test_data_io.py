@@ -698,7 +698,7 @@ class TestDosageCache:
                              reference.blocks)
 
     @pytest.mark.parametrize("damage", ["truncated", "extra_byte", "header", "digest", "count",
-                                        "empty"])
+                                        "empty", "duplicate_name", "unsorted_name"])
     def test_damaged_entry_is_a_miss_and_rewritten(self, files, monkeypatch, damage):
         geno, pheno, cache = files
         reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
@@ -715,6 +715,10 @@ class TestDosageCache:
             "digest": b"\t".join([form, digest[::-1], n, n_chroms]) + b"\n" + good[len(head) + 1:],
             "count": b"\n".join([head, chrom + b"\t" + str(int(count) + 1).encode(), rest]),
             "empty": b"",
+            # a name edited in place, of the same length: the table would
+            # name chromosomes 2, 2, X (dropping one) or Y, 2, X
+            "duplicate_name": b"\n".join([head, b"2\t" + count, rest]),
+            "unsorted_name": b"\n".join([head, b"Y\t" + count, rest]),
         }[damage])
         loaded = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         _assert_blocks_equal(loaded.blocks, reference.blocks)
@@ -739,6 +743,26 @@ class TestDosageCache:
         with pytest.raises(DataError, match=f"^{message}$"):
             dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         assert not cache.exists() or os.listdir(cache) == []
+
+    def test_hit_needs_no_file_digest(self, files, monkeypatch):
+        # hashlib.file_digest is new in Python 3.11; the package supports 3.10
+        geno, pheno, cache = files
+        reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        monkeypatch.delattr(dataio.hashlib, "file_digest", raising=False)
+        self._no_parse(monkeypatch)
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
+                             reference.blocks)
+
+    def test_entry_is_synced_before_it_is_renamed(self, files, monkeypatch):
+        geno, pheno, cache = files
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+        monkeypatch.setattr(os, "replace",
+                            lambda *args: calls.append("replace") or replace(*args))
+        dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        assert calls == ["fsync", "replace"]
+        assert len(_entries(cache)) == 1
 
     def test_unwritable_cache_costs_a_warning(self, files, capsys):
         # a regular file where the cache directory should be
