@@ -7,7 +7,6 @@ import errno
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -167,29 +166,7 @@ def cmd_screen(args) -> int:
         models[depth] = model
 
     kinds = ("c", "d") if args.coefficient_kind == "both" else (args.coefficient_kind,)
-
-    def run(w):
-        # one spectra pass serves every kind of the window; an error names the
-        # kind being screened, the first one while the spectra are built
-        kind = kinds[0]
-        try:
-            spectra = screening.window_spectra(w, cohort.blocks[w.chromosome], kinds)
-            results = []
-            for kind in kinds:
-                [res] = screening.screen_spectra(w, *spectra.pop(kind), ctx, kind)
-                if not res.degenerate:
-                    res.p_value = nullsim.p_value(models[w.depth], res.lambda_hat)
-                results.append(res)
-        except Exception as exc:
-            raise RuntimeError(
-                f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({kind}): {exc}"
-            ) from exc
-        return results
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        per_window = list(pool.map(run, windows))
-    results = [r for rs in per_window for r in rs]
-    results.sort(key=lambda r: (r.window.chromosome, r.window.start_bp, r.coefficient_kind))
+    results = nullsim.screen_windows(windows, cohort.blocks, ctx, kinds, models, args.threads)
 
     max_depth = max((w.depth for w in windows), default=0)
     results_path = os.path.join(args.output_dir, "results.tsv")

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import inv_boxcox
 
-from wavescreen.screening import SOLVER_VERSION, max_log_lambda
+from wavescreen import screening
 
 SIM_CHUNK = 4096  # fixed so results are independent of threading and memory
 SIM_DRAWS = "z2"  # names the draw scheme in cache keys: Q = z^2, z standard normal
@@ -94,7 +95,7 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
             bf += log_const
             bf *= 0.5
             np.exp(bf, out=bf)
-            log_lam += max_log_lambda(bf)[1]
+            log_lam += screening.max_log_lambda(bf)[1]
         out[lo:hi] = np.exp(log_lam)
     out.sort()
     return out
@@ -196,19 +197,43 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
     return (n_ge + 1.0) / (M + 1.0)
 
 
+def screen_windows(windows, blocks, ctx, kinds, models, threads):
+    """Screen each window, on its chromosome's entry of ``blocks``, for every kind and
+    phenotype of ``ctx`` on ``threads`` threads: one ``window_spectra`` pass a window,
+    and a p-value from ``models[depth]`` for each non-degenerate result. Results come
+    in (chromosome, start, kind, phenotype) order; an error names its window and kind."""
+    def run(w):
+        kind = kinds[0]  # an error before the first screen names the first kind
+        try:
+            spectra = screening.window_spectra(w, blocks[w.chromosome], kinds)
+            results = []
+            for kind in kinds:
+                for res in screening.screen_spectra(w, *spectra.pop(kind), ctx, kind):
+                    if not res.degenerate:
+                        res.p_value = p_value(models[w.depth], res.lambda_hat)
+                    results.append(res)
+        except Exception as exc:
+            raise RuntimeError(
+                f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({kind}): {exc}") from exc
+        return results
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = [r for rs in pool.map(run, windows) for r in rs]
+    results.sort(key=lambda r: (r.window.chromosome, r.window.start_bp, r.coefficient_kind))
+    return results
+
+
 def _cache_name(lambda1: float, depth: int, M: int, seed: int) -> str:
     # float.hex is exact: two design constants share a file only if they are
     # equal; the chunk size sets which RNG stream draws which replicate, and the
     # draw scheme what a stream's numbers become
     return (f"null_l{float.hex(lambda1)}_d{depth}_M{M}_s{seed}_c{SIM_CHUNK}_{SIM_DRAWS}"
-            f"_{SOLVER_VERSION}.tsv")
+            f"_{screening.SOLVER_VERSION}.tsv")
 
 
 def _cache_header(lambda1: float, depth: int, M: int, seed: int) -> str:
-    return (
-        "lambda1\tdepth\tM\tseed\tchunk\tdraws\tsolver\n"
-        f"{float.hex(lambda1)}\t{depth}\t{M}\t{seed}\t{SIM_CHUNK}\t{SIM_DRAWS}\t{SOLVER_VERSION}\n"
-    )
+    key = (float.hex(lambda1), depth, M, seed, SIM_CHUNK, SIM_DRAWS, screening.SOLVER_VERSION)
+    return "lambda1\tdepth\tM\tseed\tchunk\tdraws\tsolver\n" + "\t".join(map(str, key)) + "\n"
 
 
 def _tail_line(tail: GPDTail | None) -> str:

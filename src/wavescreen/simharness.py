@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr
 
-from wavescreen import bayes, dataio, nullsim, screening
-from wavescreen.nullsim import p_value
+from wavescreen import bayes, dataio, nullsim
 
 DEFAULT_H2 = 0.02  # desk-scale default; 0.005 is typical for a top GWAS hit
 POWER_BINS = [(1, 5), (6, 10), (11, 15), (16, 20), (21, 10**9)]
@@ -252,6 +251,7 @@ def _check_config(config: PowerConfig) -> None:
          f"in [1, n_blocks = {config.n_blocks}]"),
         ("null_m", config.null_m >= 1, "at least 1"),
         ("seed", 0 <= config.seed <= max_seed, f"in [0, {max_seed}]"),
+        ("min_snps_per_coeff", 0.0 < config.min_snps_per_coeff < np.inf, "positive and finite"),
     ):
         if not ok:
             raise SimulationError(
@@ -265,11 +265,11 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
     Returns (rows, detail) where rows are PowerRow bins per method and
     detail is a per-replicate record list. Phenotypes are standardized so
     all replicates share one design constant and null model. Every
-    replicate's phenotype is drawn first, and the window's work is then
-    done once per call: one ``window_spectra`` pass for both kinds, one
-    ``screen_spectra`` call per kind on the design of all replicates, and
-    one ``gwas_lm_baseline`` call. The configuration is checked before any
-    of that work; an error names the bad key.
+    replicate's phenotype is drawn first; then ``nullsim.screen_windows``,
+    the window loop of ``screen`` too, screens the window for all of them
+    (a degenerate screen gets p = 1), and one ``gwas_lm_baseline`` call
+    tests its SNPs. The configuration is checked before any of that work;
+    an error names the bad key.
     """
     _check_config(config)
     cohort = generate_genotypes(
@@ -294,13 +294,11 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
         detail.append({"replicate": rep, "k": k})
     phenotypes = np.stack(phenotypes)
     ctx = bayes.build_design(phenotypes.T)
-    # the spectra depend on the genotypes only: one pass, and one screen of
-    # the replicate batch per kind, serve every replicate
-    spectra = screening.window_spectra(window, cohort, ("c", "d"))
-    for kind in ("c", "d"):
-        results = screening.screen_spectra(window, *spectra.pop(kind), ctx, kind)
-        for rec, res in zip(detail, results):
-            rec[f"p_ws_{kind}"] = p_value(null_model, res.lambda_hat)
+    # the spectra depend on the genotypes only, so one screen serves every replicate
+    results = nullsim.screen_windows([window], {window.chromosome: cohort}, ctx, ("c", "d"),
+                                     {window.depth: null_model}, threads=1)
+    for rec, res in zip(detail * 2, results):  # every replicate's c result, then its d
+        rec[f"p_ws_{res.coefficient_kind}"] = 1.0 if res.degenerate else res.p_value
     # regional GWAS decision: Bonferroni over the window's SNPs, so both
     # methods are compared at the same region-level alpha
     gwas = gwas_lm_baseline(cohort.dosages, phenotypes)

@@ -7,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 
-from wavescreen import dataio, nullsim, simharness
+from wavescreen import bayes, dataio, nullsim, screening, simharness
 from wavescreen.cli import build_parser, main
 
 from conftest import write_cohort_files
@@ -419,6 +419,74 @@ class TestNullsimCommand:
         assert "error" in capsys.readouterr().err
 
 
+def _fingerprint(results):
+    """Every field of each result, floats and arrays as their exact bits."""
+    return [
+        (r.window, r.coefficient_kind, r.degenerate, r.lambda_hat.hex(),
+         None if r.p_value is None else r.p_value.hex(), r.pi_hat.tobytes(),
+         [bf.tobytes() for bf in r.bf], [loc.tobytes() for loc in r.locations])
+        for r in results
+    ]
+
+
+class TestScreenWindows:
+    """``nullsim.screen_windows``, the window loop of ``screen`` and ``power``."""
+
+    @pytest.fixture(scope="class")
+    def genome(self, genome_files):
+        # 200 kb windows: several on each of the three chromosomes; M = 4000
+        # draws leave 40 above the 99% quantile, enough for a tail fit
+        cohort = dataio.load_cohort(*genome_files)
+        windows = dataio.define_windows(cohort, window_bp=200_000, min_snps_per_coeff=4)
+        ctx = bayes.build_design(cohort.phenotype)
+        [lam1] = bayes.lambda1(ctx)
+        models = {d: nullsim.load_or_build_null_model(lam1, d, 4000, 3)
+                  for d in {w.depth for w in windows}}
+        return cohort, windows, ctx, models
+
+    def test_thread_count_does_not_change_results(self, genome):
+        cohort, windows, ctx, models = genome
+        assert len({w.chromosome for w in windows}) == 3
+        assert all(m.tail is not None for m in models.values())
+        runs = [_fingerprint(nullsim.screen_windows(windows, cohort.blocks, ctx, ("c", "d"),
+                                                    models, threads))
+                for threads in (1, 2, 3)]
+        assert len(runs[0]) == 2 * len(windows)
+        assert [(r[0].chromosome, r[0].start_bp, r[1]) for r in runs[0]] == sorted(
+            (w.chromosome, w.start_bp, kind) for w in windows for kind in "cd")
+        assert all(r[4] is not None for r in runs[0])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_each_phenotype_of_a_batch_screens_as_its_own_design(self, genome):
+        cohort, windows, _, models = genome
+        rng = np.random.default_rng(8)
+        y = np.column_stack([cohort.phenotype, rng.standard_normal((cohort.n, 2))])
+        batch = nullsim.screen_windows(windows, cohort.blocks, bayes.build_design(y),
+                                       ("c", "d"), models, 2)
+        assert len(batch) == 3 * 2 * len(windows)
+        for p in range(3):
+            alone = nullsim.screen_windows(windows, cohort.blocks, bayes.build_design(y[:, p]),
+                                           ("c", "d"), models, 1)
+            assert _fingerprint(batch[p::3]) == _fingerprint(alone)
+
+    @pytest.mark.parametrize("module, attr, kinds, named", [
+        (nullsim, "p_value", ("c", "d"), "c"),
+        (screening, "window_spectra", ("d", "c"), "d"),  # before any screen: the first kind
+    ], ids=["p_value", "window_spectra"])
+    def test_error_names_the_window_and_kind(self, genome, monkeypatch, module, attr, kinds,
+                                             named):
+        cohort, windows, ctx, models = genome
+
+        def failing(*_):
+            raise ValueError("tail fit unusable")
+
+        monkeypatch.setattr(module, attr, failing)
+        w = windows[0]
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({named}): tail fit unusable")):
+            nullsim.screen_windows(windows, cohort.blocks, ctx, kinds, models, 2)
+
+
 class TestPowerCommand:
     def test_tiny_run(self, tmp_path):
         cfg = tmp_path / "power.cfg"
@@ -447,6 +515,9 @@ class TestPowerCommand:
         ("alpha = 2", "alpha"),
         ("alpha = 0", "alpha"),
         ("null_m = 0", "null_m"),
+        ("min_snps_per_coeff = 0", "min_snps_per_coeff"),
+        ("min_snps_per_coeff = -1", "min_snps_per_coeff"),
+        ("min_snps_per_coeff = nan", "min_snps_per_coeff"),
     ])
     def test_bad_config_value_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     line, key):
