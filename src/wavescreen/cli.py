@@ -191,7 +191,8 @@ def cmd_screen(args) -> int:
             name = f"detail_{w.chromosome}_{w.start_bp}_{w.end_bp}_{r.coefficient_kind}.tsv"
             with open(os.path.join(args.output_dir, name), "w", encoding="utf-8") as fh:
                 fh.write("scale\tlocation\tbf\tposterior_gamma\n")
-                for s, (bfs, locs) in enumerate(zip(r.bf, r.locations)):
+                for s, (log_bfs, locs) in enumerate(zip(r.log_bf, r.locations)):
+                    bfs = np.exp(log_bfs)
                     gam = screening.posterior_gamma(bfs, r.pi_hat[s])
                     for bf, l, g in zip(bfs, locs, gam):
                         fh.write(f"{s}\t{l}\t{_fmt(bf)}\t{_fmt(g)}\n")

@@ -65,7 +65,7 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
 
     Per replicate, each coefficient (2^s per scale s = 0..depth) draws
     Q = z^2 ~ chi2(1), z standard normal, and
-    BF = exp((lambda1*Q + log(1-lambda1))/2); Lambda_hat is the exponential
+    log BF = (lambda1*Q + log(1-lambda1))/2; Lambda_hat is the exponential
     of the summed per-scale maxima of log Lambda_s(pi_s)
     (``screening.max_log_lambda``). Chunks use independent counter-based RNG
     streams keyed by (seed, chunk index), so the output is identical
@@ -88,14 +88,13 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
         )
         log_lam = np.zeros(hi - lo)
         for s in range(depth + 1):
-            # BF = exp(0.5 * (lambda1 * z^2 + log_const)), computed in place
-            bf = rng.standard_normal(size=(hi - lo, 1 << s))
-            np.square(bf, out=bf)
-            bf *= lambda1
-            bf += log_const
-            bf *= 0.5
-            np.exp(bf, out=bf)
-            log_lam += screening.max_log_lambda(bf)[1]
+            # log BF = 0.5 * (lambda1 * z^2 + log_const), computed in place
+            log_bf = rng.standard_normal(size=(hi - lo, 1 << s))
+            np.square(log_bf, out=log_bf)
+            log_bf *= lambda1
+            log_bf += log_const
+            log_bf *= 0.5
+            log_lam += screening.max_log_lambda(log_bf)[1]
         out[lo:hi] = np.exp(log_lam)
     out.sort()
     return out

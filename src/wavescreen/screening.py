@@ -32,18 +32,18 @@ class LocusResult:
 
     window: Window
     coefficient_kind: str  # "c" or "d"
-    bf: list[np.ndarray]  # per scale, BF of non-degenerate coefficients
-    locations: list[np.ndarray]  # per scale, locations matching ``bf``
+    log_bf: list[np.ndarray]  # per scale, log BF of non-degenerate coefficients
+    locations: list[np.ndarray]  # per scale, locations matching ``log_bf``
     pi_hat: np.ndarray
     lambda_hat: float
     degenerate: bool  # all coefficients degenerate
     p_value: float | None = None
 
 
-def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def max_log_lambda(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize log Lambda(pi) = sum_l log1p(pi (BF_l - 1)) over pi in [0, 1], per row.
 
-    ``bf`` is (R, K) with positive entries; returns (pi_hat, log_lambda_hat),
+    ``log_bf`` is (R, K) log Bayes factors; returns (pi_hat, log_lambda_hat),
     each of length R. The objective is concave, so the score
     g(pi) = sum_l (BF_l - 1) / (1 + pi (BF_l - 1)) decides boundary rows
     exactly from its sign at 0 and 1. Interior rows run Newton's method on g
@@ -52,7 +52,7 @@ def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bracket can no longer be split. pi = 0 gives exactly 0, so a row whose
     objective rounds below 0 returns pi = 0, and log_lambda_hat >= 0.
     """
-    bf = np.atleast_2d(np.asarray(bf, dtype=float))
+    bf = np.exp(np.atleast_2d(np.asarray(log_bf, dtype=float)))
     b = bf - 1.0
     pi = np.zeros(bf.shape[0])
     score1 = np.sum(b / bf, axis=1)
@@ -84,23 +84,21 @@ def max_log_lambda(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pi, log_lam
 
 
-def maximize_lambda(bfs_by_scale: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def maximize_lambda(log_bfs_by_scale: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Maximized (pi_hat, Lambda_hat) over all scales of one window, per phenotype.
 
-    Each entry holds one scale's BFs as (P, k_s), a row per phenotype (a
+    Each entry holds one scale's log BFs as (P, k_s), a row per phenotype (a
     (k_s,) entry is one row). Returns pi_hat (P, S) and Lambda_hat (P,);
     each scale's P rows are solved in one ``max_log_lambda`` call. Scales
     with no (non-degenerate) coefficients get pi_s = 0. Boundary solutions
     pi_s in {0, 1} are permitted.
     """
-    bfs = [np.atleast_2d(np.asarray(bf, dtype=float)) for bf in bfs_by_scale]
-    if any(np.any(bf <= 0.0) for bf in bfs):
-        raise ScreeningError("Bayes factors must be positive")
-    pi_hat = np.zeros((max((bf.shape[0] for bf in bfs), default=1), len(bfs)))
+    log_bfs = [np.atleast_2d(np.asarray(lb, dtype=float)) for lb in log_bfs_by_scale]
+    pi_hat = np.zeros((max((lb.shape[0] for lb in log_bfs), default=1), len(log_bfs)))
     log_lam = np.zeros(len(pi_hat))
-    for s, bf in enumerate(bfs):
-        if bf.size:
-            pi_hat[:, s], ll = max_log_lambda(bf)
+    for s, lb in enumerate(log_bfs):
+        if lb.size:
+            pi_hat[:, s], ll = max_log_lambda(lb)
             log_lam += ll
     return pi_hat, np.exp(log_lam)
 
@@ -191,19 +189,19 @@ def screen_spectra(
     p-value is left unset; the null model assigns it later.
     """
     n_pheno = len(ctx.xtx)
-    bf_by_scale: list[np.ndarray] = []
+    log_bf_by_scale: list[np.ndarray] = []
     loc_by_scale: list[np.ndarray] = []
     for sc, deg in zip(scores, degenerate):
         locs = np.where(~deg)[0]
-        log_bf = log_bayes_factor(ctx, sc[locs].T) if locs.size else np.empty((n_pheno, 0))
-        bf_by_scale.append(np.exp(log_bf))
+        log_bf_by_scale.append(
+            log_bayes_factor(ctx, sc[locs].T) if locs.size else np.empty((n_pheno, 0)))
         loc_by_scale.append(locs)
-    pi_hat, lam = maximize_lambda(bf_by_scale)
+    pi_hat, lam = maximize_lambda(log_bf_by_scale)
     return [
         LocusResult(
             window=window,
             coefficient_kind=coefficient_kind,
-            bf=[bf[p] for bf in bf_by_scale],
+            log_bf=[log_bf[p] for log_bf in log_bf_by_scale],
             locations=loc_by_scale,
             pi_hat=pi_hat[p],
             lambda_hat=float(lam[p]),

@@ -198,9 +198,9 @@ def lambda_max_grid(bfs_by_scale, step=1e-3):
     return np.array(pis), float(np.exp(total))
 
 
-def max_log_lambda_reference(bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def max_log_lambda_reference(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``screening.max_log_lambda`` summing log1p over every row, pi = 0 rows too."""
-    bf = np.atleast_2d(np.asarray(bf, dtype=float))
+    bf = np.exp(np.atleast_2d(np.asarray(log_bf, dtype=float)))
     b = bf - 1.0
     pi = np.zeros(bf.shape[0])
     score1 = np.sum(b / bf, axis=1)

@@ -424,7 +424,7 @@ def _fingerprint(results):
     return [
         (r.window, r.coefficient_kind, r.degenerate, r.lambda_hat.hex(),
          None if r.p_value is None else r.p_value.hex(), r.pi_hat.tobytes(),
-         [bf.tobytes() for bf in r.bf], [loc.tobytes() for loc in r.locations])
+         [lb.tobytes() for lb in r.log_bf], [loc.tobytes() for loc in r.locations])
         for r in results
     ]
 

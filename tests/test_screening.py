@@ -25,17 +25,18 @@ from _oracles import lambda_max_grid, max_log_lambda_reference, screen_window
 
 class TestEM:
     def test_single_large_bf_gives_pi_one(self):
-        pi, log_lam = max_log_lambda(np.array([[7.0]]))
+        pi, log_lam = max_log_lambda(np.log([[7.0]]))
         assert pi[0] == 1.0
         assert log_lam[0] == pytest.approx(np.log(7.0), rel=1e-15)
 
     def test_all_small_bfs_give_pi_zero(self):
-        pi, log_lam = max_log_lambda(np.array([[0.2, 0.9, 0.5]]))
+        pi, log_lam = max_log_lambda(np.log([[0.2, 0.9, 0.5]]))
         assert pi[0] == 0.0 and log_lam[0] == 0.0
 
     def test_interior_solution_matches_gradient_root(self):
-        bf = np.array([6.0, 0.2, 0.2, 0.2])
-        pi = max_log_lambda(bf[None, :])[0][0]
+        log_bf = np.log([6.0, 0.2, 0.2, 0.2])
+        pi = max_log_lambda(log_bf[None, :])[0][0]
+        bf = np.exp(log_bf)
         assert 0.0 < pi < 1.0
         # d/dpi sum log(pi bf + 1 - pi) = 0 at the maximum
         assert abs(np.sum((bf - 1.0) / (1.0 + pi * (bf - 1.0)))) < 1e-12
@@ -44,9 +45,9 @@ class TestEM:
         rng = np.random.default_rng(0)
         for _ in range(40):
             k = int(rng.integers(1, 32))
-            bf = np.exp(rng.normal(0, 1.5, size=k))
-            pi_hat, lam = maximize_lambda([bf])
-            _, lam_ref = lambda_max_grid([bf])
+            log_bf = rng.normal(0, 1.5, size=k)
+            pi_hat, lam = maximize_lambda([log_bf])
+            _, lam_ref = lambda_max_grid([np.exp(log_bf)])
             assert lam >= 1.0 - 1e-12
             assert abs(lam - lam_ref) <= 1e-8 * lam_ref
 
@@ -54,35 +55,29 @@ class TestEM:
         # the null simulator's composition: one batched solve per scale,
         # log values summed over scales
         rng = np.random.default_rng(2)
-        bf_by_scale = [
-            np.exp(rng.normal(0, 1, size=(50, 1 << s))) for s in range(4)
-        ]
-        batch = np.exp(sum(max_log_lambda(bf)[1] for bf in bf_by_scale))
+        log_bf_by_scale = [rng.normal(0, 1, size=(50, 1 << s)) for s in range(4)]
+        batch = np.exp(sum(max_log_lambda(lb)[1] for lb in log_bf_by_scale))
         for r in range(0, 50, 7):
-            _, lam = maximize_lambda([bf[r] for bf in bf_by_scale])
+            _, lam = maximize_lambda([lb[r] for lb in log_bf_by_scale])
             assert abs(batch[r] - lam) <= 1e-10 * lam
 
     def test_phenotype_rows_match_single_rows(self):
         # a (P, k_s) entry per scale is P windows solved together
         rng = np.random.default_rng(3)
-        bf_by_scale = [np.exp(rng.normal(0, 1.5, size=(6, 1 << s))) for s in range(4)]
-        bf_by_scale[2] = np.empty((6, 0))
-        pi, lam = maximize_lambda(bf_by_scale)
+        log_bf_by_scale = [rng.normal(0, 1.5, size=(6, 1 << s)) for s in range(4)]
+        log_bf_by_scale[2] = np.empty((6, 0))
+        pi, lam = maximize_lambda(log_bf_by_scale)
         assert pi.shape == (6, 4) and lam.shape == (6,)
         for r in range(6):
-            pi_r, lam_r = maximize_lambda([bf[r] for bf in bf_by_scale])
+            pi_r, lam_r = maximize_lambda([lb[r] for lb in log_bf_by_scale])
             assert pi[r].tobytes() == pi_r.tobytes()
             assert lam[r] == lam_r
         assert np.all(pi[:, 2] == 0.0)
 
     def test_empty_scale_gets_pi_zero(self):
-        [pi], [lam] = maximize_lambda([np.empty(0), np.array([5.0])])
+        [pi], [lam] = maximize_lambda([np.empty(0), np.log([5.0])])
         assert pi[0] == 0.0 and pi[1] == 1.0
         assert abs(lam - 5.0) < 1e-12
-
-    def test_rejects_nonpositive_bf(self):
-        with pytest.raises(ScreeningError):
-            maximize_lambda([np.array([0.0])])
 
     def test_near_null_lambda_hat_never_below_one(self):
         # Bayes factors scattered just around 1 once drove the maximum
@@ -91,8 +86,8 @@ class TestEM:
         model = nullsim.NullModel(np.array([1.0, 1.5, 2.0]))
         lams = []
         for _ in range(20_000):
-            bf = np.exp(rng.normal(0.0, 0.05, size=int(rng.integers(1, 64))))
-            lams.append(maximize_lambda([bf])[1][0])
+            log_bf = rng.normal(0.0, 0.05, size=int(rng.integers(1, 64)))
+            lams.append(maximize_lambda([log_bf])[1][0])
         assert min(lams) >= 1.0
         for lam in lams:
             assert 0.0 < nullsim.p_value(model, lam) <= 1.0
@@ -107,9 +102,9 @@ _bf_rows = st.integers(1, 16).flatmap(
 )
 
 
-def _assert_matches_reference(bf):
-    pi, log_lam = max_log_lambda(bf)
-    pi_ref, log_lam_ref = max_log_lambda_reference(bf)
+def _assert_matches_reference(log_bf):
+    pi, log_lam = max_log_lambda(log_bf)
+    pi_ref, log_lam_ref = max_log_lambda_reference(log_bf)
     assert pi.tobytes() == pi_ref.tobytes()
     # ==, not bytes: the reference sums log1p(-0.0) on a pi = 0 row to -0.0
     assert np.all(log_lam == log_lam_ref)
@@ -119,13 +114,14 @@ class TestSolverProperties:
     @settings(max_examples=300, deadline=None)
     @given(_bf_rows)
     def test_optimal_bounded_and_row_independent(self, rows):
-        bf = 10.0 ** np.array(rows)
-        _assert_matches_reference(bf)
-        pi, log_lam = max_log_lambda(bf)
+        log_bf = np.log(10.0) * np.array(rows)
+        _assert_matches_reference(log_bf)
+        pi, log_lam = max_log_lambda(log_bf)
         assert np.all((pi >= 0.0) & (pi <= 1.0))
         assert np.all(np.isfinite(log_lam)) and np.all(log_lam >= 0.0)
+        bf = np.exp(log_bf)
         for r in range(bf.shape[0]):
-            p1, l1 = max_log_lambda(bf[r:r + 1])
+            p1, l1 = max_log_lambda(log_bf[r:r + 1])
             assert p1[0] == pi[r] and l1[0] == log_lam[r]
             b = bf[r] - 1.0
             if pi[r] == 0.0:
@@ -150,15 +146,16 @@ class TestSolverMatchesReference:
     def test_null_draws(self, lambda1, scale, seed):
         # the null simulator's input: near lambda1 = 1 most rows have pi = 0
         z = np.random.default_rng(seed).standard_normal((64, 1 << scale))
-        _assert_matches_reference(np.exp(0.5 * (lambda1 * z * z + np.log1p(-lambda1))))
+        _assert_matches_reference(0.5 * (lambda1 * z * z + np.log1p(-lambda1)))
 
     def test_overflowed_bf_is_not_hidden(self):
-        # a BF that overflowed to inf leaves pi = 0 with a NaN score: the row
+        # a BF that overflows to inf leaves pi = 0 with a NaN score: the row
         # keeps its NaN rather than reading as Lambda_hat = 1
-        bf = np.array([[np.inf, 3.0], [0.5, 0.9]])
-        with np.errstate(invalid="ignore"):  # inf / inf and 0 * inf
-            _, log_lam = max_log_lambda(bf)
-            _, log_lam_ref = max_log_lambda_reference(bf)
+        log_bf = np.log([[1.0, 3.0], [0.5, 0.9]])
+        log_bf[0, 0] = 1000.0
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(1000), inf / inf, 0 * inf
+            _, log_lam = max_log_lambda(log_bf)
+            _, log_lam_ref = max_log_lambda_reference(log_bf)
         assert np.isnan(log_lam[0]) and np.isnan(log_lam_ref[0])
         assert log_lam[1] == log_lam_ref[1] == 0.0
 
@@ -254,10 +251,10 @@ class TestScreenWindow:
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
         res = screen_window(window, cohort, ctx, "c")
         assert res.coefficient_kind == "c"
-        assert len(res.bf) == window.depth + 1
-        # Lambda recomputes from the stored per-scale BFs and pi_hat
+        assert len(res.log_bf) == window.depth + 1
+        # Lambda recomputes from the stored per-scale log BFs and pi_hat
         log_lam = sum(
-            float(np.sum(np.log1p(p * (bf - 1.0)))) for bf, p in zip(res.bf, res.pi_hat)
+            float(np.sum(np.log1p(p * np.expm1(lb)))) for lb, p in zip(res.log_bf, res.pi_hat)
         )
         assert abs(np.exp(log_lam) - res.lambda_hat) <= 1e-9 * res.lambda_hat
 
@@ -269,7 +266,7 @@ class TestScreenWindow:
         res = screen_window(window, cohort, bayes.build_design(y), "d")
         assert res.degenerate
         np.testing.assert_array_equal(res.pi_hat, np.zeros(window.depth + 1), strict=True)
-        for per_scale in (res.bf, res.locations):
+        for per_scale in (res.log_bf, res.locations):
             assert len(per_scale) == window.depth + 1
             assert all(arr.size == 0 for arr in per_scale)
         assert res.lambda_hat == 1.0
@@ -318,7 +315,7 @@ class TestBatchScreen:
             ctx = bayes.build_design(Y[:, p], C, sigma_b)
             [want] = screen_spectra(window, *spectra[kind], ctx, kind)
             assert (got.window, got.coefficient_kind) == (want.window, kind)
-            for g, w in zip(got.bf, want.bf, strict=True):
+            for g, w in zip(got.log_bf, want.log_bf, strict=True):
                 assert g.shape == w.shape
                 assert np.array_equal(g.view(np.int64), w.view(np.int64))
             for g, w in zip(got.locations, want.locations, strict=True):
@@ -339,4 +336,4 @@ class TestBatchScreen:
         for res in results:
             assert res.degenerate and res.lambda_hat == 1.0
             np.testing.assert_array_equal(res.pi_hat, np.zeros(window.depth + 1), strict=True)
-            assert all(bf.shape == (0,) for bf in res.bf)
+            assert all(lb.shape == (0,) for lb in res.log_bf)

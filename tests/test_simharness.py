@@ -290,9 +290,9 @@ class TestPowerExperiment:
             calls["log_bayes_factor"].append(ctx.x_tilde.shape)
             return log_bayes_factor(ctx, y)
 
-        def counted_maximize(bfs_by_scale):
+        def counted_maximize(log_bfs_by_scale):
             calls["maximize_lambda"] += 1
-            return maximize_lambda(bfs_by_scale)
+            return maximize_lambda(log_bfs_by_scale)
 
         monkeypatch.setattr(screening, "log_bayes_factor", counted_log_bf)
         monkeypatch.setattr(screening, "maximize_lambda", counted_maximize)
