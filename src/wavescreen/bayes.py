@@ -4,7 +4,10 @@ Each quantile-transformed wavelet coefficient y is regressed on the
 phenotype (plus intercept and covariates); the Bayes factor compares the
 model with the phenotype term against the covariate-only null under a
 normal prior on the phenotype effect and the standard improper prior on
-the residual variance. The design constant lambda1 governs the null law
+the residual variance. The phenotype is screened as its covariate residual
+scaled to unit variance, so the prior SD sigma_b is in residual-phenotype
+SDs and the design constant lambda1 = sigma_b^2 n / (1 + sigma_b^2 n)
+depends on n and sigma_b alone. It governs the null law
 2 log BF = lambda1 * Q1 + log(1 - lambda1), Q1 ~ chi2(1).
 """
 
@@ -27,8 +30,9 @@ class DesignContext:
     """Immutable design of P phenotypes shared by all coefficient regressions.
 
     ``basis`` is an orthonormal basis of span([1, C]); column p of
-    ``x_tilde`` is phenotype p projected orthogonal to it, and ``xtx[p]`` is
-    that column's sum of squares. A single phenotype is the batch P = 1.
+    ``x_tilde`` is phenotype p projected orthogonal to it and scaled to unit
+    variance, so every column's sum of squares x'x is n. A single phenotype
+    is the batch P = 1.
     """
 
     n: int
@@ -36,7 +40,6 @@ class DesignContext:
     sigma_b: float
     basis: np.ndarray  # (n, q)
     x_tilde: np.ndarray  # (n, P), contiguous columns
-    xtx: np.ndarray  # (P,), x_tilde'x_tilde per column
 
     def residualize(self, y: np.ndarray) -> np.ndarray:
         """Project y (shape (n,) or (n, k)) orthogonal to [1, C]."""
@@ -58,15 +61,18 @@ def build_design(
     covariates: np.ndarray | None = None,
     sigma_b: float = DEFAULT_SIGMA_B,
 ) -> DesignContext:
-    """Residualize the phenotypes against intercept + covariates.
+    """Residualize the phenotypes against intercept + covariates, then scale
+    each residual to unit variance.
 
     ``phenotype`` is (n, P) for P phenotypes screened together; an (n,)
     phenotype is the one column of an (n, 1) design. Each column is
-    projected on its own, so a column equals the design of that column
-    alone bit for bit. Raises DesignError for rank-deficient covariates, a
-    sigma_b that ``valid_sigma_b`` rejects, a zero-variance phenotype, one
-    collinear with the covariates, or one whose lambda1 rounds to 0 or 1 at
-    this sigma_b; with P > 1 the error names the column.
+    projected and scaled on its own, so a column equals the design of that
+    column alone bit for bit, and a*y + b gives the design of y up to
+    rounding and sign. sigma_b is the prior SD of the effect in SDs of
+    the residual phenotype. Raises DesignError for rank-deficient
+    covariates, a sigma_b that ``valid_sigma_b`` rejects or whose
+    sigma_b^2 n rounds lambda1 to 1, a zero-variance phenotype, or one
+    collinear with the covariates; with P > 1 the error names the column.
     """
     phi = np.asarray(phenotype, dtype=float)
     n = len(phi)
@@ -81,32 +87,31 @@ def build_design(
     if not valid_sigma_b(sigma_b):
         raise DesignError(f"sigma_b must be positive with a finite, nonzero square "
                           f"and inverse square, got {sigma_b}")
+    s2n = float(sigma_b) ** 2 * n  # as lambda1 forms it; > 0 for a valid sigma_b
+    if not s2n / (1.0 + s2n) < 1.0:
+        raise DesignError(
+            f"sigma_b = {sigma_b:g} and n = {n} give sigma_b^2 n = {s2n:g}, so lambda1 = "
+            "sigma_b^2 n / (1 + sigma_b^2 n) rounds to 1; it must lie below 1")
     Z = np.column_stack([np.ones(n), C])
     Q, R = np.linalg.qr(Z)
     q = Z.shape[1]
     if np.any(np.abs(np.diag(R)) < 1e-10 * max(1.0, np.abs(R).max())):
         raise DesignError("covariate matrix is rank-deficient after adding intercept")
-    x_rows, xtx = [], []
+    x_rows = []
     for j, col in enumerate(columns):
         name = "phenotype" if len(columns) == 1 else f"phenotype column {j}"
         col = np.array(col)  # a fresh contiguous vector
         if np.var(col) == 0.0:
             raise DesignError(f"{name} has zero variance")
-        x_rows.append(col - Q @ (Q.T @ col))
-        xtx.append(float(x_rows[-1] @ x_rows[-1]))
-        if xtx[-1] <= 1e-12 * float(col @ col):
+        resid = col - Q @ (Q.T @ col)
+        rss = float(resid @ resid)
+        if rss <= 1e-12 * float(col @ col):
             raise DesignError(f"{name} is collinear with the covariates")
-        s2x = float(sigma_b) ** 2 * xtx[-1]  # as lambda1 forms it
-        if not 0.0 < s2x / (1.0 + s2x) < 1.0:
-            raise DesignError(
-                f"sigma_b = {sigma_b:g} gives {name} sigma_b^2 x'x = {s2x:g}, so lambda1 = "
-                f"sigma_b^2 x'x / (1 + sigma_b^2 x'x) rounds to {s2x / (1.0 + s2x):g}; "
-                "it must lie strictly between 0 and 1")
+        x_rows.append(resid * math.sqrt(n / rss))
     if n <= q + 1:
         raise DesignError(f"need n > q + 1 (n={n}, q={q})")
     # rows of a (P, n) array are the contiguous columns of its (n, P) transpose
-    return DesignContext(n=n, q=q, sigma_b=float(sigma_b), basis=Q,
-                         x_tilde=np.array(x_rows).T, xtx=np.array(xtx))
+    return DesignContext(n=n, q=q, sigma_b=float(sigma_b), basis=Q, x_tilde=np.array(x_rows).T)
 
 
 def log_bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray:
@@ -114,9 +119,10 @@ def log_bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray:
 
     ``y`` has shape (n,) or (n, k) for k coefficients at once; the result
     has a leading axis of length P: (P,) or (P, k). With y_tilde =
-    residualized y, RSS0 = y'y, RSS1 = RSS0 - (x'y)^2/(xtx + sigma_b^-2):
+    residualized y, RSS0 = y'y, RSS1 = RSS0 - (x'y)^2/(n + sigma_b^-2), as
+    x'x = n for every column:
 
-        BF = (1 + sigma_b^2 xtx)^(-1/2) * (RSS0/RSS1)^((n - q)/2)
+        BF = (1 + sigma_b^2 n)^(-1/2) * (RSS0/RSS1)^((n - q)/2)
 
     Accumulated in log space. y is residualized and RSS0 formed once for
     all P phenotypes. Each x'y row is its own vector product, so row p is
@@ -131,21 +137,21 @@ def log_bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray:
     Yt = ctx.residualize(Y)
     rss0 = np.einsum("ij,ij->j", Yt, Yt)
     xty = np.array([x @ Yt for x in ctx.x_tilde.T])
-    xtx = ctx.xtx[:, None]
-    rss1 = rss0 - xty ** 2 / (xtx + ctx.sigma_b ** -2)
+    rss1 = rss0 - xty ** 2 / (ctx.n + ctx.sigma_b ** -2)
     if np.any(rss1 <= 0.0):
         raise DesignError("nonpositive residual sum of squares (degenerate response)")
     # rss0 >= rss1 > 0, so both logs are finite
     log_ratio = np.log(rss0) - np.log(rss1)
-    logbf = -0.5 * np.log1p(ctx.sigma_b ** 2 * xtx) + 0.5 * (ctx.n - ctx.q) * log_ratio
-    return logbf.reshape(ctx.xtx.shape + y.shape[1:])
+    logbf = -0.5 * np.log1p(ctx.sigma_b ** 2 * ctx.n) + 0.5 * (ctx.n - ctx.q) * log_ratio
+    return logbf.reshape((ctx.x_tilde.shape[1],) + y.shape[1:])
 
 
-def lambda1(ctx: DesignContext) -> np.ndarray:
-    """Design constant of the null Bayes-factor law, one per phenotype: (P,).
+def lambda1(ctx: DesignContext) -> float:
+    """Design constant of the null Bayes-factor law, shared by every phenotype.
 
-    lambda1 = sigma_b^2 xtx / (1 + sigma_b^2 xtx); under the null,
-    2 log BF -> lambda1 * chi2(1) + log(1 - lambda1) asymptotically.
+    lambda1 = sigma_b^2 n / (1 + sigma_b^2 n), which ``build_design`` keeps
+    below 1; under the null, 2 log BF -> lambda1 * chi2(1) + log(1 - lambda1)
+    asymptotically.
     """
-    s2x = ctx.sigma_b ** 2 * ctx.xtx
-    return s2x / (1.0 + s2x)
+    s2n = ctx.sigma_b ** 2 * ctx.n
+    return s2n / (1.0 + s2n)

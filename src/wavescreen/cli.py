@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--min-snps-per-coeff", type=_positive_float,
                    default=dataio.DEFAULT_MIN_SNPS_PER_COEFF)
     s.add_argument("--sigma-b", default=bayes.DEFAULT_SIGMA_B, type=_checked(
-        _positive_float, bayes.valid_sigma_b, "have a finite, nonzero square and inverse square"))
+        _positive_float, bayes.valid_sigma_b, "have a finite, nonzero square and inverse square"),
+        help="prior SD of the phenotype effect, in SDs of the phenotype's residual "
+             "on the covariates")
     s.add_argument("--coefficient-kind", choices=["c", "d", "both"], default="both")
     s.add_argument("--depth-cap", type=_checked(int, lambda v: v >= 0, "be at least 0"))
     s.add_argument("--m", type=_positive_int, default=nullsim.DEFAULT_M,
@@ -147,7 +149,7 @@ def cmd_screen(args) -> int:
                   f"{block.n_snps - last[chrom].snp_end} of {block.n_snps} kept",
                   file=sys.stderr)
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
-    [lam1] = bayes.lambda1(ctx)
+    lam1 = bayes.lambda1(ctx)
     cache = _cache_dir(args.output_dir)
 
     # one null model per distinct window depth; the design constant is shared

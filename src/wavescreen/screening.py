@@ -188,7 +188,7 @@ def screen_spectra(
     flagged ``degenerate`` and gets pi_hat = 0 and Lambda_hat = 1. The
     p-value is left unset; the null model assigns it later.
     """
-    n_pheno = len(ctx.xtx)
+    n_pheno = ctx.x_tilde.shape[1]
     log_bf_by_scale: list[np.ndarray] = []
     loc_by_scale: list[np.ndarray] = []
     for sc, deg in zip(scores, degenerate):

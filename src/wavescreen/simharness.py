@@ -194,7 +194,7 @@ def gwas_lm_baseline(
         gy = ctx.x_tilde[:, r] @ Gt
         beta = np.zeros_like(gy)
         beta[ok] = gy[ok] / gg[ok]
-        rss = ctx.xtx[r] - beta ** 2 * gg
+        rss = ctx.n - beta ** 2 * gg  # x'x = n for each column
         with np.errstate(divide="ignore", invalid="ignore"):
             tstat = beta * np.sqrt(gg * dof / np.maximum(rss, 1e-300))
         pvals[r, ok] = 2.0 * stdtr(dof, -np.abs(tstat[ok]))
@@ -231,12 +231,6 @@ class PowerRow:
         return self.detections / self.trials
 
 
-def _standardized(phenotype: np.ndarray) -> np.ndarray:
-    # fixed x'x across replicates -> one shared lambda1 and null model
-    y = phenotype - phenotype.mean()
-    return y / y.std(ddof=0)
-
-
 def _check_config(config: PowerConfig) -> None:
     """Raise SimulationError naming the first key whose value a run cannot use."""
     # replicate seeds are seed * stride + rep and must fit a 64-bit Philox key
@@ -263,13 +257,13 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
     """Run replicated planted-signal screens and tabulate detection rates.
 
     Returns (rows, detail) where rows are PowerRow bins per method and
-    detail is a per-replicate record list. Phenotypes are standardized so
-    all replicates share one design constant and null model. Every
-    replicate's phenotype is drawn first; then ``nullsim.screen_windows``,
-    the window loop of ``screen`` too, screens the window for all of them
-    (a degenerate screen gets p = 1), and one ``gwas_lm_baseline`` call
-    tests its SNPs. The configuration is checked before any of that work;
-    an error names the bad key.
+    detail is a per-replicate record list. Every replicate's phenotype is
+    drawn first into one design, whose one ``bayes.lambda1`` picks the null
+    model; then ``nullsim.screen_windows``, the window loop of ``screen``
+    too, screens the window for all of them (a degenerate screen gets
+    p = 1), and one ``gwas_lm_baseline`` call tests its SNPs. The
+    configuration is checked before any of that work; an error names the
+    bad key.
     """
     _check_config(config)
     cohort = generate_genotypes(
@@ -277,23 +271,20 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
     )
     window = synthetic_window(cohort, config.min_snps_per_coeff)
 
-    probe = bayes.build_design(_standardized(np.arange(config.n, dtype=float)))
-    [lam1] = bayes.lambda1(probe)
-    # looked up on the module, where tracing wraps it to count cache misses
-    null_model = nullsim.load_or_build_null_model(
-        lam1, window.depth, config.null_m, config.seed, cache_dir
-    )
-
     rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 3], dtype=np.uint64)))
     detail, phenotypes = [], []
     for rep in range(config.replicates):
         k = int(rng.integers(1, config.max_components + 1))
         seed = config.seed * REPLICATE_SEED_STRIDE + rep
         sig = plant_signal(cohort, k, config.heritability, config.direction_mode, seed=seed)
-        phenotypes.append(_standardized(simulate_phenotype(cohort, sig, seed=seed)))
+        phenotypes.append(simulate_phenotype(cohort, sig, seed=seed))
         detail.append({"replicate": rep, "k": k})
     phenotypes = np.stack(phenotypes)
     ctx = bayes.build_design(phenotypes.T)
+    # looked up on the module, where tracing wraps it to count cache misses
+    null_model = nullsim.load_or_build_null_model(
+        bayes.lambda1(ctx), window.depth, config.null_m, config.seed, cache_dir
+    )
     # the spectra depend on the genotypes only, so one screen serves every replicate
     results = nullsim.screen_windows([window], {window.chromosome: cohort}, ctx, ("c", "d"),
                                      {window.depth: null_model}, threads=1)

@@ -115,7 +115,7 @@ def log_bf_numeric(ctx, y, epsrel=1e-11):
     a = 0.5 * (ctx.n - ctx.q)
     rss0 = float(yt @ yt)
     xty = float(xt @ yt)
-    xtx = float(ctx.xtx[0])
+    xtx = float(ctx.n)  # x_tilde is scaled to x'x = n
     sb2 = ctx.sigma_b ** 2
 
     def log_f1(b, v):

@@ -51,7 +51,7 @@ def test_criterion_02_null_law_of_two_log_bf():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(n)
     ctx = bayes.build_design(y, sigma_b=0.2)
-    [lam1] = bayes.lambda1(ctx)
+    lam1 = bayes.lambda1(ctx)
     Z = rng.standard_normal((n, m))  # independent responses = permuted-null
     emp = 2.0 * bayes.log_bayes_factor(ctx, Z)[0]
     theo = lam1 * rng.chisquare(1, size=m) + np.log1p(-lam1)
@@ -60,7 +60,7 @@ def test_criterion_02_null_law_of_two_log_bf():
     Zt = ctx.residualize(Z)
     rss0 = np.einsum("ij,ij->j", Zt, Zt)
     xty = ctx.x_tilde[:, 0] @ Zt
-    [xtx] = ctx.xtx
+    xtx = ctx.n
     q = xty**2 / (xtx * (rss0 - xty**2 / xtx) / (ctx.n - ctx.q - 1))
     slope = np.polyfit(q, emp, 1)[0]
     rel = abs(slope - lam1) / lam1
@@ -145,7 +145,7 @@ def test_criterion_05_end_to_end_null_calibration(tmp_path):
     # sigma_b giving lambda1 = 0.1: small enough that Lambda-hat has no
     # atom at 1 and the p-value distribution is continuous
     sigma_b = np.sqrt(0.1 / (0.9 * float(base @ base)))
-    [lam1] = bayes.lambda1(bayes.build_design(base, sigma_b=sigma_b))
+    lam1 = bayes.lambda1(bayes.build_design(base, sigma_b=sigma_b))
     model = nullsim.load_or_build_null_model(
         lam1, depth, 100_000, seed, str(tmp_path / "cache")
     )
@@ -248,7 +248,7 @@ def test_criterion_09_dosage_flip_invariance():
         y = np.random.default_rng(100 + seed).standard_normal(400)
         ctx = bayes.build_design(y, sigma_b=0.2)
         model = nullsim.load_or_build_null_model(
-            bayes.lambda1(ctx)[0], window.depth, 20_000, seed
+            bayes.lambda1(ctx), window.depth, 20_000, seed
         )
         res = screen_window(window, cohort, ctx, "d")
         res_f = screen_window(window, _flipped(cohort), ctx, "d")

@@ -19,7 +19,8 @@ class TestBuildDesign:
         assert ctx.n == 50 and ctx.q == 3 and ctx.x_tilde.shape == (50, 1)
         # x_tilde is orthogonal to the nuisance span
         np.testing.assert_allclose(ctx.basis.T @ ctx.x_tilde, 0.0, atol=1e-10)
-        np.testing.assert_allclose(ctx.xtx, [ctx.x_tilde[:, 0] @ ctx.x_tilde[:, 0]])
+        # ... and scaled to unit variance: x'x = n
+        assert ctx.x_tilde[:, 0] @ ctx.x_tilde[:, 0] == pytest.approx(50.0, rel=1e-14)
 
     def test_residualize_idempotent(self):
         rng = np.random.default_rng(1)
@@ -49,17 +50,15 @@ class TestBuildDesign:
         rng = np.random.default_rng(12)
         Y, C = rng.standard_normal((40, 4)), rng.standard_normal((40, 2))
         ctx = build_design(Y, C, sigma_b=0.3)
-        assert ctx.x_tilde.shape == (40, 4) and ctx.xtx.shape == (4,)
+        assert ctx.x_tilde.shape == (40, 4)
         for j in range(4):
             one = build_design(Y[:, j], C, sigma_b=0.3)
             assert ctx.x_tilde[:, j].tobytes() == one.x_tilde.tobytes()
-            assert ctx.xtx[j] == one.xtx
-            assert lambda1(ctx)[j] == lambda1(one)
+            assert lambda1(ctx) == lambda1(one)
         # an (n,) phenotype is the one column of an (n, 1) design
         vec, col = build_design(Y[:, 0], C, sigma_b=0.3), build_design(Y[:, :1], C, sigma_b=0.3)
-        assert vec.x_tilde.shape == (40, 1) and vec.xtx.shape == (1,)
+        assert vec.x_tilde.shape == (40, 1)
         assert vec.x_tilde.tobytes() == col.x_tilde.tobytes()
-        assert vec.xtx.tobytes() == col.xtx.tobytes()
         Z = rng.standard_normal((40, 6))
         assert log_bayes_factor(vec, Z).tobytes() == log_bayes_factor(col, Z).tobytes()
 
@@ -87,13 +86,19 @@ class TestBuildDesign:
         with pytest.raises(DesignError, match="sigma_b must be positive with a finite"):
             build_design(np.arange(10.0), sigma_b=sigma_b)
 
-    @pytest.mark.parametrize("scale, sigma_b, rounded", [(1.0, 1e8, 1), (1e-10, 1e-154, 0)])
-    def test_lambda1_that_rounds_to_0_or_1(self, scale, sigma_b, rounded):
-        # sigma_b^2 x'x = 8.25e17 is past 2^53, or 8.25e-328 underflows to 0
-        with pytest.raises(DesignError, match=(
-                rf"^sigma_b = {re.escape(f'{sigma_b:g}')} gives phenotype sigma_b\^2 x'x = .*, so lambda1 = "
-                rf".* rounds to {rounded}; it must lie strictly between 0 and 1$")):
-            build_design(scale * np.arange(10.0), sigma_b=sigma_b)
+    @pytest.mark.parametrize("n, sigma_b", [(10, 1e8), (1000, 1e7)])
+    def test_sigma_b_that_rounds_lambda1_to_1(self, n, sigma_b):
+        # sigma_b^2 n = 1e17 is past 2^53, whatever the phenotype's scale
+        for scale in (1e-10, 1.0, 1e10):
+            with pytest.raises(DesignError, match=(
+                    rf"^sigma_b = {re.escape(f'{sigma_b:g}')} and n = {n} give sigma_b\^2 n = "
+                    r".*, so lambda1 = sigma_b\^2 n / \(1 \+ sigma_b\^2 n\) rounds to 1; "
+                    r"it must lie below 1$")):
+                build_design(scale * np.arange(float(n)), sigma_b=sigma_b)
+
+    def test_sigma_b_just_below_the_rounding_is_accepted(self):
+        # sigma_b^2 n = 2.5e15 < 2^53 leaves lambda1 below 1
+        assert lambda1(build_design(np.arange(10.0), sigma_b=np.sqrt(2.5e14))) < 1.0
 
     def test_too_few_rows(self):
         with pytest.raises(DesignError, match="n > q"):
@@ -102,14 +107,14 @@ class TestBuildDesign:
 
 class TestLogBayesFactor:
     def test_orthogonal_response_hits_floor(self):
-        # y orthogonal to x_tilde: RSS1 = RSS0, BF = (1 + sigma_b^2 xtx)^(-1/2)
+        # y orthogonal to x_tilde: RSS1 = RSS0, BF = (1 + sigma_b^2 n)^(-1/2)
         n = 64
         x = np.zeros(n)
         x[0], x[1] = 1.0, -1.0
         ctx = build_design(x, sigma_b=0.2)
         y = np.zeros(n)
         y[2], y[3] = 1.0, -1.0
-        expected = -0.5 * np.log1p(0.04 * ctx.xtx)
+        expected = -0.5 * np.log1p(0.04 * n)
         assert abs(log_bayes_factor(ctx, y) - expected) < 1e-12
 
     def test_matches_numeric_oracle(self):
@@ -166,8 +171,8 @@ class TestLambda1:
     def test_formula(self):
         rng = np.random.default_rng(8)
         ctx = build_design(rng.standard_normal(100), sigma_b=0.2)
-        expected = 0.04 * ctx.xtx / (1.0 + 0.04 * ctx.xtx)
-        assert abs(lambda1(ctx) - expected) < 1e-15
+        s2n = 0.2 ** 2 * 100
+        assert isinstance(lambda1(ctx), float) and lambda1(ctx) == s2n / (1.0 + s2n)
 
     def test_grows_with_prior_scale(self):
         rng = np.random.default_rng(9)

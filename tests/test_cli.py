@@ -99,6 +99,34 @@ class TestScreenCommand:
                 pi, bf = float(pi_hat[key][int(s)]), float(bf)
                 assert float(gamma) == pytest.approx(pi * bf / (pi * bf + 1 - pi), rel=1e-8)
 
+    def test_phenotype_units_do_not_change_the_screen(self, cohort_files, tmp_path):
+        # sigma_b is in SDs of the residual phenotype, so a rescaled, negated
+        # or shifted phenotype file gives the same lambda1, hits and results
+        geno, pheno = cohort_files
+        y = np.loadtxt(pheno)
+        runs = []
+        for name, values in (("x1", None), ("x1000", 1000.0 * y), ("x0.01", 0.01 * y),
+                             ("affine", -3.0 * y + 5.0)):
+            path = pheno
+            if values is not None:
+                path = str(tmp_path / f"{name}.tsv")
+                np.savetxt(path, values, fmt="%.17g")
+            out = tmp_path / name
+            assert main(_screen_args(geno, path, str(out), significance_threshold=0.001)) == 0
+            summary = [line.split("\t") for line in (out / "summary.txt").read_text().splitlines()]
+            rows = [line.split("\t") for line in (out / "results.tsv").read_text().splitlines()]
+            runs.append((
+                [f for f in summary if f[0] == "lambda1"],
+                [f[:3] for f in summary if f[0] == "hit"],
+                [f[:6] for f in rows],
+                np.array([[np.nan if v == "NA" else float(v) for v in f[6:]] for f in rows[1:]]),
+            ))
+        lam1, hits, keys, values = runs[0]
+        assert hits == [["hit", "1:147-20147", "c"]]  # the one window that passes 0.001
+        for got in runs[1:]:
+            assert got[:3] == (lam1, hits, keys)
+            np.testing.assert_allclose(got[3], values, rtol=1e-9, atol=0.0)
+
     def test_thread_count_does_not_change_output(self, cohort_files, tmp_path):
         geno, pheno = cohort_files
         outs = []
@@ -325,15 +353,15 @@ class TestScreenCommand:
         assert not list(tmp_path.rglob("dosages_*"))
 
     def test_sigma_b_that_rounds_lambda1_to_1_exits_1(self, cohort_files, tmp_path, capsys):
-        # sigma_b^2 x'x passes 2^53, so lambda1 = s / (1 + s) is exactly 1
+        # sigma_b^2 n passes 2^53, so lambda1 = s / (1 + s) is exactly 1
         geno, pheno = cohort_files
         out = tmp_path / "run"
         assert main(_screen_args(geno, pheno, str(out), sigma_b="1e8")) == 1
         err = capsys.readouterr().err.splitlines()
         assert re.fullmatch(
-            r"error: sigma_b = 1e\+08 gives phenotype sigma_b\^2 x'x = [0-9.]+e\+1[6-9], so "
-            r"lambda1 = sigma_b\^2 x'x / \(1 \+ sigma_b\^2 x'x\) rounds to 1; it must lie "
-            r"strictly between 0 and 1", err[-1])
+            r"error: sigma_b = 1e\+08 and n = 150 give sigma_b\^2 n = 1\.5e\+18, so "
+            r"lambda1 = sigma_b\^2 n / \(1 \+ sigma_b\^2 n\) rounds to 1; it must lie "
+            r"below 1", err[-1])
         assert not (out / "results.tsv").exists()
 
 
@@ -439,7 +467,7 @@ class TestScreenWindows:
         cohort = dataio.load_cohort(*genome_files)
         windows = dataio.define_windows(cohort, window_bp=200_000, min_snps_per_coeff=4)
         ctx = bayes.build_design(cohort.phenotype)
-        [lam1] = bayes.lambda1(ctx)
+        lam1 = bayes.lambda1(ctx)
         models = {d: nullsim.load_or_build_null_model(lam1, d, 4000, 3)
                   for d in {w.depth for w in windows}}
         return cohort, windows, ctx, models

@@ -337,3 +337,26 @@ class TestBatchScreen:
             assert res.degenerate and res.lambda_hat == 1.0
             np.testing.assert_array_equal(res.pi_hat, np.zeros(window.depth + 1), strict=True)
             assert all(lb.shape == (0,) for lb in res.log_bf)
+
+
+
+class TestPhenotypeScale:
+    """The phenotype's units do not change the screen: a*y + b screens as y."""
+
+    @given(
+        a=st.floats(1e-3, 1e3).flatmap(lambda m: st.sampled_from([m, -m])),
+        b=st.floats(-100.0, 100.0),
+        with_covariates=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_affine_phenotype_gives_the_same_screen(self, screen_setup, a, b, with_covariates):
+        cohort, window, y = screen_setup
+        spectra = window_spectra(window, cohort, ("c", "d"))
+        C = np.random.default_rng(7).standard_normal((cohort.n, 2)) if with_covariates else None
+        ref, ctx = bayes.build_design(y, C), bayes.build_design(a * y + b, C)
+        assert bayes.lambda1(ctx) == bayes.lambda1(ref)
+        for kind in ("c", "d"):
+            [want] = screen_spectra(window, *spectra[kind], ref, kind)
+            [got] = screen_spectra(window, *spectra[kind], ctx, kind)
+            np.testing.assert_allclose(got.pi_hat, want.pi_hat, rtol=1e-9, atol=0.0)
+            assert np.log(got.lambda_hat) == pytest.approx(np.log(want.lambda_hat), rel=1e-9)

@@ -255,9 +255,10 @@ class TestPowerExperiment:
         cohort = generate_genotypes(cfg.n, cfg.n_snps, cfg.n_blocks, cfg.flip_prob,
                                     seed=cfg.seed)
         window = synthetic_window(cohort, cfg.min_snps_per_coeff)
-        probe = bayes.build_design(simharness._standardized(np.arange(cfg.n, dtype=float)))
+        # lambda1 depends on n and sigma_b alone
+        s2n = bayes.DEFAULT_SIGMA_B ** 2 * cfg.n
         model = nullsim.load_or_build_null_model(
-            bayes.lambda1(probe)[0], window.depth, cfg.null_m, cfg.seed, None
+            s2n / (1.0 + s2n), window.depth, cfg.null_m, cfg.seed, None
         )
         rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 3], dtype=np.uint64)))
         assert len(detail) == cfg.replicates
@@ -265,7 +266,7 @@ class TestPowerExperiment:
             k = int(rng.integers(1, cfg.max_components + 1))
             seed = cfg.seed * 1_000_003 + rep
             sig = plant_signal(cohort, k, cfg.heritability, cfg.direction_mode, seed=seed)
-            y = simharness._standardized(simulate_phenotype(cohort, sig, seed=seed))
+            y = simulate_phenotype(cohort, sig, seed=seed)
             ctx = bayes.build_design(y)
             want = {"replicate": rep, "k": k}
             for kind in ("c", "d"):
