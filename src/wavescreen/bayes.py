@@ -100,7 +100,9 @@ def build_design(
     x_rows = []
     for j, col in enumerate(columns):
         name = "phenotype" if len(columns) == 1 else f"phenotype column {j}"
-        col = np.array(col)  # a fresh contiguous vector
+        # a fresh contiguous vector with its largest value in [0.5, 1): a
+        # power-of-two scale is exact, and keeps its sums of squares finite
+        col = np.ldexp(col, -np.frexp(np.abs(col).max())[1])
         if np.var(col) == 0.0:
             raise DesignError(f"{name} has zero variance")
         resid = col - Q @ (Q.T @ col)

@@ -96,6 +96,18 @@ class TestBuildDesign:
                     r"it must lie below 1$")):
                 build_design(scale * np.arange(float(n)), sigma_b=sigma_b)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160, -1e300, 2.0**-600, 2.0**600])
+    def test_phenotype_at_an_extreme_scale(self, scale):
+        # its sum of squares under- or overflows unless the column is first
+        # scaled by a power of two, which leaves a power-of-two scale no trace
+        rng = np.random.default_rng(16)
+        y, C = rng.standard_normal(50), rng.standard_normal((50, 2))
+        ref, ctx = build_design(y, C), build_design(scale * y, C)
+        np.testing.assert_allclose(ctx.x_tilde, np.sign(scale) * ref.x_tilde, rtol=1e-12,
+                                   atol=1e-14)
+        if np.log2(abs(scale)).is_integer():
+            assert ctx.x_tilde.tobytes() == ref.x_tilde.tobytes()
+
     def test_sigma_b_just_below_the_rounding_is_accepted(self):
         # sigma_b^2 n = 2.5e15 < 2^53 leaves lambda1 below 1
         assert lambda1(build_design(np.arange(10.0), sigma_b=np.sqrt(2.5e14))) < 1.0
