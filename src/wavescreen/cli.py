@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=dataio.DEFAULT_MIN_SNPS_PER_COEFF)
     s.add_argument("--sigma-b", default=bayes.DEFAULT_SIGMA_B, type=_checked(
         _positive_float, bayes.valid_sigma_b, "have a finite, nonzero square and inverse square"),
-        help="prior SD of the phenotype effect, in SDs of the phenotype's residual "
-             "on the covariates")
+        help="prior SD of the phenotype effect, in SDs of its residual on the covariates")
     s.add_argument("--coefficient-kind", choices=["c", "d", "both"], default="both")
     s.add_argument("--depth-cap", type=_checked(int, lambda v: v >= 0, "be at least 0"))
     s.add_argument("--m", type=_positive_int, default=nullsim.DEFAULT_M,

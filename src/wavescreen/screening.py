@@ -55,7 +55,9 @@ def max_log_lambda(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bf = np.exp(np.atleast_2d(np.asarray(log_bf, dtype=float)))
     b = bf - 1.0
     pi = np.zeros(bf.shape[0])
-    score1 = np.sum(b / bf, axis=1)
+    # b / bf into bf, which is not read again: one fresh array fewer, as many
+    # as when the caller passed BFs it had exponentiated in place
+    score1 = np.sum(np.divide(b, bf, out=bf), axis=1)
     pi[score1 >= 0.0] = 1.0
     rows = np.flatnonzero((np.sum(b, axis=1) > 0.0) & (score1 < 0.0))
     x = np.full(len(rows), 0.5)
