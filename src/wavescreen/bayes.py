@@ -61,18 +61,17 @@ def build_design(
     covariates: np.ndarray | None = None,
     sigma_b: float = DEFAULT_SIGMA_B,
 ) -> DesignContext:
-    """Residualize the phenotypes against intercept + covariates, then scale
-    each residual to unit variance.
+    """Residualize each phenotype on intercept + covariates; scale it to unit variance.
 
     ``phenotype`` is (n, P) for P phenotypes screened together; an (n,)
     phenotype is the one column of an (n, 1) design. Each column is
     projected and scaled on its own, so a column equals the design of that
     column alone bit for bit, and a*y + b gives the design of y up to
-    rounding and sign. sigma_b is the prior SD of the effect in SDs of
-    the residual phenotype. Raises DesignError for rank-deficient
-    covariates, a sigma_b that ``valid_sigma_b`` rejects or whose
-    sigma_b^2 n rounds lambda1 to 1, a zero-variance phenotype, or one
-    collinear with the covariates; with P > 1 the error names the column.
+    rounding and sign; sigma_b is in SDs of the residual. Raises
+    DesignError for rank-deficient covariates, a sigma_b that
+    ``valid_sigma_b`` rejects or whose sigma_b^2 n rounds lambda1 to 1, a
+    zero-variance phenotype, or one collinear with the covariates; with
+    P > 1 the error names the column.
     """
     phi = np.asarray(phenotype, dtype=float)
     n = len(phi)

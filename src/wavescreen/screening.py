@@ -55,9 +55,7 @@ def max_log_lambda(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bf = np.exp(np.atleast_2d(np.asarray(log_bf, dtype=float)))
     b = bf - 1.0
     pi = np.zeros(bf.shape[0])
-    # b / bf into bf, which is not read again: one fresh array fewer, as many
-    # as when the caller passed BFs it had exponentiated in place
-    score1 = np.sum(np.divide(b, bf, out=bf), axis=1)
+    score1 = np.sum(np.divide(b, bf, out=bf), axis=1)  # in place: bf is not read again
     pi[score1 >= 0.0] = 1.0
     rows = np.flatnonzero((np.sum(b, axis=1) > 0.0) & (score1 < 0.0))
     x = np.full(len(rows), 0.5)
