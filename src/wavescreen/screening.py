@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import chdtrc
 
 from wavescreen import wavelet
@@ -20,6 +21,9 @@ from wavescreen.dataio import ChromosomeBlock, Window
 # names the Lambda-hat solver in null-cache keys, so samples drawn by an
 # earlier solver are rebuilt rather than reused
 SOLVER_VERSION = "newton1"
+
+# rows of the interpolation weights per block of ``_centered_product``
+_ROW_BLOCK = 64
 
 
 class ScreeningError(ValueError):
@@ -120,6 +124,29 @@ def fisher_combine(p_values) -> float:
     return float(chdtrc(2 * len(p), stat))
 
 
+def _centered_product(W: sparse.csr_matrix, dosages: np.ndarray) -> np.ndarray:
+    """W @ (dosages - 1.0), streamed in blocks of ``_ROW_BLOCK`` rows of W.
+
+    Each block centers only the contiguous SNP range its rows touch and
+    multiplies a CSR matrix made of W's own data, indices (shifted) and
+    indptr, so every output row sums the same products in the same order as
+    the one product does, and no window-sized centered copy is made.
+    """
+    out = np.empty((W.shape[0], dosages.shape[1]))
+    for r0 in range(0, W.shape[0], _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, W.shape[0])
+        a, b = W.indptr[r0], W.indptr[r1]
+        if a == b:  # rows with no weights sum to zero
+            out[r0:r1] = 0.0
+            continue
+        cols = W.indices[a:b]
+        lo, hi = cols.min(), cols.max() + 1
+        rows = sparse.csr_matrix((W.data[a:b], cols - lo, W.indptr[r0:r1 + 1] - a),
+                                 shape=(r1 - r0, hi - lo))
+        out[r0:r1] = rows @ (dosages[lo:hi] - 1.0)
+    return out
+
+
 def window_spectra(
     window: Window,
     block: ChromosomeBlock,
@@ -153,7 +180,7 @@ def window_spectra(
     # centering at 1 makes the allele flip g -> 2 - g an exact floating-point
     # negation of the input, so every linear stage below negates exactly and
     # the d-screen statistic is bitwise invariant under strand flips
-    top_sums = W @ (block.dosages[sl] - 1.0)
+    top_sums = _centered_product(W, block.dosages[sl])
     c, d = wavelet.haar_pyramid(top_sums, window.depth, n_grid=n_grid)
     spectra = {}
     for kind in kinds:
