@@ -167,6 +167,19 @@ def _blom_table(n: int) -> np.ndarray:
     return table
 
 
+def _scatter_tie_runs(out: np.ndarray, order: np.ndarray, is_start: np.ndarray,
+                      table: np.ndarray, n: int) -> None:
+    """Write each sorted value's score to ``out[order]``, rows of ``n`` at a time.
+
+    A tie run, starting at sorted position f of its row with length k, shares
+    the average rank f + (k + 1)/2; f + (f + k - 1) = 2 (average rank) - 2 is
+    the run's index into ``table``.
+    """
+    starts = np.flatnonzero(is_start)
+    lengths = np.diff(starts, append=is_start.size)
+    out[order] = table[np.repeat(2 * (starts % n) + lengths - 1, lengths)]
+
+
 def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Rank-based inverse-normal (Blom) transform along ``axis``.
 
@@ -177,9 +190,10 @@ def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, 
     One argsort per row; each tie run of the sorted row, starting at sorted
     position f with length k, shares the average rank f + (k + 1)/2, whose
     score is looked up in a table of the 2n - 1 half-integer ranks built for
-    this call. The table's sign handling makes negating the values negate the
-    scores exactly, so sign-flip robustness of downstream statistics is exact
-    rather than approximate.
+    this call. A row with no tie takes the table's integer ranks in sorted
+    order, with no run bookkeeping. The table's sign handling makes negating
+    the values negate the scores exactly, so sign-flip robustness of
+    downstream statistics is exact rather than approximate.
     """
     v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     n = v.shape[-1]
@@ -196,13 +210,18 @@ def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, 
     is_start = np.empty(sv.size, dtype=bool)
     np.not_equal(sv[1:], sv[:-1], out=is_start[1:])
     is_start[::n] = True
-    starts = np.flatnonzero(is_start)
-    lengths = np.diff(starts, append=sv.size)
-    # first + last sorted position of the run = 2 (average rank) - 2, the
-    # run's index into the table
-    table_index = np.repeat(2 * (starts % n) + lengths - 1, lengths)
+    table = _blom_table(n)
     scores = np.empty(rows.shape)
-    scores.ravel()[order] = _blom_table(n)[table_index]
+    tied = ~is_start.reshape(-1, n).all(axis=1)
+    if tied.all():
+        _scatter_tie_runs(scores.ravel(), order, is_start, table, n)
+    elif tied.any():
+        order_rows = order.reshape(-1, n)
+        scores.ravel()[order_rows[~tied]] = table[::2]
+        _scatter_tie_runs(scores.ravel(), order_rows[tied].ravel(),
+                          is_start.reshape(-1, n)[tied].ravel(), table, n)
+    else:  # every value has the integer rank of its sorted position
+        scores.ravel()[order.reshape(-1, n)] = table[::2]
     degenerate = sv[n - 1::n] - sv[::n] == 0.0
     scores[degenerate] = 0.0
     scores = np.moveaxis(scores.reshape(v.shape), -1, axis)
