@@ -216,8 +216,16 @@ def screen_windows(windows, blocks, ctx, kinds, models, threads):
                 f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({kind}): {exc}") from exc
         return results
 
+    # the largest windows start first, so that no long one starts last; results,
+    # and the first error, are still taken in the windows' order
+    by_size = sorted(range(len(windows)), key=lambda i: windows[i].n_snps, reverse=True)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = [r for rs in pool.map(run, windows) for r in rs]
+        futures = {i: pool.submit(run, windows[i]) for i in by_size}
+        try:
+            results = [r for i in range(len(windows)) for r in futures[i].result()]
+        finally:
+            for future in futures.values():
+                future.cancel()  # after an error, the windows not yet started
     results.sort(key=lambda r: (r.window.chromosome, r.window.start_bp, r.coefficient_kind))
     return results
 
