@@ -14,16 +14,22 @@ import sys
 import tempfile
 from array import array
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 MIN_IMPUTATION_QUALITY = 0.7
 # Names what a dosage cache entry holds and how: bump the number whenever the
-# genotype parse changes what it keeps; the IQ cut and byte order are part of
+# genotype parse changes what it keeps or the digest changes how it is taken
+# (2: the leaf tree of ``_LeafHash``); the IQ cut and byte order are part of
 # the name as they are, so an entry made under other ones is not read.
-_DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-1-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
+_DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-2-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
                        f"-{sys.byteorder}")
+# A dosage cache entry names the genotype file's bytes by the sha256 of the
+# concatenated sha256 digests of its consecutive leaves of this many bytes,
+# so that a cache hit can hash the leaves on several threads.
+_HASH_LEAF = 4 << 20
 
 DEFAULT_WINDOW_BP = 1_000_000
 DEFAULT_OVERLAP = 0.5
@@ -212,6 +218,41 @@ def _open_regular(path: str) -> int:
     if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     raise OSError(errno.EINVAL, "Not a regular file", path)
+
+
+class _LeafHash:
+    """The leaf-tree digest of a stream of bytes fed in pieces of any size."""
+
+    def __init__(self) -> None:
+        self._root, self._leaf, self._room = hashlib.sha256(), hashlib.sha256(), _HASH_LEAF
+
+    def update(self, data: bytes) -> None:
+        while len(data) >= self._room:  # the piece completes a leaf
+            self._leaf.update(data[:self._room])
+            data = data[self._room:]
+            self._root.update(self._leaf.digest())
+            self._leaf, self._room = hashlib.sha256(), _HASH_LEAF
+        self._leaf.update(data)
+        self._room -= len(data)
+
+    def hexdigest(self) -> str:
+        root = self._root.copy()
+        if self._room < _HASH_LEAF:  # a last, shorter leaf
+            root.update(self._leaf.digest())
+        return root.hexdigest()
+
+
+def _file_digest(fd: int, workers: int) -> str:
+    """The leaf-tree digest (``_LeafHash``) of the open file ``fd``, its leaves
+    read with ``os.pread`` and hashed on up to ``workers`` threads; hashlib
+    releases the GIL while it hashes."""
+    offsets = range(0, os.fstat(fd).st_size, _HASH_LEAF)
+
+    def leaf(offset: int) -> bytes:
+        return hashlib.sha256(os.pread(fd, _HASH_LEAF, offset)).digest()
+
+    with ThreadPoolExecutor(max(1, min(workers, _usable_cpus(), len(offsets)))) as pool:
+        return hashlib.sha256(b"".join(pool.map(leaf, offsets))).hexdigest()
 
 
 def _lines(fh, sha=None) -> Iterator[tuple[int, bytes, int]]:
@@ -466,13 +507,15 @@ def _entry_path(cache_dir: str, genotype_path: str) -> str:
     return os.path.join(cache_dir, f"dosages_{key}.bin")
 
 
-def _load_entry(entry: str, genotype_path: str) -> tuple[dict[str, ChromosomeBlock], int] | None:
+def _load_entry(entry: str, genotype_path: str,
+                workers: int) -> tuple[dict[str, ChromosomeBlock], int] | None:
     """The blocks and number of individuals held by a dosage cache entry.
 
     None when the entry is missing, its header is not one ``_save_entry``
     writes (its chromosome names must be distinct and sorted), its size is
-    not what the header implies, or the sha256 in the header is not that
-    of the genotype file's bytes. The blocks' arrays are
+    not what the header implies, or the digest in the header is not the
+    leaf-tree digest of the genotype file's bytes, hashed on up to
+    ``workers`` threads. The blocks' arrays are
     read-only views of a map of the entry. The genotype file is opened as
     the parse opens it, so a path that is not a regular file raises here.
     """
@@ -492,11 +535,7 @@ def _load_entry(entry: str, genotype_path: str) -> tuple[dict[str, ChromosomeBlo
                     or names != sorted(set(names))  # as the parse orders them
                     or os.fstat(fh.fileno()).st_size != offset + 8 * n_kept * (n + 2)):
                 return None
-            sha = hashlib.sha256()
-            with open(fd, "rb", closefd=False) as geno:
-                for chunk in iter(lambda: geno.read(1 << 20), b""):
-                    sha.update(chunk)
-            if sha.hexdigest() != digest:
+            if _file_digest(fd, workers) != digest:
                 return None
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):  # no readable entry, or a header that does not parse
@@ -518,7 +557,7 @@ def _load_entry(entry: str, genotype_path: str) -> tuple[dict[str, ChromosomeBlo
 def _save_entry(entry: str, blocks: dict[str, ChromosomeBlock], n: int, digest: str) -> None:
     """Write parsed blocks to the dosage cache entry ``entry``.
 
-    One header line holds the format, the genotype file's sha256, n and
+    One header line holds the format, the genotype file's digest, n and
     the number of chromosomes, and one line per chromosome its name and
     kept SNP count; the header is padded to a multiple of 8 bytes. Every
     kept position (int64), imputation quality and dosage row (float64)
@@ -585,10 +624,12 @@ def load_cohort(
 
     With a ``cache_dir``, a load that passes every check writes the parsed
     blocks to an entry there, named by the genotype file's real path and
-    holding the sha256 of its bytes. A later load of a file with those
-    bytes maps the entry read-only instead of parsing the file again; an
-    entry that is missing, malformed, truncated or of other bytes is
-    parsed past and rewritten.
+    holding the digest of its bytes: the sha256 of the sha256 digests of
+    its 4 MiB leaves, taken as the metadata pass reads them. A later load
+    hashes the file's leaves on up to ``workers`` threads and, if the
+    digest matches, maps the entry read-only instead of parsing the file
+    again; an entry that is missing, malformed, truncated, of an older
+    format or of other bytes is parsed past and rewritten.
     """
     phenotype = _read_matrix(phenotype_path, "phenotype")
     if phenotype.shape[1] != 1:
@@ -599,9 +640,9 @@ def load_cohort(
     entry = sha = loaded = None
     if cache_dir is not None:
         entry = _entry_path(cache_dir, genotype_path)
-        loaded = _load_entry(entry, genotype_path)
+        loaded = _load_entry(entry, genotype_path, workers)
     if loaded is None:
-        sha = None if entry is None else hashlib.sha256()
+        sha = None if entry is None else _LeafHash()
         loaded = _read_genotypes(genotype_path, workers, sha)
     blocks, n_ind = loaded
     if len(phenotype) != n_ind:
