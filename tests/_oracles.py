@@ -19,6 +19,9 @@ composes the two screening stages for tests that screen one kind at a time.
 each haplotype's flips as one (n_snps, n) array and made positions strictly
 increasing one at a time. ``max_log_lambda_reference`` is the Lambda-hat
 solver as it was before it skipped the log1p sum on pi = 0 rows.
+``window_spectra_reference`` is the spectra pass as it was before it
+streamed the interpolation: one product of the weights with a centered copy
+of the whole window's dosages (``block_sums_reference``).
 """
 
 import math
@@ -30,6 +33,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
+from wavescreen import wavelet
 from wavescreen.screening import screen_spectra, window_spectra
 from wavescreen.wavelet import VARIANCE_FLOOR, WaveletError, haar_pyramid
 
@@ -39,6 +43,38 @@ def screen_window(window, block, ctx, kind):
     spectra, then the screen's one result."""
     [result] = screen_spectra(window, *window_spectra(window, block, (kind,))[kind], ctx, kind)
     return result
+
+
+def block_sums_reference(window, block):
+    """(W, W @ (dosages - 1)): a window's interpolation weights, block-summed to
+    the 2^(depth+1) top rows, and its centered block sums as one product."""
+    sl = slice(window.snp_start, window.snp_end)
+    positions = wavelet.normalize_positions(block.positions[sl], window.start_bp,
+                                            window.end_bp)
+    W = wavelet.interpolation_matrix(positions, window.n_grid)
+    n_top = 1 << (window.depth + 1)
+    if n_top < window.n_grid:
+        W = wavelet.block_sum_matrix(window.n_grid, n_top) @ W
+    return W, W @ (block.dosages[sl] - 1.0)
+
+
+def window_spectra_reference(window, block, kinds):
+    """``screening.window_spectra`` on the block sums of ``block_sums_reference``."""
+    sl = slice(window.snp_start, window.snp_end)
+    W, top_sums = block_sums_reference(window, block)
+    c, d = haar_pyramid(top_sums, window.depth, n_grid=window.n_grid)
+    spectra = {}
+    for kind in kinds:
+        if kind == "d":
+            var_d = wavelet.pyramid_variances(W, 1.0 - block.imputation_quality[sl],
+                                              window.depth, n_grid=window.n_grid)
+            coeffs = wavelet.visushrink(d, var_d, window.n_grid)
+        else:
+            coeffs = c
+        transformed = [wavelet.quantile_transform(arr, axis=-1) for arr in coeffs]
+        spectra[kind] = ([sc for sc, _ in transformed],
+                         [np.atleast_1d(deg) for _, deg in transformed])
+    return spectra
 
 
 def haar_full(grid_values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

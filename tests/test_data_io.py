@@ -1,5 +1,6 @@
 """Loader validation, window tiling and depth rules."""
 
+import hashlib
 import os
 import tempfile
 import tracemalloc
@@ -763,6 +764,88 @@ class TestDosageCache:
         dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         assert calls == ["fsync", "replace"]
         assert len(_entries(cache)) == 1
+
+    @pytest.mark.parametrize("file", ["shorter", "equal", "longer"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_metadata_pass_digest_is_the_threaded_hit_digest(self, files, monkeypatch, file,
+                                                              workers):
+        # the file is shorter than, equal to or longer than one leaf
+        geno, _, _ = files
+        data = Path(geno).read_bytes()
+        size = {"shorter": len(data) + 1, "equal": len(data), "longer": len(data) // 3}[file]
+        monkeypatch.setattr(dataio, "_HASH_LEAF", size)
+        sha = dataio._LeafHash()
+        dataio._read_genotypes(geno, workers, sha)
+        tree = hashlib.sha256(b"".join(hashlib.sha256(data[i:i + size]).digest()
+                                       for i in range(0, len(data), size))).hexdigest()
+        fd = os.open(geno, os.O_RDONLY)
+        try:
+            assert sha.hexdigest() == dataio._file_digest(fd, workers) == tree
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("size", [0, 1000, 4 << 20, (8 << 20) + 123])
+    def test_leaf_digest_of_pieces_is_the_file_digest(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "bytes"
+        path.write_bytes(data)
+        sha = dataio._LeafHash()
+        cuts = np.sort(np.random.default_rng(1).integers(0, size + 1, 20))
+        for a, b in zip([0, *cuts], [*cuts, size]):
+            sha.update(data[a:b])
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            assert sha.hexdigest() == dataio._file_digest(fd, 2)
+        finally:
+            os.close(fd)
+
+    def test_flat_sha256_entry_is_parsed_and_replaced(self, files, monkeypatch):
+        # an entry as written before the digest was a leaf tree
+        geno, pheno, cache = files
+        reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        [name] = _entries(cache)
+        entry = cache / name
+        good = entry.read_bytes()
+        head, rest = good.split(b"\n", 1)
+        form, digest, n, n_chroms = head.split(b"\t")
+        old_form = form.replace(b"wavescreen-dosages-2-", b"wavescreen-dosages-1-")
+        flat = hashlib.sha256(Path(geno).read_bytes()).hexdigest().encode()
+        assert old_form != form and len(flat) == len(digest)
+        entry.write_bytes(b"\t".join([old_form, flat, n, n_chroms]) + b"\n" + rest)
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
+                             reference.blocks)
+        assert _entries(cache) == [name]
+        assert entry.read_bytes() == good
+        self._no_parse(monkeypatch)
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
+                             reference.blocks)
+
+    def test_in_place_edit_of_a_later_leaf_is_a_miss(self, files, monkeypatch):
+        geno, pheno, cache = files
+        size = os.path.getsize(geno)
+        leaf = size // 4
+        monkeypatch.setattr(dataio, "_HASH_LEAF", leaf)
+        dataio.load_cohort(geno, pheno, workers=2, cache_dir=str(cache))
+        # overwrite the last dosage of the second-last row (the last one is
+        # below the IQ cut) with one of the same length, in a later leaf
+        lines = Path(geno).read_text().splitlines()
+        fields = lines[-2].split("\t")
+        assert float(fields[3]) >= dataio.MIN_IMPUTATION_QUALITY
+        new = "1.99" if fields[-1] != "1.99" else "0.01"
+        offset = size - len(lines[-1]) - 2 - len(fields[-1])
+        assert offset > leaf
+        with open(geno, "r+b") as fh:
+            os.pwrite(fh.fileno(), new.encode(), offset)
+        assert os.path.getsize(geno) == size
+        edited = dataio.load_cohort(geno, pheno, workers=2, cache_dir=str(cache))
+        reference = dataio.load_cohort(geno, pheno)
+        _assert_blocks_equal(edited.blocks, reference.blocks)
+        assert float(new) in edited.blocks[fields[0]].dosages[:, -1]
+        assert len(_entries(cache)) == 1
+        self._no_parse(monkeypatch)
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, workers=2,
+                                                cache_dir=str(cache)).blocks,
+                             reference.blocks)
 
     def test_unwritable_cache_costs_a_warning(self, files, capsys):
         # a regular file where the cache directory should be

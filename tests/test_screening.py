@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.stats import chi2
 
-from wavescreen import bayes, nullsim, simharness
+from wavescreen import bayes, dataio, nullsim, screening, simharness
 from wavescreen.screening import (
     ScreeningError,
     fisher_combine,
@@ -20,7 +21,13 @@ from wavescreen.screening import (
     window_spectra,
 )
 
-from _oracles import lambda_max_grid, max_log_lambda_reference, screen_window
+from _oracles import (
+    block_sums_reference,
+    lambda_max_grid,
+    max_log_lambda_reference,
+    screen_window,
+    window_spectra_reference,
+)
 
 
 class TestEM:
@@ -279,6 +286,50 @@ class TestScreenWindow:
         flipped = dataclasses.replace(cohort, dosages=2.0 - cohort.dosages)
         res_f = screen_window(window, flipped, ctx, "d")
         assert res_f.lambda_hat == res.lambda_hat
+
+
+class TestStreamedInterpolation:
+    """The block sums streamed a row block at a time equal the one product, bit for bit."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @pytest.mark.parametrize("n_snps, depth, n_rows", [
+        (200, 3, 16),  # fewer weight rows than a block
+        (400, 5, 64),  # exactly one block
+        (100, 6, 128),  # 2^(depth+1) = n_grid: the raw interpolation weights
+        (700, 7, 256),  # row blocks share the SNPs of interpolation pairs
+    ], ids=["below_block", "one_block", "n_top_is_n_grid", "straddling"])
+    def test_window_spectra_equal_the_one_product(self, n_snps, depth, n_rows):
+        block = simharness.generate_genotypes(n=90, n_snps=n_snps, n_blocks=6, seed=depth)
+        block.imputation_quality = np.random.default_rng(depth).uniform(0.7, 1.0, n_snps)
+        window = dataio.Window("1", int(block.positions[0]), int(block.positions[-1]) + 1,
+                               0, n_snps, depth)
+        W, sums = block_sums_reference(window, block)
+        assert W.shape[0] == n_rows
+        if n_rows > screening._ROW_BLOCK:
+            # the last SNP of a block's rows is also the first of the next block's
+            first, second = np.split(W.indices, [W.indptr[screening._ROW_BLOCK]])
+            assert first.max() >= second[:W.indptr[2 * screening._ROW_BLOCK] - len(first)].min()
+        assert np.array_equal(self._bits(screening._centered_product(W, block.dosages)),
+                              self._bits(sums))
+        spectra = window_spectra(window, block, ("c", "d"))
+        reference = window_spectra_reference(window, block, ("c", "d"))
+        for kind in ("c", "d"):
+            (scores, degenerate), (ref_scores, ref_degenerate) = spectra[kind], reference[kind]
+            assert len(scores) == len(ref_scores) == depth + 1
+            for got, want in zip(scores, ref_scores):
+                assert np.array_equal(self._bits(got), self._bits(want))
+            for got, want in zip(degenerate, ref_degenerate):
+                assert np.array_equal(got, want)
+
+    def test_rows_without_weights_sum_to_zero(self):
+        W = sparse.csr_matrix(np.vstack([np.zeros((screening._ROW_BLOCK, 4)),
+                                         [[0.0, 0.25, 0.75, 0.0]]]))
+        dosages = np.random.default_rng(3).uniform(0.0, 2.0, (4, 5))
+        out = screening._centered_product(W, dosages)
+        assert np.array_equal(self._bits(out), self._bits(W @ (dosages - 1.0)))
 
 
 @functools.cache

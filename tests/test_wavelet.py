@@ -240,20 +240,55 @@ def rank_inputs(draw):
     return values, axis
 
 
+@st.composite
+def row_class_inputs(draw):
+    """(R, n) rows, each tie-free, tied (+-0 runs included) or constant."""
+    n = draw(st.integers(2, 30))
+    rows = []
+    for cls in draw(st.lists(st.sampled_from(["free", "tied", "constant"]),
+                             min_size=1, max_size=8)):
+        if cls == "free":
+            values = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n,
+                                   max_size=n, unique_by=lambda x: x + 0.0))
+        elif cls == "tied":
+            values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=n,
+                                   max_size=n))
+            values[draw(st.integers(1, n - 1))] = values[0]  # at least one tie
+        else:
+            values = [draw(st.sampled_from([1.5, 0.0, -0.0]))] * n
+        rows.append(values)
+    return np.array(rows)
+
+
+def _assert_bitwise_equal_to_reference(values, axis):
+    scores, deg = quantile_transform(values, axis=axis)
+    ref_scores, ref_deg = quantile_transform_reference(values, axis=axis)
+    assert scores.shape == ref_scores.shape
+    assert np.array_equal(scores.view(np.int64), ref_scores.view(np.int64))
+    assert np.shape(deg) == np.shape(ref_deg)
+    assert np.array_equal(deg, ref_deg)
+
+
 class TestQuantileTransform:
     @given(rank_inputs())
     @example((np.array([3.0, 3.0]), -1))
     @example((np.array([[1.0, -0.0], [0.0, 2.0]]), 0))
     @example((np.array([[0.0, -0.0, 0.0, -0.0], [1.0, -1.0, 0.0, -0.0]]), -1))
+    # every row tie-free
+    @example((np.array([[0.5, -1.0, 2.0, 0.0], [3.0, 1.0, -0.0, 2.0]]), -1))
+    # every row tied
+    @example((np.array([[0.0, -0.0, 1.0], [2.0, 2.0, -1.0], [4.0, 4.0, 4.0]]), -1))
+    # tie-free rows among tied and constant rows, +-0 runs included
+    @example((np.array([[1.0, 0.0, -2.0, 3.0], [0.0, -0.0, 0.0, 1.0], [2.0, 2.0, 2.0, 2.0],
+                        [-0.0, 4.0, -1.0, 0.5], [-0.0, 0.0, -0.0, 0.0]]), -1))
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_reference(self, case):
-        values, axis = case
-        scores, deg = quantile_transform(values, axis=axis)
-        ref_scores, ref_deg = quantile_transform_reference(values, axis=axis)
-        assert scores.shape == ref_scores.shape
-        assert np.array_equal(scores.view(np.int64), ref_scores.view(np.int64))
-        assert np.shape(deg) == np.shape(ref_deg)
-        assert np.array_equal(deg, ref_deg)
+        _assert_bitwise_equal_to_reference(*case)
+
+    @given(row_class_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_row_classes_bitwise_equal_to_reference(self, values):
+        _assert_bitwise_equal_to_reference(values, -1)
 
     def test_matches_blom_formula(self):
         rng = np.random.default_rng(8)
