@@ -167,19 +167,6 @@ def _blom_table(n: int) -> np.ndarray:
     return table
 
 
-def _scatter_tie_runs(out: np.ndarray, order: np.ndarray, is_start: np.ndarray,
-                      table: np.ndarray, n: int) -> None:
-    """Write each sorted value's score to ``out[order]``, rows of ``n`` at a time.
-
-    A tie run, starting at sorted position f of its row with length k, shares
-    the average rank f + (k + 1)/2; f + (f + k - 1) = 2 (average rank) - 2 is
-    the run's index into ``table``.
-    """
-    starts = np.flatnonzero(is_start)
-    lengths = np.diff(starts, append=is_start.size)
-    out[order] = table[np.repeat(2 * (starts % n) + lengths - 1, lengths)]
-
-
 def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Rank-based inverse-normal (Blom) transform along ``axis``.
 
@@ -204,24 +191,26 @@ def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, 
     # 1-D scatter puts the scores back
     order = np.argsort(rows, axis=-1)
     order += np.arange(0, rows.size, n)[:, None]
-    order = order.ravel()
-    sv = rows.ravel()[order]
+    sv = rows.ravel()[order.ravel()]
     # a tie run starts at every row start and wherever the sorted value changes
-    is_start = np.empty(sv.size, dtype=bool)
-    np.not_equal(sv[1:], sv[:-1], out=is_start[1:])
-    is_start[::n] = True
+    is_start = np.empty(rows.shape, dtype=bool)
+    np.not_equal(sv[1:], sv[:-1], out=is_start.ravel()[1:])
+    is_start[:, 0] = True
+    tied = ~is_start.all(axis=1)
+    free = ~tied
     table = _blom_table(n)
     scores = np.empty(rows.shape)
-    tied = ~is_start.reshape(-1, n).all(axis=1)
-    if tied.all():
-        _scatter_tie_runs(scores.ravel(), order, is_start, table, n)
-    elif tied.any():
-        order_rows = order.reshape(-1, n)
-        scores.ravel()[order_rows[~tied]] = table[::2]
-        _scatter_tie_runs(scores.ravel(), order_rows[tied].ravel(),
-                          is_start.reshape(-1, n)[tied].ravel(), table, n)
-    else:  # every value has the integer rank of its sorted position
-        scores.ravel()[order.reshape(-1, n)] = table[::2]
+    if free.any():  # each value of a tie-free row has the integer rank of its sorted position
+        scores.ravel()[order[free] if tied.any() else order] = table[::2]
+    if tied.any():  # only the tied rows, copied out when some rows are tie-free
+        if free.any():
+            order, is_start = order[tied], is_start[tied]
+        starts = np.flatnonzero(is_start)
+        lengths = np.diff(starts, append=is_start.size)
+        # first + last sorted position of the run = 2 (average rank) - 2, the
+        # run's index into the table
+        table_index = np.repeat(2 * (starts % n) + lengths - 1, lengths)
+        scores.ravel()[order.ravel()] = table[table_index]
     degenerate = sv[n - 1::n] - sv[::n] == 0.0
     scores[degenerate] = 0.0
     scores = np.moveaxis(scores.reshape(v.shape), -1, axis)
