@@ -180,16 +180,18 @@ def window_spectra(
     # centering at 1 makes the allele flip g -> 2 - g an exact floating-point
     # negation of the input, so every linear stage below negates exactly and
     # the d-screen statistic is bitwise invariant under strand flips
-    top_sums = _centered_product(W, block.dosages[sl])
-    c, d = wavelet.haar_pyramid(top_sums, window.depth, n_grid=n_grid)
+    # each stage's input is dropped once its output exists (the block sums
+    # after the pyramid, a kind's coefficients after its scores), so a window
+    # holds fewer window-sized arrays at once
+    pyramid = dict(zip("cd", wavelet.haar_pyramid(_centered_product(W, block.dosages[sl]),
+                                                  window.depth, n_grid=n_grid)))
     spectra = {}
     for kind in kinds:
+        coeffs = pyramid.pop(kind)
         if kind == "d":
             sig2 = 1.0 - block.imputation_quality[sl]
             var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=n_grid)
-            coeffs = wavelet.visushrink(d, var_d, n_grid)
-        else:
-            coeffs = c
+            coeffs = wavelet.visushrink(coeffs, var_d, n_grid)
         scores, degenerate = [], []
         for arr in coeffs:
             sc, deg = wavelet.quantile_transform(arr, axis=-1)
