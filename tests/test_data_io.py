@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -797,6 +798,25 @@ class TestDosageCache:
         try:
             assert sha.hexdigest() == dataio._file_digest(fd, 2)
         finally:
+            os.close(fd)
+
+    def test_many_leaves_on_more_threads_than_cores(self, tmp_path, monkeypatch):
+        # every thread writes its own leaves' digests; a lost one changes the root
+        data = np.random.default_rng(5).bytes((1 << 20) + 77)
+        path = tmp_path / "bytes"
+        path.write_bytes(data)
+        monkeypatch.setattr(dataio, "_HASH_LEAF", 4096)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
+        tree = hashlib.sha256(b"".join(hashlib.sha256(data[i:i + 4096]).digest()
+                                       for i in range(0, len(data), 4096))).hexdigest()
+        fd = os.open(path, os.O_RDONLY)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert dataio._file_digest(fd, 8) == tree
+        finally:
+            sys.setswitchinterval(interval)
             os.close(fd)
 
     def test_flat_sha256_entry_is_parsed_and_replaced(self, files, monkeypatch):
