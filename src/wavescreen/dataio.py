@@ -22,13 +22,13 @@ import numpy as np
 MIN_IMPUTATION_QUALITY = 0.7
 # Names what a dosage cache entry holds and how: bump the number whenever the
 # genotype parse changes what it keeps or the digest changes how it is taken
-# (2: the leaf tree of ``_LeafHash``); the IQ cut and byte order are part of
+# (2: the leaf tree of ``_file_digest``); the IQ cut and byte order are part of
 # the name as they are, so an entry made under other ones is not read.
 _DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-2-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
                        f"-{sys.byteorder}")
 # A dosage cache entry names the genotype file's bytes by the sha256 of the
 # concatenated sha256 digests of its consecutive leaves of this many bytes,
-# so that a cache hit can hash the leaves on several threads.
+# so that the leaves can be hashed on several threads.
 _HASH_LEAF = 4 << 20
 
 DEFAULT_WINDOW_BP = 1_000_000
@@ -220,59 +220,48 @@ def _open_regular(path: str) -> int:
     raise OSError(errno.EINVAL, "Not a regular file", path)
 
 
-class _LeafHash:
-    """The leaf-tree digest of a stream of bytes fed in pieces of any size."""
+def _file_digest(path: str, workers: int) -> str:
+    """The leaf-tree digest of the file at ``path``: the sha256 of the
+    concatenated sha256 digests of its consecutive ``_HASH_LEAF``-byte
+    leaves, hashed on up to ``workers`` threads; hashlib releases the GIL
+    while it hashes.
 
-    def __init__(self) -> None:
-        self._root, self._leaf, self._room = hashlib.sha256(), hashlib.sha256(), _HASH_LEAF
-
-    def update(self, data: bytes) -> None:
-        while len(data) >= self._room:  # the piece completes a leaf
-            self._leaf.update(data[:self._room])
-            data = data[self._room:]
-            self._root.update(self._leaf.digest())
-            self._leaf, self._room = hashlib.sha256(), _HASH_LEAF
-        self._leaf.update(data)
-        self._room -= len(data)
-
-    def hexdigest(self) -> str:
-        root = self._root.copy()
-        if self._room < _HASH_LEAF:  # a last, shorter leaf
-            root.update(self._leaf.digest())
-        return root.hexdigest()
-
-
-def _file_digest(fd: int, workers: int) -> str:
-    """The leaf-tree digest (``_LeafHash``) of the open file ``fd``, hashed on
-    up to ``workers`` threads; hashlib releases the GIL while it hashes.
-
-    Thread j of k reads leaves j, j + k, ... with ``os.preadv`` into one
-    buffer of its own, an anonymous map, so the leaves' bytes never pass
-    through the heap that the screen's threads allocate from.
+    The file is opened as the parse opens it (``_open_regular``), so a path
+    that is not a regular file raises here. Thread j of k reads leaves j,
+    j + k, ... with ``os.preadv`` into one buffer of its own, an anonymous
+    map, so the leaves' bytes never pass through the heap that the screen's
+    threads allocate from.
     """
-    n_leaves = -(-os.fstat(fd).st_size // _HASH_LEAF)
-    k = max(1, min(workers, _usable_cpus(), n_leaves))
-    digests = [b""] * n_leaves
+    fd = _open_regular(path)
+    try:
+        n_leaves = -(-os.fstat(fd).st_size // _HASH_LEAF)
+        k = max(1, min(workers, _usable_cpus(), n_leaves))
+        digests = [b""] * n_leaves
 
-    def hash_leaves(first: int) -> None:
-        with mmap.mmap(-1, _HASH_LEAF) as buf:
-            for i in range(first, n_leaves, k):
-                got = os.preadv(fd, [buf], i * _HASH_LEAF)
-                digests[i] = hashlib.sha256(memoryview(buf)[:got]).digest()
+        def hash_leaves(first: int) -> None:
+            with mmap.mmap(-1, _HASH_LEAF) as buf:
+                for i in range(first, n_leaves, k):
+                    got = os.preadv(fd, [buf], i * _HASH_LEAF)
+                    digests[i] = hashlib.sha256(memoryview(buf)[:got]).digest()
 
-    with ThreadPoolExecutor(k) as pool:
-        list(pool.map(hash_leaves, range(k)))
+        with ThreadPoolExecutor(k) as pool:
+            list(pool.map(hash_leaves, range(k)))
+    finally:
+        os.close(fd)
     return hashlib.sha256(b"".join(digests)).hexdigest()
 
 
-def _lines(fh, sha=None) -> Iterator[tuple[int, bytes, int]]:
+def _file_version(path: str) -> tuple[int, ...]:
+    """What changes when the file at ``path`` is written or replaced."""
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _lines(fh) -> Iterator[tuple[int, bytes, int]]:
     """Yield (line number, line, byte offset of its end) of a binary file,
-    split where text mode splits it: after '\\n', '\\r\\n' and a lone '\\r'.
-    Every byte read is also fed to the hash ``sha``, if one is given."""
+    split where text mode splits it: after '\\n', '\\r\\n' and a lone '\\r'."""
     line_no = end = 0
     for raw in fh:
-        if sha is not None:
-            sha.update(raw)
         for line in raw.splitlines(keepends=True) if b"\r" in raw else (raw,):
             line_no += 1
             end += len(line)
@@ -425,16 +414,13 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     return out
 
 
-def _read_genotypes(path: str, workers: int = 1,
-                    sha=None) -> tuple[dict[str, ChromosomeBlock], int]:
+def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBlock], int]:
     """Read and validate the genotype file (format in ``load_cohort``).
 
     Returns the blocks of SNPs passing ``MIN_IMPUTATION_QUALITY`` by
     chromosome, in sorted chromosome order, and the number of individuals.
     One pass over the file keeps each row's metadata and the byte span of
     its dosage field, not its text; ``_read_dosages`` reads the spans back.
-    That pass also feeds every byte of the file to the hash ``sha``, if
-    one is given.
     """
     positions = array("q")
     iqs = array("d")
@@ -447,7 +433,7 @@ def _read_genotypes(path: str, workers: int = 1,
         # a buffer above the longest lines lets the reader split them without
         # refilling it for each line
         with open(fd, "rb", buffering=1 << 20, closefd=False) as fh:
-            for line_no, line, end in _lines(fh, sha):
+            for line_no, line, end in _lines(fh):
                 text = line.decode("utf-8")
                 fields = text.split(None, 4)
                 if not fields or (line_no == 1 and fields[0].lower() in _GENOTYPE_HEADER):
@@ -517,23 +503,18 @@ def _entry_path(cache_dir: str, genotype_path: str) -> str:
     return os.path.join(cache_dir, f"dosages_{key}.bin")
 
 
-def _load_entry(entry: str, genotype_path: str,
-                workers: int) -> tuple[dict[str, ChromosomeBlock], int] | None:
+def _load_entry(entry: str, digest: str) -> tuple[dict[str, ChromosomeBlock], int] | None:
     """The blocks and number of individuals held by a dosage cache entry.
 
     None when the entry is missing, its header is not one ``_save_entry``
     writes (its chromosome names must be distinct and sorted), its size is
-    not what the header implies, or the digest in the header is not the
-    leaf-tree digest of the genotype file's bytes, hashed on up to
-    ``workers`` threads. The blocks' arrays are
-    read-only views of a map of the entry. The genotype file is opened as
-    the parse opens it, so a path that is not a regular file raises here.
+    not what the header implies, or the digest in its header is not
+    ``digest``. The blocks' arrays are read-only views of a map of the entry.
     """
-    fd = _open_regular(genotype_path)
     try:
         with open(entry, "rb") as fh:
-            form, digest, n, n_chroms = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
-            if form != _DOSAGE_CACHE_FORMAT:
+            form, held, n, n_chroms = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
+            if form != _DOSAGE_CACHE_FORMAT or held != digest:
                 return None
             table = []
             for _ in range(int(n_chroms)):
@@ -545,13 +526,9 @@ def _load_entry(entry: str, genotype_path: str,
                     or names != sorted(set(names))  # as the parse orders them
                     or os.fstat(fh.fileno()).st_size != offset + 8 * n_kept * (n + 2)):
                 return None
-            if _file_digest(fd, workers) != digest:
-                return None
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):  # no readable entry, or a header that does not parse
         return None
-    finally:
-        os.close(fd)
     positions = np.frombuffer(data, np.int64, n_kept, offset)
     iqs = np.frombuffer(data, float, n_kept, offset + 8 * n_kept)
     dosages = np.frombuffer(data, float, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n)
@@ -626,20 +603,27 @@ def load_cohort(
     are parsed before the genotype file, so an error in them is raised
     first; their row counts are checked against it after.
 
+    The genotype file must not change while it is read: a dosage span that
+    reads short raises "genotype file shrank while it was read", and a
+    file whose device, inode, size, modification or change time differs
+    after the load from before it raises "genotype file changed while it
+    was read". A write within one timestamp tick of the first look, that
+    keeps the size, can still go unseen.
+
     SNPs with imputation quality below ``MIN_IMPUTATION_QUALITY`` are
     dropped after validation. Each chromosome's rows are sorted by position
     (stably); duplicate positions within a chromosome are rejected. The
     phenotype and covariate files take one row per individual and an
     optional header row; the phenotype file holds one column.
 
-    With a ``cache_dir``, a load that passes every check writes the parsed
-    blocks to an entry there, named by the genotype file's real path and
-    holding the digest of its bytes: the sha256 of the sha256 digests of
-    its 4 MiB leaves, taken as the metadata pass reads them. A later load
-    hashes the file's leaves on up to ``workers`` threads and, if the
-    digest matches, maps the entry read-only instead of parsing the file
-    again; an entry that is missing, malformed, truncated, of an older
-    format or of other bytes is parsed past and rewritten.
+    With a ``cache_dir``, the load first takes the digest of the genotype
+    file's bytes, once: the sha256 of the sha256 digests of its 4 MiB
+    leaves, hashed on up to ``workers`` threads (``_file_digest``). If the
+    entry there named by the file's real path holds that digest, the entry
+    is mapped read-only instead of parsing the file again; an entry that
+    is missing, malformed, truncated, of an older format or of other bytes
+    is parsed past, and a load that passes every check rewrites it with
+    the digest. Without a ``cache_dir`` the file is not hashed.
     """
     phenotype = _read_matrix(phenotype_path, "phenotype")
     if phenotype.shape[1] != 1:
@@ -647,13 +631,16 @@ def load_cohort(
                         "expected 1")
     phenotype = phenotype.ravel()
     covariates = None if covariate_path is None else _read_matrix(covariate_path, "covariate")
-    entry = sha = loaded = None
+    version = _file_version(genotype_path)
+    entry = loaded = None
     if cache_dir is not None:
-        entry = _entry_path(cache_dir, genotype_path)
-        loaded = _load_entry(entry, genotype_path, workers)
-    if loaded is None:
-        sha = None if entry is None else _LeafHash()
-        loaded = _read_genotypes(genotype_path, workers, sha)
+        entry, digest = _entry_path(cache_dir, genotype_path), _file_digest(genotype_path, workers)
+        loaded = _load_entry(entry, digest)
+    parsed = loaded is None
+    if parsed:
+        loaded = _read_genotypes(genotype_path, workers)
+    if _file_version(genotype_path) != version:
+        raise DataError("genotype file changed while it was read")
     blocks, n_ind = loaded
     if len(phenotype) != n_ind:
         raise DataError(
@@ -665,8 +652,8 @@ def load_cohort(
         covariates = np.empty((n_ind, 0))
     elif covariates.shape[0] != n_ind:
         raise DataError(f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}")
-    if sha is not None:
-        _save_entry(entry, blocks, n_ind, sha.hexdigest())
+    if entry is not None and parsed:
+        _save_entry(entry, blocks, n_ind, digest)
     return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)
 
 

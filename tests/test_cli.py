@@ -67,6 +67,14 @@ def _screen_args(geno, pheno, out_dir, **extra):
     return args
 
 
+def _set_cache_env(monkeypatch, tmp_path, cached):
+    """Screen with a shared dosage cache under ``tmp_path``, or with none."""
+    if cached:
+        monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv("WAVESCREEN_CACHE_DIR", raising=False)
+
+
 class TestScreenCommand:
     def test_runs_and_writes_outputs(self, cohort_files, tmp_path):
         geno, pheno = cohort_files
@@ -254,16 +262,23 @@ class TestScreenCommand:
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_genotype_directory_exits_2(self, cohort_files, tmp_path, capsys):
+    # with a dosage cache, the genotype file is first opened to hash it
+    @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+    def test_genotype_directory_exits_2(self, cohort_files, tmp_path, monkeypatch, capsys,
+                                        cached):
         _, pheno = cohort_files
+        _set_cache_env(monkeypatch, tmp_path, cached)
         rc = main(_screen_args(str(tmp_path), pheno, str(tmp_path / "x")))
         assert rc == 2
         assert capsys.readouterr().err == f"error: is a directory: {tmp_path}\n"
 
-    def test_genotype_fifo_exits_2_at_once(self, cohort_files, tmp_path, capsys):
+    @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+    def test_genotype_fifo_exits_2_at_once(self, cohort_files, tmp_path, monkeypatch, capsys,
+                                           cached):
         # opening a FIFO to read it waits for a writer; the loader neither
         # waits nor reads, and names the path
         _, pheno = cohort_files
+        _set_cache_env(monkeypatch, tmp_path, cached)
         fifo = tmp_path / "geno.fifo"
         os.mkfifo(fifo)
 

@@ -646,6 +646,12 @@ def _entries(cache):
     return sorted(p.name for p in cache.glob("dosages_*"))
 
 
+def _leaf_tree(data, leaf):
+    """The sha256 of the concatenated sha256 digests of ``data``'s leaves."""
+    return hashlib.sha256(b"".join(hashlib.sha256(data[i:i + leaf]).digest()
+                                   for i in range(0, len(data), leaf))).hexdigest()
+
+
 class TestDosageCache:
     """A load with a cache directory maps the parse of the same bytes back."""
 
@@ -746,6 +752,47 @@ class TestDosageCache:
             dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         assert not cache.exists() or os.listdir(cache) == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_file_is_hashed_once_per_cached_load(self, files, monkeypatch, workers):
+        geno, pheno, cache = files
+        calls = []
+        digest = dataio._file_digest
+        monkeypatch.setattr(dataio, "_file_digest",
+                            lambda *args: calls.append(args) or digest(*args))
+        dataio.load_cohort(geno, pheno, workers=workers)
+        assert calls == []
+        dataio.load_cohort(geno, pheno, workers=workers, cache_dir=str(cache))  # a miss
+        assert calls == [(geno, workers)] and len(_entries(cache)) == 1
+        self._no_parse(monkeypatch)
+        dataio.load_cohort(geno, pheno, workers=workers, cache_dir=str(cache))  # a hit
+        assert calls == [(geno, workers)] * 2
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+    def test_change_while_read_raises(self, files, monkeypatch, cached):
+        # one dosage of a kept row is rewritten at the same size after the
+        # metadata pass (and the digest) but before the dosages are read
+        geno, pheno, cache = files
+        lines = Path(geno).read_text().splitlines()
+        fields = lines[1].split("\t")
+        assert float(fields[3]) >= dataio.MIN_IMPUTATION_QUALITY
+        offset = len(lines[0]) + 1 + len("\t".join(fields[:4])) + 1
+        new = b"1.99" if fields[4] != "1.99" else b"0.01"
+        read_dosages = dataio._read_dosages
+
+        def edit_then_read(*args):
+            st = os.stat(geno)
+            with open(geno, "r+b") as fh:
+                os.pwrite(fh.fileno(), new, offset)
+            os.utime(geno, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            assert os.path.getsize(geno) == st.st_size
+            return read_dosages(*args)
+
+        monkeypatch.setattr(dataio, "_read_dosages", edit_then_read)
+        with pytest.raises(DataError, match="^genotype file changed while it was read$"):
+            dataio.load_cohort(geno, pheno, cache_dir=str(cache) if cached else None)
+        assert _entries(cache) == []
+        assert Path(geno).read_text().splitlines()[1].split("\t")[4] == new.decode()
+
     def test_hit_needs_no_file_digest(self, files, monkeypatch):
         # hashlib.file_digest is new in Python 3.11; the package supports 3.10
         geno, pheno, cache = files
@@ -768,37 +815,22 @@ class TestDosageCache:
 
     @pytest.mark.parametrize("file", ["shorter", "equal", "longer"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_metadata_pass_digest_is_the_threaded_hit_digest(self, files, monkeypatch, file,
-                                                              workers):
+    def test_file_digest_is_the_leaf_tree(self, files, monkeypatch, file, workers):
         # the file is shorter than, equal to or longer than one leaf
         geno, _, _ = files
         data = Path(geno).read_bytes()
-        size = {"shorter": len(data) + 1, "equal": len(data), "longer": len(data) // 3}[file]
-        monkeypatch.setattr(dataio, "_HASH_LEAF", size)
-        sha = dataio._LeafHash()
-        dataio._read_genotypes(geno, workers, sha)
-        tree = hashlib.sha256(b"".join(hashlib.sha256(data[i:i + size]).digest()
-                                       for i in range(0, len(data), size))).hexdigest()
-        fd = os.open(geno, os.O_RDONLY)
-        try:
-            assert sha.hexdigest() == dataio._file_digest(fd, workers) == tree
-        finally:
-            os.close(fd)
+        leaf = {"shorter": len(data) + 1, "equal": len(data), "longer": len(data) // 3}[file]
+        monkeypatch.setattr(dataio, "_HASH_LEAF", leaf)
+        assert dataio._file_digest(geno, workers) == _leaf_tree(data, leaf)
 
     @pytest.mark.parametrize("size", [0, 1000, 4 << 20, (8 << 20) + 123])
     def test_leaf_digest_of_pieces_is_the_file_digest(self, tmp_path, size):
+        # the empty file, part of a leaf, one whole leaf and a last short leaf
         data = np.random.default_rng(size).bytes(size)
         path = tmp_path / "bytes"
         path.write_bytes(data)
-        sha = dataio._LeafHash()
-        cuts = np.sort(np.random.default_rng(1).integers(0, size + 1, 20))
-        for a, b in zip([0, *cuts], [*cuts, size]):
-            sha.update(data[a:b])
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            assert sha.hexdigest() == dataio._file_digest(fd, 2)
-        finally:
-            os.close(fd)
+        for workers in (1, 2, 3):
+            assert dataio._file_digest(str(path), workers) == _leaf_tree(data, 4 << 20)
 
     def test_many_leaves_on_more_threads_than_cores(self, tmp_path, monkeypatch):
         # every thread writes its own leaves' digests; a lost one changes the root
@@ -807,17 +839,14 @@ class TestDosageCache:
         path.write_bytes(data)
         monkeypatch.setattr(dataio, "_HASH_LEAF", 4096)
         monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
-        tree = hashlib.sha256(b"".join(hashlib.sha256(data[i:i + 4096]).digest()
-                                       for i in range(0, len(data), 4096))).hexdigest()
-        fd = os.open(path, os.O_RDONLY)
+        tree = _leaf_tree(data, 4096)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                assert dataio._file_digest(fd, 8) == tree
+                assert dataio._file_digest(str(path), 8) == tree
         finally:
             sys.setswitchinterval(interval)
-            os.close(fd)
 
     def test_flat_sha256_entry_is_parsed_and_replaced(self, files, monkeypatch):
         # an entry as written before the digest was a leaf tree
