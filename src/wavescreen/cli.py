@@ -79,10 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="null-simulation count")
     s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--threads", type=_positive_int, default=1,
-                   help="screen windows on this many threads, parse the genotype "
-                        "dosages in this many processes and, with a parsed-dosage cache, "
-                        "hash the genotype file on this many threads (at most one per "
-                        "usable CPU)")
+                   help="screen windows, and share the rank transforms and Bayes "
+                        "factors of each window's scales, on this many threads, parse "
+                        "the genotype dosages in this many processes and, with a "
+                        "parsed-dosage cache, hash the genotype file on this many "
+                        "threads (at most one per usable CPU)")
     s.add_argument("--significance-threshold", default=0.05 / 6000,
                    type=_checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"))
     s.add_argument("--output-dir", required=True)

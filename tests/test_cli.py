@@ -3,11 +3,14 @@
 import os
 import re
 import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from wavescreen import bayes, dataio, nullsim, screening, simharness
+from wavescreen import bayes, dataio, nullsim, screening, simharness, wavelet
 from wavescreen.cli import build_parser, main
 
 from conftest import write_cohort_files
@@ -487,18 +490,107 @@ class TestScreenWindows:
                   for d in {w.depth for w in windows}}
         return cohort, windows, ctx, models
 
-    def test_thread_count_does_not_change_results(self, genome):
+    def test_thread_count_does_not_change_results(self, genome, monkeypatch):
         cohort, windows, ctx, models = genome
         assert len({w.chromosome for w in windows}) == 3
         assert all(m.tail is not None for m in models.values())
-        runs = [_fingerprint(nullsim.screen_windows(windows, cohort.blocks, ctx, ("c", "d"),
-                                                    models, threads))
-                for threads in (1, 2, 3)]
-        assert len(runs[0]) == 2 * len(windows)
-        assert [(r[0].chromosome, r[0].start_bp, r[1]) for r in runs[0]] == sorted(
-            (w.chromosome, w.start_bp, kind) for w in windows for kind in "cd")
-        assert all(r[4] is not None for r in runs[0])
-        assert runs[0] == runs[1] == runs[2]
+        # three threads even on a host with fewer CPUs, switching every
+        # microsecond, so that windows and their jobs interleave in many ways
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
+        y = np.column_stack([cohort.phenotype,
+                             np.random.default_rng(4).standard_normal((cohort.n, 2))])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for design in (ctx, bayes.build_design(y)):
+                runs = [_fingerprint(nullsim.screen_windows(windows, cohort.blocks, design,
+                                                            ("c", "d"), models, threads))
+                        for threads in (1, 2, 3)]
+                n_pheno = design.x_tilde.shape[1]
+                assert len(runs[0]) == 2 * n_pheno * len(windows)
+                assert [(r[0].chromosome, r[0].start_bp, r[1]) for r in runs[0]] == sorted(
+                    (w.chromosome, w.start_bp, kind)
+                    for w in windows for kind in "cd" for _ in range(n_pheno))
+                assert all(r[4] is not None for r in runs[0])
+                assert runs[0] == runs[1] == runs[2]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _transform_threads(monkeypatch):
+        """The set of threads that run a rank transform; each transform first
+        sleeps 5 ms, so that an idle worker has time to take a queued job."""
+        threads = set()
+        transform = wavelet.quantile_transform
+
+        def held(values, axis=-1):
+            threads.add(threading.get_ident())
+            time.sleep(0.005)
+            return transform(values, axis=axis)
+
+        monkeypatch.setattr(wavelet, "quantile_transform", held)
+        return threads
+
+    def test_an_idle_worker_shares_a_window_jobs(self, genome, monkeypatch):
+        cohort, windows, ctx, models = genome
+        largest = max(windows, key=lambda w: w.n_snps)
+        alone = nullsim.screen_windows([largest], cohort.blocks, ctx, ("c", "d"), models, 1)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        threads = self._transform_threads(monkeypatch)
+        shared = nullsim.screen_windows([largest], cohort.blocks, ctx, ("c", "d"), models, 2)
+        assert len(threads) == 2
+        assert _fingerprint(shared) == _fingerprint(alone)
+
+    def test_pool_has_at_most_one_thread_per_usable_cpu(self, genome, monkeypatch):
+        cohort, windows, ctx, models = genome
+        assert len(windows) > 2
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        threads = self._transform_threads(monkeypatch)
+        nullsim.screen_windows(windows, cohort.blocks, ctx, ("c", "d"), models, 8)
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_job_cancels_its_window_jobs(self, genome, monkeypatch, threads):
+        cohort, windows, ctx, models = genome
+        target = sorted(windows, key=lambda w: w.n_snps, reverse=True)[1]
+        # every coefficient of the target window ranks the individuals in one
+        # order, ascending for c and descending for d, so the scores that reach
+        # log_bayes_factor name the job's window and kind
+        order = {"c": np.arange(cohort.n, dtype=float), "d": -np.arange(cohort.n, dtype=float)}
+        marks = {kind: wavelet.quantile_transform(row)[0] for kind, row in order.items()}
+        window_spectra, log_bayes_factor = screening.window_spectra, screening.log_bayes_factor
+        calls = []
+
+        def marked_spectra(w, block, kinds):
+            spectra = window_spectra(w, block, kinds)
+            if w != target:
+                return spectra
+            return {kind: ([np.tile(order[kind], (len(deg), 1)) for deg in degenerate],
+                           [np.zeros(len(deg), dtype=bool) for deg in degenerate])
+                    for kind, (_, degenerate) in spectra.items()}
+
+        def failing_log_bf(ctx, y):
+            kind = next((k for k, mark in marks.items() if np.array_equal(y[:, 0], mark)), None)
+            if kind is not None:
+                calls.append(kind)
+            if kind == "d":
+                raise ValueError("singular design")
+            return log_bayes_factor(ctx, y)
+
+        monkeypatch.setattr(screening, "window_spectra", marked_spectra)
+        monkeypatch.setattr(screening, "log_bayes_factor", failing_log_bf)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"window {target.chromosome}:{target.start_bp}-{target.end_bp} (d): "
+                "singular design")):
+            nullsim.screen_windows(windows, cohort.blocks, ctx, ("c", "d"), models, threads)
+        ran = list(calls)
+        time.sleep(0.05)
+        assert calls == ran  # no job of the window runs after the screen returns
+        assert "d" in ran
+        if threads == 1:
+            # the top scale's c job, then its d job, which fails; every other
+            # job of the window was cancelled before a worker could start it
+            assert ran == ["c", "d"]
 
     def test_each_phenotype_of_a_batch_screens_as_its_own_design(self, genome):
         cohort, windows, _, models = genome

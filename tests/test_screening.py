@@ -17,7 +17,6 @@ from wavescreen.screening import (
     max_log_lambda,
     maximize_lambda,
     posterior_gamma,
-    screen_spectra,
     window_spectra,
 )
 
@@ -25,6 +24,7 @@ from _oracles import (
     block_sums_reference,
     lambda_max_grid,
     max_log_lambda_reference,
+    screen_spectra,
     screen_window,
     window_spectra_reference,
 )
