@@ -217,7 +217,7 @@ def screen_windows(windows, blocks, ctx, kinds, models, threads):
             del spectra
 
             def job(i):
-                scale, args[i] = args[i], None  # freed once its job is done
+                scale, args[i] = args[i], None  # the arrays go when the job returns
                 return screening.scale_log_bf(ctx, *scale)
 
             futures = [pool.submit(job, i) for i in range(len(jobs))]
