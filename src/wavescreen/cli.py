@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -44,6 +45,7 @@ def _checked(kind, ok, must: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "be at least 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "be at least 0")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "be positive and finite")
 # a seed keys a 64-bit counter-based generator
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "lie in [0, 2^64)")
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         _positive_float, bayes.valid_sigma_b, "have a finite, nonzero square and inverse square"),
         help="prior SD of the phenotype effect, in SDs of its residual on the covariates")
     s.add_argument("--coefficient-kind", choices=["c", "d", "both"], default="both")
-    s.add_argument("--depth-cap", type=_checked(int, lambda v: v >= 0, "be at least 0"))
+    s.add_argument("--depth-cap", type=_nonnegative_int)
     s.add_argument("--m", type=_positive_int, default=nullsim.DEFAULT_M,
                    help="null-simulation count")
     s.add_argument("--seed", type=_seed, required=True)
@@ -91,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-locus BF detail TSVs (scale location bf posterior_gamma)")
 
     s = sub.add_parser("nullsim", help="simulate the null statistic and fit its tail")
-    s.add_argument("--lambda1", type=float, required=True)
-    s.add_argument("--depth", type=int, required=True)
+    s.add_argument("--lambda1", type=_checked(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+                   required=True)
+    s.add_argument("--depth", type=_nonnegative_int, required=True)
     s.add_argument("--m", type=_positive_int, default=nullsim.DEFAULT_M)
     s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--output-dir", required=True)
@@ -115,6 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("p_values", nargs="*", type=float)
     s.add_argument("--file", default=None, help="one p-value per line")
     return p
+
+
+# one parser per process: a parser is a cycle of objects, so one per call is
+# garbage that only a collection frees, and a full one (tens of ms with numpy
+# and scipy loaded) then runs in the next call's build, outside its command
+_parser = functools.cache(build_parser)
 
 
 def _check_inputs(args) -> None:
@@ -165,8 +174,9 @@ def cmd_screen(args) -> int:
                 "so no window of this depth can pass it"
                 if floor > args.significance_threshold else ""
             )
-            print(f"warning: GPD tail fit failed at depth {depth}: its p-values are "
-                  f"empirical, at least 1/(M+1) = {floor:g}{unreachable}", file=sys.stderr)
+            print(f"warning: GPD tail fit failed at depth {depth} ({model.tail_error}): its "
+                  f"p-values are empirical, at least 1/(M+1) = {floor:g}{unreachable}",
+                  file=sys.stderr)
         models[depth] = model
 
     kinds = ("c", "d") if args.coefficient_kind == "both" else (args.coefficient_kind,)
@@ -238,7 +248,8 @@ def cmd_nullsim(args) -> int:
         print(f"shape xi = {_fmt(tail.shape)} (se {_fmt(tail.se_shape)})")
         print(f"scale beta = {_fmt(tail.scale)} (se {_fmt(tail.se_scale)})")
     else:
-        print("tail fit unavailable; p-values will be empirical only", file=sys.stderr)
+        print(f"tail fit unavailable ({model.tail_error}); p-values will be empirical only",
+              file=sys.stderr)
     return EXIT_OK
 
 
@@ -340,7 +351,7 @@ def cmd_fisher(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "screen": cmd_screen,
         "nullsim": cmd_nullsim,

@@ -6,8 +6,8 @@ directly from the design constant lambda1 without touching genotypes. The
 simulated sample covers the bulk of the distribution; a Generalized Pareto
 fit to the exceedances over its 99% quantile extrapolates the extreme tail.
 ``load_or_build_null_model`` is the one way to get a model: it reuses a
-cached sample and tail whose header and draws match the key, and simulates,
-fits and caches one otherwise.
+cached sample whose header and draws match the key, or simulates and caches
+one, and fits its tail.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class GPDFitError(RuntimeError):
 class GPDTail:
     """GPD(shape, scale) fitted to the sample's exceedances over ``threshold``.
 
-    The standard errors come from the observed information at the ML optimum.
+    The standard errors come from the expected information (NaN for shape <= -1/2).
     """
 
     threshold: float
@@ -58,6 +58,7 @@ class NullModel:
 
     sample: np.ndarray  # sorted ascending
     tail: GPDTail | None = None  # None: the fit failed, p-values are empirical only
+    tail_error: str | None = None  # why the fit failed, when it did
 
 
 def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
@@ -100,62 +101,66 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
     return out
 
 
-def _gpd_negloglik(params: np.ndarray, exc: np.ndarray) -> float:
-    xi, log_beta = params
-    beta = math.exp(log_beta)
-    z = exc / beta
-    if abs(xi) < 1e-12:
-        return len(exc) * log_beta + float(np.sum(z))
-    t = 1.0 + xi * z
-    if np.any(t <= 0.0):
-        return np.inf
-    return len(exc) * log_beta + (1.0 + 1.0 / xi) * float(np.sum(np.log(t)))
+def _profile(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """l*(theta)/n at each theta: -[log(xi/theta) + xi + 1] with
+    xi = mean(log1p(theta x)), its limit -[log mean(x) + 1] at theta = 0, and
+    -inf where xi < -1, where the likelihood is unbounded."""
+    rows = max(1, (1 << 20) // len(x))  # caps the (theta, x) block at 8 MiB
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.concatenate([np.log1p(np.multiply.outer(theta[i:i + rows], x)).sum(axis=1)
+                             for i in range(0, len(theta), rows)]) / len(x)
+        ll = -(np.log(np.where(theta == 0.0, np.mean(x), xi / theta)) + xi + 1.0)
+    return np.where(xi >= -1.0, ll, -np.inf)
 
 
 def fit_gpd_exceedances(exc: np.ndarray) -> tuple[float, float, float, float]:
     """ML GPD(shape, scale) fit to raw exceedances (measured from zero).
 
-    Returns (shape, scale, se_shape, se_scale). Standard errors come from
-    the numerically observed information at the optimum (NaN if it cannot
-    be inverted). Raises GPDFitError on too few points, degenerate data, or
-    non-convergence.
+    Maximizes the profile likelihood in theta = xi/beta (Grimshaw 1993),
+    l*(theta) = -n [log(xi/theta) + xi + 1] with xi = mean(log1p(theta x)) and
+    beta = xi/theta, over theta > -1/max(x) with xi >= -1: on a grid up to
+    twice 2 (mean(x) - min(x)) / min(x)^2, past which l* has no stationary
+    point, then on 17 points between the best point's neighbours, narrowed to
+    the best one's until they are less than 1e-10 (1 + |theta| max(x)) / max(x)
+    apart. Returns (shape, scale, se_shape, se_scale); the errors are Smith's
+    (1987) (1 + xi)/sqrt(n) and beta sqrt(2 (1 + xi)/n), NaN for xi <= -1/2.
+    Raises GPDFitError on too few points, constant or non-positive data, or
+    no interior maximum: the likelihood highest at xi = -1, the uniform law.
     """
-    exc = np.asarray(exc, dtype=float)
-    if len(exc) < MIN_EXCEEDANCES:
-        raise GPDFitError(f"only {len(exc)} exceedances; need {MIN_EXCEEDANCES}")
-    if np.ptp(exc) == 0.0:
+    x = np.asarray(exc, dtype=float)
+    n = len(x)
+    if n < MIN_EXCEEDANCES:
+        raise GPDFitError(f"only {n} exceedances; need {MIN_EXCEEDANCES}")
+    if np.ptp(x) == 0.0:
         raise GPDFitError("exceedances are constant; GPD likelihood is degenerate")
-    # imported here, as only a cache miss fits a tail: scipy.optimize
-    # takes about a third of the command line's start-up
-    from scipy.optimize import minimize
-
-    x0 = np.array([0.1, math.log(float(np.mean(exc)))])
-    res = minimize(_gpd_negloglik, x0, args=(exc,), method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 20000})
-    if not res.success:
-        raise GPDFitError(f"GPD maximum likelihood did not converge: {res.message}")
-    xi, beta = float(res.x[0]), float(math.exp(res.x[1]))
-
-    # observed information in (xi, beta) by central finite differences
-    def nll_nat(p):
-        return _gpd_negloglik(np.array([p[0], math.log(p[1])]), exc)
-
-    h = np.array([1e-5, max(beta * 1e-5, 1e-12)])
-    H = np.empty((2, 2))
-    p0 = np.array([xi, beta])
-    for i in range(2):
-        for j in range(2):
-            pp = p0.copy(); pp[i] += h[i]; pp[j] += h[j]
-            pm = p0.copy(); pm[i] += h[i]; pm[j] -= h[j]
-            mp = p0.copy(); mp[i] -= h[i]; mp[j] += h[j]
-            mm = p0.copy(); mm[i] -= h[i]; mm[j] -= h[j]
-            H[i, j] = (nll_nat(pp) - nll_nat(pm) - nll_nat(mp) + nll_nat(mm)) / (
-                4.0 * h[i] * h[j]
-            )
-    try:
-        cov = np.linalg.inv(H)
-        se_xi, se_beta = float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))
-    except (np.linalg.LinAlgError, ValueError):
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if not lo > 0.0:
+        raise GPDFitError(f"exceedances must be positive, got {lo:.6g}")
+    # grid in t = theta max(x): from -1 (xi = -inf) up to 0, densest at -1,
+    # then geometric up to twice Grimshaw's bound
+    top = 4.0 * (float(np.mean(x)) - lo) * hi / lo**2
+    t = np.concatenate([[-1.0], np.geomspace(1e-12, 1.0, 48) - 1.0,
+                        np.geomspace(min(1e-6, top / 2), top, 48)])
+    ll = _profile(t / hi, x)
+    i = int(np.argmax(ll))
+    if i == len(t) - 1 or not np.isfinite(ll[i]):
+        raise GPDFitError("the GPD likelihood has no interior maximum")
+    a, c = t[i - 1], t[i + 1]
+    while c - a > 1e-10 * (1.0 + abs(t[i])):
+        t = np.linspace(a, c, 17)
+        ll = _profile(t / hi, x)
+        i = int(np.argmax(ll))
+        a, c = t[max(i - 1, 0)], t[min(i + 1, 16)]
+    t_hat, ll_hat = t[i], ll[i]
+    if ll_hat < -math.log(hi):
+        raise GPDFitError("the GPD likelihood is highest at shape -1, the uniform "
+                          "law on [0, max exceedance]: no interior maximum")
+    theta = t_hat / hi
+    xi = float(np.mean(np.log1p(theta * x)))
+    beta = xi / theta if theta != 0.0 else float(np.mean(x))
+    if xi > -0.5:
+        se_xi, se_beta = (1.0 + xi) / math.sqrt(n), beta * math.sqrt(2.0 * (1.0 + xi) / n)
+    else:
         se_xi = se_beta = float("nan")
     return xi, beta, se_xi, se_beta
 
@@ -273,31 +278,11 @@ def _cache_header(lambda1: float, depth: int, M: int, seed: int) -> str:
     return "lambda1\tdepth\tM\tseed\tchunk\tdraws\tsolver\n" + "\t".join(map(str, key)) + "\n"
 
 
-def _tail_line(tail: GPDTail | None) -> str:
-    """The fitted tail as one line: u, xi, beta and their standard errors as
-    ``float.hex``, then the exceedance count; ``none`` when the fit failed."""
-    if tail is None:
-        return "tail\tnone\n"
-    values = (tail.threshold, tail.shape, tail.scale, tail.se_shape, tail.se_scale)
-    return "tail\t" + "\t".join(map(float.hex, values)) + f"\t{tail.n_exceedances}\n"
-
-
-def _parse_tail(line: str) -> GPDTail | None:
-    """Inverse of ``_tail_line``; raises ValueError on any other line."""
-    fields = line.split("\t")
-    if fields == ["tail", "none"]:
-        return None
-    if len(fields) != 7 or fields[0] != "tail":
-        raise ValueError(f"not a tail line: {line!r}")
-    u, xi, beta, se_xi, se_beta = map(float.fromhex, fields[1:6])
-    return GPDTail(u, xi, beta, int(fields[6]), se_xi, se_beta)
-
-
 def save_null_model(
     model: NullModel, lambda1: float, depth: int, seed: int, cache_dir: str
 ) -> str:
-    """Write the sorted sample and its fitted tail, under a header holding
-    their key, to the cache directory.
+    """Write the sorted sample, under a header holding its key, to the cache
+    directory; the tail is not stored, as every load fits it.
 
     The key gives lambda1 as ``float.hex``, exactly, in the file name and the
     header. The file is written under a temporary name and renamed into place,
@@ -310,7 +295,6 @@ def save_null_model(
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_cache_header(lambda1, depth, M, seed))
-            fh.write(_tail_line(model.tail))
             fh.write("lambda_hat\n")
             for v in model.sample.tolist():  # Python floats format faster than numpy scalars
                 fh.write(f"{v:.17g}\n")
@@ -322,48 +306,48 @@ def save_null_model(
     return path
 
 
-def _load_model(path: str, header: str, M: int) -> NullModel | None:
-    """The cached model, or None when the file is missing, its tail line does
-    not parse, or it does not hold exactly M finite, sorted draws under
-    ``header``."""
+def _load_sample(path: str, header: str, M: int) -> np.ndarray | None:
+    """The cached sample, or None when the file is missing or does not hold
+    exactly M finite, sorted draws under ``header`` and a ``lambda_hat`` line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (FileNotFoundError, UnicodeDecodeError):
         return None
     lines = text[len(header):].splitlines()
-    if not text.startswith(header) or len(lines) != M + 2 or lines[1] != "lambda_hat":
+    if not text.startswith(header) or len(lines) != M + 1 or lines[0] != "lambda_hat":
         return None
     try:
-        tail = _parse_tail(lines[0])
-        sample = np.loadtxt(lines[2:], ndmin=1)
+        sample = np.loadtxt(lines[1:], ndmin=1)
     except ValueError:
         return None
     ok = sample.shape == (M,) and np.all(np.isfinite(sample)) and np.all(np.diff(sample) >= 0)
-    return NullModel(sample, tail) if ok else None
+    return sample if ok else None
 
 
 def load_or_build_null_model(
     lambda1: float, depth: int, M: int, seed: int, cache_dir: str | None = None
 ) -> NullModel:
-    """The null model for this exact key: simulated, or reused from the cache.
+    """The null model for this exact key: simulated, or reused from the cache,
+    with its tail fitted.
 
-    A cached file holds the sample and its fitted tail, so a reuse fits
-    nothing. A cache file whose header, tail line or draws do not match the
-    key is simulated again and overwritten. A failed tail fit is not fatal:
-    the model gets no ``tail`` and falls back to empirical-only p-values.
+    A cache file holds the sample only, and every load fits its tail, so a
+    model's tail always comes from this fit. A cache file whose header or
+    draws do not match the key is simulated again and overwritten. A failed
+    tail fit is not fatal: the model gets no ``tail``, its ``tail_error``
+    says why, and its p-values are empirical only.
     """
+    sample = None
     if cache_dir is not None:
         path = os.path.join(cache_dir, _cache_name(lambda1, depth, M, seed))
-        model = _load_model(path, _cache_header(lambda1, depth, M, seed), M)
-        if model is not None:
-            return model
-    sample = simulate_null(lambda1, depth, M, seed)
+        sample = _load_sample(path, _cache_header(lambda1, depth, M, seed), M)
+    missed = sample is None
+    if missed:
+        sample = simulate_null(lambda1, depth, M, seed)
     try:
-        tail = fit_gpd_tail(sample)
-    except GPDFitError:
-        tail = None
-    model = NullModel(sample, tail)
-    if cache_dir is not None:
+        model = NullModel(sample, fit_gpd_tail(sample))
+    except GPDFitError as exc:
+        model = NullModel(sample, None, str(exc))
+    if missed and cache_dir is not None:
         save_null_model(model, lambda1, depth, seed, cache_dir)
     return model

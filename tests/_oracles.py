@@ -24,6 +24,9 @@ solver as it was before it skipped the log1p sum on pi = 0 rows.
 ``window_spectra_reference`` is the spectra pass as it was before it
 streamed the interpolation: one product of the weights with a centered copy
 of the whole window's dosages (``block_sums_reference``).
+``gpd_fit_reference`` is the first GPD tail fit: the two-parameter negative
+log-likelihood minimized by Nelder-Mead, where ``wavescreen.nullsim``
+maximizes the likelihood's one-dimensional profile.
 """
 
 import math
@@ -31,7 +34,7 @@ import math
 import numpy as np
 from scipy import sparse
 from scipy.integrate import dblquad, quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
@@ -464,3 +467,31 @@ def load_cohort_reference(genotype_path, phenotype_path, covariate_path=None, mi
             f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}"
         )
     return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)
+
+
+def gpd_negloglik(params, exc) -> float:
+    """GPD negative log-likelihood of exceedances at (shape, log scale); inf
+    where an exceedance lies past the support's end."""
+    xi, log_beta = params
+    beta = math.exp(log_beta)
+    z = exc / beta
+    if abs(xi) < 1e-12:
+        return len(exc) * log_beta + float(np.sum(z))
+    t = 1.0 + xi * z
+    if np.any(t <= 0.0):
+        return np.inf
+    return len(exc) * log_beta + (1.0 + 1.0 / xi) * float(np.sum(np.log(t)))
+
+
+def gpd_fit_reference(exc) -> tuple[float, float]:
+    """ML GPD (shape, scale) by Nelder-Mead on (shape, log scale) with
+    shape >= -1, below which the likelihood is unbounded. It runs three
+    times, each from the last one's optimum, as one run can stop short."""
+    exc = np.asarray(exc, dtype=float)
+    x = np.array([0.1, math.log(float(np.mean(exc)))])
+    for _ in range(3):
+        x = minimize(gpd_negloglik, x, args=(exc,), method="Nelder-Mead",
+                     bounds=[(-1.0, None), (None, None)],
+                     options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 100_000,
+                              "maxfev": 100_000}).x
+    return float(x[0]), math.exp(x[1])

@@ -1,5 +1,6 @@
-"""Every module-level import of the package and of the tests is used, and
-the command line starts without ``scipy.stats`` or ``scipy.optimize``."""
+"""Every module-level import of the package and of the tests is used, the
+command line starts without ``scipy.stats`` or ``scipy.optimize``, and no
+module of the package imports ``scipy.optimize`` at all."""
 
 import ast
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "wavescreen").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "wavescreen").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,10 +43,50 @@ def test_no_unused_imports(path):
 def test_cli_import_skips_scipy_stats():
     # scipy.stats takes about 0.6 s to import; scipy.special has every
     # distribution function the package evaluates. scipy.optimize, about
-    # 0.24 s, is imported by the tail fit, the first time one runs.
+    # 0.24 s, is imported by nothing in the package.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, wavescreen.cli; "
             "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out == "False False\n"
+
+
+def optimize_imports(source: str) -> list[str]:
+    """Lines of the source, at any depth, that import ``scipy.optimize``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detects_a_scipy_optimize_import():
+    source = ("import scipy\nfrom scipy import optimize\ndef f():\n"
+              "    from scipy.optimize import minimize\nimport scipy.optimize._minimize\n")
+    assert optimize_imports(source) == ["line 2", "line 4", "line 5"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_never_imports_scipy_optimize(path):
+    assert optimize_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cold_nullsim_skips_scipy_optimize(tmp_path):
+    # a run into an empty cache simulates and fits the tail: 4000 draws
+    # leave 40 exceedances above the 99% quantile, enough for the fit
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, wavescreen.cli as cli; "
+            f"cli.main(['nullsim', '--lambda1', '0.9', '--depth', '3', '--m', '4000', "
+            f"'--seed', '1', '--output-dir', {str(tmp_path)!r}]); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert "shape xi" in out
+    assert out.endswith("\nFalse\n")

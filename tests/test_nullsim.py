@@ -1,9 +1,12 @@
 """Null simulation, GPD tail fitting and p-value lookup."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import genpareto, chi2
 
+from _oracles import gpd_fit_reference, gpd_negloglik
 from wavescreen import nullsim, screening
 from wavescreen.nullsim import (
     GPDFitError,
@@ -70,6 +73,28 @@ class TestSimulateNull:
             simulate_null(0.5, 1, 0, 0)
 
 
+def _null_exceedances(lambda1, depth, M):
+    sample = simulate_null(lambda1, depth, M, seed=1)
+    u = np.quantile(sample, 0.99)
+    return sample[sample > u] - u
+
+
+def _gpd(shape, size=1000):
+    return lambda: genpareto.rvs(shape, scale=1.5, size=size,
+                                 random_state=np.random.default_rng(5))
+
+
+_ORACLE_CASES = {
+    **{f"null_{lam}_{depth}_{M}": lambda a=(lam, depth, M): _null_exceedances(*a)
+       for lam, depth, M in ((0.1, 6, 20_000), (0.984, 5, 4096), (0.984, 7, 4096),
+                             (0.984, 9, 4096), (0.988, 6, 8192), (0.9997, 9, 100_000))},
+    **{f"gpd_{shape}": _gpd(shape) for shape in (-0.8, -0.4, 0.2, 2.0, 3.0)},
+    "min_exceedances": _gpd(0.3, nullsim.MIN_EXCEEDANCES),
+    # 500 draws on a half-unit lattice: 29 distinct values, 149 draws at 0.5
+    "tied": lambda: np.ceil(_gpd(0.3, 500)() * 2.0) / 2.0,
+}
+
+
 class TestGPDFit:
     def test_recovers_parameters(self):
         exc = genpareto.rvs(0.2, scale=0.05, size=30_000,
@@ -93,6 +118,54 @@ class TestGPDFit:
         with pytest.raises(GPDFitError, match="constant"):
             fit_gpd_exceedances(np.ones(100))
 
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_reaches_the_two_parameter_optimum(self, case):
+        # the profile search reaches the optimum of the 2-D likelihood, and
+        # the heavy tails, whose optima lie far up the theta axis, too
+        exc = _ORACLE_CASES[case]()
+        xi, beta, _, _ = fit_gpd_exceedances(exc)
+        assert np.isfinite(xi) and np.isfinite(beta)
+        ref_xi, ref_beta = gpd_fit_reference(exc)
+        ll = -gpd_negloglik([xi, math.log(beta)], exc)
+        ref_ll = -gpd_negloglik([ref_xi, math.log(ref_beta)], exc)
+        assert ll >= ref_ll - 1e-9 * abs(ref_ll)
+        assert ref_xi > -1.0 + 1e-6  # both optima are interior
+        assert xi == pytest.approx(ref_xi, rel=1e-5)
+        assert beta == pytest.approx(ref_beta, rel=1e-5)
+
+    def test_uniform_exceedances_have_no_interior_maximum(self):
+        # shape -1 is the uniform law; the likelihood is highest there, at
+        # scale max(x), the edge of the region where it is bounded
+        exc = np.random.default_rng(6).uniform(0.0, 2.0, size=1000)
+        ref_xi, ref_beta = gpd_fit_reference(exc)
+        assert ref_xi == pytest.approx(-1.0, abs=1e-9)
+        assert ref_beta == pytest.approx(exc.max(), rel=1e-6)
+        with pytest.raises(GPDFitError, match="no interior maximum"):
+            fit_gpd_exceedances(exc)
+
+    def test_non_positive_exceedances(self):
+        # with an exceedance at 0 the likelihood grows without bound in xi
+        exc = np.linspace(0.0, 1.0, 100)
+        with pytest.raises(GPDFitError, match="positive"):
+            fit_gpd_exceedances(exc)
+
+    def test_standard_errors_match_the_spread_of_fits(self):
+        # Smith's information: over 300 GPD(0.2, 1.5) samples of 400 points,
+        # the fits' standard deviations are the reported errors
+        rng = np.random.default_rng(8)
+        fits = np.array([fit_gpd_exceedances(genpareto.rvs(0.2, scale=1.5, size=400,
+                                                           random_state=rng))
+                         for _ in range(300)])
+        np.testing.assert_allclose(fits[:, :2].std(axis=0), np.median(fits[:, 2:], axis=0),
+                                   rtol=0.15)
+
+    def test_no_standard_errors_at_or_below_shape_minus_half(self):
+        rng = np.random.default_rng(9)
+        for shape, finite in ((-0.8, False), (-0.3, True)):
+            _, _, se_xi, se_beta = fit_gpd_exceedances(
+                genpareto.rvs(shape, scale=1.0, size=2000, random_state=rng))
+            assert np.isfinite([se_xi, se_beta]).tolist() == [finite, finite]
+
 
 class TestThresholdRules:
     def test_quantile_99(self):
@@ -115,6 +188,7 @@ class TestBuildAndPValue:
         # fit fails and p-values stay empirical
         model = load_or_build_null_model(0.5, 0, 20, 0)
         assert model.tail is None
+        assert model.tail_error.startswith("only 1 exceedances above u=")
         assert p_value(model, model.sample[-1] + 1.0) == pytest.approx(1.0 / 21.0)
 
     def test_empirical_p_value_convention(self):
@@ -201,8 +275,8 @@ class TestCache:
 
     def test_steps_are_looked_up_on_the_module(self, tmp_path, monkeypatch):
         # tracing wraps these module attributes; a cache miss is a load with a
-        # simulate_null call inside it, and a hit reads the stored tail, so it
-        # calls none of them
+        # simulate_null call inside it, and a hit reads the sample and fits
+        # its tail
         calls = []
         for name in ("simulate_null", "save_null_model", "fit_gpd_tail"):
             fn = getattr(nullsim, name)
@@ -212,11 +286,11 @@ class TestCache:
         assert calls == ["simulate_null", "fit_gpd_tail", "save_null_model"]
         calls.clear()
         load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
-        assert calls == []
+        assert calls == ["fit_gpd_tail"]
 
     @pytest.mark.parametrize("damage", [
         "truncated", "header_row", "extra_draw", "unsorted", "non_finite", "not_a_number",
-        "no_tail", "bad_tail",
+        "no_lambda_hat",
     ])
     def test_damaged_file_is_rebuilt(self, tmp_path, damage):
         load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
@@ -230,11 +304,9 @@ class TestCache:
         elif damage == "extra_draw":
             bad = good + lines[-1]
         elif damage == "unsorted":
-            bad = "".join(lines[:4] + lines[4:][::-1])
-        elif damage == "no_tail":  # written before the tail was stored
+            bad = "".join(lines[:3] + lines[3:][::-1])
+        elif damage == "no_lambda_hat":
             bad = "".join(lines[:2] + lines[3:])
-        elif damage == "bad_tail":
-            bad = "".join(lines[:2] + ["tail\t0x1p+0\n"] + lines[3:])
         elif damage == "non_finite":
             bad = "".join(lines[:-1]) + "inf\n"
         else:
@@ -247,16 +319,44 @@ class TestCache:
         assert _cache_files(tmp_path) == [path.name]
 
     def test_stored_tail_is_the_fitted_one(self, tmp_path, monkeypatch):
-        # 5000 draws leave 50 exceedances, so the tail is fitted and stored
-        # exactly; 2000 leave 20, and the failed fit is stored as "none"
+        # the file holds the sample only, and a hit fits its tail: 5000 draws
+        # leave 50 exceedances, so the tail is fitted; 2000 leave 20, and the
+        # model says why it has none
+        for M in (5000, 2000):
+            load_or_build_null_model(0.7, 1, M, 10, str(tmp_path))
+            lines = (tmp_path / nullsim._cache_name(0.7, 1, M, 10)).read_text().splitlines()
+            assert lines[2] == "lambda_hat" and len(lines) == 3 + M
+        fits = []
+        monkeypatch.setattr(nullsim, "fit_gpd_tail",
+                            lambda sample, _fit=fit_gpd_tail: fits.append(sample) or _fit(sample))
         fitted = load_or_build_null_model(0.7, 1, 5000, 10, str(tmp_path))
         failed = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
-        assert fitted.tail == fit_gpd_tail(fitted.sample) and failed.tail is None
-        assert (tmp_path / nullsim._cache_name(0.7, 1, 2000, 10)).read_text().splitlines()[2] \
-            == "tail\tnone"
-        monkeypatch.setattr(nullsim, "fit_gpd_tail", None)  # a hit fits nothing
-        assert load_or_build_null_model(0.7, 1, 5000, 10, str(tmp_path)).tail == fitted.tail
-        assert load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path)).tail is None
+        assert [len(f) for f in fits] == [5000, 2000]
+        assert fitted.tail == fit_gpd_tail(fitted.sample) and fitted.tail_error is None
+        assert failed.tail is None
+        u = np.quantile(failed.sample, 0.99)
+        assert failed.tail_error == f"only 20 exceedances above u={u:.6g}; need 30"
+
+    def test_file_with_a_tail_line_is_rebuilt(self, tmp_path, monkeypatch):
+        # the format that stored the fitted tail on a line above lambda_hat
+        # is simulated again and rewritten without it
+        model = load_or_build_null_model(0.7, 1, 5000, 10, str(tmp_path))
+        path = tmp_path / nullsim._cache_name(0.7, 1, 5000, 10)
+        good = path.read_text()
+        lines = good.splitlines(keepends=True)
+        tail = model.tail
+        values = (tail.threshold, tail.shape, tail.scale, tail.se_shape, tail.se_scale)
+        tail_line = "tail\t" + "\t".join(map(float.hex, values)) + f"\t{tail.n_exceedances}\n"
+        path.write_text("".join(lines[:2] + [tail_line] + lines[2:]))
+        calls = []
+        monkeypatch.setattr(nullsim, "simulate_null",
+                            lambda *a, _sim=simulate_null: calls.append(a) or _sim(*a))
+        again = load_or_build_null_model(0.7, 1, 5000, 10, str(tmp_path))
+        assert calls == [(0.7, 1, 5000, 10)]
+        np.testing.assert_array_equal(again.sample, model.sample)
+        assert again.tail == model.tail
+        assert path.read_text() == good
+        assert _cache_files(tmp_path) == [path.name]
 
     def test_sample_from_older_solver_is_not_loaded(self, tmp_path):
         # a file under the key scheme that had no solver tag
