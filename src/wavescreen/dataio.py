@@ -8,7 +8,6 @@ import hashlib
 import math
 import mmap
 import os
-import pickle
 import stat
 import sys
 import tempfile
@@ -310,42 +309,15 @@ _CHUNKS_PER_WORKER = 8
 _MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
 
 
-def _parse_chunks(parse_range, bounds: list[int], queue_fd: int) -> dict[int, DataError]:
+def _parse_chunks(parse_range, bounds: list[int], queue_fd: int, failed: np.ndarray) -> None:
     """Parse chunks ``[bounds[c], bounds[c + 1])`` taken from the queue pipe
-    until it is empty; returns the DataError of each chunk that has one."""
-    errors = {}
+    until it is empty, setting ``failed[c]`` where chunk c raises a DataError."""
     while chunk := os.read(queue_fd, 4):
         c = int.from_bytes(chunk, "little")
         try:
             parse_range(bounds[c], bounds[c + 1])
-        except DataError as exc:
-            errors[c] = exc
-    return errors
-
-
-def _parse_in_child(parse_range, bounds: list[int], queue_fd: int, write_fd: int) -> None:
-    """Forked child: parse chunks from the queue and pickle their DataErrors
-    into the pipe. It never returns: it leaves through ``os._exit``, nonzero
-    on any other exception."""
-    status = 1
-    try:
-        errors = _parse_chunks(parse_range, bounds, queue_fd)
-        with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(errors, fh)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _join_child(pid: int, read_fd: int) -> dict[int, DataError]:
-    """Read a child's chunk errors and reap it; raises RuntimeError when it
-    died or exited nonzero, as its chunks may be unparsed."""
-    with os.fdopen(read_fd, "rb") as fh:
-        data = fh.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise RuntimeError(f"a dosage parser process failed (exit code {code})")
-    return pickle.loads(data)
+        except DataError:
+            failed[c] = True
 
 
 def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray, n_kept: int,
@@ -359,12 +331,13 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     ``k - 1`` forked children take chunks from it until it is empty; each
     reads its chunks' text from the file itself and writes their kept rows
     into place in a shared anonymous map, so the dosages are held once and
-    no process holds more than a piece of the text. The parent reaps every
-    child and raises the error of the lowest chunk that has one, which is
-    the first error in file order, as in one pass. With one process, or no
-    ``os.fork``, the parent parses every chunk. The width probe loads
-    numpy's reader before any fork, so a child imports nothing; a first row
-    that fails it raises its own error.
+    no process holds more than a piece of the text. A chunk with a bad row
+    sets its flag in a second shared map. The parent reaps every child,
+    raises RuntimeError if one failed, and parses the lowest flagged chunk
+    again, which raises the first error in file order, as one pass would.
+    With one process, or no ``os.fork``, the parent parses every chunk. The
+    width probe loads numpy's reader before any fork, so a child imports
+    nothing; a first row that fails it raises its own error.
     """
     first = _row_texts(fd, spans, 0, 1)
     try:
@@ -378,39 +351,33 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     # an anonymous map cannot be empty, so it gets a byte to spare
     out = np.frombuffer(mmap.mmap(-1, n_kept * width * 8 + 1), dtype=float,
                         count=n_kept * width).reshape(n_kept, width)
+    failed = np.frombuffer(mmap.mmap(-1, n_chunks), dtype=bool)
     parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest, out)
     queue_fd, fill_fd = os.pipe()
     os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
     os.close(fill_fd)
-    children: list[tuple[int, int]] = []
-    errors: dict[int, DataError] = {}
+    children: list[int] = []
     try:
         for _ in range(k - 1):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                _parse_in_child(parse_range, bounds, queue_fd, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        errors.update(_parse_chunks(parse_range, bounds, queue_fd))
+                try:
+                    _parse_chunks(parse_range, bounds, queue_fd, failed)
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # a child never returns, and any exception fails it
+            children.append(pid)
+        _parse_chunks(parse_range, bounds, queue_fd, failed)
     finally:
         os.close(queue_fd)
-        failure = None
-        for child in children:
-            try:
-                errors.update(_join_child(*child))
-            except RuntimeError as exc:
-                failure = failure or exc
-    if failure is not None:
-        raise failure
-    if errors:
-        raise errors[min(errors)]
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for code in codes:
+        if code != 0:
+            raise RuntimeError(f"a dosage parser process failed (exit code {code})")
+    if failed.any():
+        c = int(np.argmax(failed))
+        parse_range(bounds[c], bounds[c + 1])  # raises its error unless the file changed
+        raise DataError("genotype file changed while it was read")
     return out
 
 
@@ -599,7 +566,9 @@ def load_cohort(
     one forked, that share out contiguous row chunks and each read their
     own chunks' spans from the file. The genotype path must be a regular
     file. An error in a row names its line; of several, the first in the
-    file is raised, at any ``workers``. The phenotype and covariate files
+    file is raised, at any ``workers``: a child only flags a chunk with a
+    bad row in a shared map, and the parent parses the lowest flagged
+    chunk again to raise its error. The phenotype and covariate files
     are parsed before the genotype file, so an error in them is raised
     first; their row counts are checked against it after.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -307,12 +308,12 @@ def save_null_model(
 
 
 def _load_sample(path: str, header: str, M: int) -> np.ndarray | None:
-    """The cached sample, or None when the file is missing or does not hold
+    """The cached sample, or None when the file cannot be read or does not hold
     exactly M finite, sorted draws under ``header`` and a ``lambda_hat`` line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (FileNotFoundError, UnicodeDecodeError):
+    except (OSError, UnicodeDecodeError):
         return None
     lines = text[len(header):].splitlines()
     if not text.startswith(header) or len(lines) != M + 1 or lines[0] != "lambda_hat":
@@ -332,8 +333,9 @@ def load_or_build_null_model(
     with its tail fitted.
 
     A cache file holds the sample only, and every load fits its tail, so a
-    model's tail always comes from this fit. A cache file whose header or
-    draws do not match the key is simulated again and overwritten. A failed
+    model's tail always comes from this fit. A cache file that cannot be
+    read, or whose header or draws do not match the key, is simulated again
+    and overwritten; one that cannot be written costs a warning. A failed
     tail fit is not fatal: the model gets no ``tail``, its ``tail_error``
     says why, and its p-values are empirical only.
     """
@@ -349,5 +351,8 @@ def load_or_build_null_model(
     except GPDFitError as exc:
         model = NullModel(sample, None, str(exc))
     if missed and cache_dir is not None:
-        save_null_model(model, lambda1, depth, seed, cache_dir)
+        try:
+            save_null_model(model, lambda1, depth, seed, cache_dir)
+        except OSError as exc:
+            print(f"warning: null sample not cached: {exc}", file=sys.stderr)
     return model

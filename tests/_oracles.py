@@ -231,7 +231,7 @@ def lambda_max_grid(bfs_by_scale, step=1e-3):
             return -float(np.sum(np.log1p(p * (bf - 1.0))))
 
         grid = np.arange(0.0, 1.0 + step / 2, step)
-        vals = np.array([neg_ll(p) for p in grid])
+        vals = -np.sum(np.log1p(grid[:, None] * (bf - 1.0)), axis=1)
         k = int(np.argmin(vals))
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, len(grid) - 1)]

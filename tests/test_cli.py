@@ -339,6 +339,23 @@ class TestScreenCommand:
         assert rc == 0
         assert list(cache.glob("null_*.tsv"))
 
+    def test_unwritable_cache_costs_warnings(self, cohort_files, tmp_path, monkeypatch, capsys):
+        # a cache path that is a regular file can hold neither the parsed
+        # dosages nor a null sample: the screen says so and writes what a
+        # screen with a working cache writes
+        geno, pheno = cohort_files
+        (tmp_path / "file").write_text("")
+        results = []
+        for name in ("cache", "file"):
+            monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / name))
+            assert main(_screen_args(geno, pheno, str(tmp_path / f"run_{name}"))) == 0
+            results.append((tmp_path / f"run_{name}" / "results.tsv").read_bytes())
+            err = capsys.readouterr().err
+        assert results[0] == results[1]
+        assert "warning: parsed dosages not cached: [Errno 17] File exists: " in err
+        assert "warning: null sample not cached: [Errno 17] File exists: " in err
+        assert (tmp_path / "file").read_text() == ""
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_warm_screen_repeats_the_cold_one(self, genome_files, tmp_path, monkeypatch,
                                               capsys, threads):

@@ -584,6 +584,40 @@ class TestParallelParse:
         with pytest.raises(RuntimeError, match=r"dosage parser process failed \(exit code 1\)"):
             dataio._read_genotypes(path, 2)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_error_in_a_chunk_only_children_parse(self, tmp_path, monkeypatch, workers):
+        # the parent takes no chunk, so its children parse every row and
+        # flag the two bad chunks; the parent raises the lower one's error
+        rows = self._good_rows(workers)
+        good = _write(tmp_path, _rows(rows), "good.tsv")
+        rows[3] = ["0", "2.5", "1"]
+        rows[-1] = ["0", "x", "1"]
+        bad = _write(tmp_path, _rows(rows))
+        serial = dataio._read_genotypes(good)[0]
+        with pytest.raises(DataError) as serial_error:
+            dataio._read_genotypes(bad)
+        parent, parse_chunks = os.getpid(), dataio._parse_chunks
+        monkeypatch.setattr(dataio, "_parse_chunks",
+                            lambda *args: None if os.getpid() == parent else parse_chunks(*args))
+        _assert_blocks_equal(dataio._read_genotypes(good, workers)[0], serial)
+        with pytest.raises(DataError) as error:
+            dataio._read_genotypes(bad, workers)
+        assert str(error.value) == str(serial_error.value) == "line 5: dosage 2.5 outside [0,2]"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_load_leaves_no_descriptor_open(self, tmp_path):
+        rows = self._good_rows(3)
+        good = _write(tmp_path, _rows(rows), "good.tsv")
+        rows[20] = ["0", "x", "1"]
+        bad = _write(tmp_path, _rows(rows))
+        pheno = _pheno(tmp_path, [0.0, 1.0, 2.0])
+        before = len(os.listdir("/proc/self/fd"))
+        dataio.load_cohort(good, pheno, workers=3)
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(DataError, match="^line 22: non-numeric dosage: 'x'$"):
+            dataio.load_cohort(bad, pheno, workers=3)
+        assert len(os.listdir("/proc/self/fd")) == before
+
 
 def test_workers_start_at_most_one_child_per_other_cpu(tmp_path, monkeypatch):
     # at most min(CPUs, rows) - 1 children, and with 3 rows never more than 2
