@@ -20,8 +20,18 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _cache_dir(default_base: str) -> str:
-    return os.environ.get(CACHE_ENV) or os.path.join(default_base, "null-cache")
+def _cache_dir(output_dir: str) -> str | None:
+    """Make ``output_dir`` and the cache (``WAVESCREEN_CACHE_DIR``, or ``null-cache``
+    in it); one that cannot be made costs one warning and gives None: no cache."""
+    os.makedirs(output_dir, exist_ok=True)
+    path = os.environ.get(CACHE_ENV) or os.path.join(output_dir, "null-cache")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        reason = "not a directory" if isinstance(exc, FileExistsError) else exc.strerror.lower()
+        print(f"warning: cache {path} not used: {reason}", file=sys.stderr)
+        return None
+    return path
 
 
 def _fmt(x: float) -> str:
@@ -136,11 +146,12 @@ def _check_inputs(args) -> None:
 
 def cmd_screen(args) -> int:
     _check_inputs(args)
-    os.makedirs(args.output_dir, exist_ok=True)  # fails fast, before the slow load
+    cache = _cache_dir(args.output_dir)  # fails fast, before the slow load
     # parsed dosages are cached only in a shared cache, where a later screen
     # of the file can find them, not copied into every output directory
     cohort = dataio.load_cohort(args.genotype_path, args.phenotype_path, args.covariate_path,
-                                workers=args.threads, cache_dir=os.environ.get(CACHE_ENV) or None)
+                                workers=args.threads,
+                                cache_dir=cache if os.environ.get(CACHE_ENV) else None)
     windows = dataio.define_windows(
         cohort,
         window_bp=args.window_bp,
@@ -161,7 +172,6 @@ def cmd_screen(args) -> int:
                   file=sys.stderr)
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
     lam1 = bayes.lambda1(ctx)
-    cache = _cache_dir(args.output_dir)
 
     # one null model per distinct window depth; the design constant is shared
     models = {}
@@ -238,7 +248,6 @@ def cmd_screen(args) -> int:
 
 
 def cmd_nullsim(args) -> int:
-    os.makedirs(args.output_dir, exist_ok=True)
     cache = _cache_dir(args.output_dir)
     model = nullsim.load_or_build_null_model(args.lambda1, args.depth, args.m, args.seed, cache)
     tail = model.tail
@@ -281,7 +290,7 @@ def _load_power_config(path: str | None, seed: int) -> simharness.PowerConfig:
 
 def cmd_power(args) -> int:
     cfg = _load_power_config(args.config, args.seed)
-    os.makedirs(args.output_dir, exist_ok=True)
+    simharness._check_config(cfg)  # a bad value exits before any directory is made
     cache = _cache_dir(args.output_dir)
     rows, detail = simharness.power_experiment(cfg, cache_dir=cache)
     table_path = os.path.join(args.output_dir, "power.tsv")

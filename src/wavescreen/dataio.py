@@ -12,7 +12,7 @@ import stat
 import sys
 import tempfile
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -508,6 +508,25 @@ def _load_entry(entry: str, digest: str) -> tuple[dict[str, ChromosomeBlock], in
     return blocks, n
 
 
+def replace_file(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to a temporary file beside ``path`` (its
+    directory made if missing), sync it, make it 0644 and rename it to ``path``,
+    so no reader sees part of a file, even after a crash; on failure, remove it and re-raise."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())  # the data is on disk before the name is
+        os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _save_entry(entry: str, blocks: dict[str, ChromosomeBlock], n: int, digest: str) -> None:
     """Write parsed blocks to the dosage cache entry ``entry``.
 
@@ -515,33 +534,18 @@ def _save_entry(entry: str, blocks: dict[str, ChromosomeBlock], n: int, digest: 
     the number of chromosomes, and one line per chromosome its name and
     kept SNP count; the header is padded to a multiple of 8 bytes. Every
     kept position (int64), imputation quality and dosage row (float64)
-    follow, in block order, written from the blocks' own arrays. The entry
-    is written under a temporary name, synced to disk and renamed into
-    place, so a reader never sees part of one, not even after a crash. One
-    that cannot be written costs a warning, not the run.
+    follow, in block order, from the blocks' own arrays. ``replace_file``
+    syncs the entry before it renames it into place; one that cannot be
+    written costs a warning, not the run.
     """
-    cache_dir = os.path.dirname(entry)
-    header = f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{n}\t{len(blocks)}\n" + "".join(
-        f"{chrom}\t{block.n_snps}\n" for chrom, block in blocks.items())
-    header = header.encode("utf-8")
-    tmp = None
+    header = (f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{n}\t{len(blocks)}\n" + "".join(
+        f"{chrom}\t{block.n_snps}\n" for chrom, block in blocks.items())).encode("utf-8")
     try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header + b" " * (-len(header) % 8))
-            for field in ("positions", "imputation_quality", "dosages"):
-                for block in blocks.values():
-                    fh.write(getattr(block, field))
-            fh.flush()
-            os.fsync(fh.fileno())  # the data is on disk before the name is
-        os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
-        os.replace(tmp, entry)
+        replace_file(entry, [header + b" " * (-len(header) % 8)] + [
+            getattr(block, field) for field in ("positions", "imputation_quality", "dosages")
+            for block in blocks.values()])
     except OSError as exc:
         print(f"warning: parsed dosages not cached: {exc}", file=sys.stderr)
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def load_cohort(

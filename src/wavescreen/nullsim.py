@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -279,32 +278,20 @@ def _cache_header(lambda1: float, depth: int, M: int, seed: int) -> str:
     return "lambda1\tdepth\tM\tseed\tchunk\tdraws\tsolver\n" + "\t".join(map(str, key)) + "\n"
 
 
-def save_null_model(
-    model: NullModel, lambda1: float, depth: int, seed: int, cache_dir: str
-) -> str:
+def save_null_model(model: NullModel, lambda1: float, depth: int, seed: int,
+                    cache_dir: str) -> None:
     """Write the sorted sample, under a header holding its key, to the cache
     directory; the tail is not stored, as every load fits it.
 
     The key gives lambda1 as ``float.hex``, exactly, in the file name and the
-    header. The file is written under a temporary name and renamed into place,
-    so a reader never sees a partial file.
+    header. ``dataio.replace_file`` syncs the file and renames it into place,
+    so a reader never sees a partial one; one that cannot be written raises.
     """
-    os.makedirs(cache_dir, exist_ok=True)
     M = len(model.sample)
-    path = os.path.join(cache_dir, _cache_name(lambda1, depth, M, seed))
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(_cache_header(lambda1, depth, M, seed))
-            fh.write("lambda_hat\n")
-            for v in model.sample.tolist():  # Python floats format faster than numpy scalars
-                fh.write(f"{v:.17g}\n")
-        os.chmod(tmp, 0o644)  # mkstemp's file is private; a shared cache is not
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
+    text = _cache_header(lambda1, depth, M, seed) + "lambda_hat\n" + "".join(
+        f"{v:.17g}\n" for v in model.sample.tolist())  # Python floats format faster
+    dataio.replace_file(os.path.join(cache_dir, _cache_name(lambda1, depth, M, seed)),
+                        [text.encode("utf-8")])
 
 
 def _load_sample(path: str, header: str, M: int) -> np.ndarray | None:

@@ -160,9 +160,9 @@ def window_spectra(
     noise variances 1 - IQ propagated to each detail coefficient, so the
     spectra depend on the genotypes alone and serve every phenotype.
     Returns {kind: (coeffs, degenerate)} with per-scale lists; coeffs[s] has
-    shape (2^s, n_individuals), degenerate[s] flags coefficients with zero
-    cross-cohort variance. The rank transform is each scale's own job
-    (``scale_log_bf``).
+    shape (2^s, n_individuals); degenerate[s] flags those with zero spread
+    across the cohort, the one test of which coefficients carry no evidence.
+    The rank transform is each scale's own job (``scale_log_bf``).
     """
     for kind in kinds:
         if kind not in ("c", "d"):
@@ -201,7 +201,7 @@ def scale_log_bf(ctx: DesignContext, coeffs: np.ndarray,
     """One scale's job: rank-transform its live coefficients, then their log BFs.
 
     ``coeffs`` and ``degenerate`` are one scale of a ``window_spectra``
-    entry. Degenerate coefficients are dropped (a BF = 1 factor). Returns
+    entry, whose flagged coefficients are dropped (a BF = 1 factor). Returns
     (log_bf, locations): the (P, k) log BFs, a row per phenotype of ``ctx``,
     of the k live coefficients at ``locations``. The Blom scores of a row
     depend on that row alone, so transforming only the live rows gives each
@@ -210,8 +210,7 @@ def scale_log_bf(ctx: DesignContext, coeffs: np.ndarray,
     locs = np.flatnonzero(~degenerate)
     if not locs.size:
         return np.empty((ctx.x_tilde.shape[1], 0)), locs
-    scores, _ = wavelet.quantile_transform(coeffs[locs], axis=-1)
-    return log_bayes_factor(ctx, scores.T), locs
+    return log_bayes_factor(ctx, wavelet.quantile_transform(coeffs[locs]).T), locs
 
 
 def locus_results(

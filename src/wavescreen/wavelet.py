@@ -137,18 +137,12 @@ def visushrink(
 ) -> list[np.ndarray]:
     """Soft-threshold detail coefficients with tau_sl = sigma_sl * sqrt(2 log N).
 
-    The threshold is coefficient-specific through the propagated noise
-    standard deviation; c coefficients are left untouched (they carry the
-    burden-like mean signal).
+    Each scale's d is (2^s, n), its var_d (2^s,): the threshold is specific to
+    the coefficient through its propagated noise standard deviation; c
+    coefficients are left untouched (they carry the burden-like mean signal).
     """
     factor = np.sqrt(2.0 * np.log(n_grid))
-    out = []
-    for ds, vs in zip(d, var_d):
-        tau = np.sqrt(np.asarray(vs)) * factor
-        if ds.ndim > np.ndim(tau):
-            tau = np.asarray(tau)[..., None]
-        out.append(soft_threshold(ds, tau))
-    return out
+    return [soft_threshold(ds, (np.sqrt(vs) * factor)[:, None]) for ds, vs in zip(d, var_d)]
 
 
 def _blom_table(n: int) -> np.ndarray:
@@ -167,12 +161,12 @@ def _blom_table(n: int) -> np.ndarray:
     return table
 
 
-def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-based inverse-normal (Blom) transform along ``axis``.
+def quantile_transform(rows: np.ndarray) -> np.ndarray:
+    """Rank-based inverse-normal (Blom) scores of each row of a (k, n) array.
 
-    Returns (scores, degenerate): scores_i = Phi^-1((rank_i - 3/8)/(n + 1/4))
-    with average ranks for ties; rows whose values are all identical are
-    returned as zeros and flagged degenerate.
+    scores_i = Phi^-1((rank_i - 3/8)/(n + 1/4)) with average ranks for ties;
+    a constant row (+-0 mixes included) takes the middle rank's +0.0. Which
+    rows are degenerate is decided by ``screening.window_spectra`` alone.
 
     One argsort per row; each tie run of the sorted row, starting at sorted
     position f with length k, shares the average rank f + (k + 1)/2, whose
@@ -182,11 +176,9 @@ def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, 
     the values negate the scores exactly, so sign-flip robustness of
     downstream statistics is exact rather than approximate.
     """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    n = v.shape[-1]
+    n = rows.shape[1]
     if n < 2:
         raise WaveletError("quantile transform needs at least 2 values")
-    rows = v.reshape(-1, n)
     # the argsort as flat indices, so one 1-D gather sorts every row and one
     # 1-D scatter puts the scores back
     order = np.argsort(rows, axis=-1)
@@ -211,7 +203,4 @@ def quantile_transform(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, 
         # run's index into the table
         table_index = np.repeat(2 * (starts % n) + lengths - 1, lengths)
         scores.ravel()[order.ravel()] = table[table_index]
-    degenerate = sv[n - 1::n] - sv[::n] == 0.0
-    scores[degenerate] = 0.0
-    scores = np.moveaxis(scores.reshape(v.shape), -1, axis)
-    return scores, degenerate.reshape(v.shape[:-1])[()]
+    return scores

@@ -23,7 +23,8 @@ increasing one at a time. ``max_log_lambda_reference`` is the Lambda-hat
 solver as it was before it skipped the log1p sum on pi = 0 rows.
 ``window_spectra_reference`` is the spectra pass as it was before it
 streamed the interpolation: one product of the weights with a centered copy
-of the whole window's dosages (``block_sums_reference``).
+of the whole window's dosages (``block_sums_reference``), with its degenerate
+flags from ``quantile_transform_reference``.
 ``gpd_fit_reference`` is the first GPD tail fit: the two-parameter negative
 log-likelihood minimized by Nelder-Mead, where ``wavescreen.nullsim``
 maximizes the likelihood's one-dimensional profile.
@@ -83,8 +84,8 @@ def window_spectra_reference(window, block, kinds):
             coeffs = wavelet.visushrink(d, var_d, window.n_grid)
         else:
             coeffs = c
-        # the rank transform's own flags: a row whose sorted ends are equal
-        spectra[kind] = (coeffs, [np.atleast_1d(wavelet.quantile_transform(arr, axis=-1)[1])
+        # the reference rank transform's flags: a row with zero spread
+        spectra[kind] = (coeffs, [np.atleast_1d(quantile_transform_reference(arr, axis=-1)[1])
                                   for arr in coeffs])
     return spectra
 

@@ -1,5 +1,6 @@
 """CLI subcommands end to end, exit codes and determinism."""
 
+import errno
 import gc
 import os
 import re
@@ -341,20 +342,64 @@ class TestScreenCommand:
 
     def test_unwritable_cache_costs_warnings(self, cohort_files, tmp_path, monkeypatch, capsys):
         # a cache path that is a regular file can hold neither the parsed
-        # dosages nor a null sample: the screen says so and writes what a
-        # screen with a working cache writes
+        # dosages nor a null sample: the screen says so once, runs with no
+        # cache, and writes what a screen with a working cache writes
         geno, pheno = cohort_files
         (tmp_path / "file").write_text("")
-        results = []
+        results, errs = [], []
         for name in ("cache", "file"):
             monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / name))
             assert main(_screen_args(geno, pheno, str(tmp_path / f"run_{name}"))) == 0
             results.append((tmp_path / f"run_{name}" / "results.tsv").read_bytes())
-            err = capsys.readouterr().err
+            errs.append(capsys.readouterr().err.splitlines())
         assert results[0] == results[1]
-        assert "warning: parsed dosages not cached: [Errno 17] File exists: " in err
-        assert "warning: null sample not cached: [Errno 17] File exists: " in err
+        assert errs[1] == [f"warning: cache {tmp_path / 'file'} not used: not a directory",
+                           *errs[0]]
         assert (tmp_path / "file").read_text() == ""
+
+    @pytest.mark.parametrize("command", ["screen", "nullsim", "power"])
+    def test_cache_that_cannot_be_made_says_why_once(self, cohort_files, tmp_path,
+                                                     monkeypatch, capsys, command):
+        # a cache path under a regular file cannot be made either; the OS
+        # reason is named, and each command runs without the cache
+        geno, pheno = cohort_files
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "cache"
+        monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(cache))
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text("n = 300\nn_snps = 64\nn_blocks = 4\nreplicates = 2\n"
+                       "heritability = 0.1\nmax_components = 4\nnull_m = 2000\n"
+                       "min_snps_per_coeff = 8\n")
+        argv = {"screen": _screen_args(geno, pheno, str(tmp_path / "out")),
+                "nullsim": ["nullsim", "--lambda1", "0.9", "--depth", "2", "--m", "4000",
+                            "--seed", "1", "--output-dir", str(tmp_path / "out")],
+                "power": ["power", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]}
+        assert main(argv[command]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "cache" in line]
+        assert warnings == [f"warning: cache {cache} not used: not a directory"]
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_failed_sync_leaves_no_temporary_file(self, cohort_files, tmp_path, monkeypatch,
+                                                  capsys):
+        # a write that fails at the sync costs each cache one warning, per
+        # file it could not write, and leaves nothing behind in it
+        geno, pheno = cohort_files
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(cache))
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        assert main(_screen_args(geno, pheno, str(tmp_path / "run"))) == 0
+        err = capsys.readouterr().err.splitlines()
+        failed = f"not cached: [Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+        depths = {line.split("\t")[5] for line in
+                  (tmp_path / "run" / "results.tsv").read_text().splitlines()[1:]}
+        assert err.count(f"warning: parsed dosages {failed}") == 1
+        assert err.count(f"warning: null sample {failed}") == len(depths) == 1
+        assert list(cache.iterdir()) == []
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_warm_screen_repeats_the_cold_one(self, genome_files, tmp_path, monkeypatch,
@@ -562,10 +607,10 @@ class TestScreenWindows:
         threads = set()
         transform = wavelet.quantile_transform
 
-        def held(values, axis=-1):
+        def held(rows):
             threads.add(threading.get_ident())
             time.sleep(0.005)
-            return transform(values, axis=axis)
+            return transform(rows)
 
         monkeypatch.setattr(wavelet, "quantile_transform", held)
         return threads
@@ -596,7 +641,7 @@ class TestScreenWindows:
         # order, ascending for c and descending for d, so the scores that reach
         # log_bayes_factor name the job's window and kind
         order = {"c": np.arange(cohort.n, dtype=float), "d": -np.arange(cohort.n, dtype=float)}
-        marks = {kind: wavelet.quantile_transform(row)[0] for kind, row in order.items()}
+        marks = {kind: wavelet.quantile_transform(row[None])[0] for kind, row in order.items()}
         window_spectra, log_bayes_factor = screening.window_spectra, screening.log_bayes_factor
         calls = []
 

@@ -1,6 +1,7 @@
 """Every module-level import of the package and of the tests is used, the
-command line starts without ``scipy.stats`` or ``scipy.optimize``, and no
-module of the package imports ``scipy.optimize`` at all."""
+command line starts without ``scipy.stats`` or ``scipy.optimize``, no
+module of the package imports ``scipy.optimize`` at all, and only
+``dataio`` makes temporary files and renames them into place."""
 
 import ast
 import os
@@ -90,3 +91,34 @@ def test_cold_nullsim_skips_scipy_optimize(tmp_path):
                          capture_output=True, text=True, timeout=120).stdout
     assert "shape xi" in out
     assert out.endswith("\nFalse\n")
+
+
+def file_replacements(source: str) -> list[str]:
+    """Lines of the source, at any depth, that name ``tempfile.mkstemp`` or
+    ``os.replace``, or import either by name."""
+    targets = {("tempfile", "mkstemp"), ("os", "replace")}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            hit = (node.value.id, node.attr) in targets
+        elif isinstance(node, ast.ImportFrom):
+            hit = any((node.module, alias.name) in targets for alias in node.names)
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_detects_a_file_replacement():
+    source = ("import os, tempfile\nfd, tmp = tempfile.mkstemp()\ndef f():\n"
+              "    os.replace(tmp, 'x')\nfrom os import replace\nos.rename(tmp, 'y')\n")
+    assert file_replacements(source) == ["line 2", "line 4", "line 5"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "dataio.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_dataio_replaces_files(path):
+    # dataio.replace_file writes both caches: a second writer is how the two
+    # drifted apart before (one synced its file, the other did not)
+    assert file_replacements(path.read_text(encoding="utf-8")) == []

@@ -1,6 +1,7 @@
 """Null simulation, GPD tail fitting and p-value lookup."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -266,6 +267,16 @@ class TestCache:
         second = load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
         assert files[0].stat().st_mtime_ns == mtime
         np.testing.assert_array_equal(second.sample, first.sample)
+
+    def test_file_is_synced_before_it_is_renamed(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+        monkeypatch.setattr(os, "replace",
+                            lambda *args: calls.append("replace") or replace(*args))
+        load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
+        assert calls == ["fsync", "replace"]
+        assert _cache_files(tmp_path) == [nullsim._cache_name(0.7, 1, 2000, 10)]
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         with pytest.raises(ValueError):
