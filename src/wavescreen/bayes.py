@@ -21,10 +21,6 @@ import numpy as np
 DEFAULT_SIGMA_B = 0.2
 
 
-class DesignError(ValueError):
-    """Degenerate or inconsistent regression design."""
-
-
 @dataclass(frozen=True)
 class DesignContext:
     """Immutable design of P phenotypes shared by all coefficient regressions.
@@ -68,7 +64,7 @@ def build_design(
     projected and scaled on its own, so a column equals the design of that
     column alone bit for bit, and a*y + b gives the design of y up to
     rounding and sign; sigma_b is in SDs of the residual. Raises
-    DesignError for rank-deficient covariates, a sigma_b that
+    ValueError for rank-deficient covariates, a sigma_b that
     ``valid_sigma_b`` rejects or whose sigma_b^2 n rounds lambda1 to 1, a
     zero-variance phenotype, or one collinear with the covariates; with
     P > 1 the error names the column.
@@ -82,20 +78,20 @@ def build_design(
     if C.ndim == 1:
         C = C[:, None]
     if C.shape[0] != n:
-        raise DesignError(f"covariates have {C.shape[0]} rows, phenotype {n}")
+        raise ValueError(f"covariates have {C.shape[0]} rows, phenotype {n}")
     if not valid_sigma_b(sigma_b):
-        raise DesignError(f"sigma_b must be positive with a finite, nonzero square "
+        raise ValueError(f"sigma_b must be positive with a finite, nonzero square "
                           f"and inverse square, got {sigma_b}")
     s2n = float(sigma_b) ** 2 * n  # as lambda1 forms it; > 0 for a valid sigma_b
     if not s2n / (1.0 + s2n) < 1.0:
-        raise DesignError(
+        raise ValueError(
             f"sigma_b = {sigma_b:g} and n = {n} give sigma_b^2 n = {s2n:g}, so lambda1 = "
             "sigma_b^2 n / (1 + sigma_b^2 n) rounds to 1; it must lie below 1")
     Z = np.column_stack([np.ones(n), C])
     Q, R = np.linalg.qr(Z)
     q = Z.shape[1]
     if np.any(np.abs(np.diag(R)) < 1e-10 * max(1.0, np.abs(R).max())):
-        raise DesignError("covariate matrix is rank-deficient after adding intercept")
+        raise ValueError("covariate matrix is rank-deficient after adding intercept")
     x_rows = []
     for j, col in enumerate(columns):
         name = "phenotype" if len(columns) == 1 else f"phenotype column {j}"
@@ -103,14 +99,14 @@ def build_design(
         # power-of-two scale is exact, and keeps its sums of squares finite
         col = np.ldexp(col, -np.frexp(np.abs(col).max())[1])
         if np.var(col) == 0.0:
-            raise DesignError(f"{name} has zero variance")
+            raise ValueError(f"{name} has zero variance")
         resid = col - Q @ (Q.T @ col)
         rss = float(resid @ resid)
         if rss <= 1e-12 * float(col @ col):
-            raise DesignError(f"{name} is collinear with the covariates")
+            raise ValueError(f"{name} is collinear with the covariates")
         x_rows.append(resid * math.sqrt(n / rss))
     if n <= q + 1:
-        raise DesignError(f"need n > q + 1 (n={n}, q={q})")
+        raise ValueError(f"need n > q + 1 (n={n}, q={q})")
     # rows of a (P, n) array are the contiguous columns of its (n, P) transpose
     return DesignContext(n=n, q=q, sigma_b=float(sigma_b), basis=Q, x_tilde=np.array(x_rows).T)
 
@@ -132,15 +128,15 @@ def log_bayes_factor(ctx: DesignContext, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     Y = y.reshape(len(y), -1)
     if Y.shape[0] != ctx.n:
-        raise DesignError(f"y has {Y.shape[0]} rows, design has {ctx.n}")
+        raise ValueError(f"y has {Y.shape[0]} rows, design has {ctx.n}")
     if not np.all(np.isfinite(Y)):
-        raise DesignError("y contains non-finite values")
+        raise ValueError("y contains non-finite values")
     Yt = ctx.residualize(Y)
     rss0 = np.einsum("ij,ij->j", Yt, Yt)
     xty = np.array([x @ Yt for x in ctx.x_tilde.T])
     rss1 = rss0 - xty ** 2 / (ctx.n + ctx.sigma_b ** -2)
     if np.any(rss1 <= 0.0):
-        raise DesignError("nonpositive residual sum of squares (degenerate response)")
+        raise ValueError("nonpositive residual sum of squares (degenerate response)")
     # rss0 >= rss1 > 0, so both logs are finite
     log_ratio = np.log(rss0) - np.log(rss1)
     logbf = -0.5 * np.log1p(ctx.sigma_b ** 2 * ctx.n) + 0.5 * (ctx.n - ctx.q) * log_ratio

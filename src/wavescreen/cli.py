@@ -352,8 +352,8 @@ def cmd_plot(args) -> int:
 def cmd_fisher(args) -> int:
     pvals = list(args.p_values)
     if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            pvals.extend(float(t) for t in fh.read().split())
+        # the one numeric reader, so a bad value names its line
+        pvals.extend(dataio._read_matrix(args.file, "p-value", header=False).ravel())
     combined = screening.fisher_combine(pvals)
     print(_fmt(combined))
     return EXIT_OK

@@ -166,8 +166,9 @@ def _read_rows(
     return values
 
 
-def _read_matrix(path: str, what: str) -> np.ndarray:
-    """Read a whitespace-separated numeric matrix; an unparsable first line is a header."""
+def _read_matrix(path: str, what: str, header: bool = True) -> np.ndarray:
+    """Read a whitespace-separated numeric matrix; with ``header``, an
+    unparsable first line is a header row."""
     texts: list[str] = []
     line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -175,7 +176,7 @@ def _read_matrix(path: str, what: str) -> np.ndarray:
             if line.strip():
                 texts.append(line)
                 line_nos.append(line_no)
-    if line_nos[:1] == [1]:
+    if header and line_nos[:1] == [1]:
         try:
             _loadtxt(texts[:1])
         except ValueError:
@@ -381,13 +382,19 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     return out
 
 
-def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBlock], int]:
+_Layout = tuple[list[tuple[str, int]], np.ndarray, np.ndarray, np.ndarray]
+
+
+def _read_genotypes(path: str, workers: int = 1) -> _Layout:
     """Read and validate the genotype file (format in ``load_cohort``).
 
-    Returns the blocks of SNPs passing ``MIN_IMPUTATION_QUALITY`` by
-    chromosome, in sorted chromosome order, and the number of individuals.
-    One pass over the file keeps each row's metadata and the byte span of
-    its dosage field, not its text; ``_read_dosages`` reads the spans back.
+    Returns the SNPs passing ``MIN_IMPUTATION_QUALITY`` in a dosage cache
+    entry's layout, ``(table, positions, qualities, dosages)``: ``table`` is
+    ``[(chromosome, kept count)]`` in sorted chromosome order, and the int64
+    positions, float64 qualities and shared (n_kept, n) dosages hold the rows
+    in that order, each chromosome's stably sorted by position. ``_blocks``
+    checks for duplicates. One pass over the file keeps each row's metadata
+    and the byte span of its dosage field; ``_read_dosages`` reads them back.
     """
     positions = array("q")
     iqs = array("d")
@@ -419,45 +426,44 @@ def _read_genotypes(path: str, workers: int = 1) -> tuple[dict[str, ChromosomeBl
                 rest = fields[4] if len(text) == len(line) else fields[4].encode("utf-8")
                 spans.extend((end - len(rest), end))
                 line_nos.append(line_no)
-        # each kept row's place in the dosage map: chromosomes in sorted order,
-        # each one's rows stably sorted by position
+        # the kept rows in map order: chromosomes in sorted order, each one's
+        # rows stably sorted by position; row i lands in map row dest[i]
         all_positions = np.frombuffer(positions, dtype=np.int64)
+        table = [(chrom, len(kept[chrom])) for chrom in sorted(kept)]
+        rows = np.concatenate([np.empty(0, np.intp)] + [
+            r[np.argsort(all_positions[r], kind="stable")]
+            for r in (np.array(kept[chrom]) for chrom, _ in table)])
         dest = np.full(len(line_nos), -1, dtype=np.intp)
-        order: dict[str, np.ndarray] = {}
-        n_kept = 0
-        for chrom in sorted(kept):
-            rows = np.array(kept[chrom])
-            order[chrom] = rows = rows[np.argsort(all_positions[rows], kind="stable")]
-            dest[rows] = np.arange(n_kept, n_kept + len(rows))
-            n_kept += len(rows)
+        dest[rows] = np.arange(len(rows))
         if line_nos:
             dosages = _read_dosages(fd, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2),
-                                    line_nos, dest, n_kept, workers)
+                                    line_nos, dest, len(rows), workers)
     finally:
         os.close(fd)
     if row_error is not None:
         raise row_error
     if not line_nos:
         raise DataError(f"genotype file {path} has no SNP rows")
-
-    all_iqs = np.frombuffer(iqs, dtype=float)
-    blocks: dict[str, ChromosomeBlock] = {}
-    start = 0
-    for chrom, rows in order.items():
-        chrom_positions = all_positions[rows]
-        if np.any(np.diff(chrom_positions) == 0):
-            dup = chrom_positions[np.where(np.diff(chrom_positions) == 0)[0][0]]
-            raise DataError(f"duplicate position {dup} on chromosome {chrom}")
-        blocks[chrom] = ChromosomeBlock(
-            chromosome=chrom,
-            positions=chrom_positions,
-            imputation_quality=all_iqs[rows],
-            dosages=dosages[start:start + len(rows)],
-        )
-        start += len(rows)
-    if not blocks:
+    if not table:
         raise DataError("no SNPs passed the imputation-quality filter")
-    return blocks, dosages.shape[1]
+    return table, all_positions[rows], np.frombuffer(iqs, dtype=float)[rows], dosages
+
+
+def _blocks(table: list[tuple[str, int]], positions: np.ndarray, qualities: np.ndarray,
+            dosages: np.ndarray) -> dict[str, ChromosomeBlock]:
+    """Cut a layout (see ``_read_genotypes``) into one block of views per
+    chromosome; raise DataError at the first duplicate position in one."""
+    blocks = {}
+    start = 0
+    for chrom, count in table:
+        rows = slice(start, start + count)
+        blocks[chrom] = block = ChromosomeBlock(chrom, positions[rows], qualities[rows],
+                                                dosages[rows])
+        dup = np.flatnonzero(np.diff(block.positions) == 0)
+        if dup.size:
+            raise DataError(f"duplicate position {block.positions[dup[0]]} on chromosome {chrom}")
+        start += count
+    return blocks
 
 
 _MAX_HEADER_LINE = 1 << 16  # a longer header line is not one _save_entry wrote
@@ -470,13 +476,13 @@ def _entry_path(cache_dir: str, genotype_path: str) -> str:
     return os.path.join(cache_dir, f"dosages_{key}.bin")
 
 
-def _load_entry(entry: str, digest: str) -> tuple[dict[str, ChromosomeBlock], int] | None:
-    """The blocks and number of individuals held by a dosage cache entry.
+def _load_entry(entry: str, digest: str) -> _Layout | None:
+    """The layout (see ``_read_genotypes``) held by a dosage cache entry.
 
     None when the entry is missing, its header is not one ``_save_entry``
     writes (its chromosome names must be distinct and sorted), its size is
     not what the header implies, or the digest in its header is not
-    ``digest``. The blocks' arrays are read-only views of a map of the entry.
+    ``digest``. The arrays are read-only views of a map of the entry.
     """
     try:
         with open(entry, "rb") as fh:
@@ -496,16 +502,9 @@ def _load_entry(entry: str, digest: str) -> tuple[dict[str, ChromosomeBlock], in
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):  # no readable entry, or a header that does not parse
         return None
-    positions = np.frombuffer(data, np.int64, n_kept, offset)
-    iqs = np.frombuffer(data, float, n_kept, offset + 8 * n_kept)
-    dosages = np.frombuffer(data, float, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n)
-    blocks = {}
-    start = 0
-    for chrom, count in table:
-        rows = slice(start, start + count)
-        blocks[chrom] = ChromosomeBlock(chrom, positions[rows], iqs[rows], dosages[rows])
-        start += count
-    return blocks, n
+    return (table, np.frombuffer(data, np.int64, n_kept, offset),
+            np.frombuffer(data, float, n_kept, offset + 8 * n_kept),
+            np.frombuffer(data, float, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n))
 
 
 def replace_file(path: str, chunks: Iterable) -> None:
@@ -527,23 +526,22 @@ def replace_file(path: str, chunks: Iterable) -> None:
         raise
 
 
-def _save_entry(entry: str, blocks: dict[str, ChromosomeBlock], n: int, digest: str) -> None:
-    """Write parsed blocks to the dosage cache entry ``entry``.
+def _save_entry(entry: str, layout: _Layout, digest: str) -> None:
+    """Write a layout (see ``_read_genotypes``) to the dosage cache entry ``entry``.
 
     One header line holds the format, the genotype file's digest, n and
     the number of chromosomes, and one line per chromosome its name and
-    kept SNP count; the header is padded to a multiple of 8 bytes. Every
-    kept position (int64), imputation quality and dosage row (float64)
-    follow, in block order, from the blocks' own arrays. ``replace_file``
-    syncs the entry before it renames it into place; one that cannot be
-    written costs a warning, not the run.
+    kept SNP count; the header is padded to a multiple of 8 bytes. The
+    positions (int64), imputation qualities and dosage rows (float64)
+    follow as the layout holds them. ``replace_file`` syncs the entry
+    before it renames it into place; one that cannot be written costs a
+    warning, not the run.
     """
-    header = (f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{n}\t{len(blocks)}\n" + "".join(
-        f"{chrom}\t{block.n_snps}\n" for chrom, block in blocks.items())).encode("utf-8")
+    table, positions, qualities, dosages = layout
+    header = (f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{dosages.shape[1]}\t{len(table)}\n" + "".join(
+        f"{chrom}\t{count}\n" for chrom, count in table)).encode("utf-8")
     try:
-        replace_file(entry, [header + b" " * (-len(header) % 8)] + [
-            getattr(block, field) for field in ("positions", "imputation_quality", "dosages")
-            for block in blocks.values()])
+        replace_file(entry, [header + b" " * (-len(header) % 8), positions, qualities, dosages])
     except OSError as exc:
         print(f"warning: parsed dosages not cached: {exc}", file=sys.stderr)
 
@@ -596,7 +594,8 @@ def load_cohort(
     is mapped read-only instead of parsing the file again; an entry that
     is missing, malformed, truncated, of an older format or of other bytes
     is parsed past, and a load that passes every check rewrites it with
-    the digest. Without a ``cache_dir`` the file is not hashed.
+    the digest. Without a ``cache_dir`` the file is not hashed. A parse and
+    a hit give one layout, which ``_blocks`` cuts into blocks and checks.
     """
     phenotype = _read_matrix(phenotype_path, "phenotype")
     if phenotype.shape[1] != 1:
@@ -605,16 +604,17 @@ def load_cohort(
     phenotype = phenotype.ravel()
     covariates = None if covariate_path is None else _read_matrix(covariate_path, "covariate")
     version = _file_version(genotype_path)
-    entry = loaded = None
+    entry = layout = None
     if cache_dir is not None:
         entry, digest = _entry_path(cache_dir, genotype_path), _file_digest(genotype_path, workers)
-        loaded = _load_entry(entry, digest)
-    parsed = loaded is None
+        layout = _load_entry(entry, digest)
+    parsed = layout is None
     if parsed:
-        loaded = _read_genotypes(genotype_path, workers)
+        layout = _read_genotypes(genotype_path, workers)
+    blocks = _blocks(*layout)
     if _file_version(genotype_path) != version:
         raise DataError("genotype file changed while it was read")
-    blocks, n_ind = loaded
+    n_ind = layout[3].shape[1]
     if len(phenotype) != n_ind:
         raise DataError(
             f"phenotype has {len(phenotype)} rows but genotypes have {n_ind} individuals"
@@ -626,7 +626,7 @@ def load_cohort(
     elif covariates.shape[0] != n_ind:
         raise DataError(f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}")
     if entry is not None and parsed:
-        _save_entry(entry, blocks, n_ind, digest)
+        _save_entry(entry, layout, digest)
     return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)
 
 

@@ -29,10 +29,6 @@ MIN_EXCEEDANCES = 30
 DEFAULT_M = 100_000
 
 
-class NullSimError(ValueError):
-    """Invalid input to a null-model operation."""
-
-
 class GPDFitError(RuntimeError):
     """Tail fit failed; caller may fall back to empirical-only p-values."""
 
@@ -73,11 +69,11 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
     regardless of scheduling.
     """
     if not 0.0 < lambda1 < 1.0:
-        raise NullSimError("lambda1 must lie in (0, 1)")
+        raise ValueError("lambda1 must lie in (0, 1)")
     if M < 1:
-        raise NullSimError("M must be positive")
+        raise ValueError("M must be positive")
     if depth < 0:
-        raise NullSimError("depth must be >= 0")
+        raise ValueError("depth must be >= 0")
     log_const = math.log1p(-lambda1)
     out = np.empty(M)
     n_chunks = (M + SIM_CHUNK - 1) // SIM_CHUNK
@@ -189,7 +185,7 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
     the (count >= obs + 1)/(M + 1) convention for the empirical part.
     """
     if not lambda_obs >= 1.0:  # NaN fails this too
-        raise NullSimError(f"Lambda_hat must be at least 1, got {lambda_obs!r}")
+        raise ValueError(f"Lambda_hat must be at least 1, got {lambda_obs!r}")
     M = len(model.sample)
     tail = model.tail
     if tail is not None and lambda_obs > tail.threshold:

@@ -19,10 +19,6 @@ R_MIN = 1.5
 R_MAX = 9.0
 
 
-class PlotError(ValueError):
-    """Nothing to plot."""
-
-
 def _score(bf: float) -> float:
     """Monotone map of BF to [0, 1); flat at 0 for BF <= 1."""
     lb = max(math.log(bf), 0.0)
@@ -44,7 +40,7 @@ def render_pyramid_svg(
     """Render the pyramid as an SVG string."""
     depth = len(bf_by_scale) - 1
     if depth < 0 or not any(np.asarray(b).size for b in bf_by_scale):
-        raise PlotError("empty Bayes-factor map")
+        raise ValueError("empty Bayes-factor map")
     plot_w = WIDTH - 2 * MARGIN
     height = 2 * MARGIN + (depth + 1) * ROW_HEIGHT
     parts = [

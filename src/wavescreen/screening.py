@@ -26,10 +26,6 @@ SOLVER_VERSION = "newton1"
 _ROW_BLOCK = 64
 
 
-class ScreeningError(ValueError):
-    """Invalid input to a screening operation."""
-
-
 @dataclass
 class LocusResult:
     """Everything screened for one window, one coefficient kind and one phenotype."""
@@ -117,9 +113,9 @@ def fisher_combine(p_values) -> float:
     """Fisher's method: survival of chi2(2k) at -2 sum log p_i."""
     p = np.asarray(list(p_values), dtype=float)
     if p.size == 0:
-        raise ScreeningError("need at least one p-value")
+        raise ValueError("need at least one p-value")
     if not np.all((p > 0.0) & (p <= 1.0)):  # NaN fails this too
-        raise ScreeningError("p-values must lie in (0, 1]")
+        raise ValueError("p-values must lie in (0, 1]")
     stat = -2.0 * np.sum(np.log(p))
     return float(chdtrc(2 * len(p), stat))
 
@@ -166,7 +162,7 @@ def window_spectra(
     """
     for kind in kinds:
         if kind not in ("c", "d"):
-            raise ScreeningError(f"unknown coefficient kind {kind!r}")
+            raise ValueError(f"unknown coefficient kind {kind!r}")
     sl = slice(window.snp_start, window.snp_end)
     positions = wavelet.normalize_positions(
         block.positions[sl], window.start_bp, window.end_bp

@@ -16,13 +16,11 @@ from scipy.special import stdtr
 from wavescreen import bayes, dataio, nullsim
 
 DEFAULT_H2 = 0.02  # desk-scale default; 0.005 is typical for a top GWAS hit
-POWER_BINS = [(1, 5), (6, 10), (11, 15), (16, 20), (21, 10**9)]
+# (label, lo, hi): the replicates whose component count k lies in [lo, hi]
+POWER_BINS = [("overall", 1, 10**9), ("1-5", 1, 5), ("6-10", 6, 10), ("11-15", 11, 15),
+              ("16-20", 16, 20), (">=21", 21, 10**9)]
 FLIP_CHUNK_ROWS = 64  # SNP rows of flip draws held at once by generate_genotypes
 REPLICATE_SEED_STRIDE = 1_000_003  # replicate r of seed s draws with seed s * stride + r
-
-
-class SimulationError(ValueError):
-    """Invalid simulation setup."""
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class PlantedSignal:
 
     def __post_init__(self):
         if not 0.0 < self.heritability < 1.0:
-            raise SimulationError("heritability must lie in (0, 1)")
+            raise ValueError("heritability must lie in (0, 1)")
 
 
 @dataclass
@@ -66,9 +64,9 @@ def generate_genotypes(
     spaced with jitter.
     """
     if n < 1 or n_snps < 1:
-        raise SimulationError("n and n_snps must be positive")
+        raise ValueError("n and n_snps must be positive")
     if not 1 <= n_blocks <= n_snps:
-        raise SimulationError("n_blocks must lie in [1, n_snps]")
+        raise ValueError("n_blocks must lie in [1, n_snps]")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     freqs = rng.uniform(0.05, 0.5, size=n_blocks)
     block_of_snp = np.minimum(
@@ -107,7 +105,7 @@ def synthetic_window(
     """One Window spanning every SNP of a synthetic cohort."""
     depth = dataio.window_depth(cohort.n_snps, min_snps_per_coeff)
     if depth < 0:
-        raise SimulationError("too few SNPs for the requested coefficient density")
+        raise ValueError("too few SNPs for the requested coefficient density")
     return dataio.Window(
         cohort.chromosome, int(cohort.positions[0]), int(cohort.positions[-1]) + 1,
         0, cohort.n_snps, depth,
@@ -124,7 +122,7 @@ def plant_signal(
     """Pick ``n_components`` block-center SNPs as the causal set."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     if n_components > len(cohort.block_center_indices):
-        raise SimulationError("more components than blocks")
+        raise ValueError("more components than blocks")
     idx = rng.choice(cohort.block_center_indices, size=n_components, replace=False)
     idx = np.sort(idx)
     if direction_mode == "mono":
@@ -132,7 +130,7 @@ def plant_signal(
     elif direction_mode == "random":
         signs = rng.choice([-1, 1], size=n_components)
     else:
-        raise SimulationError(f"unknown direction mode {direction_mode!r}")
+        raise ValueError(f"unknown direction mode {direction_mode!r}")
     return PlantedSignal(
         causal_snp_indices=idx,
         signs=signs,
@@ -151,35 +149,29 @@ def simulate_phenotype(
     score = signal.signs @ cohort.dosages[signal.causal_snp_indices]
     s2 = float(np.var(score))
     if s2 <= 0.0:
-        raise SimulationError("planted score has zero variance (monomorphic SNPs?)")
+        raise ValueError("planted score has zero variance (monomorphic SNPs?)")
     h2 = signal.heritability
     noise_sd = np.sqrt(s2 * (1.0 - h2) / h2)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
     return score + rng.normal(0.0, noise_sd, size=cohort.n)
 
 
-def gwas_lm_baseline(
-    dosages: np.ndarray,
-    phenotype: np.ndarray,
-    covariates: np.ndarray | None = None,
-) -> np.ndarray:
+def gwas_lm_baseline(dosages: np.ndarray, phenotype: np.ndarray) -> np.ndarray:
     """Per-SNP two-sided t-test p-values from OLS of phenotype on dosage.
 
     ``phenotype`` is (R, n) for R traits (an (n,) phenotype is one row), and
-    the p-values are (R, m). Intercept and covariates are projected out of
-    both sides; the residual dosages, their norms and the testable mask are
-    computed once for all traits. Monomorphic SNPs get p = 1.
+    the p-values are (R, m). The intercept is projected out of both sides;
+    the residual dosages, their norms and the testable mask are computed
+    once for all traits. Monomorphic SNPs get p = 1. ``bayes.build_design``
+    rejects a constant phenotype.
     """
     G = np.asarray(dosages, dtype=float)
     Y = np.atleast_2d(np.asarray(phenotype, dtype=float))
     n = Y.shape[1]
-    C = covariates if covariates is not None else np.empty((n, 0))
-    if any(np.var(y) == 0.0 for y in Y):
-        raise SimulationError("phenotype has zero variance")
-    ctx = bayes.build_design(Y.T, C)  # one orthonormal nuisance basis for every trait
+    ctx = bayes.build_design(Y.T)  # one orthonormal intercept basis for every trait
     basis, q = ctx.basis, ctx.q
     if n <= q + 2:
-        raise SimulationError("too few individuals for the per-SNP t-test")
+        raise ValueError("too few individuals for the per-SNP t-test")
     # (n, m) residual dosages, subtracted in place of the projection so that
     # only one (n, m) temporary exists
     Gt = basis @ (basis.T @ G.T)
@@ -232,7 +224,7 @@ class PowerRow:
 
 
 def _check_config(config: PowerConfig) -> None:
-    """Raise SimulationError naming the first key whose value a run cannot use."""
+    """Raise ValueError naming the first key whose value a run cannot use."""
     # replicate seeds are seed * stride + rep and must fit a 64-bit Philox key
     max_seed = (2**64 - config.replicates) // REPLICATE_SEED_STRIDE
     for key, ok, allowed in (
@@ -248,7 +240,7 @@ def _check_config(config: PowerConfig) -> None:
         ("min_snps_per_coeff", 0.0 < config.min_snps_per_coeff < np.inf, "positive and finite"),
     ):
         if not ok:
-            raise SimulationError(
+            raise ValueError(
                 f"power config {key} = {getattr(config, key)!r}: must be {allowed}"
             )
 
@@ -298,21 +290,9 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
 
     rows = []
     for method, key in (("WS-c", "p_ws_c"), ("WS-d", "p_ws_d"), ("GWAS-LM", "p_gwas")):
-        rows.append(PowerRow(
-            method=method,
-            bin_label="overall",
-            detections=sum(r[key] <= config.alpha for r in detail),
-            trials=len(detail),
-        ))
-        for lo, hi in POWER_BINS:
+        for label, lo, hi in POWER_BINS:
             subset = [r for r in detail if lo <= r["k"] <= hi]
-            if not subset:
-                continue
-            label = f"{lo}-{hi}" if hi < 10**9 else f">={lo}"
-            rows.append(PowerRow(
-                method=method,
-                bin_label=label,
-                detections=sum(r[key] <= config.alpha for r in subset),
-                trials=len(subset),
-            ))
+            if subset:
+                rows.append(PowerRow(method, label, sum(r[key] <= config.alpha for r in subset),
+                                     len(subset)))
     return rows, detail

@@ -18,14 +18,10 @@ from scipy.special import ndtri
 VARIANCE_FLOOR = 1e-8
 
 
-class WaveletError(ValueError):
-    """Invalid input to a wavelet-stage operation."""
-
-
 def normalize_positions(positions: np.ndarray, start_bp: int, end_bp: int) -> np.ndarray:
     """Affine map of bp positions onto [0, 1]."""
     if end_bp <= start_bp:
-        raise WaveletError("end_bp must exceed start_bp")
+        raise ValueError("end_bp must exceed start_bp")
     return (np.asarray(positions, dtype=float) - start_bp) / (end_bp - start_bp)
 
 
@@ -40,9 +36,9 @@ def interpolation_matrix(snp_positions: np.ndarray, n_grid: int) -> sparse.csr_m
     x = np.asarray(snp_positions, dtype=float)
     m = len(x)
     if m < 2:
-        raise WaveletError("need at least 2 observations to interpolate")
+        raise ValueError("need at least 2 observations to interpolate")
     if np.any(np.diff(x) <= 0):
-        raise WaveletError("positions must be strictly increasing")
+        raise ValueError("positions must be strictly increasing")
     N = n_grid
     t = (np.arange(N) + 0.5) / N
     # index of the left neighbor, clipped so t outside [x0, x_{m-1}] extrapolates
@@ -58,7 +54,7 @@ def interpolation_matrix(snp_positions: np.ndarray, n_grid: int) -> sparse.csr_m
 def block_sum_matrix(n_grid: int, n_blocks: int) -> sparse.csr_matrix:
     """Sparse (n_blocks x n_grid) matrix summing consecutive grid blocks."""
     if n_blocks <= 0 or n_grid % n_blocks:
-        raise WaveletError(f"{n_grid} grid points do not split into {n_blocks} blocks")
+        raise ValueError(f"{n_grid} grid points do not split into {n_blocks} blocks")
     block = n_grid // n_blocks
     return sparse.kron(
         sparse.eye(n_blocks, format="csr"), np.ones((1, block)), format="csr"
@@ -83,13 +79,13 @@ def haar_pyramid(
     """
     M = grid_values.shape[0]
     if M & (M - 1) or M == 0:
-        raise WaveletError(f"grid length {M} is not a power of two")
+        raise ValueError(f"grid length {M} is not a power of two")
     N = M if n_grid is None else n_grid
     if N < M or N & (N - 1):
-        raise WaveletError(f"n_grid {N} must be a power of two >= {M}")
+        raise ValueError(f"n_grid {N} must be a power of two >= {M}")
     J = M.bit_length() - 1
     if depth < 0 or depth > J - 1:
-        raise WaveletError(f"depth {depth} outside [0, {J - 1}] for {M} block sums")
+        raise ValueError(f"depth {depth} outside [0, {J - 1}] for {M} block sums")
 
     sums = [None] * (J + 1)
     sums[J] = grid_values
@@ -178,7 +174,7 @@ def quantile_transform(rows: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[1]
     if n < 2:
-        raise WaveletError("quantile transform needs at least 2 values")
+        raise ValueError("quantile transform needs at least 2 values")
     # the argsort as flat indices, so one 1-D gather sorts every row and one
     # 1-D scatter puts the scores back
     order = np.argsort(rows, axis=-1)

@@ -41,7 +41,7 @@ from scipy.special import ndtri
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
 from wavescreen import wavelet
 from wavescreen.screening import locus_results, scale_log_bf, window_spectra
-from wavescreen.wavelet import VARIANCE_FLOOR, WaveletError, haar_pyramid
+from wavescreen.wavelet import VARIANCE_FLOOR, haar_pyramid
 
 
 def screen_spectra(window, coeffs, degenerate, ctx, kind):
@@ -131,7 +131,7 @@ def pyramid_variances_reference(
     N = M if n_grid is None else n_grid
     J = M.bit_length() - 1
     if depth > J - 1:
-        raise WaveletError(f"depth {depth} too deep for {M} block-sum rows")
+        raise ValueError(f"depth {depth} too deep for {M} block-sum rows")
     sig2 = np.asarray(snp_variances, dtype=float)
     sums = [None] * (J + 1)
     sums[J] = W.tocsr()
@@ -336,7 +336,7 @@ def quantile_transform_reference(values: np.ndarray, axis: int = -1) -> tuple[np
     v = np.asarray(values, dtype=float)
     n = v.shape[axis]
     if n < 2:
-        raise WaveletError("quantile transform needs at least 2 values")
+        raise ValueError("quantile transform needs at least 2 values")
     ranks = average_ranks(v, axis=axis)
     denom = n + 0.25
     u_lo = (ranks - 0.375) / denom

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from wavescreen.bayes import DesignError, build_design, lambda1, log_bayes_factor
+from wavescreen.bayes import build_design, lambda1, log_bayes_factor
 
 from _oracles import log_bf_numeric
 
@@ -33,17 +33,17 @@ class TestBuildDesign:
         rng = np.random.default_rng(2)
         y = rng.standard_normal(20)
         C = np.column_stack([np.ones(20), rng.standard_normal(20)])  # dup intercept
-        with pytest.raises(DesignError, match="rank-deficient"):
+        with pytest.raises(ValueError, match="rank-deficient"):
             build_design(y, C)
 
     def test_constant_phenotype(self):
-        with pytest.raises(DesignError, match="zero variance"):
+        with pytest.raises(ValueError, match="zero variance"):
             build_design(np.ones(20))
 
     def test_collinear_phenotype(self):
         rng = np.random.default_rng(3)
         c = rng.standard_normal(20)
-        with pytest.raises(DesignError, match="collinear"):
+        with pytest.raises(ValueError, match="collinear"):
             build_design(2.0 * c + 1.0, c[:, None])
 
     def test_batch_columns_match_single_designs(self):
@@ -65,7 +65,7 @@ class TestBuildDesign:
     def test_batch_column_with_zero_variance_is_named(self):
         Y = np.random.default_rng(13).standard_normal((20, 4))
         Y[:, 2] = 3.0
-        with pytest.raises(DesignError, match="phenotype column 2 has zero variance"):
+        with pytest.raises(ValueError, match="phenotype column 2 has zero variance"):
             build_design(Y)
 
     def test_batch_column_collinear_with_covariates_is_named(self):
@@ -73,24 +73,24 @@ class TestBuildDesign:
         c = rng.standard_normal(20)
         Y = rng.standard_normal((20, 3))
         Y[:, 1] = 2.0 * c + 1.0
-        with pytest.raises(DesignError, match="phenotype column 1 is collinear"):
+        with pytest.raises(ValueError, match="phenotype column 1 is collinear"):
             build_design(Y, c[:, None])
 
     def test_bad_sigma_b(self):
-        with pytest.raises(DesignError, match="sigma_b"):
+        with pytest.raises(ValueError, match="sigma_b"):
             build_design(np.arange(10.0), sigma_b=0.0)
 
     @pytest.mark.parametrize("sigma_b", [1e155, 1e200, 1e-160, 1e-200, np.inf, np.nan])
     def test_sigma_b_with_an_unusable_square(self, sigma_b):
         # sigma_b^2 or sigma_b^-2 overflows, or sigma_b^2 underflows to 0
-        with pytest.raises(DesignError, match="sigma_b must be positive with a finite"):
+        with pytest.raises(ValueError, match="sigma_b must be positive with a finite"):
             build_design(np.arange(10.0), sigma_b=sigma_b)
 
     @pytest.mark.parametrize("n, sigma_b", [(10, 1e8), (1000, 1e7)])
     def test_sigma_b_that_rounds_lambda1_to_1(self, n, sigma_b):
         # sigma_b^2 n = 1e17 is past 2^53, whatever the phenotype's scale
         for scale in (1e-10, 1.0, 1e10):
-            with pytest.raises(DesignError, match=(
+            with pytest.raises(ValueError, match=(
                     rf"^sigma_b = {re.escape(f'{sigma_b:g}')} and n = {n} give sigma_b\^2 n = "
                     r".*, so lambda1 = sigma_b\^2 n / \(1 \+ sigma_b\^2 n\) rounds to 1; "
                     r"it must lie below 1$")):
@@ -113,7 +113,7 @@ class TestBuildDesign:
         assert lambda1(build_design(np.arange(10.0), sigma_b=np.sqrt(2.5e14))) < 1.0
 
     def test_too_few_rows(self):
-        with pytest.raises(DesignError, match="n > q"):
+        with pytest.raises(ValueError, match="n > q"):
             build_design(np.array([0.0, 1.0]))
 
 
@@ -162,11 +162,11 @@ class TestLogBayesFactor:
 
     def test_shape_and_finiteness_checks(self):
         ctx = build_design(np.random.default_rng(6).standard_normal(30))
-        with pytest.raises(DesignError, match="rows"):
+        with pytest.raises(ValueError, match="rows"):
             log_bayes_factor(ctx, np.zeros(29))
         bad = np.zeros(30)
         bad[0] = np.nan
-        with pytest.raises(DesignError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             log_bayes_factor(ctx, bad)
 
     def test_association_increases_bf(self):

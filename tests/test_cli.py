@@ -842,6 +842,29 @@ class TestFisherCommand:
         assert rc == 0
         assert 0.0 < float(capsys.readouterr().out) < 1.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.1\n\nabc\n", "line 3: non-numeric p-value: 'abc'"),
+        ("abc\n0.1\n", "line 1: non-numeric p-value: 'abc'"),  # no header rule
+        ("0.1\nnan\n", "line 2: non-finite p-value nan"),
+    ])
+    def test_bad_value_in_file_names_its_line(self, tmp_path, capsys, text, message):
+        f = tmp_path / "p.txt"
+        f.write_text(text)
+        assert main(["fisher", "--file", str(f)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_file_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("\n\n")
+        assert main(["fisher", "0.5", "--file", str(f)]) == 1
+        assert capsys.readouterr().err == f"error: p-value file {f} is empty\n"
+
+    def test_file_value_out_of_range_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0.1\n1.5\n")
+        assert main(["fisher", "--file", str(f)]) == 1
+        assert capsys.readouterr().err == "error: p-values must lie in (0, 1]\n"
+
     def test_invalid_p_exits_1(self, capsys):
         rc = main(["fisher", "0.0"])
         assert rc == 1

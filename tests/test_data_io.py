@@ -1,5 +1,6 @@
 """Loader validation, window tiling and depth rules."""
 
+import ast
 import hashlib
 import os
 import sys
@@ -24,6 +25,13 @@ def _write(tmp_path, lines, name="geno.tsv"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def _parse(path, workers=1):
+    """The genotype file's blocks and n, cut from the parse's layout as
+    ``load_cohort`` cuts them."""
+    layout = dataio._read_genotypes(path, workers)
+    return dataio._blocks(*layout), layout[3].shape[1]
 
 
 def _pheno(tmp_path, values, name="pheno.tsv"):
@@ -226,9 +234,9 @@ class TestLoadCohort:
         geno = tmp_path / "geno.tsv"
         geno.write_bytes(eol.join(lines + ["1\t300\tc\t1.0\tx\t2"]).encode())
         with pytest.raises(DataError, match="^line 5: non-numeric dosage: 'x'$"):
-            dataio._read_genotypes(str(geno))
+            _parse(str(geno))
         geno.write_bytes(eol.join(lines).encode())
-        blocks, n = dataio._read_genotypes(str(geno))
+        blocks, n = _parse(str(geno))
         assert n == 2
         np.testing.assert_array_equal(blocks["1"].dosages, [[1, 2], [2, 0]])
 
@@ -454,11 +462,11 @@ class TestReferenceParser:
             ref = _outcome(load_cohort_reference, *args)
             # the genotype part alone, so that n = 1 (zero phenotype
             # variance) still compares parsed blocks
-            got_g = _outcome(dataio._read_genotypes, str(geno))
+            got_g = _outcome(_parse, str(geno))
             ref_g = _outcome(read_genotypes_reference, str(geno), dataio.MIN_IMPUTATION_QUALITY)
             # as many processes as workers, up to one per row, on any host
             with mock.patch.object(dataio, "_usable_cpus", return_value=workers):
-                par_g = _outcome(dataio._read_genotypes, str(geno), workers)
+                par_g = _outcome(_parse, str(geno), workers)
         for a, b in ((got, ref), (got_g, ref_g), (par_g, ref_g)):
             if isinstance(b, DataError):
                 assert isinstance(a, DataError) and str(a) == str(b)
@@ -497,9 +505,9 @@ class TestParallelParse:
     @staticmethod
     def _error(path, workers):
         with pytest.raises(DataError) as serial:
-            dataio._read_genotypes(path)
+            _parse(path)
         with pytest.raises(DataError) as parallel:
-            dataio._read_genotypes(path, workers)
+            _parse(path, workers)
         assert str(parallel.value) == str(serial.value)
         return str(parallel.value)
 
@@ -512,9 +520,9 @@ class TestParallelParse:
         rng = np.random.default_rng(3)
         rows = [[f"{x:.6g}" for x in rng.uniform(0, 2, 3)] for _ in range(101)]
         path = _write(tmp_path, _rows(rows))
-        serial, n = dataio._read_genotypes(path)
+        serial, n = _parse(path)
         for workers in (2, 3, 5):
-            blocks, m = dataio._read_genotypes(path, workers)
+            blocks, m = _parse(path, workers)
             assert m == n
             _assert_blocks_equal(blocks, serial)
 
@@ -556,16 +564,16 @@ class TestParallelParse:
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         path = _write(tmp_path, _rows([["0", "1", "2"], ["2", "1", "0"]]))
-        blocks, _ = dataio._read_genotypes(path, 64)
-        _assert_blocks_equal(blocks, dataio._read_genotypes(path)[0])
+        blocks, _ = _parse(path, 64)
+        _assert_blocks_equal(blocks, _parse(path)[0])
         assert len(forks) == 1
 
     def test_without_fork_one_range_runs_in_process(self, tmp_path, monkeypatch):
         good = _write(tmp_path, _rows([["0", "1", "2"]] * 2), "good.tsv")
         bad = _write(tmp_path, _rows([["0", "1", "2"], ["2", "1", "0"], ["1", "x", "0"]]))
-        serial = dataio._read_genotypes(good)[0]
+        serial = _parse(good)[0]
         monkeypatch.delattr(os, "fork")
-        _assert_blocks_equal(dataio._read_genotypes(good, 4)[0], serial)
+        _assert_blocks_equal(_parse(good, 4)[0], serial)
         assert self._error(bad, 4) == "line 4: non-numeric dosage: 'x'"
 
     def test_child_that_fails_otherwise_raises_in_the_parent(self, tmp_path, monkeypatch):
@@ -582,7 +590,7 @@ class TestParallelParse:
         monkeypatch.setattr(dataio, "_parse_chunks", crash_in_child)
         path = _write(tmp_path, _rows([["0", "1", "2"]] * 4))
         with pytest.raises(RuntimeError, match=r"dosage parser process failed \(exit code 1\)"):
-            dataio._read_genotypes(path, 2)
+            _parse(path, 2)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_error_in_a_chunk_only_children_parse(self, tmp_path, monkeypatch, workers):
@@ -593,15 +601,15 @@ class TestParallelParse:
         rows[3] = ["0", "2.5", "1"]
         rows[-1] = ["0", "x", "1"]
         bad = _write(tmp_path, _rows(rows))
-        serial = dataio._read_genotypes(good)[0]
+        serial = _parse(good)[0]
         with pytest.raises(DataError) as serial_error:
-            dataio._read_genotypes(bad)
+            _parse(bad)
         parent, parse_chunks = os.getpid(), dataio._parse_chunks
         monkeypatch.setattr(dataio, "_parse_chunks",
                             lambda *args: None if os.getpid() == parent else parse_chunks(*args))
-        _assert_blocks_equal(dataio._read_genotypes(good, workers)[0], serial)
+        _assert_blocks_equal(_parse(good, workers)[0], serial)
         with pytest.raises(DataError) as error:
-            dataio._read_genotypes(bad, workers)
+            _parse(bad, workers)
         assert str(error.value) == str(serial_error.value) == "line 5: dosage 2.5 outside [0,2]"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
@@ -640,7 +648,7 @@ def test_parse_holds_a_piece_of_the_dosage_text(tmp_path):
             fh.write(f"1\t{i + 1}\tsnp{i}\t1.0\t" + "\t".join(f"{d:.3f}" for d in row) + "\n")
     tracemalloc.start()
     try:
-        blocks, _ = dataio._read_genotypes(str(path), 1)
+        blocks, _ = _parse(str(path), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -657,11 +665,20 @@ def test_a_chunk_read_in_pieces_matches_one_read(tmp_path, monkeypatch, cap):
     good = _write(tmp_path, _rows(rows), "good.tsv")
     rows[15:17] = [["0", "2.5", "1"], ["x", "1", "1"]]
     bad = _write(tmp_path, _rows(rows))
-    whole = dataio._read_genotypes(good)[0]
+    whole = _parse(good)[0]
     monkeypatch.setattr(dataio, "_MAX_TEXT_BYTES", cap)
-    _assert_blocks_equal(dataio._read_genotypes(good)[0], whole)
+    _assert_blocks_equal(_parse(good)[0], whole)
     with pytest.raises(DataError, match=r"^line 17: dosage 2.5 outside \[0,2\]$"):
-        dataio._read_genotypes(bad)
+        _parse(bad)
+
+
+def test_only_blocks_builds_a_chromosome_block():
+    # the parse and a cache hit give one layout, and one function cuts it
+    tree = ast.parse(Path(dataio.__file__).read_text(encoding="utf-8"))
+    builders = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                for node in ast.walk(f) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "ChromosomeBlock"}
+    assert builders == {"_blocks"}
 
 
 def _genome_lines(rng, n=5):
@@ -716,6 +733,18 @@ class TestDosageCache:
         for block in warm.blocks.values():
             for values in (block.positions, block.imputation_quality, block.dosages):
                 assert not values.flags.writeable
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_entry_holds_the_parse_layout(self, files, workers):
+        geno, pheno, cache = files
+        dataio.load_cohort(geno, pheno, workers=workers, cache_dir=str(cache))
+        [name] = _entries(cache)
+        parsed = dataio._read_genotypes(geno, workers)
+        loaded = dataio._load_entry(str(cache / name), dataio._file_digest(geno, workers))
+        assert loaded[0] == parsed[0] == [("1", 17), ("2", 17), ("X", 17)]
+        for got, want, dtype in zip(loaded[1:], parsed[1:], (np.int64, float, float)):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_edit_of_the_same_size_and_mtime_is_a_miss(self, files, monkeypatch):
         geno, pheno, cache = files

@@ -1,9 +1,11 @@
 """Every module-level import of the package and of the tests is used, the
 command line starts without ``scipy.stats`` or ``scipy.optimize``, no
-module of the package imports ``scipy.optimize`` at all, and only
-``dataio`` makes temporary files and renames them into place."""
+module of the package imports ``scipy.optimize`` at all, only
+``dataio`` makes temporary files and renames them into place, and every
+exception class the package defines is caught somewhere in it."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -122,3 +124,41 @@ def test_only_dataio_replaces_files(path):
     # dataio.replace_file writes both caches: a second writer is how the two
     # drifted apart before (one synced its file, the other did not)
     assert file_replacements(path.read_text(encoding="utf-8")) == []
+
+
+def _name(node) -> str:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def uncaught_exception_classes(sources: list[str]) -> list[str]:
+    """Exception classes defined in the sources that no ``except`` clause in
+    them names."""
+    bases, caught = {}, set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_name(b) for b in node.bases]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(_name(n) for n in ast.walk(node.type))
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_exception(base) for base in bases.get(name, ()))
+
+    return sorted(name for name in bases if is_exception(name) and name not in caught)
+
+
+def test_detects_an_uncaught_exception_class():
+    sources = ["class AError(ValueError):\n    pass\nclass BError(AError):\n    pass\n"
+               "class CError(m.AError):\n    pass\nclass Block:\n    pass\n",
+               "try:\n    f()\nexcept (m.AError, OSError):\n    pass\n"
+               "try:\n    f()\nexcept Block:\n    pass\n"]
+    assert uncaught_exception_classes(sources) == ["BError", "CError"]
+
+
+def test_every_exception_class_is_caught():
+    # a class that no except clause names tells callers nothing that
+    # ValueError or RuntimeError does not
+    assert uncaught_exception_classes([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

@@ -13,7 +13,6 @@ from wavescreen.nullsim import (
     GPDFitError,
     GPDTail,
     NullModel,
-    NullSimError,
     fit_gpd_exceedances,
     fit_gpd_tail,
     load_or_build_null_model,
@@ -66,11 +65,11 @@ class TestSimulateNull:
         assert sample[0] >= 1.0
 
     def test_validates_arguments(self):
-        with pytest.raises(NullSimError):
+        with pytest.raises(ValueError, match=r"^lambda1 must lie in \(0, 1\)$"):
             simulate_null(0.0, 1, 10, 0)
-        with pytest.raises(NullSimError):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
             simulate_null(0.5, -1, 10, 0)
-        with pytest.raises(NullSimError):
+        with pytest.raises(ValueError, match="^M must be positive$"):
             simulate_null(0.5, 1, 0, 0)
 
 
@@ -232,7 +231,7 @@ class TestBuildAndPValue:
 
     def test_rejects_lambda_below_one(self):
         model = load_or_build_null_model(0.5, depth=0, M=1000, seed=6)
-        with pytest.raises(NullSimError):
+        with pytest.raises(ValueError, match=r"^Lambda_hat must be at least 1, got 0\.5$"):
             p_value(model, 0.5)
 
     def test_rejects_nan(self):
@@ -240,7 +239,7 @@ class TestBuildAndPValue:
         # through to the empirical floor 1/(M+1)
         model = load_or_build_null_model(0.9, depth=2, M=20_000, seed=5)
         assert model.tail is not None
-        with pytest.raises(NullSimError):
+        with pytest.raises(ValueError, match="^Lambda_hat must be at least 1, got nan$"):
             p_value(model, float("nan"))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavescreen.plotting import PlotError, render_pyramid_svg
+from wavescreen.plotting import render_pyramid_svg
 
 
 def _spectra():
@@ -43,6 +43,6 @@ class TestRenderPyramid:
         assert greys[1] < greys[0]
 
     def test_empty_map_rejected(self):
-        with pytest.raises(PlotError):
+        with pytest.raises(ValueError, match="^empty Bayes-factor map$"):
             render_pyramid_svg([np.empty(0)], [np.empty(0, dtype=int)], 0, 1)
 

@@ -12,7 +12,6 @@ from scipy.stats import chi2
 
 from wavescreen import bayes, dataio, nullsim, screening, simharness
 from wavescreen.screening import (
-    ScreeningError,
     fisher_combine,
     max_log_lambda,
     maximize_lambda,
@@ -189,17 +188,17 @@ class TestPosteriorAndFisher:
             assert fisher_combine(p) == float(chi2.sf(stat, df=2 * k))
 
     def test_fisher_rejects_bad_input(self):
-        with pytest.raises(ScreeningError):
+        with pytest.raises(ValueError, match="^need at least one p-value$"):
             fisher_combine([])
-        with pytest.raises(ScreeningError):
+        with pytest.raises(ValueError, match=r"^p-values must lie in \(0, 1\]$"):
             fisher_combine([0.0, 0.5])
-        with pytest.raises(ScreeningError):
+        with pytest.raises(ValueError, match=r"^p-values must lie in \(0, 1\]$"):
             fisher_combine([1.5])
 
     def test_fisher_rejects_nan(self):
         # NaN fails both p <= 0 and p > 1, so only a test that it lies in
         # (0, 1] catches it
-        with pytest.raises(ScreeningError):
+        with pytest.raises(ValueError, match=r"^p-values must lie in \(0, 1\]$"):
             fisher_combine([np.nan, 0.5])
 
 
@@ -237,7 +236,7 @@ class TestWindowSpectra:
 
     def test_rejects_unknown_kind(self, screen_setup):
         cohort, window, _ = screen_setup
-        with pytest.raises(ScreeningError):
+        with pytest.raises(ValueError, match="^unknown coefficient kind 'x'$"):
             window_spectra(window, cohort, ("c", "x"))
 
 

@@ -16,7 +16,6 @@ from _oracles import (
 
 from wavescreen import wavelet
 from wavescreen.wavelet import (
-    WaveletError,
     block_sum_matrix,
     haar_pyramid,
     interpolation_matrix,
@@ -62,11 +61,11 @@ class TestHaarPyramid:
             np.testing.assert_allclose(d_agg[s], d_full[s], atol=1e-12)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(WaveletError):
+        with pytest.raises(ValueError, match="^grid length 3 is not a power of two$"):
             haar_pyramid(np.zeros(3), 0)
-        with pytest.raises(WaveletError):
+        with pytest.raises(ValueError, match=r"^depth 3 outside \[0, 2\] for 8 block sums$"):
             haar_pyramid(np.zeros(8), 3)  # depth must stay below J
-        with pytest.raises(WaveletError):
+        with pytest.raises(ValueError, match="^n_grid 12 must be a power of two >= 8$"):
             haar_pyramid(np.zeros(8), 1, n_grid=12)
 
     def test_burden_monotone_in_dosage(self):
@@ -118,11 +117,11 @@ class TestInterpolation:
     def test_normalize_positions(self):
         out = normalize_positions(np.array([100, 150, 200]), 100, 200)
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
-        with pytest.raises(WaveletError):
+        with pytest.raises(ValueError, match="^end_bp must exceed start_bp$"):
             normalize_positions(np.array([1]), 5, 5)
 
     def test_needs_increasing_positions(self):
-        with pytest.raises(WaveletError):
+        with pytest.raises(ValueError, match="^positions must be strictly increasing$"):
             interpolation_matrix(np.array([0.5, 0.5]), 8)
 
 
@@ -326,7 +325,7 @@ class TestQuantileTransform:
         assert np.any(scores[5] != 0.0)
 
     def test_needs_two_values(self):
-        with pytest.raises(WaveletError):
+        with pytest.raises(ValueError, match="^quantile transform needs at least 2 values$"):
             quantile_transform(np.array([[1.0]]))
 
     @given(
@@ -360,5 +359,5 @@ class TestBlockSumMatrix:
         np.testing.assert_allclose(A @ v, [1.0, 5.0, 9.0, 13.0])
 
     def test_rejects_non_divisible(self):
-        with pytest.raises(WaveletError):
+        with pytest.raises(ValueError, match="^8 grid points do not split into 3 blocks$"):
             block_sum_matrix(8, 3)
