@@ -171,26 +171,9 @@ def cmd_screen(args) -> int:
                   f"{block.n_snps - last[chrom].snp_end} of {block.n_snps} kept",
                   file=sys.stderr)
     ctx = bayes.build_design(cohort.phenotype, cohort.covariates, sigma_b=args.sigma_b)
-    lam1 = bayes.lambda1(ctx)
-
-    # one null model per distinct window depth; the design constant is shared
-    models = {}
-    for depth in sorted({w.depth for w in windows}):
-        model = nullsim.load_or_build_null_model(lam1, depth, args.m, args.seed, cache)
-        if model.tail is None:
-            floor = 1.0 / (args.m + 1)
-            unreachable = (
-                f", above --significance-threshold {args.significance_threshold:g}, "
-                "so no window of this depth can pass it"
-                if floor > args.significance_threshold else ""
-            )
-            print(f"warning: GPD tail fit failed at depth {depth} ({model.tail_error}): its "
-                  f"p-values are empirical, at least 1/(M+1) = {floor:g}{unreachable}",
-                  file=sys.stderr)
-        models[depth] = model
-
     kinds = ("c", "d") if args.coefficient_kind == "both" else (args.coefficient_kind,)
-    results = nullsim.screen_windows(windows, cohort.blocks, ctx, kinds, models, args.threads)
+    results = nullsim.screen_windows(windows, cohort.blocks, ctx, kinds, args.m, args.seed,
+                                     cache, args.significance_threshold, args.threads)
 
     max_depth = max((w.depth for w in windows), default=0)
     results_path = os.path.join(args.output_dir, "results.tsv")
@@ -229,7 +212,7 @@ def cmd_screen(args) -> int:
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(f"windows\t{len(windows)}\n")
         fh.write(f"screens\t{len(results)}\n")
-        fh.write(f"lambda1\t{_fmt(lam1)}\n")
+        fh.write(f"lambda1\t{_fmt(bayes.lambda1(ctx))}\n")
         fh.write(f"threshold\t{_fmt(args.significance_threshold)}\n")
         fh.write(f"significant\t{len(significant)}\n")
         for r in significant:
@@ -249,16 +232,13 @@ def cmd_screen(args) -> int:
 
 def cmd_nullsim(args) -> int:
     cache = _cache_dir(args.output_dir)
-    model = nullsim.load_or_build_null_model(args.lambda1, args.depth, args.m, args.seed, cache)
-    tail = model.tail
-    if tail is not None:
+    tail = nullsim.load_or_build_null_model(args.lambda1, args.depth, args.m, args.seed,
+                                            cache).tail
+    if tail is not None:  # a failed fit has been reported
         print(f"threshold u = {_fmt(tail.threshold)} (99% quantile, "
               f"{tail.n_exceedances} exceedances)")
         print(f"shape xi = {_fmt(tail.shape)} (se {_fmt(tail.se_shape)})")
         print(f"scale beta = {_fmt(tail.scale)} (se {_fmt(tail.se_scale)})")
-    else:
-        print(f"tail fit unavailable ({model.tail_error}); p-values will be empirical only",
-              file=sys.stderr)
     return EXIT_OK
 
 

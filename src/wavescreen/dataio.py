@@ -168,7 +168,8 @@ def _read_rows(
 
 def _read_matrix(path: str, what: str, header: bool = True) -> np.ndarray:
     """Read a whitespace-separated numeric matrix; with ``header``, an
-    unparsable first line is a header row."""
+    unparsable first line none of whose fields starts like a number (a digit,
+    '+', '-' or '.') is a header row, and any other is a bad data row."""
     texts: list[str] = []
     line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -176,7 +177,8 @@ def _read_matrix(path: str, what: str, header: bool = True) -> np.ndarray:
             if line.strip():
                 texts.append(line)
                 line_nos.append(line_no)
-    if header and line_nos[:1] == [1]:
+    if header and line_nos[:1] == [1] and not any(
+            field[0] in "0123456789+-." for field in texts[0].split()):
         try:
             _loadtxt(texts[:1])
         except ValueError:

@@ -7,7 +7,8 @@ simulated sample covers the bulk of the distribution; a Generalized Pareto
 fit to the exceedances over its 99% quantile extrapolates the extreme tail.
 ``load_or_build_null_model`` is the one way to get a model: it reuses a
 cached sample whose header and draws match the key, or simulates and caches
-one, and fits its tail.
+one, fits its tail and warns when the fit fails. ``screen_windows``, the path
+from windows to reported results, builds one model per window depth.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import inv_boxcox
 
-from wavescreen import dataio, screening
+from wavescreen import bayes, dataio, screening
 
 SIM_CHUNK = 4096  # fixed so results are independent of threading and memory
 SIM_DRAWS = "z2"  # names the draw scheme in cache keys: Q = z^2, z standard normal
@@ -197,16 +198,23 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
     return (n_ge + 1.0) / (M + 1.0)
 
 
-def screen_windows(windows, blocks, ctx, kinds, models, threads):
+def screen_windows(windows, blocks, ctx, kinds, M, seed, cache_dir, threshold, threads):
     """Screen each window, on its chromosome's entry of ``blocks``, for every kind and
     phenotype of ``ctx``: one ``window_spectra`` pass a window, one
-    ``scale_log_bf`` job per (kind, scale), one Lambda-hat per kind and
-    phenotype, and a p-value from ``models[depth]`` for each non-degenerate
-    result. Windows and jobs share one pool of ``threads`` threads, at most one
-    per usable CPU. A window's task submits its jobs, largest scale first, runs
-    each one that no worker has started and waits on the rest, so workers with
-    no window left to start take a share of the last windows' jobs. Results come
-    in (chromosome, start, kind, phenotype) order; an error names its window and kind."""
+    ``scale_log_bf`` job per (kind, scale), and one result per kind and
+    phenotype, its p-value from the null model of the window's depth for each
+    non-degenerate one. Those models, one per distinct depth in ascending
+    order, come from ``load_or_build_null_model`` on the design constant of
+    ``ctx`` and ``M``, ``seed``, ``cache_dir`` and ``threshold``. Windows and
+    jobs share one pool of ``threads`` threads, at most one per usable CPU. A
+    window's task submits its jobs, largest scale first, runs each one that no
+    worker has started and waits on the rest, so workers with no window left to
+    start take a share of the last windows' jobs. Results come in (chromosome,
+    start, kind, phenotype) order; an error names its window and kind."""
+    lam1 = bayes.lambda1(ctx)
+    models = {depth: load_or_build_null_model(lam1, depth, M, seed, cache_dir, threshold)
+              for depth in sorted({w.depth for w in windows})}
+
     def run(w):
         kind = kinds[0]  # an error before the first job names the first kind
         try:
@@ -235,11 +243,14 @@ def screen_windows(windows, blocks, ctx, kinds, models, threads):
                     future.cancel()  # after an error, the jobs not yet started
             results = []
             for kind in kinds:
-                scales = [done[kind, s] for s in range(w.depth + 1)]
-                for res in screening.locus_results(w, kind, scales):
-                    if not res.degenerate:
-                        res.p_value = p_value(models[w.depth], res.lambda_hat)
-                    results.append(res)
+                log_bfs, locs = zip(*(done[kind, s] for s in range(w.depth + 1)))
+                pi_hat, lam = screening.maximize_lambda(log_bfs)
+                # a window with no live coefficient has pi_hat = 0, Lambda_hat = 1
+                degenerate = not any(loc.size for loc in locs)
+                for p, lam_p in enumerate(lam.tolist()):
+                    results.append(screening.LocusResult(
+                        w, kind, [lb[p] for lb in log_bfs], list(locs), pi_hat[p], lam_p,
+                        degenerate, None if degenerate else p_value(models[w.depth], lam_p)))
         except Exception as exc:
             raise RuntimeError(
                 f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({kind}): {exc}") from exc
@@ -310,7 +321,8 @@ def _load_sample(path: str, header: str, M: int) -> np.ndarray | None:
 
 
 def load_or_build_null_model(
-    lambda1: float, depth: int, M: int, seed: int, cache_dir: str | None = None
+    lambda1: float, depth: int, M: int, seed: int, cache_dir: str | None = None,
+    threshold: float | None = None,
 ) -> NullModel:
     """The null model for this exact key: simulated, or reused from the cache,
     with its tail fitted.
@@ -320,7 +332,9 @@ def load_or_build_null_model(
     read, or whose header or draws do not match the key, is simulated again
     and overwritten; one that cannot be written costs a warning. A failed
     tail fit is not fatal: the model gets no ``tail``, its ``tail_error``
-    says why, and its p-values are empirical only.
+    says why, its p-values are empirical only, and one warning gives the
+    depth, the reason, their floor 1/(M+1) and, when that floor is above
+    ``threshold``, that no window of this depth can pass it.
     """
     sample = None
     if cache_dir is not None:
@@ -338,4 +352,12 @@ def load_or_build_null_model(
             save_null_model(model, lambda1, depth, seed, cache_dir)
         except OSError as exc:
             print(f"warning: null sample not cached: {exc}", file=sys.stderr)
+    if model.tail is None:
+        floor = 1.0 / (M + 1)
+        unreachable = (f", above the significance threshold {threshold:g}, so no window "
+                       "of this depth can pass it"
+                       if threshold is not None and floor > threshold else "")
+        print(f"warning: GPD tail fit failed at depth {depth} ({model.tail_error}): its "
+              f"p-values are empirical, at least 1/(M+1) = {floor:g}{unreachable}",
+              file=sys.stderr)
     return model

@@ -37,7 +37,7 @@ class LocusResult:
     pi_hat: np.ndarray
     lambda_hat: float
     degenerate: bool  # all coefficients degenerate
-    p_value: float | None = None
+    p_value: float | None = None  # None for a degenerate result
 
 
 def max_log_lambda(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,32 +207,3 @@ def scale_log_bf(ctx: DesignContext, coeffs: np.ndarray,
     if not locs.size:
         return np.empty((ctx.x_tilde.shape[1], 0)), locs
     return log_bayes_factor(ctx, wavelet.quantile_transform(coeffs[locs]).T), locs
-
-
-def locus_results(
-    window: Window,
-    coefficient_kind: str,
-    scales: list[tuple[np.ndarray, np.ndarray]],
-) -> list[LocusResult]:
-    """Lambda-hat over pi for one window and kind, from each scale's ``scale_log_bf``.
-
-    ``scales`` holds every scale's (log_bf, locations) in scale order.
-    Returns one result per phenotype. A window with no live coefficient is
-    flagged ``degenerate`` and gets pi_hat = 0 and Lambda_hat = 1. The
-    p-value is left unset; the null model assigns it later.
-    """
-    log_bf_by_scale = [log_bf for log_bf, _ in scales]
-    loc_by_scale = [locs for _, locs in scales]
-    pi_hat, lam = maximize_lambda(log_bf_by_scale)
-    return [
-        LocusResult(
-            window=window,
-            coefficient_kind=coefficient_kind,
-            log_bf=[log_bf[p] for log_bf in log_bf_by_scale],
-            locations=loc_by_scale,
-            pi_hat=pi_hat[p],
-            lambda_hat=float(lam[p]),
-            degenerate=not any(locs.size for locs in loc_by_scale),
-        )
-        for p in range(len(lam))
-    ]

@@ -228,6 +228,9 @@ def _check_config(config: PowerConfig) -> None:
     # replicate seeds are seed * stride + rep and must fit a 64-bit Philox key
     max_seed = (2**64 - config.replicates) // REPLICATE_SEED_STRIDE
     for key, ok, allowed in (
+        ("n", config.n >= 1, "at least 1"),
+        ("n_snps", config.n_snps >= 1, "at least 1"),
+        ("n_blocks", 1 <= config.n_blocks <= config.n_snps, f"in [1, n_snps = {config.n_snps}]"),
         ("flip_prob", 0.0 <= config.flip_prob <= 1.0, "in [0, 1]"),
         ("replicates", config.replicates >= 1, "at least 1"),
         ("direction_mode", config.direction_mode in ("mono", "random"), "'mono' or 'random'"),
@@ -237,7 +240,10 @@ def _check_config(config: PowerConfig) -> None:
          f"in [1, n_blocks = {config.n_blocks}]"),
         ("null_m", config.null_m >= 1, "at least 1"),
         ("seed", 0 <= config.seed <= max_seed, f"in [0, {max_seed}]"),
-        ("min_snps_per_coeff", 0.0 < config.min_snps_per_coeff < np.inf, "positive and finite"),
+        ("min_snps_per_coeff", 0.0 < config.min_snps_per_coeff < np.inf
+         and dataio.window_depth(config.n_snps, config.min_snps_per_coeff) >= 0,
+         f"positive, finite and at most n_snps / {dataio.DEFAULT_DEPTH_SLACK} = "
+         f"{config.n_snps / dataio.DEFAULT_DEPTH_SLACK:g}"),
     ):
         if not ok:
             raise ValueError(
@@ -250,10 +256,11 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
 
     Returns (rows, detail) where rows are PowerRow bins per method and
     detail is a per-replicate record list. Every replicate's phenotype is
-    drawn first into one design, whose one ``bayes.lambda1`` picks the null
-    model; then ``nullsim.screen_windows``, the window loop of ``screen``
-    too, screens the window for all of them (a degenerate screen gets
-    p = 1), and one ``gwas_lm_baseline`` call tests its SNPs. The
+    drawn first into one design; then ``nullsim.screen_windows``, the path
+    from windows to results of ``screen`` too, builds the null model of the
+    window's depth (warning when its tail fit fails) and screens the window
+    for every replicate (a degenerate screen gets p = 1), and one
+    ``gwas_lm_baseline`` call tests its SNPs. The
     configuration is checked before any of that work; an error names the
     bad key.
     """
@@ -272,14 +279,10 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
         phenotypes.append(simulate_phenotype(cohort, sig, seed=seed))
         detail.append({"replicate": rep, "k": k})
     phenotypes = np.stack(phenotypes)
-    ctx = bayes.build_design(phenotypes.T)
-    # looked up on the module, where tracing wraps it to count cache misses
-    null_model = nullsim.load_or_build_null_model(
-        bayes.lambda1(ctx), window.depth, config.null_m, config.seed, cache_dir
-    )
     # the spectra depend on the genotypes only, so one screen serves every replicate
-    results = nullsim.screen_windows([window], {window.chromosome: cohort}, ctx, ("c", "d"),
-                                     {window.depth: null_model}, threads=1)
+    results = nullsim.screen_windows(
+        [window], {window.chromosome: cohort}, bayes.build_design(phenotypes.T), ("c", "d"),
+        config.null_m, config.seed, cache_dir, config.alpha, threads=1)
     for rec, res in zip(detail * 2, results):  # every replicate's c result, then its d
         rec[f"p_ws_{res.coefficient_kind}"] = 1.0 if res.degenerate else res.p_value
     # regional GWAS decision: Bonferroni over the window's SNPs, so both

@@ -40,15 +40,19 @@ from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
 from wavescreen import wavelet
-from wavescreen.screening import locus_results, scale_log_bf, window_spectra
+from wavescreen.screening import LocusResult, maximize_lambda, scale_log_bf, window_spectra
 from wavescreen.wavelet import VARIANCE_FLOOR, haar_pyramid
 
 
 def screen_spectra(window, coeffs, degenerate, ctx, kind):
     """Screen one kind of ``window_spectra``'s output against every phenotype of
-    ``ctx``: each scale's ``scale_log_bf`` in order, then its ``locus_results``."""
-    return locus_results(window, kind, [scale_log_bf(ctx, c, deg)
-                                        for c, deg in zip(coeffs, degenerate)])
+    ``ctx``: each scale's ``scale_log_bf`` in order, then one result per
+    phenotype from ``maximize_lambda``, with no p-value."""
+    log_bfs, locs = zip(*(scale_log_bf(ctx, c, deg) for c, deg in zip(coeffs, degenerate)))
+    pi_hat, lam = maximize_lambda(log_bfs)
+    degenerate = not any(loc.size for loc in locs)
+    return [LocusResult(window, kind, [lb[p] for lb in log_bfs], list(locs), pi_hat[p],
+                        float(lam[p]), degenerate) for p in range(len(lam))]
 
 
 def screen_window(window, block, ctx, kind):
@@ -375,7 +379,7 @@ def _read_matrix_reference(path, what):
             tokens = line.split()
             if not tokens:
                 continue
-            if line_no == 1:
+            if line_no == 1 and not any(t[0] in "0123456789+-." for t in tokens):
                 try:
                     [float(t) for t in tokens]
                 except ValueError:

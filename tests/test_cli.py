@@ -222,7 +222,7 @@ class TestScreenCommand:
         # M = 3000: the floor 1/3001 is above the default threshold
         assert sorted(warnings) == [
             f"warning: GPD tail fit failed at depth {d} (no tail): its p-values are empirical, "
-            "at least 1/(M+1) = 0.000333222, above --significance-threshold 8.33333e-06, "
+            "at least 1/(M+1) = 0.000333222, above the significance threshold 8.33333e-06, "
             "so no window of this depth can pass it"
             for d in sorted(depths)
         ]
@@ -545,8 +545,9 @@ class TestNullsimCommand:
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(r"tail fit unavailable \(only 1 exceedances above u=\S+; need 30\); "
-                            r"p-values will be empirical only\n", captured.err), captured.err
+        assert re.fullmatch(r"warning: GPD tail fit failed at depth 2 \(only 1 exceedances "
+                            r"above u=\S+; need 30\): its p-values are empirical, at least "
+                            r"1/\(M\+1\) = 0\.047619\n", captured.err), captured.err
 
 
 def _fingerprint(results):
@@ -563,21 +564,26 @@ class TestScreenWindows:
     """``nullsim.screen_windows``, the window loop of ``screen`` and ``power``."""
 
     @pytest.fixture(scope="class")
-    def genome(self, genome_files):
+    def genome(self, genome_files, tmp_path_factory):
         # 200 kb windows: several on each of the three chromosomes; M = 4000
-        # draws leave 40 above the 99% quantile, enough for a tail fit
+        # draws leave 40 above the 99% quantile, enough for a tail fit. The
+        # models are cached here, so that every screen reads them back
         cohort = dataio.load_cohort(*genome_files)
         windows = dataio.define_windows(cohort, window_bp=200_000, min_snps_per_coeff=4)
         ctx = bayes.build_design(cohort.phenotype)
-        lam1 = bayes.lambda1(ctx)
-        models = {d: nullsim.load_or_build_null_model(lam1, d, 4000, 3)
-                  for d in {w.depth for w in windows}}
-        return cohort, windows, ctx, models
+        cache = str(tmp_path_factory.mktemp("null-cache"))
+        tails = [nullsim.load_or_build_null_model(bayes.lambda1(ctx), d, 4000, 3, cache).tail
+                 for d in {w.depth for w in windows}]
+
+        def screen(windows, ctx, kinds, threads):
+            return nullsim.screen_windows(windows, cohort.blocks, ctx, kinds, 4000, 3, cache,
+                                          None, threads)
+        return cohort, windows, ctx, tails, screen
 
     def test_thread_count_does_not_change_results(self, genome, monkeypatch):
-        cohort, windows, ctx, models = genome
+        cohort, windows, ctx, tails, screen = genome
         assert len({w.chromosome for w in windows}) == 3
-        assert all(m.tail is not None for m in models.values())
+        assert None not in tails
         # three threads even on a host with fewer CPUs, switching every
         # microsecond, so that windows and their jobs interleave in many ways
         monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
@@ -587,8 +593,7 @@ class TestScreenWindows:
         sys.setswitchinterval(1e-6)
         try:
             for design in (ctx, bayes.build_design(y)):
-                runs = [_fingerprint(nullsim.screen_windows(windows, cohort.blocks, design,
-                                                            ("c", "d"), models, threads))
+                runs = [_fingerprint(screen(windows, design, ("c", "d"), threads))
                         for threads in (1, 2, 3)]
                 n_pheno = design.x_tilde.shape[1]
                 assert len(runs[0]) == 2 * n_pheno * len(windows)
@@ -616,26 +621,26 @@ class TestScreenWindows:
         return threads
 
     def test_an_idle_worker_shares_a_window_jobs(self, genome, monkeypatch):
-        cohort, windows, ctx, models = genome
+        _, windows, ctx, _, screen = genome
         largest = max(windows, key=lambda w: w.n_snps)
-        alone = nullsim.screen_windows([largest], cohort.blocks, ctx, ("c", "d"), models, 1)
+        alone = screen([largest], ctx, ("c", "d"), 1)
         monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
         threads = self._transform_threads(monkeypatch)
-        shared = nullsim.screen_windows([largest], cohort.blocks, ctx, ("c", "d"), models, 2)
+        shared = screen([largest], ctx, ("c", "d"), 2)
         assert len(threads) == 2
         assert _fingerprint(shared) == _fingerprint(alone)
 
     def test_pool_has_at_most_one_thread_per_usable_cpu(self, genome, monkeypatch):
-        cohort, windows, ctx, models = genome
+        _, windows, ctx, _, screen = genome
         assert len(windows) > 2
         monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
         threads = self._transform_threads(monkeypatch)
-        nullsim.screen_windows(windows, cohort.blocks, ctx, ("c", "d"), models, 8)
+        screen(windows, ctx, ("c", "d"), 8)
         assert len(threads) == 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_job_cancels_its_window_jobs(self, genome, monkeypatch, threads):
-        cohort, windows, ctx, models = genome
+        cohort, windows, ctx, _, screen = genome
         target = sorted(windows, key=lambda w: w.n_snps, reverse=True)[1]
         # every coefficient of the target window ranks the individuals in one
         # order, ascending for c and descending for d, so the scores that reach
@@ -666,7 +671,7 @@ class TestScreenWindows:
         with pytest.raises(RuntimeError, match=re.escape(
                 f"window {target.chromosome}:{target.start_bp}-{target.end_bp} (d): "
                 "singular design")):
-            nullsim.screen_windows(windows, cohort.blocks, ctx, ("c", "d"), models, threads)
+            screen(windows, ctx, ("c", "d"), threads)
         ran = list(calls)
         time.sleep(0.05)
         assert calls == ran  # no job of the window runs after the screen returns
@@ -677,15 +682,13 @@ class TestScreenWindows:
             assert ran == ["c", "d"]
 
     def test_each_phenotype_of_a_batch_screens_as_its_own_design(self, genome):
-        cohort, windows, _, models = genome
+        cohort, windows, _, _, screen = genome
         rng = np.random.default_rng(8)
         y = np.column_stack([cohort.phenotype, rng.standard_normal((cohort.n, 2))])
-        batch = nullsim.screen_windows(windows, cohort.blocks, bayes.build_design(y),
-                                       ("c", "d"), models, 2)
+        batch = screen(windows, bayes.build_design(y), ("c", "d"), 2)
         assert len(batch) == 3 * 2 * len(windows)
         for p in range(3):
-            alone = nullsim.screen_windows(windows, cohort.blocks, bayes.build_design(y[:, p]),
-                                           ("c", "d"), models, 1)
+            alone = screen(windows, bayes.build_design(y[:, p]), ("c", "d"), 1)
             assert _fingerprint(batch[p::3]) == _fingerprint(alone)
 
     @pytest.mark.parametrize("module, attr, kinds, named", [
@@ -694,7 +697,7 @@ class TestScreenWindows:
     ], ids=["p_value", "window_spectra"])
     def test_error_names_the_window_and_kind(self, genome, monkeypatch, module, attr, kinds,
                                              named):
-        cohort, windows, ctx, models = genome
+        _, windows, ctx, _, screen = genome
 
         def failing(*_):
             raise ValueError("tail fit unusable")
@@ -703,7 +706,7 @@ class TestScreenWindows:
         w = windows[0]
         with pytest.raises(RuntimeError, match=re.escape(
                 f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({named}): tail fit unusable")):
-            nullsim.screen_windows(windows, cohort.blocks, ctx, kinds, models, 2)
+            screen(windows, ctx, kinds, 2)
 
 
 class TestPowerCommand:
@@ -723,6 +726,22 @@ class TestPowerCommand:
         detail = (out / "power_detail.tsv").read_text().splitlines()
         assert len(detail) == 4  # header + 3 replicates
 
+    def test_null_with_no_tail_is_reported(self, tmp_path, capsys):
+        # 500 draws leave 5 above their 99% quantile, and the fit needs 30:
+        # the floor 1/501 is above alpha, so no replicate can be detected
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text(
+            "n = 300\nn_snps = 64\nn_blocks = 4\nreplicates = 2\n"
+            "heritability = 0.1\nmax_components = 4\nnull_m = 500\n"
+            "min_snps_per_coeff = 8\n"
+        )
+        assert main(["power", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: GPD tail fit failed at depth 3 \(only 5 exceedances "
+                            r"above u=\S+; need 30\): its p-values are empirical, at least "
+                            r"1/\(M\+1\) = 0\.00199601, above the significance threshold "
+                            r"0\.0001, so no window of this depth can pass it\n", err), err
+
     @pytest.mark.parametrize("line, key", [
         ("replicates = 0", "replicates"),
         ("direction_mode = sideways", "direction_mode"),
@@ -734,9 +753,14 @@ class TestPowerCommand:
         ("alpha = 2", "alpha"),
         ("alpha = 0", "alpha"),
         ("null_m = 0", "null_m"),
+        ("n = 0", "n"),
+        ("n_snps = 0", "n_snps"),
+        ("n_blocks = 0", "n_blocks"),
+        ("n_blocks = 65", "n_blocks"),
         ("min_snps_per_coeff = 0", "min_snps_per_coeff"),
         ("min_snps_per_coeff = -1", "min_snps_per_coeff"),
         ("min_snps_per_coeff = nan", "min_snps_per_coeff"),
+        ("min_snps_per_coeff = 68", "min_snps_per_coeff"),  # no window of 64 SNPs
     ])
     def test_bad_config_value_exits_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     line, key):
@@ -751,7 +775,7 @@ class TestPowerCommand:
         rc = main(["power", "--config", str(cfg), "--output-dir", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: power config {key} = ")
-        assert not (out / "null-cache").exists()
+        assert not out.exists()
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -224,6 +224,31 @@ class TestLoadCohort:
                 dataio.load_cohort(geno, pheno, cov)
         read_dosages.assert_not_called()
 
+    @pytest.mark.parametrize("name, lines, message", [
+        ("pheno.tsv", ["1.0x", "2", "3"], "line 1: non-numeric phenotype: '1.0x'"),
+        ("pheno.tsv", ["-", "2", "3"], "line 1: non-numeric phenotype: '-'"),
+        ("pheno.tsv", ["y +1y", "2", "3"], "line 1: non-numeric phenotype: 'y'"),
+        ("cov.tsv", [".5x 1", "2 1", "3 0"], "line 1: non-numeric covariate: '.5x'"),
+    ], ids=["digit", "sign", "one_numeric_field", "covariate"])
+    def test_first_line_that_starts_like_a_number_is_data(self, tmp_path, name, lines,
+                                                          message):
+        # a typo in the first value was once taken for a header row, so the
+        # file came up one row short
+        geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2\t0"])
+        pheno = _write(tmp_path, lines if name == "pheno.tsv" else ["2", "1", "3"],
+                       name="pheno.tsv")
+        cov = _write(tmp_path, lines, name="cov.tsv") if name == "cov.tsv" else None
+        for loader in (dataio.load_cohort, load_cohort_reference):
+            with pytest.raises(DataError) as exc:
+                loader(geno, pheno, cov)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("header", ["pheno", "FID IID y", "y"])
+    def test_first_line_of_names_is_a_header(self, tmp_path, header):
+        geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2\t0"])
+        pheno = _write(tmp_path, [header, "2", "1", "3"], name="pheno.tsv")
+        np.testing.assert_array_equal(dataio.load_cohort(geno, pheno).phenotype, [2, 1, 3])
+
     @pytest.mark.parametrize("eol", ["\r\n", "\r"])
     def test_line_endings(self, tmp_path, eol):
         # text mode splits lines at each of them, and so does the loader; a

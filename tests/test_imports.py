@@ -1,7 +1,8 @@
 """Every module-level import of the package and of the tests is used, the
 command line starts without ``scipy.stats`` or ``scipy.optimize``, no
 module of the package imports ``scipy.optimize`` at all, only
-``dataio`` makes temporary files and renames them into place, and every
+``dataio`` makes temporary files and renames them into place, only
+``nullsim.screen_windows`` and ``cli.cmd_nullsim`` get null models, and every
 exception class the package defines is caught somewhere in it."""
 
 import ast
@@ -124,6 +125,44 @@ def test_only_dataio_replaces_files(path):
     # dataio.replace_file writes both caches: a second writer is how the two
     # drifted apart before (one synced its file, the other did not)
     assert file_replacements(path.read_text(encoding="utf-8")) == []
+
+
+def null_model_callers(source: str) -> list[str]:
+    """Functions of the source, by their dotted names within it, that call
+    ``load_or_build_null_model`` by name or as an attribute."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(n, ast.Call) and _name(n.func) == "load_or_build_null_model"
+                        for n in ast.walk(child)):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_detects_a_null_model_caller():
+    source = ("def a():\n    nullsim.load_or_build_null_model(1, 2, 3, 4)\n"
+              "def b():\n    return load_or_build_null_model\n"
+              "class C:\n    def d(self):\n        def e():\n"
+              "            load_or_build_null_model()\n        return e\n")
+    assert null_model_callers(source) == ["C.d", "C.d.e", "a"]
+
+
+def test_only_the_screen_path_and_nullsim_get_null_models():
+    # one model per window depth, and how a failed tail fit is reported, is
+    # decided in one place: a second caller is how screen and power came to
+    # build and report them apart
+    callers = [f"{path.stem}.{name}" for path in PACKAGE
+               for name in null_model_callers(path.read_text(encoding="utf-8"))]
+    assert callers == ["cli.cmd_nullsim", "nullsim.screen_windows"]
 
 
 def _name(node) -> str:
