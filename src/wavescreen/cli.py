@@ -92,10 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=_seed, required=True)
     s.add_argument("--threads", type=_positive_int, default=1,
                    help="screen windows, and share the rank transforms and Bayes "
-                        "factors of each window's scales, on this many threads, parse "
-                        "the genotype dosages in this many processes and, with a "
-                        "parsed-dosage cache, hash the genotype file on this many "
-                        "threads (at most one per usable CPU)")
+                        "factors of each window's scales, on this many threads, "
+                        "simulate the null samples missing from the cache on this "
+                        "many threads, parse the genotype dosages in this many "
+                        "processes and, with a parsed-dosage cache, hash the "
+                        "genotype file on this many threads (at most one per "
+                        "usable CPU)")
     s.add_argument("--significance-threshold", default=0.05 / 6000,
                    type=_checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"))
     s.add_argument("--output-dir", required=True)
@@ -233,7 +235,7 @@ def cmd_screen(args) -> int:
 def cmd_nullsim(args) -> int:
     cache = _cache_dir(args.output_dir)
     tail = nullsim.load_or_build_null_model(args.lambda1, args.depth, args.m, args.seed,
-                                            cache).tail
+                                            cache, threads=dataio._usable_cpus()).tail
     if tail is not None:  # a failed fit has been reported
         print(f"threshold u = {_fmt(tail.threshold)} (99% quantile, "
               f"{tail.n_exceedances} exceedances)")

@@ -58,16 +58,21 @@ class NullModel:
     tail_error: str | None = None  # why the fit failed, when it did
 
 
-def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
+def simulate_null(lambda1: float, depth: int, M: int, seed: int,
+                  threads: int = 1) -> np.ndarray:
     """Simulate M maximized Lambda values under the null; returns them sorted.
 
     Per replicate, each coefficient (2^s per scale s = 0..depth) draws
     Q = z^2 ~ chi2(1), z standard normal, and
     log BF = (lambda1*Q + log(1-lambda1))/2; Lambda_hat is the exponential
     of the summed per-scale maxima of log Lambda_s(pi_s)
-    (``screening.max_log_lambda``). Chunks use independent counter-based RNG
-    streams keyed by (seed, chunk index), so the output is identical
-    regardless of scheduling.
+    (``screening.max_log_lambda``). Chunks of ``SIM_CHUNK`` replicates use
+    independent counter-based RNG streams keyed by (seed, chunk index) and
+    each writes its own slice of the output, so the sample is bitwise the same
+    at any thread count. They run on a pool of ``threads`` threads, at most
+    one per chunk and per usable CPU; each thread holds one chunk's draws,
+    ``SIM_CHUNK`` x 2^depth doubles at the deepest scale, plus the solver's
+    temporaries of that size.
     """
     if not 0.0 < lambda1 < 1.0:
         raise ValueError("lambda1 must lie in (0, 1)")
@@ -78,7 +83,8 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
     log_const = math.log1p(-lambda1)
     out = np.empty(M)
     n_chunks = (M + SIM_CHUNK - 1) // SIM_CHUNK
-    for ci in range(n_chunks):
+
+    def chunk(ci):
         lo = ci * SIM_CHUNK
         hi = min(lo + SIM_CHUNK, M)
         rng = np.random.Generator(
@@ -93,7 +99,10 @@ def simulate_null(lambda1: float, depth: int, M: int, seed: int) -> np.ndarray:
             log_bf += log_const
             log_bf *= 0.5
             log_lam += screening.max_log_lambda(log_bf)[1]
-        out[lo:hi] = np.exp(log_lam)
+        np.exp(log_lam, out=out[lo:hi])
+
+    with ThreadPoolExecutor(max_workers=min(threads, n_chunks, dataio._usable_cpus())) as pool:
+        list(pool.map(chunk, range(n_chunks)))  # reads every result, so raises a chunk's error
     out.sort()
     return out
 
@@ -205,14 +214,16 @@ def screen_windows(windows, blocks, ctx, kinds, M, seed, cache_dir, threshold, t
     phenotype, its p-value from the null model of the window's depth for each
     non-degenerate one. Those models, one per distinct depth in ascending
     order, come from ``load_or_build_null_model`` on the design constant of
-    ``ctx`` and ``M``, ``seed``, ``cache_dir`` and ``threshold``. Windows and
+    ``ctx`` and ``M``, ``seed``, ``cache_dir`` and ``threshold``, and a missing
+    sample is simulated on ``threads`` threads. Windows and
     jobs share one pool of ``threads`` threads, at most one per usable CPU. A
     window's task submits its jobs, largest scale first, runs each one that no
     worker has started and waits on the rest, so workers with no window left to
     start take a share of the last windows' jobs. Results come in (chromosome,
     start, kind, phenotype) order; an error names its window and kind."""
     lam1 = bayes.lambda1(ctx)
-    models = {depth: load_or_build_null_model(lam1, depth, M, seed, cache_dir, threshold)
+    models = {depth: load_or_build_null_model(lam1, depth, M, seed, cache_dir, threshold,
+                                              threads)
               for depth in sorted({w.depth for w in windows})}
 
     def run(w):
@@ -322,10 +333,10 @@ def _load_sample(path: str, header: str, M: int) -> np.ndarray | None:
 
 def load_or_build_null_model(
     lambda1: float, depth: int, M: int, seed: int, cache_dir: str | None = None,
-    threshold: float | None = None,
+    threshold: float | None = None, threads: int = 1,
 ) -> NullModel:
-    """The null model for this exact key: simulated, or reused from the cache,
-    with its tail fitted.
+    """The null model for this exact key: simulated on ``threads`` threads
+    (``simulate_null``), or reused from the cache, with its tail fitted.
 
     A cache file holds the sample only, and every load fits its tail, so a
     model's tail always comes from this fit. A cache file that cannot be
@@ -342,7 +353,7 @@ def load_or_build_null_model(
         sample = _load_sample(path, _cache_header(lambda1, depth, M, seed), M)
     missed = sample is None
     if missed:
-        sample = simulate_null(lambda1, depth, M, seed)
+        sample = simulate_null(lambda1, depth, M, seed, threads)
     try:
         model = NullModel(sample, fit_gpd_tail(sample))
     except GPDFitError as exc:

@@ -20,7 +20,7 @@ from wavescreen.dataio import ChromosomeBlock, Window
 
 # names the Lambda-hat solver in null-cache keys, so samples drawn by an
 # earlier solver are rebuilt rather than reused
-SOLVER_VERSION = "newton1"
+SOLVER_VERSION = "newton2"
 
 # rows of the interpolation weights per block of ``_centered_product``
 _ROW_BLOCK = 64
@@ -48,9 +48,11 @@ def max_log_lambda(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g(pi) = sum_l (BF_l - 1) / (1 + pi (BF_l - 1)) decides boundary rows
     exactly from its sign at 0 and 1. Interior rows run Newton's method on g
     inside a bracket [lo, hi] that always holds the root, bisecting whenever
-    a Newton step would leave it; a row stops when g is exactly zero or the
-    bracket can no longer be split. pi = 0 gives exactly 0, so a row whose
-    objective rounds below 0 returns pi = 0, and log_lambda_hat >= 0.
+    a Newton step would leave it. A row stops once its score is zero to
+    rounding, |g(x)| <= 1e-15 sum_l |t_l| with t_l the summands of g at the
+    point x just evaluated, or once its bracket can no longer be split; its
+    pi_hat is that x, always inside the bracket. pi = 0 gives exactly 0, so a
+    row whose objective rounds below 0 returns pi = 0, and log_lambda_hat >= 0.
     """
     bf = np.exp(np.atleast_2d(np.asarray(log_bf, dtype=float)))
     b = bf - 1.0
@@ -68,7 +70,9 @@ def max_log_lambda(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hi = np.where(g < 0.0, x, hi)
         newton = x + g / np.sum(t * t, axis=1)
         mid = 0.5 * (lo + hi)
-        done = (g == 0.0) | (mid <= lo) | (mid >= hi)
+        # a score zero to the rounding of its sum; t is not read again
+        zero = np.abs(g) <= 1e-15 * np.sum(np.abs(t, out=t), axis=1)
+        done = zero | (mid <= lo) | (mid >= hi)
         pi[rows[done]] = x[done]
         keep = ~done
         x = np.where((lo < newton) & (newton < hi), newton, mid)[keep]

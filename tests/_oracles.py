@@ -20,7 +20,9 @@ pass for tests that screen one kind at a time.
 ``generate_genotypes_reference`` is the first genotype simulator, which drew
 each haplotype's flips as one (n_snps, n) array and made positions strictly
 increasing one at a time. ``max_log_lambda_reference`` is the Lambda-hat
-solver as it was before it skipped the log1p sum on pi = 0 rows.
+solver as it was before it skipped the log1p sum on pi = 0 rows, and
+``max_log_lambda_newton1`` the one before it stopped a row on a score zero to
+rounding, which kept a row in its loop until its bracket could not be split.
 ``window_spectra_reference`` is the spectra pass as it was before it
 streamed the interpolation: one product of the weights with a centered copy
 of the whole window's dosages (``block_sums_reference``), with its degenerate
@@ -253,6 +255,38 @@ def lambda_max_grid(bfs_by_scale, step=1e-3):
 
 def max_log_lambda_reference(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``screening.max_log_lambda`` summing log1p over every row, pi = 0 rows too."""
+    bf = np.exp(np.atleast_2d(np.asarray(log_bf, dtype=float)))
+    b = bf - 1.0
+    pi = np.zeros(bf.shape[0])
+    score1 = np.sum(b / bf, axis=1)
+    pi[score1 >= 0.0] = 1.0
+    rows = np.flatnonzero((np.sum(b, axis=1) > 0.0) & (score1 < 0.0))
+    x = np.full(len(rows), 0.5)
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    while rows.size:
+        br = b[rows]
+        t = br / (1.0 + x[:, None] * br)
+        g = np.sum(t, axis=1)
+        lo = np.where(g > 0.0, x, lo)
+        hi = np.where(g < 0.0, x, hi)
+        newton = x + g / np.sum(t * t, axis=1)
+        mid = 0.5 * (lo + hi)
+        zero = np.abs(g) <= 1e-15 * np.sum(np.abs(t), axis=1)
+        done = zero | (mid <= lo) | (mid >= hi)
+        pi[rows[done]] = x[done]
+        keep = ~done
+        x = np.where((lo < newton) & (newton < hi), newton, mid)[keep]
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    log_lam = np.sum(np.log1p(pi[:, None] * b), axis=1)
+    below = log_lam < 0.0
+    pi[below] = 0.0
+    log_lam[below] = 0.0
+    return pi, log_lam
+
+
+def max_log_lambda_newton1(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solver of null-cache key ``newton1``: a row left its loop only when
+    its score was exactly zero or its bracket could no longer be split."""
     bf = np.exp(np.atleast_2d(np.asarray(log_bf, dtype=float)))
     b = bf - 1.0
     pi = np.zeros(bf.shape[0])

@@ -536,6 +536,25 @@ class TestNullsimCommand:
         out = capsys.readouterr().out
         assert "threshold u" in out and "shape xi" in out and "scale beta" in out
 
+    def test_writes_the_file_screen_writes(self, cohort_files, tmp_path, monkeypatch):
+        # nullsim simulates on every usable CPU and screen --threads 1 on one
+        # thread; a key's file is the same byte for byte
+        geno, pheno = cohort_files
+        monkeypatch.delenv("WAVESCREEN_CACHE_DIR", raising=False)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        args = _screen_args(geno, pheno, str(tmp_path / "screen"), threads=1)
+        args[args.index("--m") + 1] = str(2 * nullsim.SIM_CHUNK + 1)  # three chunks
+        assert main(args) == 0
+        files = sorted((tmp_path / "screen" / "null-cache").glob("null_*.tsv"))
+        assert files
+        for path in files:
+            key = dict(zip(*(line.split("\t") for line in path.read_text().splitlines()[:2])))
+            out = tmp_path / f"nullsim_d{key['depth']}"
+            assert main(["nullsim", "--lambda1", repr(float.fromhex(key["lambda1"])),
+                         "--depth", key["depth"], "--m", key["M"], "--seed", key["seed"],
+                         "--output-dir", str(out)]) == 0
+            assert (out / "null-cache" / path.name).read_bytes() == path.read_bytes()
+
     def test_failed_tail_fit_says_why(self, tmp_path, capsys):
         # 20 draws leave one above their 99% quantile, and the fit needs 30
         rc = main([

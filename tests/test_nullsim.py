@@ -2,13 +2,15 @@
 
 import math
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import genpareto, chi2
 
 from _oracles import gpd_fit_reference, gpd_negloglik
-from wavescreen import nullsim, screening
+from wavescreen import dataio, nullsim, screening
 from wavescreen.nullsim import (
     GPDFitError,
     GPDTail,
@@ -63,6 +65,37 @@ class TestSimulateNull:
         # stops short of it can return Lambda_hat < 1, which p_value rejects
         sample = simulate_null(0.1, depth=6, M=20_000, seed=3)
         assert sample[0] >= 1.0
+
+    def test_thread_count_does_not_change_the_sample(self, monkeypatch):
+        # eight usable CPUs, so that eight threads are clamped to the three
+        # chunks; switching every microsecond interleaves the chunks
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(nullsim, "ThreadPoolExecutor", Recorded)
+        M = 2 * nullsim.SIM_CHUNK + 100
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            samples = [simulate_null(0.5, 3, M, 7, threads) for threads in (1, 2, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [1, 2, 3]
+        assert samples[0].tobytes() == samples[1].tobytes() == samples[2].tobytes()
+        assert np.all(np.diff(samples[0]) >= 0)
+
+    def test_chunk_error_is_raised(self, monkeypatch):
+        def failing(log_bf):
+            raise FloatingPointError("solver failed")
+
+        monkeypatch.setattr(screening, "max_log_lambda", failing)
+        with pytest.raises(FloatingPointError, match="^solver failed$"):
+            simulate_null(0.5, 1, 3 * nullsim.SIM_CHUNK, 0, threads=2)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match=r"^lambda1 must lie in \(0, 1\)$"):
@@ -362,7 +395,7 @@ class TestCache:
         monkeypatch.setattr(nullsim, "simulate_null",
                             lambda *a, _sim=simulate_null: calls.append(a) or _sim(*a))
         again = load_or_build_null_model(0.7, 1, 5000, 10, str(tmp_path))
-        assert calls == [(0.7, 1, 5000, 10)]
+        assert calls == [(0.7, 1, 5000, 10, 1)]
         np.testing.assert_array_equal(again.sample, model.sample)
         assert again.tail == model.tail
         assert path.read_text() == good

@@ -22,6 +22,7 @@ from wavescreen.screening import (
 from _oracles import (
     block_sums_reference,
     lambda_max_grid,
+    max_log_lambda_newton1,
     max_log_lambda_reference,
     screen_spectra,
     screen_window,
@@ -164,6 +165,40 @@ class TestSolverMatchesReference:
             _, log_lam_ref = max_log_lambda_reference(log_bf)
         assert np.isnan(log_lam[0]) and np.isnan(log_lam_ref[0])
         assert log_lam[1] == log_lam_ref[1] == 0.0
+
+
+def _null_log_bf(lambda1, z):
+    return 0.5 * (lambda1 * z * z + np.log1p(-lambda1))
+
+
+def _assert_near_newton1(log_bf):
+    pi, log_lam = max_log_lambda(log_bf)
+    pi_ref, log_lam_ref = max_log_lambda_newton1(log_bf)
+    assert np.max(np.abs(pi - pi_ref)) <= 1e-13
+    assert np.max(np.abs(log_lam - log_lam_ref)) <= 1e-13
+
+
+class TestSolverMatchesNewton1:
+    """Stopping a row on a score zero to rounding moves pi_hat and log Lambda_hat
+    by no more than rounding from the solver that split each bracket to its end."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([0.1, 0.98, 0.9997]), st.integers(0, 9), st.integers(0, 2**32 - 1))
+    def test_null_draws(self, lambda1, scale, seed):
+        z = np.random.default_rng(seed).standard_normal((64, 1 << scale))
+        _assert_near_newton1(_null_log_bf(lambda1, z))
+
+    def test_one_sided_row(self):
+        # row 1366 of chunk 0, scale 6, of simulate_null(0.1, 6, M, seed=1):
+        # Newton reaches its fixed point from one side on the fourth pass, and
+        # the newton1 solver then bisected its bracket for dozens of passes
+        rng = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
+        for s in range(7):
+            z = rng.standard_normal(size=(nullsim.SIM_CHUNK, 1 << s))
+        row = _null_log_bf(0.1, z[1366:1367])
+        _assert_near_newton1(row)
+        _assert_matches_reference(row)
+        assert 0.0 < max_log_lambda(row)[0][0] < 1.0
 
 
 class TestPosteriorAndFisher:

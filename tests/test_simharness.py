@@ -1,11 +1,13 @@
 """Synthetic cohorts, planted signals and the GWAS baseline."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from _oracles import generate_genotypes_reference, screen_window
-from wavescreen import bayes, nullsim, screening, simharness, wavelet
+from wavescreen import bayes, dataio, nullsim, screening, simharness, wavelet
 from wavescreen.simharness import (
     PowerConfig,
     generate_genotypes,
@@ -205,6 +207,26 @@ class TestPowerExperiment:
         assert list(tmp_path.glob("null_*.tsv"))
         _, detail2 = power_experiment(cfg, cache_dir=str(tmp_path))
         assert detail1 == detail2
+
+    def test_asks_for_one_worker(self, tmp_path, monkeypatch):
+        # on eight usable CPUs, the cold null simulation, over three chunks,
+        # and the screen each ask for one thread: more would give each its
+        # own malloc arena and raise the run's peak memory
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 8)
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(nullsim, "ThreadPoolExecutor", Recorded)
+        cfg = PowerConfig(
+            n=300, n_snps=64, n_blocks=4, replicates=2, heritability=0.1,
+            max_components=4, null_m=2 * nullsim.SIM_CHUNK + 1, seed=2, min_snps_per_coeff=8,
+        )
+        power_experiment(cfg, cache_dir=str(tmp_path))
+        assert pools == [1, 1]  # the simulation's pool, then the screen's
 
     def test_window_work_is_built_once(self, monkeypatch):
         cfg = PowerConfig(
