@@ -205,9 +205,11 @@ def scale_log_bf(ctx: DesignContext, coeffs: np.ndarray,
     (log_bf, locations): the (P, k) log BFs, a row per phenotype of ``ctx``,
     of the k live coefficients at ``locations``. The Blom scores of a row
     depend on that row alone, so transforming only the live rows gives each
-    the scores a transform of the whole scale would.
+    the scores a transform of the whole scale would; a scale with every row
+    live is transformed as it is, not copied.
     """
     locs = np.flatnonzero(~degenerate)
     if not locs.size:
         return np.empty((ctx.x_tilde.shape[1], 0)), locs
-    return log_bayes_factor(ctx, wavelet.quantile_transform(coeffs[locs]).T), locs
+    live = coeffs if locs.size == len(coeffs) else coeffs[locs]
+    return log_bayes_factor(ctx, wavelet.quantile_transform(live).T), locs

@@ -27,6 +27,9 @@ rounding, which kept a row in its loop until its bracket could not be split.
 streamed the interpolation: one product of the weights with a centered copy
 of the whole window's dosages (``block_sums_reference``), with its degenerate
 flags from ``quantile_transform_reference``.
+``simulate_null_reference`` is the null simulation as it was before it drew
+and solved a scale in row blocks: one chunk after another, each scale one
+(chunk rows, 2^s) draw and one solver call.
 ``gpd_fit_reference`` is the first GPD tail fit: the two-parameter negative
 log-likelihood minimized by Nelder-Mead, where ``wavescreen.nullsim``
 maximizes the likelihood's one-dimensional profile.
@@ -41,8 +44,9 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtri
 
 from wavescreen.dataio import ChromosomeBlock, CohortData, DataError
-from wavescreen import wavelet
-from wavescreen.screening import LocusResult, maximize_lambda, scale_log_bf, window_spectra
+from wavescreen import nullsim, wavelet
+from wavescreen.screening import (LocusResult, max_log_lambda, maximize_lambda, scale_log_bf,
+                                  window_spectra)
 from wavescreen.wavelet import VARIANCE_FLOOR, haar_pyramid
 
 
@@ -313,6 +317,30 @@ def max_log_lambda_newton1(log_bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pi[below] = 0.0
     log_lam[below] = 0.0
     return pi, log_lam
+
+
+def simulate_null_reference(lambda1, depth, M, seed):
+    """``nullsim.simulate_null``'s sorted sample, drawn a whole scale of a chunk at once."""
+    log_const = math.log1p(-lambda1)
+    out = np.empty(M)
+    for ci in range((M + nullsim.SIM_CHUNK - 1) // nullsim.SIM_CHUNK):
+        lo = ci * nullsim.SIM_CHUNK
+        hi = min(lo + nullsim.SIM_CHUNK, M)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, ci], dtype=np.uint64))
+        )
+        log_lam = np.zeros(hi - lo)
+        for s in range(depth + 1):
+            # log BF = 0.5 * (lambda1 * z^2 + log_const), computed in place
+            log_bf = rng.standard_normal(size=(hi - lo, 1 << s))
+            np.square(log_bf, out=log_bf)
+            log_bf *= lambda1
+            log_bf += log_const
+            log_bf *= 0.5
+            log_lam += max_log_lambda(log_bf)[1]
+        np.exp(log_lam, out=out[lo:hi])
+    out.sort()
+    return out
 
 
 def generate_genotypes_reference(n, n_snps, n_blocks=28, flip_prob=0.1,

@@ -3,13 +3,14 @@
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import genpareto, chi2
 
-from _oracles import gpd_fit_reference, gpd_negloglik
+from _oracles import gpd_fit_reference, gpd_negloglik, simulate_null_reference
 from wavescreen import dataio, nullsim, screening
 from wavescreen.nullsim import (
     GPDFitError,
@@ -88,6 +89,34 @@ class TestSimulateNull:
         assert pools == [1, 2, 3]
         assert samples[0].tobytes() == samples[1].tobytes() == samples[2].tobytes()
         assert np.all(np.diff(samples[0]) >= 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("lam, depth, M", [
+        (0.1, 6, 2 * nullsim.SIM_CHUNK + 700),
+        (0.9997, 9, nullsim.SIM_CHUNK + 1),
+        (0.5, 0, nullsim.SIM_CHUNK + 700),
+    ])
+    def test_row_blocks_draw_the_whole_scale_stream(self, monkeypatch, lam, depth, M, rows,
+                                                    threads):
+        # 3 rows a block at the deepest scale, 3 x 2^k at k scales above it: no
+        # block size divides a chunk, so every scale ends on a partial block
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        if rows is not None:
+            monkeypatch.setattr(nullsim, "SIM_BLOCK", rows << depth)
+        got = simulate_null(lam, depth, M, 5, threads)
+        assert got.tobytes() == simulate_null_reference(lam, depth, M, 5).tobytes()
+
+    def test_a_thread_holds_blocks_not_chunks(self):
+        # a whole depth-9 chunk is 16 MiB of draws, and the solver's
+        # temporaries three times that
+        tracemalloc.start()
+        try:
+            simulate_null(0.984, 9, 4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_chunk_error_is_raised(self, monkeypatch):
         def failing(log_bf):
@@ -309,6 +338,15 @@ class TestCache:
         load_or_build_null_model(0.7, 1, 2000, 10, str(tmp_path))
         assert calls == ["fsync", "replace"]
         assert _cache_files(tmp_path) == [nullsim._cache_name(0.7, 1, 2000, 10)]
+
+    def test_file_holds_each_value_as_17_significant_digits(self, tmp_path):
+        sample = np.array([5e-324, 2.2250738585072014e-308, 1.0, 3.0, 1e16,
+                           0.1 + 0.2, 1.2345678901234567, 123456789.01234567])
+        save_null_model(NullModel(sample), 0.7, 1, 10, str(tmp_path))
+        path = tmp_path / nullsim._cache_name(0.7, 1, len(sample), 10)
+        want = (nullsim._cache_header(0.7, 1, len(sample), 10) + "lambda_hat\n"
+                + "".join(f"{v:.17g}\n" for v in sample.tolist()))
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.stats import chi2
 
-from wavescreen import bayes, dataio, nullsim, screening, simharness
+from wavescreen import bayes, dataio, nullsim, screening, simharness, wavelet
 from wavescreen.screening import (
     fisher_combine,
     max_log_lambda,
@@ -320,6 +320,23 @@ class TestScreenWindow:
         flipped = dataclasses.replace(cohort, dosages=2.0 - cohort.dosages)
         res_f = screen_window(window, flipped, ctx, "d")
         assert res_f.lambda_hat == res.lambda_hat
+
+
+class TestScaleLogBF:
+    def test_live_rows_reach_the_transform_and_a_live_scale_is_not_copied(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        coeffs = rng.standard_normal((4, 30))
+        ctx = bayes.build_design(rng.standard_normal(30))
+        transform, seen = wavelet.quantile_transform, []
+        monkeypatch.setattr(wavelet, "quantile_transform",
+                            lambda rows: seen.append(rows) or transform(rows))
+        log_bf, locs = screening.scale_log_bf(ctx, coeffs, np.zeros(4, dtype=bool))
+        assert seen[0] is coeffs and np.array_equal(locs, np.arange(4))
+        want = bayes.log_bayes_factor(ctx, transform(coeffs[np.arange(4)]).T)
+        assert log_bf.tobytes() == want.tobytes()
+        _, locs = screening.scale_log_bf(ctx, coeffs, np.array([False, True, False, False]))
+        assert np.array_equal(locs, [0, 2, 3])
+        assert seen[1].tobytes() == coeffs[[0, 2, 3]].tobytes()
 
 
 class TestStreamedInterpolation:
