@@ -21,10 +21,18 @@ import numpy as np
 MIN_IMPUTATION_QUALITY = 0.7
 # Names what a dosage cache entry holds and how: bump the number whenever the
 # genotype parse changes what it keeps or the digest changes how it is taken
-# (2: the leaf tree of ``_file_digest``); the IQ cut and byte order are part of
-# the name as they are, so an entry made under other ones is not read.
-_DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-2-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
+# (2: the leaf tree of ``_file_digest``; 3: the store named in the header); the
+# IQ cut and byte order are part of the name as they are, so an entry made
+# under other ones is not read.
+_DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-3-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
                        f"-{sys.byteorder}")
+# The two dosage stores, by the name a cache entry's header gives them. A
+# dosage g read from text is held as the code c = rint(1e4 g) when c / 1e4,
+# which IEEE division rounds correctly, is the parsed double itself: every
+# value in [0, 2] written with at most 4 decimals is. A file with any kept
+# dosage that is not keeps them all as float64.
+_STORES = {"codes": np.dtype(np.uint16), "float64": np.dtype(np.float64)}
+_CODE_SCALE = 1e4
 # A dosage cache entry names the genotype file's bytes by the sha256 of the
 # concatenated sha256 digests of its consecutive leaves of this many bytes,
 # so that the leaves can be hashed on several threads.
@@ -45,16 +53,42 @@ class DataError(ValueError):
 
 @dataclass
 class ChromosomeBlock:
-    """All retained SNPs of one chromosome, sorted by position."""
+    """All retained SNPs of one chromosome, sorted by position.
+
+    ``store`` holds the (n_snps, n_individuals) dosages as a cohort file's
+    parse left them: uint16 codes c, each dosage's c / 1e4, when every kept
+    dosage of the file is exact at 4 decimals (2 bytes a dosage), and
+    float64 dosages otherwise and in synthetic cohorts (8 bytes a dosage).
+    Only ``dosages`` reads it, and gives the same doubles from either.
+    """
 
     chromosome: str
     positions: np.ndarray  # int64, strictly increasing
     imputation_quality: np.ndarray
-    dosages: np.ndarray  # (n_snps, n_individuals)
+    store: np.ndarray
 
     @property
     def n_snps(self) -> int:
         return len(self.positions)
+
+    @property
+    def n(self) -> int:
+        return self.store.shape[1]
+
+    def dosages(self, rows=slice(None), minus: float = 0.0) -> np.ndarray:
+        """The float64 dosages of the SNPs ``rows`` (any numpy index) less ``minus``.
+
+        Codes decode to c / 1e4, bitwise the parsed double (a ``-0`` token
+        gives +0.0), into a new array that ``minus`` is taken from in place.
+        A float64 store gives a view of itself when ``minus`` is 0 and
+        ``rows`` a slice, so it is never copied whole.
+        """
+        if self.store.dtype == _STORES["codes"]:
+            values = np.divide(self.store[rows], _CODE_SCALE)
+            if minus:
+                values -= minus
+            return values
+        return self.store[rows] - minus if minus else self.store[rows]
 
 
 @dataclass
@@ -284,16 +318,28 @@ def _row_texts(fd: int, spans: np.ndarray, lo: int, hi: int) -> list[str]:
 _MAX_TEXT_BYTES = 16 << 20
 
 
+def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uint16 codes rint(1e4 g) of dosages ``values`` in [0, 2], and where
+    code / 1e4 equals the value (it does for a ``-0``). The float64
+    temporary is one, reused in place."""
+    scaled = np.multiply(values, _CODE_SCALE)
+    codes = np.rint(scaled, out=scaled).astype(np.uint16)
+    return codes, np.divide(scaled, _CODE_SCALE, out=scaled) == values
+
+
 def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, dest: np.ndarray,
-                 out: np.ndarray, lo: int, hi: int) -> None:
+                 out: np.ndarray, lo: int, hi: int) -> bool:
     """Parse dosage rows [lo, hi) and write each kept row to ``out[dest[row]]``.
 
     The rows are read from the file in pieces of at most ``_MAX_TEXT_BYTES``
     and parsed in order behind the file's first row, ``first``, so that
     their widths are checked against that row's and the range's first error
     is the one a single pass over the file meets first in it. Rows with
-    ``dest`` -1 are checked and dropped.
+    ``dest`` -1 are checked and dropped. A uint16 ``out`` takes each piece's
+    kept rows as ``_codes``; returns False once a piece has a kept dosage
+    that is not exact as a code, and checks the rest without writing them.
     """
+    exact = True
     while lo < hi:
         stop = lo + max(1, int(np.searchsorted(spans[lo:hi, 1], spans[lo, 0] + _MAX_TEXT_BYTES,
                                                "right")))
@@ -301,8 +347,15 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
                             line_nos[:1] + line_nos[lo:stop], "dosage", 0.0, 2.0)[1:]
         rows = dest[lo:stop]
         keep = rows >= 0
-        out[rows[keep]] = values[keep]
+        if out.dtype == _STORES["float64"]:
+            out[rows[keep]] = values[keep]
+        elif exact:
+            codes, exact_at = _codes(values)
+            exact = bool(exact_at[keep].all())
+            if exact:
+                out[rows[keep]] = codes[keep]
         lo = stop
+    return exact
 
 
 # Each process parses about this many chunks, taken from a shared queue, so
@@ -312,15 +365,16 @@ _CHUNKS_PER_WORKER = 8
 _MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
 
 
-def _parse_chunks(parse_range, bounds: list[int], queue_fd: int, failed: np.ndarray) -> None:
+def _parse_chunks(parse_range, bounds: list[int], queue_fd: int, flags: np.ndarray) -> None:
     """Parse chunks ``[bounds[c], bounds[c + 1])`` taken from the queue pipe
-    until it is empty, setting ``failed[c]`` where chunk c raises a DataError."""
+    until it is empty, setting ``flags[0, c]`` where chunk c raises a
+    DataError and ``flags[1, c]`` where it is not exact as codes."""
     while chunk := os.read(queue_fd, 4):
         c = int.from_bytes(chunk, "little")
         try:
-            parse_range(bounds[c], bounds[c + 1])
+            flags[1, c] = not parse_range(bounds[c], bounds[c + 1])
         except DataError:
-            failed[c] = True
+            flags[0, c] = True
 
 
 def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray, n_kept: int,
@@ -329,18 +383,21 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
 
     Row i's dosage text is bytes ``spans[i]`` of the open file ``fd``. Every
     row is checked, and row i lands in row ``dest[i]`` of the returned
-    (n_kept, width) array, or is dropped where ``dest[i]`` is -1. The rows
-    are cut into contiguous chunks, queued in a pipe. The parent and
-    ``k - 1`` forked children take chunks from it until it is empty; each
-    reads its chunks' text from the file itself and writes their kept rows
-    into place in a shared anonymous map, so the dosages are held once and
-    no process holds more than a piece of the text. A chunk with a bad row
-    sets its flag in a second shared map. The parent reaps every child,
-    raises RuntimeError if one failed, and parses the lowest flagged chunk
-    again, which raises the first error in file order, as one pass would.
-    With one process, or no ``os.fork``, the parent parses every chunk. The
-    width probe loads numpy's reader before any fork, so a child imports
-    nothing; a first row that fails it raises its own error.
+    (n_kept, width) store (see ``ChromosomeBlock``), or is dropped where
+    ``dest[i]`` is -1. The rows are cut into contiguous chunks, queued in a
+    pipe. The parent and ``k - 1`` forked children take chunks from it until
+    it is empty; each reads its chunks' text from the file itself and writes
+    their kept rows into place in a shared anonymous map of codes, so the
+    dosages are held once and no process holds more than a piece of the
+    text. A chunk with a bad row sets its flag in a second shared map, and
+    a chunk with a kept dosage that is not exact as a code sets its own flag
+    in the same map. The parent reaps every child, raises RuntimeError if
+    one failed, and parses the lowest chunk flagged bad again, which raises
+    the first error in file order, as one pass would. If no chunk was bad
+    and one was inexact, every chunk is parsed again, the same way, into a
+    float64 map. With one process, or no ``os.fork``, the parent parses
+    every chunk. The width probe loads numpy's reader before any fork, so a
+    child imports nothing; a first row that fails it raises its own error.
     """
     first = _row_texts(fd, spans, 0, 1)
     try:
@@ -351,36 +408,39 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     k = min(workers, _usable_cpus(), n_rows) if hasattr(os, "fork") else 1
     n_chunks = min(n_rows, k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
     bounds = [n_rows * i // n_chunks for i in range(n_chunks + 1)]
-    # an anonymous map cannot be empty, so it gets a byte to spare
-    out = np.frombuffer(mmap.mmap(-1, n_kept * width * 8 + 1), dtype=float,
-                        count=n_kept * width).reshape(n_kept, width)
-    failed = np.frombuffer(mmap.mmap(-1, n_chunks), dtype=bool)
-    parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest, out)
-    queue_fd, fill_fd = os.pipe()
-    os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
-    os.close(fill_fd)
-    children: list[int] = []
-    try:
-        for _ in range(k - 1):
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    _parse_chunks(parse_range, bounds, queue_fd, failed)
-                    os._exit(0)
-                finally:
-                    os._exit(1)  # a child never returns, and any exception fails it
-            children.append(pid)
-        _parse_chunks(parse_range, bounds, queue_fd, failed)
-    finally:
-        os.close(queue_fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
-    for code in codes:
-        if code != 0:
-            raise RuntimeError(f"a dosage parser process failed (exit code {code})")
-    if failed.any():
-        c = int(np.argmax(failed))
-        parse_range(bounds[c], bounds[c + 1])  # raises its error unless the file changed
-        raise DataError("genotype file changed while it was read")
+    for store in _STORES.values():
+        # an anonymous map cannot be empty, so it gets a byte to spare
+        out = np.frombuffer(mmap.mmap(-1, n_kept * width * store.itemsize + 1), dtype=store,
+                            count=n_kept * width).reshape(n_kept, width)
+        flags = np.frombuffer(mmap.mmap(-1, 2 * n_chunks), dtype=bool).reshape(2, n_chunks)
+        parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest, out)
+        queue_fd, fill_fd = os.pipe()
+        os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
+        os.close(fill_fd)
+        children: list[int] = []
+        try:
+            for _ in range(k - 1):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        _parse_chunks(parse_range, bounds, queue_fd, flags)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)  # a child never returns, and any exception fails it
+                children.append(pid)
+            _parse_chunks(parse_range, bounds, queue_fd, flags)
+        finally:
+            os.close(queue_fd)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+        for code in codes:
+            if code != 0:
+                raise RuntimeError(f"a dosage parser process failed (exit code {code})")
+        if flags[0].any():
+            c = int(np.argmax(flags[0]))
+            parse_range(bounds[c], bounds[c + 1])  # raises its error unless the file changed
+            raise DataError("genotype file changed while it was read")
+        if not flags[1].any():  # a float64 parse is never flagged inexact
+            break
     return out
 
 
@@ -391,10 +451,10 @@ def _read_genotypes(path: str, workers: int = 1) -> _Layout:
     """Read and validate the genotype file (format in ``load_cohort``).
 
     Returns the SNPs passing ``MIN_IMPUTATION_QUALITY`` in a dosage cache
-    entry's layout, ``(table, positions, qualities, dosages)``: ``table`` is
+    entry's layout, ``(table, positions, qualities, store)``: ``table`` is
     ``[(chromosome, kept count)]`` in sorted chromosome order, and the int64
-    positions, float64 qualities and shared (n_kept, n) dosages hold the rows
-    in that order, each chromosome's stably sorted by position. ``_blocks``
+    positions, float64 qualities and shared (n_kept, n) dosage store hold the
+    rows in that order, each chromosome's stably sorted by position. ``_blocks``
     checks for duplicates. One pass over the file keeps each row's metadata
     and the byte span of its dosage field; ``_read_dosages`` reads them back.
     """
@@ -452,7 +512,7 @@ def _read_genotypes(path: str, workers: int = 1) -> _Layout:
 
 
 def _blocks(table: list[tuple[str, int]], positions: np.ndarray, qualities: np.ndarray,
-            dosages: np.ndarray) -> dict[str, ChromosomeBlock]:
+            store: np.ndarray) -> dict[str, ChromosomeBlock]:
     """Cut a layout (see ``_read_genotypes``) into one block of views per
     chromosome; raise DataError at the first duplicate position in one."""
     blocks = {}
@@ -460,7 +520,7 @@ def _blocks(table: list[tuple[str, int]], positions: np.ndarray, qualities: np.n
     for chrom, count in table:
         rows = slice(start, start + count)
         blocks[chrom] = block = ChromosomeBlock(chrom, positions[rows], qualities[rows],
-                                                dosages[rows])
+                                                store[rows])
         dup = np.flatnonzero(np.diff(block.positions) == 0)
         if dup.size:
             raise DataError(f"duplicate position {block.positions[dup[0]]} on chromosome {chrom}")
@@ -482,15 +542,18 @@ def _load_entry(entry: str, digest: str) -> _Layout | None:
     """The layout (see ``_read_genotypes``) held by a dosage cache entry.
 
     None when the entry is missing, its header is not one ``_save_entry``
-    writes (its chromosome names must be distinct and sorted), its size is
-    not what the header implies, or the digest in its header is not
-    ``digest``. The arrays are read-only views of a map of the entry.
+    writes (its store must be one of ``_STORES``, its chromosome names
+    distinct and sorted), its size is not what the header implies, or the
+    digest in its header is not ``digest``. The arrays are read-only views
+    of a map of the entry.
     """
     try:
         with open(entry, "rb") as fh:
-            form, held, n, n_chroms = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
-            if form != _DOSAGE_CACHE_FORMAT or held != digest:
+            form, held, store, n, n_chroms = (fh.readline(_MAX_HEADER_LINE).decode("utf-8")
+                                              .split("\t"))
+            if form != _DOSAGE_CACHE_FORMAT or held != digest or store not in _STORES:
                 return None
+            dtype = _STORES[store]
             table = []
             for _ in range(int(n_chroms)):
                 chrom, count = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
@@ -499,14 +562,15 @@ def _load_entry(entry: str, digest: str) -> _Layout | None:
             names = [chrom for chrom, _ in table]
             if (n < 1 or min((c for _, c in table), default=0) < 1
                     or names != sorted(set(names))  # as the parse orders them
-                    or os.fstat(fh.fileno()).st_size != offset + 8 * n_kept * (n + 2)):
+                    or os.fstat(fh.fileno()).st_size
+                    != offset + 16 * n_kept + dtype.itemsize * n_kept * n):
                 return None
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):  # no readable entry, or a header that does not parse
         return None
     return (table, np.frombuffer(data, np.int64, n_kept, offset),
             np.frombuffer(data, float, n_kept, offset + 8 * n_kept),
-            np.frombuffer(data, float, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n))
+            np.frombuffer(data, dtype, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n))
 
 
 def replace_file(path: str, chunks: Iterable) -> None:
@@ -531,19 +595,21 @@ def replace_file(path: str, chunks: Iterable) -> None:
 def _save_entry(entry: str, layout: _Layout, digest: str) -> None:
     """Write a layout (see ``_read_genotypes``) to the dosage cache entry ``entry``.
 
-    One header line holds the format, the genotype file's digest, n and
-    the number of chromosomes, and one line per chromosome its name and
-    kept SNP count; the header is padded to a multiple of 8 bytes. The
-    positions (int64), imputation qualities and dosage rows (float64)
+    One header line holds the format, the genotype file's digest, the name
+    of the dosage store (``_STORES``), n and the number of chromosomes, and
+    one line per chromosome its name and kept SNP count; the header is
+    padded to a multiple of 8 bytes. The positions (int64), imputation
+    qualities (float64) and the store's rows (uint16 codes or float64)
     follow as the layout holds them. ``replace_file`` syncs the entry
     before it renames it into place; one that cannot be written costs a
     warning, not the run.
     """
-    table, positions, qualities, dosages = layout
-    header = (f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{dosages.shape[1]}\t{len(table)}\n" + "".join(
-        f"{chrom}\t{count}\n" for chrom, count in table)).encode("utf-8")
+    table, positions, qualities, store = layout
+    name = "codes" if store.dtype == _STORES["codes"] else "float64"
+    header = (f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{name}\t{store.shape[1]}\t{len(table)}\n"
+              + "".join(f"{chrom}\t{count}\n" for chrom, count in table)).encode("utf-8")
     try:
-        replace_file(entry, [header + b" " * (-len(header) % 8), positions, qualities, dosages])
+        replace_file(entry, [header + b" " * (-len(header) % 8), positions, qualities, store])
     except OSError as exc:
         print(f"warning: parsed dosages not cached: {exc}", file=sys.stderr)
 
@@ -585,7 +651,11 @@ def load_cohort(
 
     SNPs with imputation quality below ``MIN_IMPUTATION_QUALITY`` are
     dropped after validation. Each chromosome's rows are sorted by position
-    (stably); duplicate positions within a chromosome are rejected. The
+    (stably); duplicate positions within a chromosome are rejected. The kept
+    dosages are stored as 2-byte codes, a quarter of float64's memory, when
+    each of them is exact at 4 decimals, which every chunk of the parse
+    checks; if one is not, the file is parsed a second time into float64
+    dosages (``ChromosomeBlock``). Either store gives the parsed doubles. The
     phenotype and covariate files take one row per individual and an
     optional header row; the phenotype file holds one column.
 
@@ -596,8 +666,10 @@ def load_cohort(
     is mapped read-only instead of parsing the file again; an entry that
     is missing, malformed, truncated, of an older format or of other bytes
     is parsed past, and a load that passes every check rewrites it with
-    the digest. Without a ``cache_dir`` the file is not hashed. A parse and
-    a hit give one layout, which ``_blocks`` cuts into blocks and checks.
+    the digest. The entry holds the store as the parse made it and names
+    it in its header. Without a ``cache_dir`` the file is not hashed. A
+    parse and a hit give one layout, which ``_blocks`` cuts into blocks and
+    checks.
     """
     phenotype = _read_matrix(phenotype_path, "phenotype")
     if phenotype.shape[1] != 1:

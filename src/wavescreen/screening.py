@@ -124,15 +124,17 @@ def fisher_combine(p_values) -> float:
     return float(chdtrc(2 * len(p), stat))
 
 
-def _centered_product(W: sparse.csr_matrix, dosages: np.ndarray) -> np.ndarray:
-    """W @ (dosages - 1.0), streamed in blocks of ``_ROW_BLOCK`` rows of W.
+def _centered_product(W: sparse.csr_matrix, block: ChromosomeBlock, first: int) -> np.ndarray:
+    """W @ (dosages - 1.0) of the block's SNPs from ``first`` on, streamed in
+    blocks of ``_ROW_BLOCK`` rows of W.
 
-    Each block centers only the contiguous SNP range its rows touch and
-    multiplies a CSR matrix made of W's own data, indices (shifted) and
-    indptr, so every output row sums the same products in the same order as
-    the one product does, and no window-sized centered copy is made.
+    Each block decodes and centers only the contiguous SNP range its rows
+    touch (``ChromosomeBlock.dosages``) and multiplies a CSR matrix made of
+    W's own data, indices (shifted) and indptr, so every output row sums the
+    same products in the same order as the one product does, and no
+    window-sized decoded or centered copy is made.
     """
-    out = np.empty((W.shape[0], dosages.shape[1]))
+    out = np.empty((W.shape[0], block.n))
     for r0 in range(0, W.shape[0], _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, W.shape[0])
         a, b = W.indptr[r0], W.indptr[r1]
@@ -143,7 +145,7 @@ def _centered_product(W: sparse.csr_matrix, dosages: np.ndarray) -> np.ndarray:
         lo, hi = cols.min(), cols.max() + 1
         rows = sparse.csr_matrix((W.data[a:b], cols - lo, W.indptr[r0:r1 + 1] - a),
                                  shape=(r1 - r0, hi - lo))
-        out[r0:r1] = rows @ (dosages[lo:hi] - 1.0)
+        out[r0:r1] = rows @ block.dosages(slice(first + lo, first + hi), minus=1.0)
     return out
 
 
@@ -183,7 +185,7 @@ def window_spectra(
     # the d-screen statistic is bitwise invariant under strand flips
     # the block sums are dropped once the pyramid exists, so a window holds
     # fewer window-sized arrays at once
-    pyramid = dict(zip("cd", wavelet.haar_pyramid(_centered_product(W, block.dosages[sl]),
+    pyramid = dict(zip("cd", wavelet.haar_pyramid(_centered_product(W, block, window.snp_start),
                                                   window.depth, n_grid=n_grid)))
     spectra = {}
     for kind in kinds:

@@ -38,13 +38,13 @@ class PlantedSignal:
 
 @dataclass
 class SyntheticWindowCohort(dataio.ChromosomeBlock):
-    """One synthetic window: its SNPs as chromosome "1", and the SNP at each LD block's center."""
+    """One synthetic window: its SNPs as chromosome "1", and the SNP at each LD block's center.
+
+    Its store is float64 dosages, not codes: ``power`` hands every dosage to
+    ``gwas_lm_baseline``, which would hold a decoded float64 copy beside codes.
+    """
 
     block_center_indices: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.dosages.shape[1]
 
 
 def generate_genotypes(
@@ -93,7 +93,7 @@ def generate_genotypes(
         chromosome="1",
         positions=positions,
         imputation_quality=np.ones(n_snps),
-        dosages=dosages,
+        store=dosages,
         block_center_indices=centers,
     )
 
@@ -146,7 +146,7 @@ def simulate_phenotype(
     Noise variance is s^2 (1 - h^2) / h^2 with s^2 the score variance, so
     the score explains h^2 of the total phenotypic variance in expectation.
     """
-    score = signal.signs @ cohort.dosages[signal.causal_snp_indices]
+    score = signal.signs @ cohort.dosages(signal.causal_snp_indices)
     s2 = float(np.var(score))
     if s2 <= 0.0:
         raise ValueError("planted score has zero variance (monomorphic SNPs?)")
@@ -287,7 +287,7 @@ def power_experiment(config: PowerConfig, cache_dir: str | None = None):
         rec[f"p_ws_{res.coefficient_kind}"] = 1.0 if res.degenerate else res.p_value
     # regional GWAS decision: Bonferroni over the window's SNPs, so both
     # methods are compared at the same region-level alpha
-    gwas = gwas_lm_baseline(cohort.dosages, phenotypes)
+    gwas = gwas_lm_baseline(cohort.dosages(), phenotypes)
     for rec, pvals in zip(detail, gwas):
         rec["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(pvals)))
 

@@ -78,7 +78,7 @@ def block_sums_reference(window, block):
     n_top = 1 << (window.depth + 1)
     if n_top < window.n_grid:
         W = wavelet.block_sum_matrix(window.n_grid, n_top) @ W
-    return W, W @ (block.dosages[sl] - 1.0)
+    return W, W @ (block.dosages(sl) - 1.0)
 
 
 def window_spectra_reference(window, block, kinds):
@@ -502,7 +502,7 @@ def read_genotypes_reference(path, min_iq):
             chromosome=chrom,
             positions=positions,
             imputation_quality=np.array([r[1] for r in rows], dtype=float),
-            dosages=np.vstack([r[2] for r in rows]),
+            store=np.vstack([r[2] for r in rows]),
         )
     if not blocks:
         raise DataError("no SNPs passed the imputation-quality filter")

@@ -18,7 +18,7 @@ def write_cohort_files(tmp_path, cohort, phenotype, covariates=None, prefix="coh
         fh.write("chrom\tpos\tid\tiq\t" + "\t".join(
             f"s{i}" for i in range(cohort.n)) + "\n")
         for i in range(cohort.n_snps):
-            row = "\t".join(f"{d:.6g}" for d in cohort.dosages[i])
+            row = "\t".join(f"{d:.6g}" for d in cohort.dosages(i))
             fh.write(f"1\t{cohort.positions[i]}\tsnp{i}\t1.0\t{row}\n")
     pheno = tmp_path / f"{prefix}_pheno.tsv"
     np.savetxt(pheno, np.asarray(phenotype))

@@ -27,7 +27,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _flipped(cohort: simharness.SyntheticWindowCohort):
-    return dataclasses.replace(cohort, dosages=2.0 - cohort.dosages)
+    return dataclasses.replace(cohort, store=2.0 - cohort.dosages())
 
 
 def test_criterion_01_bayes_factor_closed_form():

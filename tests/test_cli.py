@@ -422,6 +422,29 @@ class TestScreenCommand:
         assert runs[0] == runs[1]
         assert len(list((tmp_path / "cache").glob("dosages_*"))) == 1
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_either_dosage_store_gives_the_same_outputs(self, genome_files, tmp_path,
+                                                         monkeypatch, threads):
+        # the file's integer dosages are stored as codes; with every code
+        # taken as inexact, the parse falls back to float64 dosages
+        geno, pheno = genome_files
+        codes = dataio._codes
+        runs = {}
+        for store in ("codes", "float64"):
+            if store == "float64":
+                monkeypatch.setattr(dataio, "_codes",
+                                    lambda values: (codes(values)[0], values != values))
+            monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / store / "cache"))
+            out = tmp_path / store / "out"
+            assert main(["screen", "--genotype-path", geno, "--phenotype-path", pheno,
+                         "--m", "4000", "--seed", "3", "--threads", str(threads),
+                         "--emit-details", "--output-dir", str(out)]) == 0
+            [entry] = (tmp_path / store / "cache").glob("dosages_*")
+            assert entry.read_bytes().split(b"\t", 3)[2] == store.encode()
+            runs[store] = {p.name: p.read_bytes() for p in out.glob("*.*")}
+        assert len(runs["codes"]) == 2 + 2 * 2  # results, summary, two windows' details
+        assert runs["codes"] == runs["float64"]
+
     def test_no_shared_cache_writes_no_dosage_entry(self, cohort_files, tmp_path, monkeypatch):
         # without WAVESCREEN_CACHE_DIR each run has its own cache, which no
         # later screen of another output directory finds: no entry is written

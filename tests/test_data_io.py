@@ -51,7 +51,7 @@ class TestLoadCohort:
         block = cohort.blocks["1"]
         assert block.n_snps == small_cohort.n_snps
         np.testing.assert_array_equal(block.positions, small_cohort.positions)
-        np.testing.assert_allclose(block.dosages, small_cohort.dosages, atol=1e-5)
+        np.testing.assert_allclose(block.dosages(), small_cohort.dosages(), atol=1e-5)
         np.testing.assert_allclose(cohort.phenotype, small_phenotype, atol=1e-12)
         assert cohort.covariates.shape == (small_cohort.n, 1)
 
@@ -66,7 +66,7 @@ class TestLoadCohort:
         block = cohort.blocks["1"]
         np.testing.assert_array_equal(block.positions, [100, 200, 300])
         np.testing.assert_array_equal(block.imputation_quality, [1.0, 0.9, 1.0])
-        np.testing.assert_array_equal(block.dosages[:, 0], [1, 2, 0])
+        np.testing.assert_array_equal(block.dosages()[:, 0], [1, 2, 0])
 
     def test_low_iq_snps_dropped(self, tmp_path):
         geno = _write(tmp_path, [
@@ -263,7 +263,7 @@ class TestLoadCohort:
         geno.write_bytes(eol.join(lines).encode())
         blocks, n = _parse(str(geno))
         assert n == 2
-        np.testing.assert_array_equal(blocks["1"].dosages, [[1, 2], [2, 0]])
+        np.testing.assert_array_equal(blocks["1"].dosages(), [[1, 2], [2, 0]])
 
 
 class TestGridAndDepth:
@@ -298,7 +298,7 @@ def _tiled_cohort(positions):
         chromosome="1",
         positions=np.asarray(positions, dtype=np.int64),
         imputation_quality=np.ones(m),
-        dosages=np.tile(np.arange(3.0)[:, None], (m // 3 + 1, 4))[:m],
+        store=np.tile(np.arange(3.0)[:, None], (m // 3 + 1, 4))[:m],
     )
     return CohortData(
         blocks={"1": block},
@@ -460,9 +460,11 @@ def _assert_blocks_equal(got, ref):
         np.testing.assert_array_equal(other.positions, block.positions)
         np.testing.assert_array_equal(other.imputation_quality.view(np.int64),
                                       block.imputation_quality.view(np.int64))
-        assert other.dosages.shape == block.dosages.shape
-        np.testing.assert_array_equal(other.dosages.view(np.int64),
-                                      block.dosages.view(np.int64))
+        assert other.store.shape == block.store.shape
+        # codes decode a -0 token to +0.0, equal to it and centered to the same bits
+        np.testing.assert_array_equal(other.dosages(), block.dosages())
+        np.testing.assert_array_equal(other.dosages(minus=1.0).view(np.int64),
+                                      block.dosages(minus=1.0).view(np.int64))
 
 
 class TestReferenceParser:
@@ -499,9 +501,13 @@ class TestReferenceParser:
                 assert not isinstance(a, DataError), a
         if isinstance(ref_g, DataError):
             return
+        # codes exactly when every kept dosage is exact at 4 decimals
+        values = np.concatenate([b.dosages().ravel() for b in ref_g[0].values()])
+        store = np.uint16 if np.array_equal(np.rint(values * 1e4) / 1e4, values) else float
         for g in (got_g, par_g):
             _assert_blocks_equal(g[0], ref_g[0])
             assert g[1] == ref_g[1]
+            assert {b.store.dtype for b in g[0].values()} == {np.dtype(store)}
         if isinstance(ref, DataError):
             return
         _assert_blocks_equal(got.blocks, ref.blocks)
@@ -652,6 +658,65 @@ class TestParallelParse:
         assert len(os.listdir("/proc/self/fd")) == before
 
 
+@st.composite
+def _four_decimals(draw):
+    """(text, code): a dosage in [0, 2] with 0-4 decimals, spelled plain, with
+    trailing zeros, in exponent form, without its leading zero or signed,
+    and its code, 1e4 times the value."""
+    digits = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 2 * 10**digits))
+    whole, frac = divmod(m, 10**digits)
+    code = m * 10 ** (4 - digits)
+    plain = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    text = {
+        "plain": plain,
+        "zeros": f"{whole}.{code % 10**4:04d}",  # 2.0000
+        "exponent": f"{m}e-{digits}",  # 1e-4, 20000e-4
+        "bare": plain[1:] if plain.startswith("0.") else plain,  # .25
+    }[draw(st.sampled_from(["plain", "zeros", "exponent", "bare"]))]
+    return draw(st.sampled_from(["", "+"] + ["-"] * (m == 0))) + text, code
+
+
+class TestDosageCodes:
+    """A dosage exact at 4 decimals is stored as a 16-bit code that decodes to
+    the parsed double; a file with any other keeps float64 dosages."""
+
+    @given(st.lists(_four_decimals(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_is_the_parse(self, spellings):
+        texts, want = zip(*spellings)
+        values = dataio._read_rows(["\t".join(texts)], [1], "dosage", 0.0, 2.0)
+        codes, exact = dataio._codes(values)
+        assert exact.all() and codes.dtype == np.uint16 and codes.tolist() == [list(want)]
+        block = dataio.ChromosomeBlock("1", np.array([1]), np.ones(1), codes)
+        # == and not bitwise: a -0 token decodes to +0.0; centered, both are -1.0
+        assert np.array_equal(block.dosages(), values)
+        assert np.array_equal(block.dosages(minus=1.0).view(np.int64),
+                              (values - 1.0).view(np.int64))
+
+    @pytest.mark.parametrize("text", ["0.00001", "1.99999", "0.12345", "1e-5", "1e-300",
+                                      "4.9e-324", "0.3333333333333333"])
+    def test_more_than_four_decimals_is_not_a_code(self, text):
+        values = dataio._read_rows([text], [1], "dosage", 0.0, 2.0)
+        assert not dataio._codes(values)[1].any()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_inexact_value_in_the_last_chunk_keeps_float64(self, tmp_path, monkeypatch,
+                                                               workers):
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(6)
+        rows = [[f"{x:.2f}" for x in rng.uniform(0, 2, 3)] for _ in range(40)]
+        exact = _write(tmp_path, _rows(rows), "exact.tsv")
+        rows[-1][1] = "1.23457"  # the file's last row, in its last chunk
+        inexact = _write(tmp_path, _rows(rows))
+        for path, store in ((exact, np.uint16), (inexact, np.float64)):
+            blocks, _ = _parse(path, workers)
+            ref, _ = read_genotypes_reference(path, dataio.MIN_IMPUTATION_QUALITY)
+            assert blocks["1"].store.dtype == store
+            _assert_blocks_equal(blocks, ref)
+        assert blocks["1"].store.tobytes() == ref["1"].store.tobytes()
+
+
 def test_workers_start_at_most_one_child_per_other_cpu(tmp_path, monkeypatch):
     # at most min(CPUs, rows) - 1 children, and with 3 rows never more than 2
     forks = []
@@ -677,7 +742,7 @@ def test_parse_holds_a_piece_of_the_dosage_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    np.testing.assert_array_equal(blocks["1"].dosages, dosages)
+    np.testing.assert_array_equal(blocks["1"].dosages(), dosages)
     assert peak < path.stat().st_size / 2
 
 
@@ -756,7 +821,7 @@ class TestDosageCache:
             assert cohort.n == parsed.n == 5
         assert list(warm.blocks) == ["1", "2", "X"]
         for block in warm.blocks.values():
-            for values in (block.positions, block.imputation_quality, block.dosages):
+            for values in (block.positions, block.imputation_quality, block.store):
                 assert not values.flags.writeable
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -767,9 +832,9 @@ class TestDosageCache:
         parsed = dataio._read_genotypes(geno, workers)
         loaded = dataio._load_entry(str(cache / name), dataio._file_digest(geno, workers))
         assert loaded[0] == parsed[0] == [("1", 17), ("2", 17), ("X", 17)]
-        for got, want, dtype in zip(loaded[1:], parsed[1:], (np.int64, float, float)):
+        for got, want, dtype in zip(loaded[1:], parsed[1:], (np.int64, float, np.uint16)):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert got.tobytes() == want.tobytes()
 
     def test_edit_of_the_same_size_and_mtime_is_a_miss(self, files, monkeypatch):
         geno, pheno, cache = files
@@ -786,7 +851,7 @@ class TestDosageCache:
         edited = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         reference = dataio.load_cohort(geno, pheno)
         _assert_blocks_equal(edited.blocks, reference.blocks)
-        assert float(fields[4]) in edited.blocks["2"].dosages[:, 0]
+        assert float(fields[4]) in edited.blocks["2"].dosages()[:, 0]
         # the edit replaced the entry, which the next load maps
         assert len(_entries(cache)) == 1
         self._no_parse(monkeypatch)
@@ -794,7 +859,8 @@ class TestDosageCache:
                              reference.blocks)
 
     @pytest.mark.parametrize("damage", ["truncated", "extra_byte", "header", "digest", "count",
-                                        "empty", "duplicate_name", "unsorted_name"])
+                                        "empty", "duplicate_name", "unsorted_name",
+                                        "other_store", "unknown_store"])
     def test_damaged_entry_is_a_miss_and_rewritten(self, files, monkeypatch, damage):
         geno, pheno, cache = files
         reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
@@ -802,19 +868,23 @@ class TestDosageCache:
         entry = cache / name
         good = entry.read_bytes()
         head, table, rest = good.split(b"\n", 2)
-        form, digest, n, n_chroms = head.split(b"\t")
+        form, digest, store, n, n_chroms = head.split(b"\t")
         chrom, count = table.split(b"\t")
         entry.write_bytes({
             "truncated": good[:-8],
             "extra_byte": good + b"\0",
             "header": b"wavescreen-dosages-0" + good[len(form):],
-            "digest": b"\t".join([form, digest[::-1], n, n_chroms]) + b"\n" + good[len(head) + 1:],
+            "digest": b"\t".join([form, digest[::-1], store, n, n_chroms]) + b"\n"
+                      + good[len(head) + 1:],
             "count": b"\n".join([head, chrom + b"\t" + str(int(count) + 1).encode(), rest]),
             "empty": b"",
             # a name edited in place, of the same length: the table would
             # name chromosomes 2, 2, X (dropping one) or Y, 2, X
             "duplicate_name": b"\n".join([head, b"2\t" + count, rest]),
             "unsorted_name": b"\n".join([head, b"Y\t" + count, rest]),
+            # codes named as the float64 store, or as no store
+            "other_store": good.replace(b"\tcodes\t", b"\tfloat64\t", 1),
+            "unknown_store": good.replace(b"\tcodes\t", b"\tuint8\t", 1),
         }[damage])
         loaded = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         _assert_blocks_equal(loaded.blocks, reference.blocks)
@@ -936,6 +1006,49 @@ class TestDosageCache:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("store", ["codes", "float64"])
+    def test_entry_size_follows_its_store(self, files, monkeypatch, store):
+        # 2-byte codes unless a kept dosage has 5 decimals
+        geno, pheno, cache = files
+        if store == "float64":
+            lines = Path(geno).read_text().splitlines()
+            lines[1] = lines[1] + "001"  # its last dosage, x.yz, becomes x.yz001
+            geno = _write(Path(geno).parent, lines)
+        reference = dataio.load_cohort(geno, pheno)
+        loaded = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        [entry] = cache.glob("dosages_*")
+        data = entry.read_bytes()
+        head = data.split(b"\n", 1)[0].split(b"\t")
+        assert head[2] == store.encode()
+        offset = -(-(data.index(b"\nX\t17\n") + 6) // 8) * 8  # the padded header
+        n_kept, n, size = 51, 5, {"codes": 2, "float64": 8}[store]
+        assert len(data) == offset + 16 * n_kept + size * n_kept * n
+        self._no_parse(monkeypatch)
+        warm = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        for cohort in (reference, loaded, warm):
+            assert {b.store.itemsize for b in cohort.blocks.values()} == {size}
+            _assert_blocks_equal(cohort.blocks, reference.blocks)
+
+    def test_format_2_entry_is_parsed_past_and_rewritten(self, files, monkeypatch):
+        # the float64 entry of the previous format, at the same path
+        geno, pheno, cache = files
+        reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        [entry] = cache.glob("dosages_*")
+        good = entry.read_bytes()
+        table, positions, qualities, store = dataio._read_genotypes(geno)
+        digest = dataio._file_digest(geno, 1)
+        form = dataio._DOSAGE_CACHE_FORMAT.replace("-dosages-3-", "-dosages-2-")
+        header = (f"{form}\t{digest}\t5\t{len(table)}\n"
+                  + "".join(f"{c}\t{k}\n" for c, k in table)).encode()
+        entry.write_bytes(header + b" " * (-len(header) % 8) + positions.tobytes()
+                          + qualities.tobytes() + store.astype(float).tobytes())
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
+                             reference.blocks)
+        assert entry.read_bytes() == good
+        self._no_parse(monkeypatch)
+        _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
+                             reference.blocks)
+
     def test_flat_sha256_entry_is_parsed_and_replaced(self, files, monkeypatch):
         # an entry as written before the digest was a leaf tree
         geno, pheno, cache = files
@@ -944,11 +1057,11 @@ class TestDosageCache:
         entry = cache / name
         good = entry.read_bytes()
         head, rest = good.split(b"\n", 1)
-        form, digest, n, n_chroms = head.split(b"\t")
-        old_form = form.replace(b"wavescreen-dosages-2-", b"wavescreen-dosages-1-")
+        form, digest, store, n, n_chroms = head.split(b"\t")
+        old_form = form.replace(b"wavescreen-dosages-3-", b"wavescreen-dosages-1-")
         flat = hashlib.sha256(Path(geno).read_bytes()).hexdigest().encode()
         assert old_form != form and len(flat) == len(digest)
-        entry.write_bytes(b"\t".join([old_form, flat, n, n_chroms]) + b"\n" + rest)
+        entry.write_bytes(b"\t".join([old_form, flat, store, n, n_chroms]) + b"\n" + rest)
         _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
                              reference.blocks)
         assert _entries(cache) == [name]
@@ -977,7 +1090,7 @@ class TestDosageCache:
         edited = dataio.load_cohort(geno, pheno, workers=2, cache_dir=str(cache))
         reference = dataio.load_cohort(geno, pheno)
         _assert_blocks_equal(edited.blocks, reference.blocks)
-        assert float(new) in edited.blocks[fields[0]].dosages[:, -1]
+        assert float(new) in edited.blocks[fields[0]].dosages()[:, -1]
         assert len(_entries(cache)) == 1
         self._no_parse(monkeypatch)
         _assert_blocks_equal(dataio.load_cohort(geno, pheno, workers=2,

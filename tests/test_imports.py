@@ -2,8 +2,9 @@
 command line starts without ``scipy.stats`` or ``scipy.optimize``, no
 module of the package imports ``scipy.optimize`` at all, only
 ``dataio`` makes temporary files and renames them into place, only
-``nullsim.screen_windows`` and ``cli.cmd_nullsim`` get null models, and every
-exception class the package defines is caught somewhere in it."""
+``nullsim.screen_windows`` and ``cli.cmd_nullsim`` get null models, only
+``dataio`` reads a block's dosage store, and every exception class the
+package defines is caught somewhere in it."""
 
 import ast
 import builtins
@@ -201,3 +202,24 @@ def test_every_exception_class_is_caught():
     # a class that no except clause names tells callers nothing that
     # ValueError or RuntimeError does not
     assert uncaught_exception_classes([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def store_reads(source: str) -> list[str]:
+    """Lines of the source that read a ``.store`` attribute."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "store"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_detects_a_store_read():
+    source = ("def f(block, other):\n    x = block.store[3:5]\n    other.store = x\n"
+              "    return getattr(block, 'store'), block.dosages(), other.store.shape\n")
+    assert store_reads(source) == ["line 2", "line 4"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "dataio.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_dataio_reads_the_dosage_store(path):
+    # the store's format (codes or float64) is known to dataio alone; every
+    # other module reads dosages through ChromosomeBlock.dosages
+    assert store_reads(path.read_text(encoding="utf-8")) == []

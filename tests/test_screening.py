@@ -301,7 +301,7 @@ class TestScreenWindow:
 
     def test_constant_dosages_are_degenerate(self):
         cohort = simharness.generate_genotypes(50, 64, n_blocks=2, seed=8)
-        cohort.dosages[:] = 1.0
+        cohort.store[:] = 1.0
         window = simharness.synthetic_window(cohort, min_snps_per_coeff=8)
         y = np.random.default_rng(9).standard_normal(50)
         res = screen_window(window, cohort, bayes.build_design(y), "d")
@@ -317,7 +317,7 @@ class TestScreenWindow:
         cohort, window, phenotype = screen_setup
         ctx = bayes.build_design(phenotype, sigma_b=0.2)
         res = screen_window(window, cohort, ctx, "d")
-        flipped = dataclasses.replace(cohort, dosages=2.0 - cohort.dosages)
+        flipped = dataclasses.replace(cohort, store=2.0 - cohort.dosages())
         res_f = screen_window(window, flipped, ctx, "d")
         assert res_f.lambda_hat == res.lambda_hat
 
@@ -363,24 +363,30 @@ class TestStreamedInterpolation:
             # the last SNP of a block's rows is also the first of the next block's
             first, second = np.split(W.indices, [W.indptr[screening._ROW_BLOCK]])
             assert first.max() >= second[:W.indptr[2 * screening._ROW_BLOCK] - len(first)].min()
-        assert np.array_equal(self._bits(screening._centered_product(W, block.dosages)),
-                              self._bits(sums))
-        spectra = window_spectra(window, block, ("c", "d"))
         reference = window_spectra_reference(window, block, ("c", "d"))
-        for kind in ("c", "d"):
-            (scores, degenerate), (ref_scores, ref_degenerate) = spectra[kind], reference[kind]
-            assert len(scores) == len(ref_scores) == depth + 1
-            for got, want in zip(scores, ref_scores):
-                assert np.array_equal(self._bits(got), self._bits(want))
-            for got, want in zip(degenerate, ref_degenerate):
-                assert np.array_equal(got, want)
+        # the float64 store and its 16-bit codes give the same bits
+        codes = dataclasses.replace(block, store=dataio._codes(block.store)[0])
+        assert codes.store.dtype == np.uint16
+        for store in (block, codes):
+            assert np.array_equal(self._bits(screening._centered_product(W, store, 0)),
+                                  self._bits(sums))
+            spectra = window_spectra(window, store, ("c", "d"))
+            for kind in ("c", "d"):
+                (scores, degenerate), (ref_scores, ref_degenerate) = spectra[kind], reference[kind]
+                assert len(scores) == len(ref_scores) == depth + 1
+                for got, want in zip(scores, ref_scores):
+                    assert np.array_equal(self._bits(got), self._bits(want))
+                for got, want in zip(degenerate, ref_degenerate):
+                    assert np.array_equal(got, want)
 
     def test_rows_without_weights_sum_to_zero(self):
         W = sparse.csr_matrix(np.vstack([np.zeros((screening._ROW_BLOCK, 4)),
                                          [[0.0, 0.25, 0.75, 0.0]]]))
-        dosages = np.random.default_rng(3).uniform(0.0, 2.0, (4, 5))
-        out = screening._centered_product(W, dosages)
-        assert np.array_equal(self._bits(out), self._bits(W @ (dosages - 1.0)))
+        # W's columns are the block's SNPs from the third on
+        dosages = np.random.default_rng(3).uniform(0.0, 2.0, (6, 5))
+        block = dataio.ChromosomeBlock("1", np.arange(6), np.ones(6), dosages)
+        out = screening._centered_product(W, block, 2)
+        assert np.array_equal(self._bits(out), self._bits(W @ (dosages[2:] - 1.0)))
 
 
 @functools.cache
@@ -388,7 +394,7 @@ def _batch_window():
     """A small window with its c and d spectra, and the dosages of its SNPs."""
     cohort = simharness.generate_genotypes(n=160, n_snps=128, n_blocks=6, seed=12)
     window = simharness.synthetic_window(cohort, min_snps_per_coeff=8)
-    return window, window_spectra(window, cohort, ("c", "d")), cohort.dosages
+    return window, window_spectra(window, cohort, ("c", "d")), cohort.dosages()
 
 
 class TestBatchScreen:
@@ -429,7 +435,7 @@ class TestBatchScreen:
 
     def test_degenerate_window_gives_one_result_per_phenotype(self):
         cohort = simharness.generate_genotypes(50, 64, n_blocks=2, seed=8)
-        cohort.dosages[:] = 1.0
+        cohort.store[:] = 1.0
         window = simharness.synthetic_window(cohort, min_snps_per_coeff=8)
         Y = np.random.default_rng(9).standard_normal((50, 3))
         spectra = window_spectra(window, cohort, ("d",))["d"]

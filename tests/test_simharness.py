@@ -22,21 +22,21 @@ from wavescreen.simharness import (
 class TestGenerateGenotypes:
     def test_shapes_and_ranges(self):
         c = generate_genotypes(100, 200, n_blocks=5, seed=0)
-        assert c.dosages.shape == (200, 100)
-        assert set(np.unique(c.dosages)) <= {0.0, 1.0, 2.0}
+        assert c.dosages().shape == (200, 100)
+        assert set(np.unique(c.dosages())) <= {0.0, 1.0, 2.0}
         assert np.all(np.diff(c.positions) > 0)
         assert len(c.block_center_indices) == 5
 
     def test_deterministic(self):
         a = generate_genotypes(50, 64, seed=3)
         b = generate_genotypes(50, 64, seed=3)
-        np.testing.assert_array_equal(a.dosages, b.dosages)
+        np.testing.assert_array_equal(a.dosages(), b.dosages())
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_ld_strength_tracks_flip_prob(self):
         def mean_block_corr(flip):
             c = generate_genotypes(800, 60, n_blocks=2, flip_prob=flip, seed=4)
-            block = c.dosages[:30]  # of two blocks, the first holds the first half
+            block = c.dosages(slice(30))  # of two blocks, the first holds the first half
             r = np.corrcoef(block)
             return float(np.mean(r[np.triu_indices_from(r, 1)]))
 
@@ -57,8 +57,8 @@ class TestGenerateGenotypes:
         dosages, positions = generate_genotypes_reference(
             n, n_snps, n_blocks, flip_prob, span_bp, seed=11
         )
-        assert c.dosages.dtype == dosages.dtype and c.positions.dtype == positions.dtype
-        np.testing.assert_array_equal(c.dosages.view(np.int64), dosages.view(np.int64))
+        assert c.store.dtype == dosages.dtype and c.positions.dtype == positions.dtype
+        np.testing.assert_array_equal(c.dosages().view(np.int64), dosages.view(np.int64))
         np.testing.assert_array_equal(c.positions, positions)
 
     def test_validates_arguments(self):
@@ -96,7 +96,7 @@ class TestSimulatePhenotype:
         c = generate_genotypes(20_000, 100, n_blocks=10, seed=7)
         sig = plant_signal(c, 5, 0.1, "mono", seed=2)
         y = simulate_phenotype(c, sig, seed=3)
-        score = sig.signs @ c.dosages[sig.causal_snp_indices]
+        score = sig.signs @ c.dosages(sig.causal_snp_indices)
         r2 = np.corrcoef(score, y)[0, 1] ** 2
         assert abs(r2 - 0.1) < 0.02
 
@@ -275,7 +275,7 @@ class TestPowerExperiment:
                 res = screen_window(window, cohort, ctx, kind)
                 want[f"p_ws_{kind}"] = nullsim.p_value(model, res.lambda_hat)
             want["p_gwas"] = min(1.0, cohort.n_snps * float(np.min(gwas_lm_baseline(
-                cohort.dosages, y))))
+                cohort.dosages(), y))))
             # p-values lie in (0, 1], where equal floats are equal bits
             assert rec == want
 
