@@ -59,7 +59,8 @@ class ChromosomeBlock:
     parse left them: uint16 codes c, each dosage's c / 1e4, when every kept
     dosage of the file is exact at 4 decimals (2 bytes a dosage), and
     float64 dosages otherwise and in synthetic cohorts (8 bytes a dosage).
-    Only ``dosages`` reads it, and gives the same doubles from either.
+    Other modules read it only through ``dosages``, which gives the same
+    doubles from either.
     """
 
     chromosome: str
@@ -431,8 +432,8 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
             _parse_chunks(parse_range, bounds, queue_fd, flags)
         finally:
             os.close(queue_fd)
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
-        for code in codes:
+            exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+        for code in exits:
             if code != 0:
                 raise RuntimeError(f"a dosage parser process failed (exit code {code})")
         if flags[0].any():
