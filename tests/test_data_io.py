@@ -714,6 +714,7 @@ class TestDosageCodes:
             ref, _ = read_genotypes_reference(path, dataio.MIN_IMPUTATION_QUALITY)
             assert blocks["1"].store.dtype == store
             _assert_blocks_equal(blocks, ref)
+        # the inexact file's float64 store holds the reference parse's own bits
         assert blocks["1"].store.tobytes() == ref["1"].store.tobytes()
 
 
