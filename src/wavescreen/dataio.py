@@ -60,7 +60,8 @@ class ChromosomeBlock:
     dosage of the file is exact at 4 decimals (2 bytes a dosage), and
     float64 dosages otherwise and in synthetic cohorts (8 bytes a dosage).
     Other modules read it only through ``dosages``, which gives the same
-    doubles from either.
+    doubles from either, but for a ``-0`` token read as a code, which
+    gives +0.0, also where its chunk was decoded into a float64 store.
     """
 
     chromosome: str
@@ -337,10 +338,9 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
     their widths are checked against that row's and the range's first error
     is the one a single pass over the file meets first in it. Rows with
     ``dest`` -1 are checked and dropped. A uint16 ``out`` takes each piece's
-    kept rows as ``_codes``; returns False once a piece has a kept dosage
-    that is not exact as a code, and checks the rest without writing them.
+    kept rows as ``_codes``; returns False, and stops, at the first piece
+    with a kept dosage that is not exact as a code.
     """
-    exact = True
     while lo < hi:
         stop = lo + max(1, int(np.searchsorted(spans[lo:hi, 1], spans[lo, 0] + _MAX_TEXT_BYTES,
                                                "right")))
@@ -350,13 +350,13 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
         keep = rows >= 0
         if out.dtype == _STORES["float64"]:
             out[rows[keep]] = values[keep]
-        elif exact:
+        else:
             codes, exact_at = _codes(values)
-            exact = bool(exact_at[keep].all())
-            if exact:
-                out[rows[keep]] = codes[keep]
+            if not exact_at[keep].all():
+                return False
+            out[rows[keep]] = codes[keep]
         lo = stop
-    return exact
+    return True
 
 
 # Each process parses about this many chunks, taken from a shared queue, so
@@ -366,16 +366,70 @@ _CHUNKS_PER_WORKER = 8
 _MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
 
 
-def _parse_chunks(parse_range, bounds: list[int], queue_fd: int, flags: np.ndarray) -> None:
-    """Parse chunks ``[bounds[c], bounds[c + 1])`` taken from the queue pipe
-    until it is empty, setting ``flags[0, c]`` where chunk c raises a
-    DataError and ``flags[1, c]`` where it is not exact as codes."""
+def _parse_chunks(parse_range, bounds: list[int], queue_fd: int, flags: np.ndarray,
+                  decode=None) -> None:
+    """Take chunks ``[bounds[c], bounds[c + 1])`` from the queue pipe until it
+    is empty, setting ``flags[0, c]`` where chunk c raises a DataError.
+    Without ``decode``, ``parse_range`` writes codes, and ``flags[1, c]`` is
+    set, leaving chunk c to a float64 parse, where it is not exact as codes
+    or is taken once another chunk's flag is set. With it, ``parse_range``
+    writes float64 dosages, and a chunk whose ``flags[1, c]`` is not set is
+    ``decode``d from its codes instead of being parsed again."""
     while chunk := os.read(queue_fd, 4):
         c = int.from_bytes(chunk, "little")
+        lo, hi = bounds[c], bounds[c + 1]
         try:
-            flags[1, c] = not parse_range(bounds[c], bounds[c + 1])
+            if decode is None:
+                if flags[1].any() or not parse_range(lo, hi):
+                    flags[1, c] = True
+            elif flags[1, c]:
+                parse_range(lo, hi)
+            else:
+                decode(lo, hi)
         except DataError:
             flags[0, c] = True
+
+
+def _decode_range(dest: np.ndarray, codes: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """Write the kept rows among [lo, hi) of ``codes`` to ``out`` as float64
+    dosages, c / 1e4 (see ``ChromosomeBlock.dosages``)."""
+    rows = dest[lo:hi]
+    rows = rows[rows >= 0]
+    out[rows] = np.divide(codes[rows], _CODE_SCALE)
+
+
+def _shared_rows(n_rows: int, width: int, dtype: np.dtype) -> np.ndarray:
+    """An (n_rows, width) array on a shared anonymous map, which forked
+    children write into; the map cannot be empty, so it gets a byte to spare."""
+    return np.frombuffer(mmap.mmap(-1, n_rows * width * dtype.itemsize + 1), dtype=dtype,
+                         count=n_rows * width).reshape(n_rows, width)
+
+
+def _fork_parse(parse_range, bounds: list[int], k: int, flags: np.ndarray, decode=None) -> None:
+    """Run ``_parse_chunks`` on every chunk, queued in a pipe, in the parent
+    and ``k - 1`` forked children; reap every child and raise RuntimeError
+    if one failed."""
+    queue_fd, fill_fd = os.pipe()
+    os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(len(bounds) - 1)))
+    os.close(fill_fd)
+    children: list[int] = []
+    try:
+        for _ in range(k - 1):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _parse_chunks(parse_range, bounds, queue_fd, flags, decode)
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # a child never returns, and any exception fails it
+            children.append(pid)
+        _parse_chunks(parse_range, bounds, queue_fd, flags, decode)
+    finally:
+        os.close(queue_fd)
+        exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for code in exits:
+        if code != 0:
+            raise RuntimeError(f"a dosage parser process failed (exit code {code})")
 
 
 def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray, n_kept: int,
@@ -390,15 +444,19 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     it is empty; each reads its chunks' text from the file itself and writes
     their kept rows into place in a shared anonymous map of codes, so the
     dosages are held once and no process holds more than a piece of the
-    text. A chunk with a bad row sets its flag in a second shared map, and
-    a chunk with a kept dosage that is not exact as a code sets its own flag
-    in the same map. The parent reaps every child, raises RuntimeError if
-    one failed, and parses the lowest chunk flagged bad again, which raises
-    the first error in file order, as one pass would. If no chunk was bad
-    and one was inexact, every chunk is parsed again, the same way, into a
-    float64 map. With one process, or no ``os.fork``, the parent parses
-    every chunk. The width probe loads numpy's reader before any fork, so a
-    child imports nothing; a first row that fails it raises its own error.
+    text. A chunk with a bad row sets its flag in a second shared map. A
+    chunk with a kept dosage that is not exact as a code sets its own flag
+    in the same map and stops, and every chunk taken after that is left
+    unparsed with its flag set. If any is, a second pass over the chunks,
+    run the same way, fills a float64 map: it parses those chunks alone and
+    decodes the others' codes, every one exact; so a file parses once, and
+    at most the chunks in flight when its first inexact value is met parse
+    twice. The parent reaps every child, raises RuntimeError if one
+    failed, and parses the lowest chunk flagged bad again, which raises the
+    first error in file order, as one pass would. With one process, or no
+    ``os.fork``, the parent parses every chunk. The width probe loads
+    numpy's reader before any fork, so a child imports nothing; a first
+    row that fails it raises its own error.
     """
     first = _row_texts(fd, spans, 0, 1)
     try:
@@ -409,40 +467,20 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     k = min(workers, _usable_cpus(), n_rows) if hasattr(os, "fork") else 1
     n_chunks = min(n_rows, k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
     bounds = [n_rows * i // n_chunks for i in range(n_chunks + 1)]
-    for store in _STORES.values():
-        # an anonymous map cannot be empty, so it gets a byte to spare
-        out = np.frombuffer(mmap.mmap(-1, n_kept * width * store.itemsize + 1), dtype=store,
-                            count=n_kept * width).reshape(n_kept, width)
-        flags = np.frombuffer(mmap.mmap(-1, 2 * n_chunks), dtype=bool).reshape(2, n_chunks)
-        parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest, out)
-        queue_fd, fill_fd = os.pipe()
-        os.write(fill_fd, b"".join(c.to_bytes(4, "little") for c in range(n_chunks)))
-        os.close(fill_fd)
-        children: list[int] = []
-        try:
-            for _ in range(k - 1):
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        _parse_chunks(parse_range, bounds, queue_fd, flags)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)  # a child never returns, and any exception fails it
-                children.append(pid)
-            _parse_chunks(parse_range, bounds, queue_fd, flags)
-        finally:
-            os.close(queue_fd)
-            exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
-        for code in exits:
-            if code != 0:
-                raise RuntimeError(f"a dosage parser process failed (exit code {code})")
-        if flags[0].any():
-            c = int(np.argmax(flags[0]))
-            parse_range(bounds[c], bounds[c + 1])  # raises its error unless the file changed
-            raise DataError("genotype file changed while it was read")
-        if not flags[1].any():  # a float64 parse is never flagged inexact
-            break
-    return out
+    flags = np.frombuffer(mmap.mmap(-1, 2 * n_chunks), dtype=bool).reshape(2, n_chunks)
+    codes = _shared_rows(n_kept, width, _STORES["codes"])
+    parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest)
+    _fork_parse(functools.partial(parse_range, codes), bounds, k, flags)
+    store = codes
+    if flags[1].any():
+        store = _shared_rows(n_kept, width, _STORES["float64"])
+        _fork_parse(functools.partial(parse_range, store), bounds, k, flags,
+                    functools.partial(_decode_range, dest, codes, store))
+    if flags[0].any():
+        c = int(np.argmax(flags[0]))
+        parse_range(store, bounds[c], bounds[c + 1])  # raises its error unless the file changed
+        raise DataError("genotype file changed while it was read")
+    return store
 
 
 _Layout = tuple[list[tuple[str, int]], np.ndarray, np.ndarray, np.ndarray]
@@ -655,8 +693,10 @@ def load_cohort(
     (stably); duplicate positions within a chromosome are rejected. The kept
     dosages are stored as 2-byte codes, a quarter of float64's memory, when
     each of them is exact at 4 decimals, which every chunk of the parse
-    checks; if one is not, the file is parsed a second time into float64
-    dosages (``ChromosomeBlock``). Either store gives the parsed doubles. The
+    checks; if one is not, they are stored as float64 dosages
+    (``ChromosomeBlock``), and only the chunks from the first inexact one
+    on are parsed again (``_read_dosages``). Either store gives the parsed
+    doubles. The
     phenotype and covariate files take one row per individual and an
     optional header row; the phenotype file holds one column.
 

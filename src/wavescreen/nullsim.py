@@ -181,14 +181,19 @@ def fit_gpd_exceedances(exc: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def fit_gpd_tail(sample: np.ndarray) -> GPDTail:
-    """ML-fit the tail above the 99% quantile of a sample sorted ascending
-    (a ``NullModel``'s), whose values above it are then its last ones.
+    """ML-fit the tail above the sample's 99% quantile.
+
+    The exceedances are the sample's last values once it is sorted
+    ascending, as a ``NullModel``'s already is; any other sample is sorted
+    first.
 
     Raises GPDFitError when fewer than ``MIN_EXCEEDANCES`` values exceed the
     threshold or the fit fails.
     """
     sample = np.asarray(sample, dtype=float)
     u = float(np.quantile(sample, 0.99))
+    if np.any(sample[1:] < sample[:-1]):
+        sample = np.sort(sample)
     exc = sample[np.searchsorted(sample, u, "right"):] - u
     if len(exc) < MIN_EXCEEDANCES:
         raise GPDFitError(

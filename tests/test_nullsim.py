@@ -232,14 +232,16 @@ class TestGPDFit:
 class TestThresholdRules:
     def test_quantile_99(self):
         rng = np.random.default_rng(12)
-        sample = np.sort(rng.exponential(1.0, size=20_000) + 1.0)  # sorted, as a model's
+        sample = rng.exponential(1.0, size=20_000) + 1.0
         tail = fit_gpd_tail(sample)
         assert abs(tail.threshold - np.quantile(sample, 0.99)) < 1e-9
         assert tail.n_exceedances == np.count_nonzero(sample > tail.threshold)
 
+    @pytest.mark.parametrize("ordered", [True, False], ids=["sorted", "unsorted"])
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties_at_u"])
-    def test_tail_slice_equals_the_mask(self, ties):
-        # the sorted sample's values past u are the ones above it, ties at u left out
+    def test_tail_slice_equals_the_mask(self, ties, ordered):
+        # the sorted sample's values past u are the ones above it, ties at u
+        # left out; an unsorted sample gives the same fit as its sorted one
         rng = np.random.default_rng(4)
         sample = np.sort(np.concatenate([
             rng.uniform(0.0, 5.0, 4900), np.full(60, 7.0) if ties else rng.uniform(6.0, 7.0, 60),
@@ -248,7 +250,8 @@ class TestThresholdRules:
         assert (u == 7.0) == ties
         exc = sample[sample > u] - u
         xi, beta, se_xi, se_beta = fit_gpd_exceedances(exc)
-        assert fit_gpd_tail(sample) == GPDTail(u, xi, beta, len(exc), se_xi, se_beta)
+        tail = fit_gpd_tail(sample if ordered else rng.permutation(sample))
+        assert tail == GPDTail(u, xi, beta, len(exc), se_xi, se_beta)
 
 
 class TestBuildAndPValue:
