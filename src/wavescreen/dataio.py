@@ -330,7 +330,7 @@ def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, dest: np.ndarray,
-                 out: np.ndarray, lo: int, hi: int) -> bool:
+                 out: np.ndarray, lo: int, hi: int) -> int:
     """Parse dosage rows [lo, hi) and write each kept row to ``out[dest[row]]``.
 
     The rows are read from the file in pieces of at most ``_MAX_TEXT_BYTES``
@@ -338,8 +338,9 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
     their widths are checked against that row's and the range's first error
     is the one a single pass over the file meets first in it. Rows with
     ``dest`` -1 are checked and dropped. A uint16 ``out`` takes each piece's
-    kept rows as ``_codes``; returns False, and stops, at the first piece
-    with a kept dosage that is not exact as a code.
+    kept rows as ``_codes`` and stops at the first piece with a kept dosage
+    that is not exact as a code. Returns the first row not written: that
+    piece's first, or ``hi``.
     """
     while lo < hi:
         stop = lo + max(1, int(np.searchsorted(spans[lo:hi, 1], spans[lo, 0] + _MAX_TEXT_BYTES,
@@ -353,10 +354,10 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
         else:
             codes, exact_at = _codes(values)
             if not exact_at[keep].all():
-                return False
+                return lo
             out[rows[keep]] = codes[keep]
         lo = stop
-    return True
+    return hi
 
 
 # Each process parses about this many chunks, taken from a shared queue, so
@@ -366,28 +367,27 @@ _CHUNKS_PER_WORKER = 8
 _MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
 
 
-def _parse_chunks(parse_range, bounds: list[int], queue_fd: int, flags: np.ndarray,
-                  decode=None) -> None:
+def _parse_chunks(parse_range, bounds: np.ndarray, queue_fd: int, bad: np.ndarray,
+                  split: np.ndarray, decode=None) -> None:
     """Take chunks ``[bounds[c], bounds[c + 1])`` from the queue pipe until it
-    is empty, setting ``flags[0, c]`` where chunk c raises a DataError.
-    Without ``decode``, ``parse_range`` writes codes, and ``flags[1, c]`` is
-    set, leaving chunk c to a float64 parse, where it is not exact as codes
-    or is taken once another chunk's flag is set. With it, ``parse_range``
-    writes float64 dosages, and a chunk whose ``flags[1, c]`` is not set is
-    ``decode``d from its codes instead of being parsed again."""
+    is empty, setting ``bad[c]`` where chunk c raises a DataError.
+    Without ``decode``, ``parse_range`` writes codes, and ``split[c]``, set
+    to ``bounds[c + 1]`` beforehand, becomes the first row it left to a
+    float64 pass: where it stopped, or ``bounds[c]`` for a chunk taken
+    once any chunk has stopped short. With it, ``parse_range`` writes
+    float64 dosages: rows ``[bounds[c], split[c])`` are ``decode``d from
+    their codes and the rest parsed."""
     while chunk := os.read(queue_fd, 4):
         c = int.from_bytes(chunk, "little")
-        lo, hi = bounds[c], bounds[c + 1]
+        lo, hi = int(bounds[c]), int(bounds[c + 1])
         try:
             if decode is None:
-                if flags[1].any() or not parse_range(lo, hi):
-                    flags[1, c] = True
-            elif flags[1, c]:
-                parse_range(lo, hi)
+                split[c] = lo if (split != bounds[1:]).any() else parse_range(lo, hi)
             else:
-                decode(lo, hi)
+                decode(lo, int(split[c]))
+                parse_range(int(split[c]), hi)
         except DataError:
-            flags[0, c] = True
+            bad[c] = True
 
 
 def _decode_range(dest: np.ndarray, codes: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
@@ -405,7 +405,8 @@ def _shared_rows(n_rows: int, width: int, dtype: np.dtype) -> np.ndarray:
                          count=n_rows * width).reshape(n_rows, width)
 
 
-def _fork_parse(parse_range, bounds: list[int], k: int, flags: np.ndarray, decode=None) -> None:
+def _fork_parse(parse_range, bounds: np.ndarray, k: int, bad: np.ndarray, split: np.ndarray,
+                decode=None) -> None:
     """Run ``_parse_chunks`` on every chunk, queued in a pipe, in the parent
     and ``k - 1`` forked children; reap every child and raise RuntimeError
     if one failed."""
@@ -418,12 +419,12 @@ def _fork_parse(parse_range, bounds: list[int], k: int, flags: np.ndarray, decod
             pid = os.fork()
             if pid == 0:
                 try:
-                    _parse_chunks(parse_range, bounds, queue_fd, flags, decode)
+                    _parse_chunks(parse_range, bounds, queue_fd, bad, split, decode)
                     os._exit(0)
                 finally:
                     os._exit(1)  # a child never returns, and any exception fails it
             children.append(pid)
-        _parse_chunks(parse_range, bounds, queue_fd, flags, decode)
+        _parse_chunks(parse_range, bounds, queue_fd, bad, split, decode)
     finally:
         os.close(queue_fd)
         exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
@@ -445,15 +446,17 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     their kept rows into place in a shared anonymous map of codes, so the
     dosages are held once and no process holds more than a piece of the
     text. A chunk with a bad row sets its flag in a second shared map. A
-    chunk with a kept dosage that is not exact as a code sets its own flag
-    in the same map and stops, and every chunk taken after that is left
-    unparsed with its flag set. If any is, a second pass over the chunks,
-    run the same way, fills a float64 map: it parses those chunks alone and
-    decodes the others' codes, every one exact; so a file parses once, and
-    at most the chunks in flight when its first inexact value is met parse
-    twice. The parent reaps every child, raises RuntimeError if one
-    failed, and parses the lowest chunk flagged bad again, which raises the
-    first error in file order, as one pass would. With one process, or no
+    chunk stops at its first piece with a kept dosage that is not exact as
+    a code, and records that piece's first row in a third shared map; every
+    chunk taken after that is left unparsed, recorded as stopped at its
+    first row. If any chunk stopped short, a second pass over the chunks,
+    run the same way, fills a float64 map: each chunk decodes its rows
+    before that row from their codes, every one exact, and parses the
+    rest; so a file parses once, and at most the pieces in flight when its
+    first inexact value is met parse twice. The parent reaps every child,
+    raises RuntimeError if one failed, and parses the lowest chunk flagged
+    bad again, which raises the first error in file order, as one pass
+    would. With one process, or no
     ``os.fork``, the parent parses every chunk. The width probe loads
     numpy's reader before any fork, so a child imports nothing; a first
     row that fails it raises its own error.
@@ -466,19 +469,21 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     n_rows = len(line_nos)
     k = min(workers, _usable_cpus(), n_rows) if hasattr(os, "fork") else 1
     n_chunks = min(n_rows, k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
-    bounds = [n_rows * i // n_chunks for i in range(n_chunks + 1)]
-    flags = np.frombuffer(mmap.mmap(-1, 2 * n_chunks), dtype=bool).reshape(2, n_chunks)
+    bounds = np.arange(n_chunks + 1) * n_rows // n_chunks
+    bad = np.frombuffer(mmap.mmap(-1, n_chunks), dtype=bool)
+    split = np.frombuffer(mmap.mmap(-1, 8 * n_chunks), dtype=np.int64)
+    split[:] = bounds[1:]
     codes = _shared_rows(n_kept, width, _STORES["codes"])
     parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest)
-    _fork_parse(functools.partial(parse_range, codes), bounds, k, flags)
+    _fork_parse(functools.partial(parse_range, codes), bounds, k, bad, split)
     store = codes
-    if flags[1].any():
+    if (split != bounds[1:]).any():
         store = _shared_rows(n_kept, width, _STORES["float64"])
-        _fork_parse(functools.partial(parse_range, store), bounds, k, flags,
+        _fork_parse(functools.partial(parse_range, store), bounds, k, bad, split,
                     functools.partial(_decode_range, dest, codes, store))
-    if flags[0].any():
-        c = int(np.argmax(flags[0]))
-        parse_range(store, bounds[c], bounds[c + 1])  # raises its error unless the file changed
+    if bad.any():
+        c = int(np.argmax(bad))
+        parse_range(store, int(bounds[c]), int(bounds[c + 1]))  # raises its error unless the file changed
         raise DataError("genotype file changed while it was read")
     return store
 
@@ -694,9 +699,9 @@ def load_cohort(
     dosages are stored as 2-byte codes, a quarter of float64's memory, when
     each of them is exact at 4 decimals, which every chunk of the parse
     checks; if one is not, they are stored as float64 dosages
-    (``ChromosomeBlock``), and only the chunks from the first inexact one
-    on are parsed again (``_read_dosages``). Either store gives the parsed
-    doubles. The
+    (``ChromosomeBlock``), and only the pieces of text in flight at the
+    first inexact one are parsed again (``_read_dosages``). Either store
+    gives the parsed doubles. The
     phenotype and covariate files take one row per individual and an
     optional header row; the phenotype file holds one column.
 
