@@ -61,7 +61,7 @@ class ChromosomeBlock:
     float64 dosages otherwise and in synthetic cohorts (8 bytes a dosage).
     Other modules read it only through ``dosages``, which gives the same
     doubles from either, but for a ``-0`` token read as a code, which
-    gives +0.0, also where its chunk was decoded into a float64 store.
+    gives +0.0, also where it was decoded into a float64 store.
     """
 
     chromosome: str
@@ -483,7 +483,8 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
                     functools.partial(_decode_range, dest, codes, store))
     if bad.any():
         c = int(np.argmax(bad))
-        parse_range(store, int(bounds[c]), int(bounds[c + 1]))  # raises its error unless the file changed
+        # raises the chunk's error unless the file changed
+        parse_range(store, int(bounds[c]), int(bounds[c + 1]))
         raise DataError("genotype file changed while it was read")
     return store
 
