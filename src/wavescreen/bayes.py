@@ -38,9 +38,13 @@ class DesignContext:
     x_tilde: np.ndarray  # (n, P), contiguous columns
 
     def residualize(self, y: np.ndarray) -> np.ndarray:
-        """Project y (shape (n,) or (n, k)) orthogonal to [1, C]."""
+        """Project y (shape (n,) or (n, k)) orthogonal to [1, C].
+
+        y - Q (Q'y) is subtracted into the array of the projection Q (Q'y),
+        so a call makes one (n, k) temporary, its result."""
         y = np.asarray(y, dtype=float)
-        return y - self.basis @ (self.basis.T @ y)
+        proj = self.basis @ (self.basis.T @ y)
+        return np.subtract(y, proj, out=proj)
 
 
 def valid_sigma_b(sigma_b: float) -> bool:

@@ -399,8 +399,13 @@ def _decode_range(dest: np.ndarray, codes: np.ndarray, out: np.ndarray, lo: int,
 
 
 def _shared_rows(n_rows: int, width: int, dtype: np.dtype) -> np.ndarray:
-    """An (n_rows, width) array on a shared anonymous map, which forked
-    children write into; the map cannot be empty, so it gets a byte to spare."""
+    """An (n_rows, width) array of zeros on a shared anonymous map of its own.
+
+    Forked children write the parsed dosages into such maps, and each of a
+    window's arrays (its block sums, each level's sums, each scale's c and
+    d) takes one, so none of them passes through malloc, whose arenas keep
+    freed multi-MiB arrays. The map is unmapped once its array's last view
+    goes. It cannot be empty, so it gets a byte to spare."""
     return np.frombuffer(mmap.mmap(-1, n_rows * width * dtype.itemsize + 1), dtype=dtype,
                          count=n_rows * width).reshape(n_rows, width)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -278,6 +279,11 @@ def screen_windows(windows, blocks, ctx, kinds, M, seed, cache_dir, threshold, t
                         w, kind, [lb[p] for lb in log_bfs], list(locs), pi_hat[p], lam_p,
                         degenerate, None if degenerate else p_value(models[w.depth], lam_p)))
         except Exception as exc:
+            # the window's maps go before its error is raised: the scales of
+            # the jobs not run, those held by a failed job's future and the
+            # locals of every frame the error passed through
+            args = futures = None
+            traceback.clear_frames(exc.__traceback__)
             raise RuntimeError(
                 f"window {w.chromosome}:{w.start_bp}-{w.end_bp} ({kind}): {exc}") from exc
         return results

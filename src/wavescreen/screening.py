@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import chdtrc
 
-from wavescreen import wavelet
+from wavescreen import dataio, wavelet
 from wavescreen.bayes import DesignContext, log_bayes_factor
 from wavescreen.dataio import ChromosomeBlock, Window
 
@@ -22,8 +22,8 @@ from wavescreen.dataio import ChromosomeBlock, Window
 # earlier solver are rebuilt rather than reused
 SOLVER_VERSION = "newton2"
 
-# rows of the interpolation weights per block of ``_centered_product``
-_ROW_BLOCK = 64
+# rows per block of ``_centered_product`` and of ``scale_log_bf``'s moves
+_ROW_BLOCK = wavelet._ROW_BLOCK
 
 
 @dataclass
@@ -126,7 +126,8 @@ def fisher_combine(p_values) -> float:
 
 def _centered_product(W: sparse.csr_matrix, block: ChromosomeBlock, first: int) -> np.ndarray:
     """W @ (dosages - 1.0) of the block's SNPs from ``first`` on, streamed in
-    blocks of ``_ROW_BLOCK`` rows of W.
+    blocks of ``_ROW_BLOCK`` rows of W into an anonymous map of its own
+    (``dataio._shared_rows``), not the malloc heap.
 
     Each block decodes and centers only the contiguous SNP range its rows
     touch (``ChromosomeBlock.dosages``) and multiplies a CSR matrix made of
@@ -134,7 +135,7 @@ def _centered_product(W: sparse.csr_matrix, block: ChromosomeBlock, first: int) 
     same products in the same order as the one product does, and no
     window-sized decoded or centered copy is made.
     """
-    out = np.empty((W.shape[0], block.n))
+    out = dataio._shared_rows(W.shape[0], block.n, np.dtype(float))
     for r0 in range(0, W.shape[0], _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, W.shape[0])
         a, b = W.indptr[r0], W.indptr[r1]
@@ -164,7 +165,10 @@ def window_spectra(
     Returns {kind: (coeffs, degenerate)} with per-scale lists; coeffs[s] has
     shape (2^s, n_individuals); degenerate[s] flags those with zero spread
     across the cohort, the one test of which coefficients carry no evidence.
-    The rank transform is each scale's own job (``scale_log_bf``).
+    The block sums, each level's sums and each scale's c and d lie on
+    anonymous maps of their own (``wavelet.haar_pyramid``), d is shrunk in
+    place, and each scale's memory goes when its arrays are dropped. The rank
+    transform is each scale's own job (``scale_log_bf``).
     """
     for kind in kinds:
         if kind not in ("c", "d"):
@@ -193,25 +197,34 @@ def window_spectra(
         if kind == "d":
             sig2 = 1.0 - block.imputation_quality[sl]
             var_d = wavelet.pyramid_variances(W, sig2, window.depth, n_grid=n_grid)
-            coeffs = wavelet.visushrink(coeffs, var_d, n_grid)
+            wavelet.visushrink(coeffs, var_d, n_grid)
         spectra[kind] = coeffs, [np.ptp(arr, axis=-1) == 0.0 for arr in coeffs]
     return spectra
 
 
 def scale_log_bf(ctx: DesignContext, coeffs: np.ndarray,
                  degenerate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One scale's job: rank-transform its live coefficients, then their log BFs.
+    """One scale's job: rank-transform its live coefficients in place, then their log BFs.
 
-    ``coeffs`` and ``degenerate`` are one scale of a ``window_spectra``
-    entry, whose flagged coefficients are dropped (a BF = 1 factor). Returns
-    (log_bf, locations): the (P, k) log BFs, a row per phenotype of ``ctx``,
-    of the k live coefficients at ``locations``. The Blom scores of a row
-    depend on that row alone, so transforming only the live rows gives each
-    the scores a transform of the whole scale would; a scale with every row
-    live is transformed as it is, not copied.
+    ``coeffs`` (C-contiguous float64) and ``degenerate`` are one scale of a
+    ``window_spectra`` entry, whose flagged coefficients are dropped (a
+    BF = 1 factor). ``coeffs`` is overwritten: its k live rows move to its
+    front, ``_ROW_BLOCK`` rows at a time, and ``wavelet.quantile_transform``
+    replaces them by their Blom scores, so the job copies no more than a
+    block. One ``log_bayes_factor`` call then takes all k, as a block's call
+    would round differently. Returns (log_bf, locations): the (P, k) log
+    BFs, a row per phenotype of ``ctx``, of the k live coefficients at
+    ``locations``. The Blom scores of a row depend on that row alone, so
+    transforming only the live rows gives each the scores a transform of
+    the whole scale would.
     """
     locs = np.flatnonzero(~degenerate)
     if not locs.size:
         return np.empty((ctx.x_tilde.shape[1], 0)), locs
-    live = coeffs if locs.size == len(coeffs) else coeffs[locs]
-    return log_bayes_factor(ctx, wavelet.quantile_transform(live).T), locs
+    live = coeffs[:locs.size]
+    if locs.size < len(coeffs):
+        # live row i comes from row locs[i] >= i, so no block writes over a
+        # row that a later block reads; rows before the first flagged one stay
+        for r0 in range(int(np.argmax(degenerate)), locs.size, _ROW_BLOCK):
+            live[r0:r0 + _ROW_BLOCK] = coeffs[locs[r0:r0 + _ROW_BLOCK]]
+    return log_bayes_factor(ctx, wavelet.quantile_transform(live, out=live).T), locs

@@ -14,8 +14,14 @@ import numpy as np
 from scipy import sparse
 from scipy.special import ndtri
 
+from wavescreen import dataio
+
 # noise floor so thresholds stay defined for perfectly imputed SNPs
 VARIANCE_FLOOR = 1e-8
+# rows per block of the passes over a window's (rows, individuals) arrays:
+# the interpolation product, the shrinkage and the rank transform, so each
+# pass's temporaries are a block's, not the array's
+_ROW_BLOCK = 64
 
 
 def normalize_positions(positions: np.ndarray, start_bp: int, end_bp: int) -> np.ndarray:
@@ -76,6 +82,13 @@ def haar_pyramid(
     If ``n_grid`` is given, ``grid_values`` are interpreted as block sums of a
     finer grid of N = n_grid points (so M = 2^(depth'+1) rows suffice for a
     depth-depth' decomposition) and block sizes use the true N.
+
+    A dense ``grid_values`` is read, never written. Each level's block sums
+    and each scale's d are float64 arrays on anonymous maps of their own
+    (``dataio._shared_rows``), and c is its level's sums divided by
+    sqrt(block size) in place, so no array of the pyramid passes through
+    malloc and each scale's memory is released once its arrays are dropped.
+    Sparse rows (``pyramid_variances``) give new sparse matrices.
     """
     M = grid_values.shape[0]
     if M & (M - 1) or M == 0:
@@ -87,19 +100,38 @@ def haar_pyramid(
     if depth < 0 or depth > J - 1:
         raise ValueError(f"depth {depth} outside [0, {J - 1}] for {M} block sums")
 
-    sums = [None] * (J + 1)
-    sums[J] = grid_values
+    if sparse.issparse(grid_values):
+        sums = [None] * (J + 1)
+        sums[J] = grid_values
+        for s in range(J - 1, -1, -1):
+            sums[s] = sums[s + 1][0::2] + sums[s + 1][1::2]
+        c: list = []
+        d: list = []
+        for s in range(depth + 1):
+            block = N >> s
+            root = np.sqrt(block)
+            c.append(sums[s] / root)
+            left = sums[s + 1][0::2]
+            right = sums[s + 1][1::2]
+            d.append((left - right) / root)
+        return c, d
+
+    def own_map(like):
+        return dataio._shared_rows(len(like), like.size // len(like),
+                                   np.dtype(float)).reshape(like.shape)
+
+    c, d = [None] * (depth + 1), [None] * (depth + 1)
+    upper = grid_values  # the block sums of scale s + 1
     for s in range(J - 1, -1, -1):
-        sums[s] = sums[s + 1][0::2] + sums[s + 1][1::2]
-    c: list[np.ndarray] = []
-    d: list[np.ndarray] = []
-    for s in range(depth + 1):
-        block = N >> s
-        root = np.sqrt(block)
-        c.append(sums[s] / root)
-        left = sums[s + 1][0::2]
-        right = sums[s + 1][1::2]
-        d.append((left - right) / root)
+        left, right = upper[0::2], upper[1::2]
+        sums = np.add(left, right, out=own_map(left))
+        if s <= depth:
+            d[s] = np.subtract(left, right, out=own_map(left))
+            d[s] /= np.sqrt(N >> s)
+        if s < depth:  # scale s + 1's sums are read for the last time: its c
+            c[s + 1] = np.divide(upper, np.sqrt(N >> (s + 1)), out=upper)
+        upper = sums
+    c[0] = np.divide(upper, np.sqrt(N), out=upper)
     return c, d
 
 
@@ -120,25 +152,34 @@ def pyramid_variances(
     return [np.maximum(a.power(2) @ sig2, VARIANCE_FLOOR) for a in d]
 
 
-def soft_threshold(values: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """sign(v) * max(|v| - tau, 0)."""
+def soft_threshold(values: np.ndarray, tau: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """sign(v) * max(|v| - tau, 0), into ``out`` when it is given (it may be
+    ``values``), else into a new array."""
     shrunk = np.abs(values)
     shrunk -= tau
     np.maximum(shrunk, 0.0, out=shrunk)
-    return np.copysign(shrunk, values)
+    return np.copysign(shrunk, values, out=out)
 
 
 def visushrink(
     d: list[np.ndarray], var_d: list[np.ndarray], n_grid: int
 ) -> list[np.ndarray]:
-    """Soft-threshold detail coefficients with tau_sl = sigma_sl * sqrt(2 log N).
+    """Soft-threshold detail coefficients in place with tau_sl = sigma_sl * sqrt(2 log N).
 
     Each scale's d is (2^s, n), its var_d (2^s,): the threshold is specific to
     the coefficient through its propagated noise standard deviation; c
     coefficients are left untouched (they carry the burden-like mean signal).
+    Each scale is shrunk ``_ROW_BLOCK`` rows at a time into its own array, so
+    the temporaries are a block's; returns ``d``, its arrays overwritten.
     """
     factor = np.sqrt(2.0 * np.log(n_grid))
-    return [soft_threshold(ds, (np.sqrt(vs) * factor)[:, None]) for ds, vs in zip(d, var_d)]
+    for ds, vs in zip(d, var_d):
+        tau = (np.sqrt(vs) * factor)[:, None]
+        for r0 in range(0, len(ds), _ROW_BLOCK):
+            rows = ds[r0:r0 + _ROW_BLOCK]
+            soft_threshold(rows, tau[r0:r0 + _ROW_BLOCK], out=rows)
+    return d
 
 
 def _blom_table(n: int) -> np.ndarray:
@@ -157,24 +198,42 @@ def _blom_table(n: int) -> np.ndarray:
     return table
 
 
-def quantile_transform(rows: np.ndarray) -> np.ndarray:
+def quantile_transform(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rank-based inverse-normal (Blom) scores of each row of a (k, n) array.
 
     scores_i = Phi^-1((rank_i - 3/8)/(n + 1/4)) with average ranks for ties;
     a constant row (+-0 mixes included) takes the middle rank's +0.0. Which
     rows are degenerate is decided by ``screening.window_spectra`` alone.
 
-    One argsort per row; each tie run of the sorted row, starting at sorted
-    position f with length k, shares the average rank f + (k + 1)/2, whose
-    score is looked up in a table of the 2n - 1 half-integer ranks built for
-    this call. A row with no tie takes the table's integer ranks in sorted
-    order, with no run bookkeeping. The table's sign handling makes negating
-    the values negate the scores exactly, so sign-flip robustness of
-    downstream statistics is exact rather than approximate.
+    The rows are scored ``_ROW_BLOCK`` at a time, each block read before its
+    scores are written, into ``out`` when it is given (a C-contiguous (k, n)
+    float64 array; it may be ``rows`` itself), else into a new array; so the
+    temporaries are a block's. Per block, one argsort per row; each tie run
+    of the sorted row, starting at sorted position f with length k, shares
+    the average rank f + (k + 1)/2, whose score is looked up in a table of
+    the 2n - 1 half-integer ranks built once per call. A row with no tie
+    takes the table's integer ranks in sorted order, with no run
+    bookkeeping. The table's sign handling makes negating the values negate
+    the scores exactly, so sign-flip robustness of downstream statistics is
+    exact rather than approximate.
     """
     n = rows.shape[1]
     if n < 2:
         raise ValueError("quantile transform needs at least 2 values")
+    if out is None:
+        out = np.empty(rows.shape)
+    elif out.shape != rows.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {rows.shape}")
+    table = _blom_table(n)
+    for r0 in range(0, len(rows), _ROW_BLOCK):
+        _blom_scores(rows[r0:r0 + _ROW_BLOCK], table, out[r0:r0 + _ROW_BLOCK])
+    return out
+
+
+def _blom_scores(rows: np.ndarray, table: np.ndarray, scores: np.ndarray) -> None:
+    """Write the scores of ``quantile_transform`` for ``rows`` into the
+    C-contiguous ``scores``, which may be ``rows``: ``rows`` is read in full first."""
+    n = rows.shape[1]
     # the argsort as flat indices, so one 1-D gather sorts every row and one
     # 1-D scatter puts the scores back
     order = np.argsort(rows, axis=-1)
@@ -186,8 +245,6 @@ def quantile_transform(rows: np.ndarray) -> np.ndarray:
     is_start[:, 0] = True
     tied = ~is_start.all(axis=1)
     free = ~tied
-    table = _blom_table(n)
-    scores = np.empty(rows.shape)
     if free.any():  # each value of a tie-free row has the integer rank of its sorted position
         scores.ravel()[order[free] if tied.any() else order] = table[::2]
     if tied.any():  # only the tied rows, copied out when some rows are tie-free
@@ -199,4 +256,3 @@ def quantile_transform(rows: np.ndarray) -> np.ndarray:
         # run's index into the table
         table_index = np.repeat(2 * (starts % n) + lengths - 1, lengths)
         scores.ravel()[order.ravel()] = table[table_index]
-    return scores

@@ -52,9 +52,10 @@ from wavescreen.wavelet import VARIANCE_FLOOR, haar_pyramid
 
 def screen_spectra(window, coeffs, degenerate, ctx, kind):
     """Screen one kind of ``window_spectra``'s output against every phenotype of
-    ``ctx``: each scale's ``scale_log_bf`` in order, then one result per
-    phenotype from ``maximize_lambda``, with no p-value."""
-    log_bfs, locs = zip(*(scale_log_bf(ctx, c, deg) for c, deg in zip(coeffs, degenerate)))
+    ``ctx``: each scale's ``scale_log_bf`` in order, on a copy, as it
+    overwrites its scale, then one result per phenotype from
+    ``maximize_lambda``, with no p-value."""
+    log_bfs, locs = zip(*(scale_log_bf(ctx, c.copy(), deg) for c, deg in zip(coeffs, degenerate)))
     pi_hat, lam = maximize_lambda(log_bfs)
     degenerate = not any(loc.size for loc in locs)
     return [LocusResult(window, kind, [lb[p] for lb in log_bfs], list(locs), pi_hat[p],

@@ -2,12 +2,15 @@
 
 import errno
 import gc
+import mmap
 import os
 import re
 import signal
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -654,10 +657,10 @@ class TestScreenWindows:
         threads = set()
         transform = wavelet.quantile_transform
 
-        def held(rows):
+        def held(rows, **kwargs):
             threads.add(threading.get_ident())
             time.sleep(0.005)
-            return transform(rows)
+            return transform(rows, **kwargs)
 
         monkeypatch.setattr(wavelet, "quantile_transform", held)
         return threads
@@ -680,9 +683,11 @@ class TestScreenWindows:
         screen(windows, ctx, ("c", "d"), 8)
         assert len(threads) == 2
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_failed_job_cancels_its_window_jobs(self, genome, monkeypatch, threads):
-        cohort, windows, ctx, _, screen = genome
+    @staticmethod
+    def _fail_d_jobs(monkeypatch, cohort, windows):
+        """Make the d jobs of the second largest window fail with "singular
+        design"; returns that window and the list of kinds whose jobs of it
+        reach ``log_bayes_factor``, in the order they do."""
         target = sorted(windows, key=lambda w: w.n_snps, reverse=True)[1]
         # every coefficient of the target window ranks the individuals in one
         # order, ascending for c and descending for d, so the scores that reach
@@ -692,11 +697,16 @@ class TestScreenWindows:
         window_spectra, log_bayes_factor = screening.window_spectra, screening.log_bayes_factor
         calls = []
 
+        def marked(kind, rows):  # on a map of its own, as window_spectra's arrays are
+            scale = dataio._shared_rows(rows, cohort.n, np.dtype(float))
+            scale[:] = order[kind]
+            return scale
+
         def marked_spectra(w, block, kinds):
             spectra = window_spectra(w, block, kinds)
             if w != target:
                 return spectra
-            return {kind: ([np.tile(order[kind], (len(deg), 1)) for deg in degenerate],
+            return {kind: ([marked(kind, len(deg)) for deg in degenerate],
                            [np.zeros(len(deg), dtype=bool) for deg in degenerate])
                     for kind, (_, degenerate) in spectra.items()}
 
@@ -710,6 +720,12 @@ class TestScreenWindows:
 
         monkeypatch.setattr(screening, "window_spectra", marked_spectra)
         monkeypatch.setattr(screening, "log_bayes_factor", failing_log_bf)
+        return target, calls
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_job_cancels_its_window_jobs(self, genome, monkeypatch, threads):
+        cohort, windows, ctx, _, screen = genome
+        target, calls = self._fail_d_jobs(monkeypatch, cohort, windows)
         with pytest.raises(RuntimeError, match=re.escape(
                 f"window {target.chromosome}:{target.start_bp}-{target.end_bp} (d): "
                 "singular design")):
@@ -722,6 +738,56 @@ class TestScreenWindows:
             # the top scale's c job, then its d job, which fails; every other
             # job of the window was cancelled before a worker could start it
             assert ran == ["c", "d"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "failed_job"])
+    def test_every_map_is_gone_when_the_screen_returns(self, genome, monkeypatch, request,
+                                                        threads, fails):
+        cohort, windows, ctx, _, screen = genome
+        if fails:
+            self._fail_d_jobs(monkeypatch, cohort, windows)
+        refs, make = [], mmap.mmap
+        gc.collect()
+        gc.disable()  # no map is left for the collector to find
+        request.addfinalizer(gc.enable)
+
+        def recorded(*args, **kwargs):
+            made = make(*args, **kwargs)
+            refs.append(weakref.ref(made))
+            return made
+
+        monkeypatch.setattr(mmap, "mmap", recorded)
+        try:
+            screen(windows, ctx, ("c", "d"), threads)
+        except RuntimeError as exc:
+            assert fails and str(exc).endswith("(d): singular design")
+        else:
+            assert not fails
+        # a window's maps: its block sums, then each scale's sums (its c) and d
+        made = sum(2 * w.depth + 3 for w in windows)
+        assert 0 < len(refs) < made if fails else len(refs) == made
+        assert [ref() for ref in refs if ref() is not None] == []
+
+    def test_a_depth_9_window_keeps_its_arrays_off_the_heap(self, tmp_path):
+        """Screening one depth-9 window at one thread keeps the tracemalloc peak
+        below a third of the bytes of the window's c and d."""
+        block = simharness.generate_genotypes(n=1000, n_snps=1024, n_blocks=16, seed=5)
+        window = simharness.synthetic_window(block, min_snps_per_coeff=1)
+        assert window.depth == 9
+        ctx = bayes.build_design(np.random.default_rng(6).standard_normal(block.n))
+        cache = str(tmp_path)
+        # the null model is read back from the cache inside the traced screen
+        nullsim.load_or_build_null_model(bayes.lambda1(ctx), 9, 4000, 3, cache)
+        bound = sum(2 * (1 << s) * block.n * 8 for s in range(10)) // 3
+        tracemalloc.start()
+        try:
+            [c, d] = nullsim.screen_windows([window], {window.chromosome: block}, ctx,
+                                            ("c", "d"), 4000, 3, cache, None, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.p_value is not None and d.p_value is not None
+        assert peak < bound, (peak, bound)
 
     def test_each_phenotype_of_a_batch_screens_as_its_own_design(self, genome):
         cohort, windows, _, _, screen = genome

@@ -325,18 +325,68 @@ class TestScreenWindow:
 class TestScaleLogBF:
     def test_live_rows_reach_the_transform_and_a_live_scale_is_not_copied(self, monkeypatch):
         rng = np.random.default_rng(2)
-        coeffs = rng.standard_normal((4, 30))
+        original = rng.standard_normal((4, 30))
         ctx = bayes.build_design(rng.standard_normal(30))
         transform, seen = wavelet.quantile_transform, []
         monkeypatch.setattr(wavelet, "quantile_transform",
-                            lambda rows: seen.append(rows) or transform(rows))
+                            lambda rows, out: seen.append((rows, out, rows.copy()))
+                            or transform(rows, out=out))
+        # every row live: the scale itself is transformed into itself
+        coeffs = original.copy()
         log_bf, locs = screening.scale_log_bf(ctx, coeffs, np.zeros(4, dtype=bool))
-        assert seen[0] is coeffs and np.array_equal(locs, np.arange(4))
-        want = bayes.log_bayes_factor(ctx, transform(coeffs[np.arange(4)]).T)
+        rows, out, before = seen[0]
+        assert rows is out and rows.base is coeffs and rows.shape == coeffs.shape
+        assert before.tobytes() == original.tobytes()
+        assert np.array_equal(locs, np.arange(4))
+        assert coeffs.tobytes() == transform(original).tobytes()
+        want = bayes.log_bayes_factor(ctx, transform(original).T)
         assert log_bf.tobytes() == want.tobytes()
-        _, locs = screening.scale_log_bf(ctx, coeffs, np.array([False, True, False, False]))
+        # a flagged row: the live rows move to the scale's front, in order,
+        # and are transformed there
+        coeffs = original.copy()
+        log_bf, locs = screening.scale_log_bf(ctx, coeffs, np.array([False, True, False, False]))
         assert np.array_equal(locs, [0, 2, 3])
-        assert seen[1].tobytes() == coeffs[[0, 2, 3]].tobytes()
+        rows, out, before = seen[1]
+        assert rows is out and rows.base is coeffs and rows.shape == (3, 30)
+        assert before.tobytes() == original[[0, 2, 3]].tobytes()
+        assert coeffs[:3].tobytes() == transform(original[[0, 2, 3]]).tobytes()
+        want = bayes.log_bayes_factor(ctx, transform(original[[0, 2, 3]]).T)
+        assert log_bf.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _scale(n_rows, n, flagged, rng):
+        """(coeffs, degenerate): random rows with ties and +-0 values, and
+        constant or +-0-mixed rows, flagged as ``window_spectra`` flags them,
+        at the rows ``flagged``."""
+        coeffs = rng.standard_normal((n_rows, n))
+        coeffs[::3] = np.round(coeffs[::3] * 2.0) / 2.0  # ties, +-0 among them
+        coeffs[1::4, :4] = [0.0, -0.0, 0.0, -0.0]  # +-0 ties in live rows
+        for k, r in enumerate(r for r in flagged if r < n_rows):
+            coeffs[r] = 1.5 if k % 2 else np.where(np.arange(n) % 2, -0.0, 0.0)
+        return coeffs, np.ptp(coeffs, axis=-1) == 0.0
+
+    @pytest.mark.parametrize("n_pheno", [1, 3])
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("flagged", [(), (0,), (62, 63, 64, 127, 128), (63, 65, 128)],
+                             ids=["none", "first", "block_edges", "straddling"])
+    def test_equals_the_transform_of_a_copy_at_block_edges(self, n_rows, n_pheno, flagged):
+        assert screening._ROW_BLOCK == 64
+        rng = np.random.default_rng([n_rows, n_pheno, len(flagged)])
+        n = 40
+        coeffs, degenerate = self._scale(n_rows, n, flagged, rng)
+        assert degenerate.sum() == sum(r < n_rows for r in flagged)
+        ctx = bayes.build_design(rng.standard_normal((n, n_pheno)),
+                                 rng.standard_normal((n, 2)))
+        copy = coeffs.copy()
+        log_bf, locs = screening.scale_log_bf(ctx, coeffs, degenerate)
+        want_locs = np.flatnonzero(~degenerate)
+        assert np.array_equal(locs, want_locs)
+        assert log_bf.shape == (n_pheno, len(want_locs))
+        if len(want_locs):
+            scores = wavelet.quantile_transform(copy[want_locs])
+            want = bayes.log_bayes_factor(ctx, scores.T)
+            assert log_bf.tobytes() == want.tobytes()
+            assert coeffs[:len(want_locs)].tobytes() == scores.tobytes()
 
 
 class TestStreamedInterpolation:

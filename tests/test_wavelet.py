@@ -1,5 +1,7 @@
 """Haar pyramid, interpolation, shrinkage and rank-normal transform."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +81,43 @@ class TestHaarPyramid:
         v = np.concatenate([np.full(16, 2.0), np.zeros(16)])
         _, d = haar_pyramid(v, 0)
         assert d[0][0] > 0
+
+    @pytest.mark.parametrize("shape, n_grid", [((64,), None), ((64, 3), None), ((64, 3), 512),
+                                               ((128, 1), 128), ((2, 5), 8)])
+    def test_dense_pyramid_equals_the_old_formula_on_a_copy(self, shape, n_grid):
+        grid = np.random.default_rng(len(shape)).standard_normal(shape)
+        grid[::7] = 0.0
+        grid[3::7] = -0.0
+        copy = grid.copy()
+        M = shape[0]
+        N = M if n_grid is None else n_grid
+        J = M.bit_length() - 1
+        for depth in range(J):
+            c, d = haar_pyramid(grid, depth, n_grid=n_grid)
+            assert grid.tobytes() == copy.tobytes()  # the input is only read
+            # the pyramid as it was: every level's sums, then c and d from them
+            sums = [None] * (J + 1)
+            sums[J] = copy
+            for s in range(J - 1, -1, -1):
+                sums[s] = sums[s + 1][0::2] + sums[s + 1][1::2]
+            assert len(c) == len(d) == depth + 1
+            for s in range(depth + 1):
+                root = np.sqrt(N >> s)
+                want_d = (sums[s + 1][0::2] - sums[s + 1][1::2]) / root
+                for got, want in ((c[s], sums[s] / root), (d[s], want_d)):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+            # each array lies on an anonymous map of its own
+            owners = [_map_of(a) for a in c + d]
+            assert all(isinstance(o, mmap.mmap) for o in owners)
+            assert len({id(o) for o in owners}) == len(owners)
+
+
+def _map_of(a):
+    """The object that owns the memory of array ``a``."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
 
 
 def _grid_points(n_grid):
@@ -210,6 +249,29 @@ class TestShrinkage:
         out = visushrink(d, [np.array([1.0])], n_grid=1024)
         assert np.all(out[0] > 40.0)
 
+    def test_visushrink_in_place_equals_the_old_formula_on_a_copy(self):
+        assert wavelet._ROW_BLOCK == 64
+        rng = np.random.default_rng(11)
+        n_grid = 1024
+        factor = np.sqrt(2.0 * np.log(n_grid))
+        var_d = [rng.uniform(0.5, 2.0, rows) for rows in (1, 63, 64, 65, 129)]
+        d = [rng.standard_normal((len(vs), 30)) * 6.0 for vs in var_d]
+        for ds, vs in zip(d, var_d):
+            ds[:, :4] = [0.0, -0.0, 0.5, -0.5]
+            ds[:, 4] = np.sqrt(vs) * factor  # exactly at the threshold
+            ds[:, 5] = -ds[:, 4]
+        copy = [ds.copy() for ds in d]
+        arrays = list(d)
+        out = visushrink(d, var_d, n_grid)
+        assert out is d and all(a is b for a, b in zip(out, arrays))
+        for got, ds, vs in zip(out, copy, var_d):
+            # the shrinkage as it was: a new array per scale
+            shrunk = np.abs(ds)
+            shrunk -= (np.sqrt(vs) * factor)[:, None]
+            np.maximum(shrunk, 0.0, out=shrunk)
+            want = np.copysign(shrunk, ds)
+            assert got.tobytes() == want.tobytes()
+
 
 @st.composite
 def rank_inputs(draw):
@@ -291,6 +353,27 @@ class TestQuantileTransform:
     @settings(max_examples=200, deadline=None)
     def test_mixed_row_classes_bitwise_equal_to_reference(self, values):
         _assert_bitwise_equal_to_reference(values, -1)
+
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+    def test_row_blocks_and_out_give_each_row_its_own_scores(self, n_rows):
+        assert wavelet._ROW_BLOCK == 64
+        rng = np.random.default_rng(n_rows)
+        rows = rng.standard_normal((n_rows, 25))
+        rows[::2] = np.round(rows[::2])  # tied rows next to tie-free ones
+        rows[1::5] = np.where(np.arange(25) % 2, 0.0, -0.0)  # constant, +-0 mixed
+        alone = np.vstack([quantile_transform(row[None]) for row in rows])
+        assert quantile_transform(rows).tobytes() == alone.tobytes()
+        out = np.full(rows.shape, np.nan)
+        assert quantile_transform(rows, out=out) is out
+        assert out.tobytes() == alone.tobytes()
+        assert quantile_transform(rows, out=rows) is rows  # in place
+        assert rows.tobytes() == alone.tobytes()
+
+    def test_rejects_an_out_it_cannot_fill(self):
+        rows = np.zeros((3, 4))
+        for out in (np.zeros((3, 5)), np.zeros((3, 4), dtype=np.float32), np.zeros((4, 3)).T):
+            with pytest.raises(ValueError, match="^out must be a C-contiguous float64 array"):
+                quantile_transform(rows, out=out)
 
     def test_matches_blom_formula(self):
         rng = np.random.default_rng(8)
