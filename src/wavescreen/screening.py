@@ -127,7 +127,7 @@ def fisher_combine(p_values) -> float:
 def _centered_product(W: sparse.csr_matrix, block: ChromosomeBlock, first: int) -> np.ndarray:
     """W @ (dosages - 1.0) of the block's SNPs from ``first`` on, streamed in
     blocks of ``_ROW_BLOCK`` rows of W into an anonymous map of its own
-    (``dataio._shared_rows``), not the malloc heap.
+    (``dataio._mapped_rows``), not the malloc heap.
 
     Each block decodes and centers only the contiguous SNP range its rows
     touch (``ChromosomeBlock.dosages``) and multiplies a CSR matrix made of
@@ -135,7 +135,7 @@ def _centered_product(W: sparse.csr_matrix, block: ChromosomeBlock, first: int) 
     same products in the same order as the one product does, and no
     window-sized decoded or centered copy is made.
     """
-    out = dataio._shared_rows(W.shape[0], block.n, np.dtype(float))
+    out = dataio._mapped_rows(W.shape[0], block.n, np.dtype(float))
     for r0 in range(0, W.shape[0], _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, W.shape[0])
         a, b = W.indptr[r0], W.indptr[r1]
@@ -211,8 +211,8 @@ def scale_log_bf(ctx: DesignContext, coeffs: np.ndarray,
     BF = 1 factor). ``coeffs`` is overwritten: its k live rows move to its
     front, ``_ROW_BLOCK`` rows at a time, and ``wavelet.quantile_transform``
     replaces them by their Blom scores, so the job copies no more than a
-    block. One ``log_bayes_factor`` call then takes all k, as a block's call
-    would round differently. Returns (log_bf, locations): the (P, k) log
+    block. One ``log_bayes_factor`` call then takes all k: calls on blocks
+    of them would round differently. Returns (log_bf, locations): the (P, k) log
     BFs, a row per phenotype of ``ctx``, of the k live coefficients at
     ``locations``. The Blom scores of a row depend on that row alone, so
     transforming only the live rows gives each the scores a transform of

@@ -85,7 +85,7 @@ def haar_pyramid(
 
     A dense ``grid_values`` is read, never written. Each level's block sums
     and each scale's d are float64 arrays on anonymous maps of their own
-    (``dataio._shared_rows``), and c is its level's sums divided by
+    (``dataio._mapped_rows``), and c is its level's sums divided by
     sqrt(block size) in place, so no array of the pyramid passes through
     malloc and each scale's memory is released once its arrays are dropped.
     Sparse rows (``pyramid_variances``) give new sparse matrices.
@@ -117,7 +117,7 @@ def haar_pyramid(
         return c, d
 
     def own_map(like):
-        return dataio._shared_rows(len(like), like.size // len(like),
+        return dataio._mapped_rows(len(like), like.size // len(like),
                                    np.dtype(float)).reshape(like.shape)
 
     c, d = [None] * (depth + 1), [None] * (depth + 1)

@@ -698,7 +698,7 @@ class TestScreenWindows:
         calls = []
 
         def marked(kind, rows):  # on a map of its own, as window_spectra's arrays are
-            scale = dataio._shared_rows(rows, cohort.n, np.dtype(float))
+            scale = dataio._mapped_rows(rows, cohort.n, np.dtype(float))
             scale[:] = order[kind]
             return scale
 
