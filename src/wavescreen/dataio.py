@@ -404,9 +404,9 @@ def _mapped_rows(n_rows: int, width: int, dtype: np.dtype, shared: bool = False)
 
     The parse's dosage stores are ``shared`` maps, which forked children
     write into. Each of a window's arrays (its block sums, each level's
-    sums, each scale's c and d) takes a private map whose pages are faulted
-    in when it is made, in about half the time a shared map's take one by
-    one; so none of them passes through malloc, whose arenas keep freed
+    sums, each scale's c and d) takes a private map, its pages faulted in
+    as it is made, which fills in about half the time a shared map takes;
+    so none of them passes through malloc, whose arenas keep freed
     multi-MiB arrays. A map cannot be empty, so it gets a byte to spare."""
     flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
     return np.frombuffer(mmap.mmap(-1, n_rows * width * dtype.itemsize + 1, flags=flags),

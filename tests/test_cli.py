@@ -748,7 +748,7 @@ class TestScreenWindows:
             self._fail_d_jobs(monkeypatch, cohort, windows)
         refs, make = [], mmap.mmap
         gc.collect()
-        gc.disable()  # no map is left for the collector to find
+        gc.disable()  # a map that only the collector would free is not gone
         request.addfinalizer(gc.enable)
 
         def recorded(*args, **kwargs):
