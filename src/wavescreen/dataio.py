@@ -21,17 +21,16 @@ import numpy as np
 MIN_IMPUTATION_QUALITY = 0.7
 # Names what a dosage cache entry holds and how: bump the number whenever the
 # genotype parse changes what it keeps or the digest changes how it is taken
-# (2: the leaf tree of ``_file_digest``; 3: the store named in the header); the
-# IQ cut and byte order are part of the name as they are, so an entry made
-# under other ones is not read.
-_DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-3-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
+# (2: the leaf tree of ``_file_digest``; 3: the store named in the header; 4:
+# every store codes, and the header counts the rounded dosages); the IQ cut
+# and byte order are part of the name as they are, so an entry made under
+# other ones is not read.
+_DOSAGE_CACHE_FORMAT = (f"wavescreen-dosages-4-iq{float.hex(MIN_IMPUTATION_QUALITY)}"
                        f"-{sys.byteorder}")
-# The two dosage stores, by the name a cache entry's header gives them. A
-# dosage g read from text is held as the code c = rint(1e4 g) when c / 1e4,
-# which IEEE division rounds correctly, is the parsed double itself: every
-# value in [0, 2] written with at most 4 decimals is. A file with any kept
-# dosage that is not keeps them all as float64.
-_STORES = {"codes": np.dtype(np.uint16), "float64": np.dtype(np.float64)}
+# A dosage g read from text is held as the uint16 code c = rint(1e4 g), which
+# decodes to c / 1e4: that is the parsed double itself for every value in
+# [0, 2] written with at most 4 decimals, as IEEE division rounds correctly,
+# and within 5e-5 of any other.
 _CODE_SCALE = 1e4
 # A dosage cache entry names the genotype file's bytes by the sha256 of the
 # concatenated sha256 digests of its consecutive leaves of this many bytes,
@@ -55,13 +54,10 @@ class DataError(ValueError):
 class ChromosomeBlock:
     """All retained SNPs of one chromosome, sorted by position.
 
-    ``store`` holds the (n_snps, n_individuals) dosages as a cohort file's
-    parse left them: uint16 codes c, each dosage's c / 1e4, when every kept
-    dosage of the file is exact at 4 decimals (2 bytes a dosage), and
-    float64 dosages otherwise and in synthetic cohorts (8 bytes a dosage).
-    Other modules read it only through ``dosages``, which gives the same
-    doubles from either, but for a ``-0`` token read as a code, which
-    gives +0.0, also where it was decoded into a float64 store.
+    ``store`` holds the (n_snps, n_individuals) dosages: a cohort file's as
+    uint16 codes c, each dosage's c / 1e4 (2 bytes a dosage), and a
+    synthetic cohort's as float64 dosages (8 bytes a dosage). Other modules
+    read it only through ``dosages``.
     """
 
     chromosome: str
@@ -80,12 +76,13 @@ class ChromosomeBlock:
     def dosages(self, rows=slice(None), minus: float = 0.0) -> np.ndarray:
         """The float64 dosages of the SNPs ``rows`` (any numpy index) less ``minus``.
 
-        Codes decode to c / 1e4, bitwise the parsed double (a ``-0`` token
-        gives +0.0), into a new array that ``minus`` is taken from in place.
+        Codes decode to c / 1e4, bitwise the parsed double of a token exact
+        at 4 decimals (a ``-0`` token gives +0.0), into a new array that
+        ``minus`` is taken from in place.
         A float64 store gives a view of itself when ``minus`` is 0 and
         ``rows`` a slice, so it is never copied whole.
         """
-        if self.store.dtype == _STORES["codes"]:
+        if self.store.dtype == np.uint16:
             values = np.divide(self.store[rows], _CODE_SCALE)
             if minus:
                 values -= minus
@@ -330,18 +327,18 @@ def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, dest: np.ndarray,
-                 out: np.ndarray, lo: int, hi: int) -> int:
-    """Parse dosage rows [lo, hi) and write each kept row to ``out[dest[row]]``.
+                 out: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """Parse dosage rows [lo, hi) and write each kept row's ``_codes`` to
+    ``out[dest[row]]``.
 
     The rows are read from the file in pieces of at most ``_MAX_TEXT_BYTES``
     and parsed in order behind the file's first row, ``first``, so that
     their widths are checked against that row's and the range's first error
     is the one a single pass over the file meets first in it. Rows with
-    ``dest`` -1 are checked and dropped. A uint16 ``out`` takes each piece's
-    kept rows as ``_codes`` and stops at the first piece with a kept dosage
-    that is not exact as a code. Returns the first row not written: that
-    piece's first, or ``hi``.
+    ``dest`` -1 are checked and dropped. Returns how many kept dosages were
+    not exact as codes, and so rounded, and the line of the first (0 if none).
     """
+    rounded = line = 0
     while lo < hi:
         stop = lo + max(1, int(np.searchsorted(spans[lo:hi, 1], spans[lo, 0] + _MAX_TEXT_BYTES,
                                                "right")))
@@ -349,15 +346,14 @@ def _parse_range(fd: int, spans: np.ndarray, first: list[str], line_nos: array, 
                             line_nos[:1] + line_nos[lo:stop], "dosage", 0.0, 2.0)[1:]
         rows = dest[lo:stop]
         keep = rows >= 0
-        if out.dtype == _STORES["float64"]:
-            out[rows[keep]] = values[keep]
-        else:
-            codes, exact_at = _codes(values)
-            if not exact_at[keep].all():
-                return lo
-            out[rows[keep]] = codes[keep]
+        codes, exact = _codes(values)
+        out[rows[keep]] = codes[keep]
+        inexact = keep & ~exact.all(axis=1)  # the kept rows with a rounded dosage
+        if inexact.any():
+            line = line or line_nos[lo + int(np.argmax(inexact))]
+            rounded += int(np.count_nonzero(~exact[inexact]))
         lo = stop
-    return hi
+    return rounded, line
 
 
 # Each process parses about this many chunks, taken from a shared queue, so
@@ -368,41 +364,23 @@ _MAX_CHUNKS = 1024  # the queue, 4 bytes a chunk, fits one atomic pipe write
 
 
 def _parse_chunks(parse_range, bounds: np.ndarray, queue_fd: int, bad: np.ndarray,
-                  split: np.ndarray, decode=None) -> None:
+                  rounded: np.ndarray) -> None:
     """Take chunks ``[bounds[c], bounds[c + 1])`` from the queue pipe until it
-    is empty, setting ``bad[c]`` where chunk c raises a DataError.
-    Without ``decode``, ``parse_range`` writes codes, and ``split[c]``, set
-    to ``bounds[c + 1]`` beforehand, becomes the first row it left to a
-    float64 pass: where it stopped, or ``bounds[c]`` for a chunk taken
-    once any chunk has stopped short. With it, ``parse_range`` writes
-    float64 dosages: rows ``[bounds[c], split[c])`` are ``decode``d from
-    their codes and the rest parsed."""
+    is empty, setting ``rounded[c]`` to what ``parse_range`` returns for
+    chunk c, or ``bad[c]`` where it raises a DataError."""
     while chunk := os.read(queue_fd, 4):
         c = int.from_bytes(chunk, "little")
-        lo, hi = int(bounds[c]), int(bounds[c + 1])
         try:
-            if decode is None:
-                split[c] = lo if (split != bounds[1:]).any() else parse_range(lo, hi)
-            else:
-                decode(lo, int(split[c]))
-                parse_range(int(split[c]), hi)
+            rounded[c] = parse_range(int(bounds[c]), int(bounds[c + 1]))
         except DataError:
             bad[c] = True
-
-
-def _decode_range(dest: np.ndarray, codes: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """Write the kept rows among [lo, hi) of ``codes`` to ``out`` as float64
-    dosages, c / 1e4 (see ``ChromosomeBlock.dosages``)."""
-    rows = dest[lo:hi]
-    rows = rows[rows >= 0]
-    out[rows] = np.divide(codes[rows], _CODE_SCALE)
 
 
 def _mapped_rows(n_rows: int, width: int, dtype: np.dtype, shared: bool = False) -> np.ndarray:
     """An (n_rows, width) array of zeros on an anonymous map of its own,
     unmapped once the array's last view goes.
 
-    The parse's dosage stores are ``shared`` maps, which forked children
+    The parse's dosage store is a ``shared`` map, which forked children
     write into. Each of a window's arrays (its block sums, each level's
     sums, each scale's c and d) takes a private map, its pages faulted in
     as it is made, which fills in about half the time a shared map takes;
@@ -413,8 +391,8 @@ def _mapped_rows(n_rows: int, width: int, dtype: np.dtype, shared: bool = False)
                          dtype=dtype, count=n_rows * width).reshape(n_rows, width)
 
 
-def _fork_parse(parse_range, bounds: np.ndarray, k: int, bad: np.ndarray, split: np.ndarray,
-                decode=None) -> None:
+def _fork_parse(parse_range, bounds: np.ndarray, k: int, bad: np.ndarray,
+                rounded: np.ndarray) -> None:
     """Run ``_parse_chunks`` on every chunk, queued in a pipe, in the parent
     and ``k - 1`` forked children; reap every child and raise RuntimeError
     if one failed."""
@@ -427,12 +405,12 @@ def _fork_parse(parse_range, bounds: np.ndarray, k: int, bad: np.ndarray, split:
             pid = os.fork()
             if pid == 0:
                 try:
-                    _parse_chunks(parse_range, bounds, queue_fd, bad, split, decode)
+                    _parse_chunks(parse_range, bounds, queue_fd, bad, rounded)
                     os._exit(0)
                 finally:
                     os._exit(1)  # a child never returns, and any exception fails it
             children.append(pid)
-        _parse_chunks(parse_range, bounds, queue_fd, bad, split, decode)
+        _parse_chunks(parse_range, bounds, queue_fd, bad, rounded)
     finally:
         os.close(queue_fd)
         exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
@@ -442,29 +420,24 @@ def _fork_parse(parse_range, bounds: np.ndarray, k: int, bad: np.ndarray, split:
 
 
 def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray, n_kept: int,
-                  workers: int) -> np.ndarray:
+                  workers: int) -> tuple[np.ndarray, tuple[int, int]]:
     """Parse the dosage rows in up to ``workers`` processes at once.
 
     Row i's dosage text is bytes ``spans[i]`` of the open file ``fd``. Every
     row is checked, and row i lands in row ``dest[i]`` of the returned
-    (n_kept, width) store (see ``ChromosomeBlock``), or is dropped where
-    ``dest[i]`` is -1. The rows are cut into contiguous chunks, queued in a
-    pipe. The parent and ``k - 1`` forked children take chunks from it until
-    it is empty; each reads its chunks' text from the file itself and writes
+    (n_kept, width) store of codes (see ``ChromosomeBlock``), or is dropped
+    where ``dest[i]`` is -1. Also returns how many kept dosages were not
+    exact at 4 decimals, and so rounded, and the line of the first (0 if
+    none). The rows are cut into contiguous chunks, queued in a pipe. The
+    parent and ``k - 1`` forked children take chunks from it until it is
+    empty; each reads its chunks' text from the file itself and writes
     their kept rows into place in a shared anonymous map of codes, so the
-    dosages are held once and no process holds more than a piece of the
-    text. A chunk with a bad row sets its flag in a second shared map. A
-    chunk stops at its first piece with a kept dosage that is not exact as
-    a code, and records that piece's first row in a third shared map; every
-    chunk taken after that is left unparsed, recorded as stopped at its
-    first row. If any chunk stopped short, a second pass over the chunks,
-    run the same way, fills a float64 map: each chunk decodes its rows
-    before that row from their codes, every one exact, and parses the
-    rest; so a file parses once, and at most the pieces in flight when its
-    first inexact value is met parse twice. The parent reaps every child,
-    raises RuntimeError if one failed, and parses the lowest chunk flagged
-    bad again, which raises the first error in file order, as one pass
-    would. With one process, or no
+    dosages are held once, every row is parsed once and no process holds
+    more than a piece of the text. Each chunk records its rounded count and
+    first line in a second shared map, and sets its flag in a third if it
+    has a bad row. The parent reaps every child, raises RuntimeError if one
+    failed, and parses the lowest chunk flagged bad again, which raises the
+    first error in file order, as one pass would. With one process, or no
     ``os.fork``, the parent parses every chunk. The width probe loads
     numpy's reader before any fork, so a child imports nothing; a first
     row that fails it raises its own error.
@@ -479,37 +452,34 @@ def _read_dosages(fd: int, spans: np.ndarray, line_nos: array, dest: np.ndarray,
     n_chunks = min(n_rows, k * _CHUNKS_PER_WORKER, _MAX_CHUNKS)
     bounds = np.arange(n_chunks + 1) * n_rows // n_chunks
     bad = np.frombuffer(mmap.mmap(-1, n_chunks), dtype=bool)
-    split = np.frombuffer(mmap.mmap(-1, 8 * n_chunks), dtype=np.int64)
-    split[:] = bounds[1:]
-    codes = _mapped_rows(n_kept, width, _STORES["codes"], shared=True)
-    parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest)
-    _fork_parse(functools.partial(parse_range, codes), bounds, k, bad, split)
-    store = codes
-    if (split != bounds[1:]).any():
-        store = _mapped_rows(n_kept, width, _STORES["float64"], shared=True)
-        _fork_parse(functools.partial(parse_range, store), bounds, k, bad, split,
-                    functools.partial(_decode_range, dest, codes, store))
+    rounded = np.frombuffer(mmap.mmap(-1, 16 * n_chunks), dtype=np.int64).reshape(n_chunks, 2)
+    codes = _mapped_rows(n_kept, width, np.dtype(np.uint16), shared=True)
+    parse_range = functools.partial(_parse_range, fd, spans, first, line_nos, dest, codes)
+    _fork_parse(parse_range, bounds, k, bad, rounded)
     if bad.any():
         c = int(np.argmax(bad))
         # raises the chunk's error unless the file changed
-        parse_range(store, int(bounds[c]), int(bounds[c + 1]))
+        parse_range(int(bounds[c]), int(bounds[c + 1]))
         raise DataError("genotype file changed while it was read")
-    return store
+    # the chunks lie in file order, so the first with a rounded dosage holds the first
+    return codes, (int(rounded[:, 0].sum()), int(rounded[np.argmax(rounded[:, 0] > 0), 1]))
 
 
-_Layout = tuple[list[tuple[str, int]], np.ndarray, np.ndarray, np.ndarray]
+_Layout = tuple[list[tuple[str, int]], np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]
 
 
 def _read_genotypes(path: str, workers: int = 1) -> _Layout:
     """Read and validate the genotype file (format in ``load_cohort``).
 
     Returns the SNPs passing ``MIN_IMPUTATION_QUALITY`` in a dosage cache
-    entry's layout, ``(table, positions, qualities, store)``: ``table`` is
-    ``[(chromosome, kept count)]`` in sorted chromosome order, and the int64
-    positions, float64 qualities and shared (n_kept, n) dosage store hold the
-    rows in that order, each chromosome's stably sorted by position. ``_blocks``
-    checks for duplicates. One pass over the file keeps each row's metadata
-    and the byte span of its dosage field; ``_read_dosages`` reads them back.
+    entry's layout, ``(table, positions, qualities, store, (rounded, line))``:
+    ``table`` is ``[(chromosome, kept count)]`` in sorted chromosome order,
+    and the int64 positions, float64 qualities and shared (n_kept, n) store
+    of codes hold the rows in that order, each chromosome's stably sorted by
+    position; ``rounded`` counts the kept dosages not exact at 4 decimals,
+    and ``line`` is the first one's (0 if none). ``_blocks`` checks for
+    duplicates. One pass over the file keeps each row's metadata and the
+    byte span of its dosage field; ``_read_dosages`` reads them back.
     """
     positions = array("q")
     iqs = array("d")
@@ -551,8 +521,9 @@ def _read_genotypes(path: str, workers: int = 1) -> _Layout:
         dest = np.full(len(line_nos), -1, dtype=np.intp)
         dest[rows] = np.arange(len(rows))
         if line_nos:
-            dosages = _read_dosages(fd, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2),
-                                    line_nos, dest, len(rows), workers)
+            dosages, rounded = _read_dosages(
+                fd, np.frombuffer(spans, dtype=np.int64).reshape(-1, 2), line_nos, dest,
+                len(rows), workers)
     finally:
         os.close(fd)
     if row_error is not None:
@@ -561,7 +532,7 @@ def _read_genotypes(path: str, workers: int = 1) -> _Layout:
         raise DataError(f"genotype file {path} has no SNP rows")
     if not table:
         raise DataError("no SNPs passed the imputation-quality filter")
-    return table, all_positions[rows], np.frombuffer(iqs, dtype=float)[rows], dosages
+    return table, all_positions[rows], np.frombuffer(iqs, dtype=float)[rows], dosages, rounded
 
 
 def _blocks(table: list[tuple[str, int]], positions: np.ndarray, qualities: np.ndarray,
@@ -595,18 +566,18 @@ def _load_entry(entry: str, digest: str) -> _Layout | None:
     """The layout (see ``_read_genotypes``) held by a dosage cache entry.
 
     None when the entry is missing, its header is not one ``_save_entry``
-    writes (its store must be one of ``_STORES``, its chromosome names
-    distinct and sorted), its size is not what the header implies, or the
-    digest in its header is not ``digest``. The arrays are read-only views
-    of a map of the entry.
+    writes (its chromosome names distinct and sorted, its rounded count and
+    line both 0 or both positive), its size is not what the header implies,
+    or the digest in its header is not ``digest``. The arrays are read-only
+    views of a map of the entry.
     """
     try:
         with open(entry, "rb") as fh:
-            form, held, store, n, n_chroms = (fh.readline(_MAX_HEADER_LINE).decode("utf-8")
-                                              .split("\t"))
-            if form != _DOSAGE_CACHE_FORMAT or held != digest or store not in _STORES:
+            form, held, rounded, line, n, n_chroms = (fh.readline(_MAX_HEADER_LINE)
+                                                      .decode("utf-8").split("\t"))
+            if form != _DOSAGE_CACHE_FORMAT or held != digest:
                 return None
-            dtype = _STORES[store]
+            rounded, line = int(rounded), int(line)
             table = []
             for _ in range(int(n_chroms)):
                 chrom, count = fh.readline(_MAX_HEADER_LINE).decode("utf-8").split("\t")
@@ -615,15 +586,16 @@ def _load_entry(entry: str, digest: str) -> _Layout | None:
             names = [chrom for chrom, _ in table]
             if (n < 1 or min((c for _, c in table), default=0) < 1
                     or names != sorted(set(names))  # as the parse orders them
-                    or os.fstat(fh.fileno()).st_size
-                    != offset + 16 * n_kept + dtype.itemsize * n_kept * n):
+                    or min(rounded, line) < 0 or (rounded == 0) != (line == 0)
+                    or os.fstat(fh.fileno()).st_size != offset + 16 * n_kept + 2 * n_kept * n):
                 return None
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):  # no readable entry, or a header that does not parse
         return None
     return (table, np.frombuffer(data, np.int64, n_kept, offset),
             np.frombuffer(data, float, n_kept, offset + 8 * n_kept),
-            np.frombuffer(data, dtype, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n))
+            np.frombuffer(data, np.uint16, n_kept * n, offset + 16 * n_kept).reshape(n_kept, n),
+            (rounded, line))
 
 
 def replace_file(path: str, chunks: Iterable) -> None:
@@ -648,18 +620,17 @@ def replace_file(path: str, chunks: Iterable) -> None:
 def _save_entry(entry: str, layout: _Layout, digest: str) -> None:
     """Write a layout (see ``_read_genotypes``) to the dosage cache entry ``entry``.
 
-    One header line holds the format, the genotype file's digest, the name
-    of the dosage store (``_STORES``), n and the number of chromosomes, and
-    one line per chromosome its name and kept SNP count; the header is
-    padded to a multiple of 8 bytes. The positions (int64), imputation
-    qualities (float64) and the store's rows (uint16 codes or float64)
-    follow as the layout holds them. ``replace_file`` syncs the entry
-    before it renames it into place; one that cannot be written costs a
-    warning, not the run.
+    One header line holds the format, the genotype file's digest, the
+    rounded dosage count and the first one's line, n and the number of
+    chromosomes, and one line per chromosome its name and kept SNP count;
+    the header is padded to a multiple of 8 bytes. The positions (int64),
+    imputation qualities (float64) and codes (uint16) follow as the layout
+    holds them. ``replace_file`` syncs the entry before it renames it into
+    place; one that cannot be written costs a warning, not the run.
     """
-    table, positions, qualities, store = layout
-    name = "codes" if store.dtype == _STORES["codes"] else "float64"
-    header = (f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{name}\t{store.shape[1]}\t{len(table)}\n"
+    table, positions, qualities, store, (rounded, line) = layout
+    header = (f"{_DOSAGE_CACHE_FORMAT}\t{digest}\t{rounded}\t{line}\t{store.shape[1]}"
+              f"\t{len(table)}\n"
               + "".join(f"{chrom}\t{count}\n" for chrom, count in table)).encode("utf-8")
     try:
         replace_file(entry, [header + b" " * (-len(header) % 8), positions, qualities, store])
@@ -705,14 +676,14 @@ def load_cohort(
     SNPs with imputation quality below ``MIN_IMPUTATION_QUALITY`` are
     dropped after validation. Each chromosome's rows are sorted by position
     (stably); duplicate positions within a chromosome are rejected. The kept
-    dosages are stored as 2-byte codes, a quarter of float64's memory, when
-    each of them is exact at 4 decimals, which every chunk of the parse
-    checks; if one is not, they are stored as float64 dosages
-    (``ChromosomeBlock``), and only the pieces of text in flight at the
-    first inexact one are parsed again (``_read_dosages``). Either store
-    gives the parsed doubles. The
-    phenotype and covariate files take one row per individual and an
-    optional header row; the phenotype file holds one column.
+    dosages are read to 4 decimals: each is stored as the 2-byte code of
+    its value rounded to 4 decimals (``ChromosomeBlock``), a quarter of
+    float64's memory, which decodes to the parsed double itself for a value
+    written with at most 4 decimals and to within 5e-5 of any other. A load
+    that rounds any prints one warning with their count and the first
+    one's line. The phenotype and covariate files take one row per
+    individual and an optional header row; the phenotype file holds one
+    column.
 
     With a ``cache_dir``, the load first takes the digest of the genotype
     file's bytes, once: the sha256 of the sha256 digests of its 4 MiB
@@ -721,10 +692,10 @@ def load_cohort(
     is mapped read-only instead of parsing the file again; an entry that
     is missing, malformed, truncated, of an older format or of other bytes
     is parsed past, and a load that passes every check rewrites it with
-    the digest. The entry holds the store as the parse made it and names
-    it in its header. Without a ``cache_dir`` the file is not hashed. A
-    parse and a hit give one layout, which ``_blocks`` cuts into blocks and
-    checks.
+    the digest. The entry holds the codes as the parse made them, and its
+    header the rounded count and line, so a hit warns as the parse did.
+    Without a ``cache_dir`` the file is not hashed. A parse and a hit give
+    one layout, which ``_blocks`` cuts into blocks and checks.
     """
     phenotype = _read_matrix(phenotype_path, "phenotype")
     if phenotype.shape[1] != 1:
@@ -740,7 +711,7 @@ def load_cohort(
     parsed = layout is None
     if parsed:
         layout = _read_genotypes(genotype_path, workers)
-    blocks = _blocks(*layout)
+    blocks = _blocks(*layout[:4])
     if _file_version(genotype_path) != version:
         raise DataError("genotype file changed while it was read")
     n_ind = layout[3].shape[1]
@@ -748,12 +719,14 @@ def load_cohort(
         raise DataError(
             f"phenotype has {len(phenotype)} rows but genotypes have {n_ind} individuals"
         )
-    if np.var(phenotype) == 0.0:
-        raise DataError("phenotype has zero variance")
     if covariates is None:
         covariates = np.empty((n_ind, 0))
     elif covariates.shape[0] != n_ind:
         raise DataError(f"covariates have {covariates.shape[0]} rows but cohort has {n_ind}")
+    rounded, line = layout[4]
+    if rounded:
+        print(f"warning: rounded {rounded} of the kept dosages to 4 decimals, the first on "
+              f"line {line}", file=sys.stderr)
     if entry is not None and parsed:
         _save_entry(entry, layout, digest)
     return CohortData(blocks=blocks, phenotype=phenotype, covariates=covariates)

@@ -458,12 +458,17 @@ def _read_matrix_reference(path, what):
 
 
 def read_genotypes_reference(path, min_iq):
-    """Per-token genotype reader: (blocks by chromosome, number of individuals).
+    """Per-token genotype reader: (blocks by chromosome, number of
+    individuals, (rounded, line)).
 
-    Checks each row completely, in file order, before reading the next.
+    Checks each row completely, in file order, before reading the next. A
+    kept dosage token is stored as the code round(float(token) * 1e4);
+    ``rounded`` counts the kept tokens whose code / 1e4 is not their value,
+    and ``line`` is the first one's line (0 if none).
     """
     raw = {}
     n_ind = None
+    rounded = first = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             tokens = line.split()
@@ -488,7 +493,12 @@ def read_genotypes_reference(path, min_iq):
             _check_values(dosages, "dosage", line_no, 0.0, 2.0)
             if iq < min_iq:
                 continue
-            raw.setdefault(chrom, []).append((int(pos), iq, np.array(dosages)))
+            codes = [round(v * 1e4) for v in dosages]
+            inexact = sum(c / 1e4 != v for c, v in zip(codes, dosages))
+            if inexact and not rounded:
+                first = line_no
+            rounded += inexact
+            raw.setdefault(chrom, []).append((int(pos), iq, np.array(codes, dtype=np.uint16)))
     if n_ind is None:
         raise DataError(f"genotype file {path} has no SNP rows")
 
@@ -507,7 +517,7 @@ def read_genotypes_reference(path, min_iq):
         )
     if not blocks:
         raise DataError("no SNPs passed the imputation-quality filter")
-    return blocks, n_ind
+    return blocks, n_ind, (rounded, first)
 
 
 def load_cohort_reference(genotype_path, phenotype_path, covariate_path=None, min_iq=0.7):
@@ -521,13 +531,11 @@ def load_cohort_reference(genotype_path, phenotype_path, covariate_path=None, mi
     covariates = None
     if covariate_path is not None:
         covariates = _read_matrix_reference(covariate_path, "covariate")
-    blocks, n_ind = read_genotypes_reference(genotype_path, min_iq)
+    blocks, n_ind, _ = read_genotypes_reference(genotype_path, min_iq)
     if len(phenotype) != n_ind:
         raise DataError(
             f"phenotype has {len(phenotype)} rows but genotypes have {n_ind} individuals"
         )
-    if np.var(phenotype) == 0.0:
-        raise DataError("phenotype has zero variance")
     if covariates is None:
         covariates = np.empty((n_ind, 0))
     elif covariates.shape[0] != n_ind:

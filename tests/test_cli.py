@@ -253,6 +253,35 @@ class TestScreenCommand:
         )
         assert not (out / "results.tsv").exists()
 
+    def test_constant_phenotype_exits_1(self, cohort_files, tmp_path, capsys):
+        # the design rejects it, once the inputs are loaded and tiled
+        geno, _ = cohort_files
+        constant = tmp_path / "constant.tsv"
+        np.savetxt(constant, np.full(150, 1.5))
+        out = tmp_path / "run"
+        assert main(_screen_args(geno, str(constant), str(out))) == 1
+        assert capsys.readouterr().err == UNSCREENED + "\nerror: phenotype has zero variance\n"
+        assert not (out / "results.tsv").exists()
+
+    def test_phenotype_of_tiny_values_is_screened(self, cohort_files, tmp_path, capsys):
+        # its variance underflows to 0, but the design scales each column by
+        # a power of two before its check; the loader once rejected it
+        geno, pheno = cohort_files
+        tiny = tmp_path / "tiny.tsv"
+        np.savetxt(tiny, np.loadtxt(pheno) * 1e-300)
+        assert np.var(np.loadtxt(tiny)) == 0.0
+        rows = {}
+        for name, path in (("plain", pheno), ("tiny", str(tiny))):
+            out = tmp_path / name
+            assert main(_screen_args(geno, path, str(out))) == 0
+            assert capsys.readouterr().err == UNSCREENED + "\n"
+            rows[name] = [line.split("\t") for line in
+                          (out / "results.tsv").read_text().splitlines()]
+        assert [r[:6] for r in rows["tiny"]] == [r[:6] for r in rows["plain"]]
+        np.testing.assert_allclose(np.array([r[6:] for r in rows["tiny"][1:]], dtype=float),
+                                   np.array([r[6:] for r in rows["plain"][1:]], dtype=float),
+                                   rtol=1e-9)
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
         # argparse rejects it, before any input file is looked at
@@ -426,27 +455,47 @@ class TestScreenCommand:
         assert len(list((tmp_path / "cache").glob("dosages_*"))) == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_either_dosage_store_gives_the_same_outputs(self, genome_files, tmp_path,
-                                                         monkeypatch, threads):
-        # the file's integer dosages are stored as codes; with every code
-        # taken as inexact, the parse falls back to float64 dosages
+    def test_dosages_past_4_decimals_screen_as_their_codes(self, genome_files, tmp_path,
+                                                             monkeypatch, capsys, threads):
+        # a file of 6-decimal dosages screens as its copy that spells each
+        # dosage's code with 4 decimals, and warns once, cold and warm
         geno, pheno = genome_files
-        codes = dataio._codes
+        rng = np.random.default_rng(9)
+        texts = {"four": [], "six": []}
+        rounded = first = 0
+        with open(geno, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                fields = line.split()
+                values = np.array(fields[4:], dtype=float) + rng.uniform(-0.3, 0.3, 60)
+                six = [f"{v:.6f}" for v in np.clip(values, 0.0, 2.0)]
+                codes = [round(float(t) * 1e4) for t in six]
+                inexact = sum(c / 1e4 != float(t) for c, t in zip(codes, six))
+                first = first or (line_no if inexact else 0)
+                rounded += inexact
+                texts["six"].append("\t".join(fields[:4] + six))
+                texts["four"].append("\t".join(fields[:4] + [f"{c // 10**4}.{c % 10**4:04d}"
+                                                             for c in codes]))
+        assert 0 < first < 5 and rounded > 10_000
+        monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / "cache"))
         runs = {}
-        for store in ("codes", "float64"):
-            if store == "float64":
-                monkeypatch.setattr(dataio, "_codes",
-                                    lambda values: (codes(values)[0], values != values))
-            monkeypatch.setenv("WAVESCREEN_CACHE_DIR", str(tmp_path / store / "cache"))
-            out = tmp_path / store / "out"
-            assert main(["screen", "--genotype-path", geno, "--phenotype-path", pheno,
-                         "--m", "4000", "--seed", "3", "--threads", str(threads),
-                         "--emit-details", "--output-dir", str(out)]) == 0
-            [entry] = (tmp_path / store / "cache").glob("dosages_*")
-            assert entry.read_bytes().split(b"\t", 3)[2] == store.encode()
-            runs[store] = {p.name: p.read_bytes() for p in out.glob("*.*")}
-        assert len(runs["codes"]) == 2 + 2 * 2  # results, summary, two windows' details
-        assert runs["codes"] == runs["float64"]
+        for name, lines in texts.items():
+            path = tmp_path / f"{name}.tsv"
+            path.write_text("\n".join(lines) + "\n")
+            for run in ("cold", "warm"):
+                out = tmp_path / name / run
+                assert main(["screen", "--genotype-path", str(path), "--phenotype-path", pheno,
+                             "--m", "4000", "--seed", "3", "--threads", str(threads),
+                             "--emit-details", "--output-dir", str(out)]) == 0
+                runs[name, run] = ({p.name: p.read_bytes() for p in out.glob("*.*")},
+                                   capsys.readouterr().err)
+        assert len(list((tmp_path / "cache").glob("dosages_*"))) == 2
+        files, err = runs["four", "cold"]
+        assert len(files) == 2 + 2 * 2  # results, summary, two windows' details
+        assert "rounded" not in err
+        warning = (f"warning: rounded {rounded} of the kept dosages to 4 decimals, the first "
+                   f"on line {first}\n")
+        assert runs["four", "warm"] == runs["four", "cold"]
+        assert runs["six", "cold"] == runs["six", "warm"] == (files, warning + err)
 
     def test_no_shared_cache_writes_no_dosage_entry(self, cohort_files, tmp_path, monkeypatch):
         # without WAVESCREEN_CACHE_DIR each run has its own cache, which no

@@ -28,10 +28,10 @@ def _write(tmp_path, lines, name="geno.tsv"):
 
 
 def _parse(path, workers=1):
-    """The genotype file's blocks and n, cut from the parse's layout as
-    ``load_cohort`` cuts them."""
+    """The genotype file's blocks, n and (rounded count, first line), cut
+    from the parse's layout as ``load_cohort`` cuts them."""
     layout = dataio._read_genotypes(path, workers)
-    return dataio._blocks(*layout), layout[3].shape[1]
+    return dataio._blocks(*layout[:4]), layout[3].shape[1], layout[4]
 
 
 def _pheno(tmp_path, values, name="pheno.tsv"):
@@ -108,11 +108,6 @@ class TestLoadCohort:
         geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2"])
         with pytest.raises(DataError, match="phenotype"):
             dataio.load_cohort(geno, _pheno(tmp_path, [0.0, 1.0, 2.0]))
-
-    def test_constant_phenotype(self, tmp_path):
-        geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2"])
-        with pytest.raises(DataError, match="zero variance"):
-            dataio.load_cohort(geno, _pheno(tmp_path, [1.0, 1.0]))
 
     def test_covariate_row_mismatch(self, tmp_path):
         geno = _write(tmp_path, ["1\t100\ta\t1.0\t1\t2"])
@@ -261,7 +256,7 @@ class TestLoadCohort:
         with pytest.raises(DataError, match="^line 5: non-numeric dosage: 'x'$"):
             _parse(str(geno))
         geno.write_bytes(eol.join(lines).encode())
-        blocks, n = _parse(str(geno))
+        blocks, n, _ = _parse(str(geno))
         assert n == 2
         np.testing.assert_array_equal(blocks["1"].dosages(), [[1, 2], [2, 0]])
 
@@ -461,6 +456,7 @@ def _assert_blocks_equal(got, ref):
         np.testing.assert_array_equal(other.imputation_quality.view(np.int64),
                                       block.imputation_quality.view(np.int64))
         assert other.store.shape == block.store.shape
+        assert other.store.dtype == block.store.dtype
         # codes decode a -0 token to +0.0, equal to it and centered to the same bits
         np.testing.assert_array_equal(other.dosages(), block.dosages())
         np.testing.assert_array_equal(other.dosages(minus=1.0).view(np.int64),
@@ -487,8 +483,8 @@ class TestReferenceParser:
             args = (str(geno), str(pheno), cov)
             got = _outcome(dataio.load_cohort, *args)
             ref = _outcome(load_cohort_reference, *args)
-            # the genotype part alone, so that n = 1 (zero phenotype
-            # variance) still compares parsed blocks
+            # the genotype part alone, so that a file whose phenotype fails
+            # its checks still compares parsed blocks and rounded counts
             got_g = _outcome(_parse, str(geno))
             ref_g = _outcome(read_genotypes_reference, str(geno), dataio.MIN_IMPUTATION_QUALITY)
             # as many processes as workers, up to one per row, on any host
@@ -501,13 +497,10 @@ class TestReferenceParser:
                 assert not isinstance(a, DataError), a
         if isinstance(ref_g, DataError):
             return
-        # codes exactly when every kept dosage is exact at 4 decimals
-        values = np.concatenate([b.dosages().ravel() for b in ref_g[0].values()])
-        store = np.uint16 if np.array_equal(np.rint(values * 1e4) / 1e4, values) else float
         for g in (got_g, par_g):
             _assert_blocks_equal(g[0], ref_g[0])
-            assert g[1] == ref_g[1]
-            assert {b.store.dtype for b in g[0].values()} == {np.dtype(store)}
+            assert g[1:] == ref_g[1:]
+            assert {b.store.dtype for b in g[0].values()} == {np.dtype(np.uint16)}
         if isinstance(ref, DataError):
             return
         _assert_blocks_equal(got.blocks, ref.blocks)
@@ -551,10 +544,11 @@ class TestParallelParse:
         rng = np.random.default_rng(3)
         rows = [[f"{x:.6g}" for x in rng.uniform(0, 2, 3)] for _ in range(101)]
         path = _write(tmp_path, _rows(rows))
-        serial, n = _parse(path)
+        serial, n, rounded = _parse(path)
+        assert rounded[0] > 0
         for workers in (2, 3, 5):
-            blocks, m = _parse(path, workers)
-            assert m == n
+            blocks, m, counted = _parse(path, workers)
+            assert m == n and counted == rounded
             _assert_blocks_equal(blocks, serial)
 
     def test_uniformly_narrower_second_range(self, tmp_path):
@@ -595,7 +589,7 @@ class TestParallelParse:
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         path = _write(tmp_path, _rows([["0", "1", "2"], ["2", "1", "0"]]))
-        blocks, _ = _parse(path, 64)
+        blocks = _parse(path, 64)[0]
         _assert_blocks_equal(blocks, _parse(path)[0])
         assert len(forks) == 1
 
@@ -678,8 +672,8 @@ def _four_decimals(draw):
 
 
 class TestDosageCodes:
-    """A dosage exact at 4 decimals is stored as a 16-bit code that decodes to
-    the parsed double; a file with any other keeps float64 dosages."""
+    """A dosage is stored as the 16-bit code of its value rounded to 4
+    decimals, which decodes to the parsed double when it is exact at 4."""
 
     @given(st.lists(_four_decimals(), min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -700,48 +694,33 @@ class TestDosageCodes:
         values = dataio._read_rows([text], [1], "dosage", 0.0, 2.0)
         assert not dataio._codes(values)[1].any()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_inexact_value_in_the_last_chunk_keeps_float64(self, tmp_path, monkeypatch,
-                                                               workers):
-        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
-        rng = np.random.default_rng(6)
-        rows = [[f"{x:.2f}" for x in rng.uniform(0, 2, 3)] for _ in range(40)]
-        exact = _write(tmp_path, _rows(rows), "exact.tsv")
-        rows[-1][1] = "1.23457"  # the file's last row, in its last chunk
-        inexact = _write(tmp_path, _rows(rows))
-        for path, store in ((exact, np.uint16), (inexact, np.float64)):
-            blocks, _ = _parse(path, workers)
-            ref, _ = read_genotypes_reference(path, dataio.MIN_IMPUTATION_QUALITY)
-            assert blocks["1"].store.dtype == store
-            _assert_blocks_equal(blocks, ref)
-        # the inexact file's float64 store holds the reference parse's own bits
-        assert blocks["1"].store.tobytes() == ref["1"].store.tobytes()
-
     @pytest.mark.parametrize("cap", [1, 1 << 20], ids=["row_pieces", "chunk_pieces"])
     @pytest.mark.parametrize("at", [0, 22, 39])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_inexact_pieces_alone_are_parsed_twice(self, tmp_path, monkeypatch, workers, at,
-                                                   cap):
-        # 40 rows in 8 chunks of 5, inexact at row ``at`` and the last: the
-        # first pass stops at the piece holding row ``at`` and leaves every
-        # later chunk unparsed; the float64 pass decodes the rows before that
-        # piece and parses the rest, so that piece alone is parsed twice; the
+    def test_every_row_is_parsed_once_and_rounded_values_counted(self, tmp_path, monkeypatch,
+                                                                  workers, at, cap):
+        # 40 rows in 8 chunks of 5, inexact at row ``at`` and at two more
+        # places in the last, 3 values in all: every row is parsed once, its
+        # inexact values are rounded, and the chunks' counts add up; the
         # parses of forked children are not counted
         monkeypatch.setattr(dataio, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(dataio, "_MAX_TEXT_BYTES", cap)
         rng = np.random.default_rng(8)
         rows = [[f"{x:.3f}" for x in rng.uniform(0, 2, 3)] for _ in range(40)]
-        rows[at][2] = rows[39][0] = "0.123456"
+        rows[at][2] = rows[39][0] = rows[39][1] = "0.123456"
         path = _write(tmp_path, _rows(rows))
         parsed = []
         read_rows = dataio._read_rows
         monkeypatch.setattr(dataio, "_read_rows", lambda texts, *args: parsed.append(
             len(texts) - 1) or read_rows(texts, *args))
-        blocks, _ = _parse(path, workers)
-        ref, _ = read_genotypes_reference(path, dataio.MIN_IMPUTATION_QUALITY)
+        blocks, _, rounded = _parse(path, workers)
+        ref, _, ref_rounded = read_genotypes_reference(path, dataio.MIN_IMPUTATION_QUALITY)
         assert blocks["1"].store.tobytes() == ref["1"].store.tobytes()
+        assert blocks["1"].dosages()[at, 2] == 0.1235
+        # the header is line 1, so row i is on line i + 2
+        assert rounded == ref_rounded == (3, at + 2)
         if workers == 1:
-            assert sum(parsed) == 40 + (1 if cap == 1 else 5)  # one piece: a row, or a chunk
+            assert sum(parsed) == 40
 
 
 def test_workers_start_at_most_one_child_per_other_cpu(tmp_path, monkeypatch):
@@ -765,7 +744,7 @@ def test_parse_holds_a_piece_of_the_dosage_text(tmp_path):
             fh.write(f"1\t{i + 1}\tsnp{i}\t1.0\t" + "\t".join(f"{d:.3f}" for d in row) + "\n")
     tracemalloc.start()
     try:
-        blocks, _ = _parse(str(path), 1)
+        blocks = _parse(str(path), 1)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -859,9 +838,10 @@ class TestDosageCache:
         parsed = dataio._read_genotypes(geno, workers)
         loaded = dataio._load_entry(str(cache / name), dataio._file_digest(geno, workers))
         assert loaded[0] == parsed[0] == [("1", 17), ("2", 17), ("X", 17)]
-        for got, want, dtype in zip(loaded[1:], parsed[1:], (np.int64, float, np.uint16)):
+        for got, want, dtype in zip(loaded[1:4], parsed[1:4], (np.int64, float, np.uint16)):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        assert loaded[4] == parsed[4] == (0, 0)
 
     def test_edit_of_the_same_size_and_mtime_is_a_miss(self, files, monkeypatch):
         geno, pheno, cache = files
@@ -887,7 +867,7 @@ class TestDosageCache:
 
     @pytest.mark.parametrize("damage", ["truncated", "extra_byte", "header", "digest", "count",
                                         "empty", "duplicate_name", "unsorted_name",
-                                        "other_store", "unknown_store"])
+                                        "rounded_text", "rounded_no_line"])
     def test_damaged_entry_is_a_miss_and_rewritten(self, files, monkeypatch, damage):
         geno, pheno, cache = files
         reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
@@ -895,13 +875,14 @@ class TestDosageCache:
         entry = cache / name
         good = entry.read_bytes()
         head, table, rest = good.split(b"\n", 2)
-        form, digest, store, n, n_chroms = head.split(b"\t")
+        form, digest, rounded, line, n, n_chroms = head.split(b"\t")
         chrom, count = table.split(b"\t")
+        assert (rounded, line) == (b"0", b"0")
         entry.write_bytes({
             "truncated": good[:-8],
             "extra_byte": good + b"\0",
             "header": b"wavescreen-dosages-0" + good[len(form):],
-            "digest": b"\t".join([form, digest[::-1], store, n, n_chroms]) + b"\n"
+            "digest": b"\t".join([form, digest[::-1], rounded, line, n, n_chroms]) + b"\n"
                       + good[len(head) + 1:],
             "count": b"\n".join([head, chrom + b"\t" + str(int(count) + 1).encode(), rest]),
             "empty": b"",
@@ -909,9 +890,10 @@ class TestDosageCache:
             # name chromosomes 2, 2, X (dropping one) or Y, 2, X
             "duplicate_name": b"\n".join([head, b"2\t" + count, rest]),
             "unsorted_name": b"\n".join([head, b"Y\t" + count, rest]),
-            # codes named as the float64 store, or as no store
-            "other_store": good.replace(b"\tcodes\t", b"\tfloat64\t", 1),
-            "unknown_store": good.replace(b"\tcodes\t", b"\tuint8\t", 1),
+            # a rounded count, of the same length, that is not a number, or
+            # that names no line
+            "rounded_text": good.replace(b"\t0\t0\t", b"\tx\t0\t", 1),
+            "rounded_no_line": good.replace(b"\t0\t0\t", b"\t1\t0\t", 1),
         }[damage])
         loaded = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         _assert_blocks_equal(loaded.blocks, reference.blocks)
@@ -1033,42 +1015,51 @@ class TestDosageCache:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("store", ["codes", "float64"])
-    def test_entry_size_follows_its_store(self, files, monkeypatch, store):
-        # 2-byte codes unless a kept dosage has 5 decimals
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "rounded"])
+    def test_entry_holds_2_bytes_a_dosage(self, files, monkeypatch, capsys, exact):
+        # also where a kept dosage has 5 decimals; a hit warns as the parse did
         geno, pheno, cache = files
-        if store == "float64":
+        if not exact:
             lines = Path(geno).read_text().splitlines()
             lines[1] = lines[1] + "001"  # its last dosage, x.yz, becomes x.yz001
             geno = _write(Path(geno).parent, lines)
         reference = dataio.load_cohort(geno, pheno)
+        err = capsys.readouterr().err
+        assert err == ("" if exact else "warning: rounded 1 of the kept dosages to 4 decimals, "
+                       "the first on line 2\n")
         loaded = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         [entry] = cache.glob("dosages_*")
         data = entry.read_bytes()
         head = data.split(b"\n", 1)[0].split(b"\t")
-        assert head[2] == store.encode()
+        assert head[2:4] == ([b"0", b"0"] if exact else [b"1", b"2"])
         offset = -(-(data.index(b"\nX\t17\n") + 6) // 8) * 8  # the padded header
-        n_kept, n, size = 51, 5, {"codes": 2, "float64": 8}[store]
-        assert len(data) == offset + 16 * n_kept + size * n_kept * n
+        n_kept, n = 51, 5
+        assert len(data) == offset + 16 * n_kept + 2 * n_kept * n
         self._no_parse(monkeypatch)
         warm = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
+        assert capsys.readouterr().err == 2 * err
         for cohort in (reference, loaded, warm):
-            assert {b.store.itemsize for b in cohort.blocks.values()} == {size}
+            assert {b.store.dtype for b in cohort.blocks.values()} == {np.dtype(np.uint16)}
             _assert_blocks_equal(cohort.blocks, reference.blocks)
 
-    def test_format_2_entry_is_parsed_past_and_rewritten(self, files, monkeypatch):
-        # the float64 entry of the previous format, at the same path
+    @pytest.mark.parametrize("old", ["2", "3-codes", "3-float64"])
+    def test_older_format_entry_is_parsed_past_and_rewritten(self, files, monkeypatch, old):
+        # an entry of a previous format, at the same path: format 2 held
+        # float64 dosages and named no store, format 3 named its store
         geno, pheno, cache = files
         reference = dataio.load_cohort(geno, pheno, cache_dir=str(cache))
         [entry] = cache.glob("dosages_*")
         good = entry.read_bytes()
-        table, positions, qualities, store = dataio._read_genotypes(geno)
+        table, positions, qualities, store, _ = dataio._read_genotypes(geno)
         digest = dataio._file_digest(geno, 1)
-        form = dataio._DOSAGE_CACHE_FORMAT.replace("-dosages-3-", "-dosages-2-")
-        header = (f"{form}\t{digest}\t5\t{len(table)}\n"
+        version, _, name = old.partition("-")
+        form = dataio._DOSAGE_CACHE_FORMAT.replace("-dosages-4-", f"-dosages-{version}-")
+        fields = [form, digest] + ([name] if name else []) + ["5", str(len(table))]
+        header = ("\t".join(fields) + "\n"
                   + "".join(f"{c}\t{k}\n" for c, k in table)).encode()
+        values = store if name == "codes" else store / 1e4
         entry.write_bytes(header + b" " * (-len(header) % 8) + positions.tobytes()
-                          + qualities.tobytes() + store.astype(float).tobytes())
+                          + qualities.tobytes() + values.tobytes())
         _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
                              reference.blocks)
         assert entry.read_bytes() == good
@@ -1084,11 +1075,11 @@ class TestDosageCache:
         entry = cache / name
         good = entry.read_bytes()
         head, rest = good.split(b"\n", 1)
-        form, digest, store, n, n_chroms = head.split(b"\t")
-        old_form = form.replace(b"wavescreen-dosages-3-", b"wavescreen-dosages-1-")
+        form, digest, rest_of_head = head.split(b"\t", 2)
+        old_form = form.replace(b"wavescreen-dosages-4-", b"wavescreen-dosages-1-")
         flat = hashlib.sha256(Path(geno).read_bytes()).hexdigest().encode()
         assert old_form != form and len(flat) == len(digest)
-        entry.write_bytes(b"\t".join([old_form, flat, store, n, n_chroms]) + b"\n" + rest)
+        entry.write_bytes(b"\t".join([old_form, flat, rest_of_head]) + b"\n" + rest)
         _assert_blocks_equal(dataio.load_cohort(geno, pheno, cache_dir=str(cache)).blocks,
                              reference.blocks)
         assert _entries(cache) == [name]
