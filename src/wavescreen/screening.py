@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import chdtrc
 
 from wavescreen import dataio, wavelet
 from wavescreen.bayes import DesignContext, log_bayes_factor
@@ -115,6 +113,8 @@ def posterior_gamma(bf: np.ndarray, pi_s: float) -> np.ndarray:
 
 def fisher_combine(p_values) -> float:
     """Fisher's method: survival of chi2(2k) at -2 sum log p_i."""
+    from scipy.special import chdtrc
+
     p = np.asarray(list(p_values), dtype=float)
     if p.size == 0:
         raise ValueError("need at least one p-value")
@@ -124,7 +124,7 @@ def fisher_combine(p_values) -> float:
     return float(chdtrc(2 * len(p), stat))
 
 
-def _centered_product(W: sparse.csr_matrix, block: ChromosomeBlock, first: int) -> np.ndarray:
+def _centered_product(W, block: ChromosomeBlock, first: int) -> np.ndarray:
     """W @ (dosages - 1.0) of the block's SNPs from ``first`` on, streamed in
     blocks of ``_ROW_BLOCK`` rows of W into an anonymous map of its own
     (``dataio._mapped_rows``), not the malloc heap.
@@ -135,6 +135,8 @@ def _centered_product(W: sparse.csr_matrix, block: ChromosomeBlock, first: int) 
     same products in the same order as the one product does, and no
     window-sized decoded or centered copy is made.
     """
+    from scipy import sparse
+
     out = dataio._mapped_rows(W.shape[0], block.n, np.dtype(float))
     for r0 in range(0, W.shape[0], _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, W.shape[0])

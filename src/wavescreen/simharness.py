@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from wavescreen import bayes, dataio, nullsim
 
@@ -165,6 +164,8 @@ def gwas_lm_baseline(dosages: np.ndarray, phenotype: np.ndarray) -> np.ndarray:
     once for all traits. Monomorphic SNPs get p = 1. ``bayes.build_design``
     rejects a constant phenotype.
     """
+    from scipy.special import stdtr
+
     G = np.asarray(dosages, dtype=float)
     Y = np.atleast_2d(np.asarray(phenotype, dtype=float))
     n = Y.shape[1]

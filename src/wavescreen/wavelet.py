@@ -11,8 +11,6 @@ the cohort.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.special import ndtri
 
 from wavescreen import dataio
 
@@ -31,14 +29,16 @@ def normalize_positions(positions: np.ndarray, start_bp: int, end_bp: int) -> np
     return (np.asarray(positions, dtype=float) - start_bp) / (end_bp - start_bp)
 
 
-def interpolation_matrix(snp_positions: np.ndarray, n_grid: int) -> sparse.csr_matrix:
+def interpolation_matrix(snp_positions: np.ndarray, n_grid: int):
     """Linear-interpolation weights from observed positions to grid points.
 
     The grid is t_k = (k + 1/2) / N, k < N = ``n_grid``, on window-normalized
-    [0, 1]. Returns a sparse (N x m) matrix W with at most two nonzeros per
+    [0, 1]. Returns a sparse CSR (N x m) matrix W with at most two nonzeros per
     row; grid points beyond the outermost observation copy that observation
     (constant extrapolation).
     """
+    from scipy import sparse
+
     x = np.asarray(snp_positions, dtype=float)
     m = len(x)
     if m < 2:
@@ -57,8 +57,10 @@ def interpolation_matrix(snp_positions: np.ndarray, n_grid: int) -> sparse.csr_m
     return sparse.csr_matrix((vals, (rows, cols)), shape=(N, m))
 
 
-def block_sum_matrix(n_grid: int, n_blocks: int) -> sparse.csr_matrix:
-    """Sparse (n_blocks x n_grid) matrix summing consecutive grid blocks."""
+def block_sum_matrix(n_grid: int, n_blocks: int):
+    """Sparse CSR (n_blocks x n_grid) matrix summing consecutive grid blocks."""
+    from scipy import sparse
+
     if n_blocks <= 0 or n_grid % n_blocks:
         raise ValueError(f"{n_grid} grid points do not split into {n_blocks} blocks")
     block = n_grid // n_blocks
@@ -90,6 +92,8 @@ def haar_pyramid(
     malloc and each scale's memory is released once its arrays are dropped.
     Sparse rows (``pyramid_variances``) give new sparse matrices.
     """
+    from scipy import sparse
+
     M = grid_values.shape[0]
     if M & (M - 1) or M == 0:
         raise ValueError(f"grid length {M} is not a power of two")
@@ -136,7 +140,7 @@ def haar_pyramid(
 
 
 def pyramid_variances(
-    W: sparse.csr_matrix, snp_variances: np.ndarray, depth: int,
+    W, snp_variances: np.ndarray, depth: int,
     n_grid: int | None = None,
 ) -> list[np.ndarray]:
     """Noise variances of the Haar detail coefficients, propagated exactly through W.
@@ -144,8 +148,9 @@ def pyramid_variances(
     Each d coefficient is a fixed linear combination a of the SNP
     observations, its row of ``haar_pyramid`` applied to W; its variance is
     sum_j a_j^2 sigma_j^2 under independent heteroscedastic noise, floored
-    at ``VARIANCE_FLOOR``. Returns one array per scale 0..depth. ``W`` may
-    already hold block-summed rows of a finer grid of ``n_grid`` points.
+    at ``VARIANCE_FLOOR``. Returns one array per scale 0..depth. ``W``, a
+    sparse matrix, may already hold block-summed rows of a finer grid of
+    ``n_grid`` points.
     """
     sig2 = np.asarray(snp_variances, dtype=float)
     _, d = haar_pyramid(W, depth, n_grid)
@@ -189,6 +194,8 @@ def _blom_table(n: int) -> np.ndarray:
     rank r and rank n + 1 - r get scores that are exact negatives of each
     other (one branch maps onto the other bit-for-bit).
     """
+    from scipy.special import ndtri
+
     ranks = 0.5 * np.arange(2 * n - 1) + 1.0
     denom = n + 0.25
     u_lo = (ranks - 0.375) / denom

@@ -6,11 +6,13 @@ import mmap
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from wavescreen import bayes, dataio, nullsim, screening, simharness, wavelet
 from wavescreen.cli import build_parser, main
 
 from conftest import write_cohort_files
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -1054,3 +1058,65 @@ class TestFisherCommand:
     def test_nan_p_exits_1(self, capsys):
         assert main(["fisher", "nan", "0.5"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+# cli.main in a fresh interpreter, which has loaded no SciPy: prints the exit
+# code and the name of the thread that first imported SciPy
+_FRESH_MAIN = """
+import sys, threading
+import wavescreen.cli as cli
+first = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" and not first:
+            first.append(threading.current_thread().name)
+
+sys.meta_path.insert(0, Spy())
+rc = cli.main(sys.argv[1:])
+print(rc, *first)
+"""
+
+
+class TestFirstScipyImport:
+    """SciPy is imported where it computes, so in a fresh interpreter its first
+    import may run on pool threads, several at once; CPython's per-module
+    import locks make that one import, and the outputs are those of a process
+    that had SciPy loaded from the start."""
+
+    @staticmethod
+    def _fresh_main(argv):
+        env = {k: v for k, v in os.environ.items() if k != "WAVESCREEN_CACHE_DIR"}
+        env["PYTHONPATH"] = str(SRC)
+        out = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
+                             check=True, capture_output=True, text=True, timeout=300).stdout
+        return out.splitlines()[-1].split()
+
+    def test_screen_on_two_threads(self, cohort_files, tmp_path, monkeypatch):
+        geno, pheno = cohort_files
+        monkeypatch.delenv("WAVESCREEN_CACHE_DIR", raising=False)
+        assert main(_screen_args(geno, pheno, str(tmp_path / "warm"), threads=2)) == 0
+        rc, thread = self._fresh_main(_screen_args(geno, pheno, str(tmp_path / "fresh"),
+                                                   threads=2))
+        assert rc == "0"
+        assert thread.startswith("ThreadPoolExecutor")
+        fresh = (tmp_path / "fresh" / "results.tsv").read_bytes()
+        assert len(fresh.splitlines()) > 3  # a header and several windows' screens
+        assert fresh == (tmp_path / "warm" / "results.tsv").read_bytes()
+
+    def test_power(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text(
+            "n = 300\nn_snps = 64\nn_blocks = 4\nreplicates = 3\n"
+            "heritability = 0.1\nmax_components = 4\nnull_m = 3000\n"
+            "min_snps_per_coeff = 8\n"
+        )  # 3000 draws leave the 30 exceedances a tail fit needs
+        monkeypatch.delenv("WAVESCREEN_CACHE_DIR", raising=False)
+        argv = ["power", "--config", str(cfg), "--seed", "2", "--output-dir"]
+        assert main(argv + [str(tmp_path / "warm")]) == 0
+        rc, thread = self._fresh_main(argv + [str(tmp_path / "fresh")])
+        assert rc == "0"
+        assert thread.startswith("ThreadPoolExecutor")
+        for name in ("power.tsv", "power_detail.tsv"):
+            assert ((tmp_path / "fresh" / name).read_bytes()
+                    == (tmp_path / "warm" / name).read_bytes())

@@ -1,9 +1,10 @@
 """Every module-level import of the package and of the tests is used, the
-command line starts without ``scipy.stats`` or ``scipy.optimize``, no
-module of the package imports ``scipy.optimize`` at all, only
-``dataio`` makes temporary files and renames them into place, only
-``nullsim.screen_windows`` and ``cli.cmd_nullsim`` get null models, only
-``dataio`` reads a block's dosage store, and every exception class the
+command line starts without SciPy (a module of the package imports it only
+inside the functions that compute with it, so ``nullsim`` and ``plot``
+never load it), no module of the package imports ``scipy.optimize`` at
+all, only ``dataio`` makes temporary files and renames them into place,
+only ``nullsim.screen_windows`` and ``cli.cmd_nullsim`` get null models,
+only ``dataio`` reads a block's dosage store, and every exception class the
 package defines is caught somewhere in it."""
 
 import ast
@@ -45,56 +46,94 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats takes about 0.6 s to import; scipy.special has every
-    # distribution function the package evaluates. scipy.optimize, about
-    # 0.24 s, is imported by nothing in the package.
+def _loaded_scipy(code: str) -> list[str]:
+    """Stdout of ``code`` run in a fresh interpreter, then the list of SciPy
+    modules loaded by then."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, wavescreen.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
+    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out == "False False\n"
+    return out
 
 
-def optimize_imports(source: str) -> list[str]:
-    """Lines of the source, at any depth, that import ``scipy.optimize``."""
+def test_cli_import_loads_no_scipy():
+    # scipy.special and scipy.sparse take about 0.2 s and 22 MiB to import
+    # (scipy.stats about 0.6 s more), most of a start-up whose numpy takes 0.06 s
+    assert _loaded_scipy("import wavescreen.cli") == "[]\n"
+
+
+def scipy_imports(source: str, module: str = "scipy", at_import: bool = False) -> list[str]:
+    """Lines of the source that import ``module`` or a submodule of it, at any
+    depth, or with ``at_import`` only those outside every function body: the
+    ones that run when the source is imported."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def hit(node):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
-            continue
-        if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
-            found.append(node.lineno)
+            return False
+        return any(n == module or n.startswith(module + ".") for n in names)
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if hit(child) and not (at_import and in_function):
+                found.append(child.lineno)
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(ast.parse(source), False)
     return [f"line {line}" for line in sorted(found)]
 
 
 def test_detects_a_scipy_optimize_import():
     source = ("import scipy\nfrom scipy import optimize\ndef f():\n"
               "    from scipy.optimize import minimize\nimport scipy.optimize._minimize\n")
-    assert optimize_imports(source) == ["line 2", "line 4", "line 5"]
+    assert scipy_imports(source, "scipy.optimize") == ["line 2", "line 4", "line 5"]
+
+
+def test_detects_a_scipy_import_that_runs_at_import():
+    source = ("import scipyx\nfrom scipy import sparse\ndef f():\n"
+              "    from scipy.special import ndtri\nclass C:\n    import scipy.stats\n"
+              "    def g(self):\n        import scipy\nif True:\n    import scipy as sp\n")
+    assert scipy_imports(source) == ["line 2", "line 4", "line 6", "line 8", "line 10"]
+    assert scipy_imports(source, at_import=True) == ["line 2", "line 6", "line 10"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_package_never_imports_scipy_optimize(path):
-    assert optimize_imports(path.read_text(encoding="utf-8")) == []
+    assert scipy_imports(path.read_text(encoding="utf-8"), "scipy.optimize") == []
 
 
-def test_cold_nullsim_skips_scipy_optimize(tmp_path):
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_imports_scipy_only_in_functions(path):
+    # a module-level import would load SciPy for every command, and only
+    # screen, power and fisher compute with it
+    assert scipy_imports(path.read_text(encoding="utf-8"), at_import=True) == []
+
+
+def test_cold_nullsim_loads_no_scipy(tmp_path):
     # a run into an empty cache simulates and fits the tail: 4000 draws
     # leave 40 exceedances above the 99% quantile, enough for the fit
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, wavescreen.cli as cli; "
-            f"cli.main(['nullsim', '--lambda1', '0.9', '--depth', '3', '--m', '4000', "
-            f"'--seed', '1', '--output-dir', {str(tmp_path)!r}]); "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
+    out = _loaded_scipy(
+        "import wavescreen.cli as cli; "
+        f"cli.main(['nullsim', '--lambda1', '0.9', '--depth', '3', '--m', '4000', "
+        f"'--seed', '1', '--output-dir', {str(tmp_path)!r}])")
     assert "shape xi" in out
-    assert out.endswith("\nFalse\n")
+    assert out.endswith("\n[]\n")
+
+
+def test_plot_loads_no_scipy(tmp_path):
+    details = tmp_path / "details.tsv"
+    details.write_text("scale\tlocation\tbf\tposterior_gamma\n0\t0\t5.0\t1.0\n")
+    svg = tmp_path / "plot.svg"
+    out = _loaded_scipy(
+        "import wavescreen.cli as cli; "
+        f"cli.main(['plot', '--details', {str(details)!r}, '--start-bp', '0', "
+        f"'--end-bp', '1000', '--out', {str(svg)!r}])")
+    assert out == f"wrote {svg}\n[]\n"
 
 
 def file_replacements(source: str) -> list[str]:

@@ -4,10 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from _oracles import generate_genotypes_reference, screen_window
-from wavescreen import bayes, dataio, nullsim, screening, simharness, wavelet
+from wavescreen import bayes, dataio, nullsim, screening, wavelet
 from wavescreen.simharness import (
     PowerConfig,
     generate_genotypes,
@@ -119,15 +119,16 @@ class TestGwasBaseline:
             assert abs(pvals[j] - ref) < 1e-10
 
     def test_p_values_equal_scipy_stats_bitwise(self, monkeypatch):
-        # the package evaluates the t survival through scipy.special; record
-        # each (dof, -|t|) it asks for and check the p-values against scipy.stats
-        calls, stdtr = [], simharness.stdtr
+        # the package evaluates the t survival through scipy.special, imported
+        # by name when gwas_lm_baseline runs; record each (dof, -|t|) it asks
+        # for and check the p-values against scipy.stats
+        calls, stdtr = [], special.stdtr
 
         def recording_stdtr(dof, x):
             calls.append((dof, np.array(x)))
             return stdtr(dof, x)
 
-        monkeypatch.setattr(simharness, "stdtr", recording_stdtr)
+        monkeypatch.setattr(special, "stdtr", recording_stdtr)
         rng = np.random.default_rng(13)
         for n in (12, 40, 300, 3000):
             G = rng.integers(0, 3, size=(30, n)).astype(float)
