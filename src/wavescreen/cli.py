@@ -353,7 +353,10 @@ def main(argv=None) -> int:
     try:
         return handlers[args.subcommand](args)
     except OSError as exc:
-        print(f"error: {exc.strerror.lower()}: {exc.filename}", file=sys.stderr)
+        # a failed allocation or a raised OSError("...") names no file
+        reason = exc.strerror.lower() if exc.strerror else str(exc)
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {reason}{where}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -648,6 +648,23 @@ class TestNullsimCommand:
                             r"1/\(M\+1\) = 0\.047619\n", captured.err), captured.err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)), "cannot allocate memory"),
+    (OSError("boom"), "boom"),
+], ids=["no_file", "no_strerror"])
+def test_os_error_names_a_file_only_when_it_has_one(tmp_path, monkeypatch, capsys,
+                                                    exc, message):
+    # a failed allocation (mmap, or a pool that cannot start) names no file
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(nullsim, "load_or_build_null_model", failing)
+    rc = main(["nullsim", "--lambda1", "0.9", "--depth", "2", "--m", "20", "--seed", "3",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _fingerprint(results):
     """Every field of each result, floats and arrays as their exact bits."""
     return [
