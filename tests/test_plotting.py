@@ -1,5 +1,7 @@
 """SVG pyramid rendering."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ class TestRenderPyramid:
         assert svg.count('fill="#fde68a"') == 2
         assert ">1000<" in svg and ">2000<" in svg and ">title<" in svg
         assert ">s=0<" in svg and ">s=1<" in svg
+
+    def test_title_is_escaped_text(self):
+        bf, locs = _spectra()
+        title = "chr1 <1 Mb> & BF"
+        root = ET.fromstring(render_pyramid_svg(bf, locs, 1000, 2000, title))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == title
 
     def test_larger_bf_draws_larger_darker_point(self):
         svg = render_pyramid_svg(
