@@ -214,9 +214,9 @@ def p_value(model: NullModel, lambda_obs: float) -> float:
     M = len(model.sample)
     tail = model.tail
     if tail is not None and lambda_obs > tail.threshold:
-        # GPD survival (1 + xi z)^(-1/xi), zero from the endpoint -1/xi of a xi < 0 tail on
         from scipy.special import inv_boxcox
 
+        # GPD survival (1 + xi z)^(-1/xi), zero from the endpoint -1/xi of a xi < 0 tail on
         xi, z = tail.shape, (lambda_obs - tail.threshold) / tail.scale
         sf = 0.0 if xi < 0.0 and z >= -1.0 / xi else float(inv_boxcox(-z, -xi))
         return float(tail.n_exceedances / M * sf)

@@ -46,19 +46,18 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _loaded_scipy(code: str) -> list[str]:
+def _loaded_scipy(code: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter, then the list of SciPy
     modules loaded by then."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    return out
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.special and scipy.sparse take about 0.2 s and 22 MiB to import
-    # (scipy.stats about 0.6 s more), most of a start-up whose numpy takes 0.06 s
+    # scipy.special and scipy.sparse took about 0.2 s and 22 MiB of the
+    # command line's start-up; scipy.stats would take about 0.6 s more
     assert _loaded_scipy("import wavescreen.cli") == "[]\n"
 
 
